@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from . import anthro, datamodel, densitymap, evalharness, metrics, meshvol, plots, scenegen
+from .parallel import parallel_map
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,11 +86,11 @@ def cmd_label(args) -> int:
     try:
         mesh = datamodel.read_obj(args.mesh)
         labels = datamodel.read_vertex_labels(args.labels, mesh.n_vertices)
+        taxonomy = datamodel.load_taxonomy(args.taxonomy) if args.taxonomy else datamodel.default_taxonomy()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     mesh = datamodel.TriMesh(vertices=mesh.vertices, faces=mesh.faces, vertex_labels=labels)
-    taxonomy = datamodel.load_taxonomy(args.taxonomy) if args.taxonomy else datamodel.default_taxonomy()
     try:
         parts = meshvol.split_parts(mesh, taxonomy, tol=args.tol)
     except meshvol.NonWatertightError as exc:
@@ -105,11 +106,14 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
-def _render_one(task):
-    frame, per_part, taxonomy, cfg = task
+def _write_map(per_part, taxonomy, cfg, out_dir: Path, frame) -> float:
+    """Render one frame's map, write its .vdm file and return its mass."""
     if per_part:
-        return densitymap.render_ppvdm(frame, taxonomy, cfg)
-    return densitymap.render_vdm(frame, cfg)
+        dmap = densitymap.render_ppvdm(frame, taxonomy, cfg)
+    else:
+        dmap = densitymap.render_vdm(frame, cfg)
+    datamodel.write_vdm(dmap, out_dir / f"{frame.frame_id}.vdm")
+    return dmap.total()
 
 
 def cmd_maps(args) -> int:
@@ -126,23 +130,14 @@ def cmd_maps(args) -> int:
     cfg = densitymap.SmoothingConfig(sigma_px=args.sigma, truncation_radius=args.truncation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(frame, args.per_part, taxonomy, cfg) for frame in frames]
-    if args.workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            maps = list(pool.map(_render_one, tasks))
-    else:
-        maps = [_render_one(t) for t in tasks]
+    masses = parallel_map(_write_map, (args.per_part, taxonomy, cfg, out), frames, args.workers)
     failed = False
-    for frame, dmap in zip(frames, maps):
+    for frame, got in zip(frames, masses):
         expected = frame.total_volume_dm3
-        got = dmap.total()
         ok = abs(got - expected) <= 1e-6 * expected if expected > 0 else got == 0.0
         print(f"{frame.frame_id}: mass={got!r} expected={expected!r} {'ok' if ok else 'FAIL'}")
         if not ok:
             failed = True
-        datamodel.write_vdm(dmap, out / f"{frame.frame_id}.vdm")
     return EXIT_CONSERVATION if failed else EXIT_OK
 
 
@@ -189,7 +184,9 @@ def cmd_eval(args) -> int:
             (out / "scatter.csv").write_text(metrics.scatter_to_csv(points), encoding="utf-8")
             plots.write_scatter_svg(points, out / "scatter.svg")
             print(f"scatter: {len(points)} points -> {out / 'scatter.svg'}")
-    except evalharness.EvalError as exc:
+    except (OSError, evalharness.EvalError, datamodel.ParseError, datamodel.ValidationError) as exc:
+        # Maps are read as each protocol reaches their frame, so a bad map
+        # file surfaces here.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -474,9 +474,10 @@ def read_vdm(path) -> DensityMap:
     if len(data) > expected:
         raise ParseError(f"{path}: trailing data after payload")
     values = np.frombuffer(data, dtype="<f4", offset=12).astype(np.float64).reshape(height, width)
-    if values.size and (values < 0).any():
-        raise ParseError(f"{path}: negative density value")
-    return DensityMap(width=width, height=height, values=values)
+    try:
+        return DensityMap(width=width, height=height, values=values)
+    except ValidationError as exc:  # a NaN, infinite or negative value
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
 
-from .datamodel import DensityMap, FrameAnnotation, read_vdm
+from .datamodel import DensityMap, FrameAnnotation, ParseError, read_vdm
 from .densitymap import integrate
 from .metrics import EvalRecord, MetricsReport, compute_report
 
@@ -29,26 +29,32 @@ class EvalError(ValueError):
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """Per-frame predictions: a scalar total or a density map per frame id."""
+    """Per-frame predictions: a scalar total, an in-memory density map, or
+    the path of a .vdm map that is read only when a protocol reaches its
+    frame, per frame id."""
 
     source: str
     scalars: dict[str, float]
     maps: dict[str, DensityMap]
+    map_paths: dict[str, Path] = field(default_factory=dict)
 
     def has(self, frame_id: str) -> bool:
-        return frame_id in self.scalars or frame_id in self.maps
+        return frame_id in self.scalars or frame_id in self.maps or frame_id in self.map_paths
 
     def total_for(self, frame_id: str) -> float:
         if frame_id in self.scalars:
             return self.scalars[frame_id]
-        if frame_id in self.maps:
-            return self.maps[frame_id].total()
-        raise EvalError(f"no prediction for frame {frame_id!r}")
+        if not self.has(frame_id):
+            raise EvalError(f"no prediction for frame {frame_id!r}")
+        return self.map_for(frame_id).total()
 
     def map_for(self, frame_id: str) -> DensityMap:
-        if frame_id not in self.maps:
-            raise EvalError(f"no density-map prediction for frame {frame_id!r}")
-        return self.maps[frame_id]
+        """The frame's map; a map on disk is read anew on every call."""
+        if frame_id in self.maps:
+            return self.maps[frame_id]
+        if frame_id in self.map_paths:
+            return read_vdm(self.map_paths[frame_id])
+        raise EvalError(f"no density-map prediction for frame {frame_id!r}")
 
 
 def scalar_predictions(values: dict[str, float], source: str = "scalar") -> PredictionSet:
@@ -60,20 +66,34 @@ def map_predictions(maps: dict[str, DensityMap], source: str = "maps") -> Predic
 
 
 def load_predictions_csv(path) -> PredictionSet:
-    """CSV with header frame_id,V_pred_dm3."""
+    """CSV with header frame_id,V_pred_dm3: one row per frame, each value a
+    finite number >= 0. Anything else raises ParseError naming the line."""
     values: dict[str, float] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            values[row["frame_id"]] = float(row["V_pred_dm3"])
+        reader = csv.DictReader(fh)
+        missing = [col for col in ("frame_id", "V_pred_dm3") if col not in (reader.fieldnames or ())]
+        if missing:
+            raise ParseError(f"{path}: missing column {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            frame_id, text = row["frame_id"], row["V_pred_dm3"]
+            try:
+                value = float(text)
+            except (TypeError, ValueError):
+                raise ParseError(f"{where}: V_pred_dm3 {text!r} is not a number") from None
+            if not (value >= 0 and math.isfinite(value)):
+                raise ParseError(f"{where}: V_pred_dm3 must be finite and >= 0, got {text!r}")
+            if frame_id in values:
+                raise ParseError(f"{where}: duplicate frame_id {frame_id!r}")
+            values[frame_id] = value
     return PredictionSet(source=str(path), scalars=values, maps={})
 
 
 def load_prediction_maps(directory) -> PredictionSet:
-    """Directory of <frame_id>.vdm files."""
-    maps: dict[str, DensityMap] = {}
-    for vdm_path in sorted(Path(directory).glob("*.vdm")):
-        maps[vdm_path.stem] = read_vdm(vdm_path)
-    return PredictionSet(source=str(directory), scalars={}, maps=maps)
+    """Directory of <frame_id>.vdm files, indexed by frame id; no map is read
+    here."""
+    paths = {p.stem: p for p in sorted(Path(directory).glob("*.vdm"))}
+    return PredictionSet(source=str(directory), scalars={}, maps={}, map_paths=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -129,26 +149,32 @@ def oracular_count_estimator(frames: list[FrameAnnotation], mean_volume_dm3: flo
 # Protocols
 # ---------------------------------------------------------------------------
 
+def _frame_map(preds: PredictionSet, frame: FrameAnnotation) -> DensityMap:
+    dmap = preds.map_for(frame.frame_id)
+    if dmap.width != frame.image_w or dmap.height != frame.image_h:
+        raise EvalError(
+            f"frame {frame.frame_id!r}: map size {dmap.width}x{dmap.height} "
+            f"does not match image {frame.image_w}x{frame.image_h}"
+        )
+    return dmap
+
+
 def build_records(frames: list[FrameAnnotation], preds: PredictionSet) -> list[EvalRecord]:
+    """One record per frame; each map prediction is fetched once, checked
+    against the image size and reduced to its total before the next."""
     missing = [f.frame_id for f in frames if not preds.has(f.frame_id)]
     if missing:
         raise EvalError(f"missing predictions for frames: {', '.join(missing)}")
+    records = []
     for f in frames:
-        dmap = preds.maps.get(f.frame_id)
-        if dmap is not None and (dmap.width != f.image_w or dmap.height != f.image_h):
-            raise EvalError(
-                f"frame {f.frame_id!r}: map size {dmap.width}x{dmap.height} "
-                f"does not match image {f.image_w}x{f.image_h}"
-            )
-    return [
-        EvalRecord(
-            frame_id=f.frame_id,
-            v_true=f.total_volume_dm3,
-            v_pred=preds.total_for(f.frame_id),
-            n_persons=f.n_persons,
+        if f.frame_id in preds.scalars:
+            v_pred = preds.scalars[f.frame_id]
+        else:
+            v_pred = _frame_map(preds, f).total()
+        records.append(
+            EvalRecord(frame_id=f.frame_id, v_true=f.total_volume_dm3, v_pred=v_pred, n_persons=f.n_persons)
         )
-        for f in frames
-    ]
+    return records
 
 
 @dataclass(frozen=True)
@@ -210,12 +236,7 @@ def decoupling_eval(
     dropped = 0
     total = 0
     for frame in frames:
-        dmap = pred_maps.map_for(frame.frame_id)
-        if dmap.width != frame.image_w or dmap.height != frame.image_h:
-            raise EvalError(
-                f"frame {frame.frame_id!r}: map size {dmap.width}x{dmap.height} "
-                f"does not match image {frame.image_w}x{frame.image_h}"
-            )
+        dmap = _frame_map(pred_maps, frame)
         boxes = [p.bbox_px for p in frame.persons]
         for i, person in enumerate(frame.persons):
             total += 1

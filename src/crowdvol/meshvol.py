@@ -24,6 +24,8 @@ DEFAULT_PLANE_TOL = 5e-3
 _PLANE_SEARCH_SEED = 0x13A5EEDB0A4D
 _EXHAUSTIVE_LIMIT = 30
 _RANDOM_TRIPLES = 2000
+# Volumes within this many machine epsilons of diagonal**3 count as zero.
+_ZERO_VOLUME_ULPS = 64
 
 
 class MeshError(ValueError):
@@ -139,6 +141,12 @@ def signed_volume(mesh: TriMesh) -> float:
     c = v[mesh.faces[:, 2]]
     terms = np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
     vol = math.fsum(terms.tolist())
+    # A flat surface (a zero-volume leaf of split_parts) sums to rounding
+    # noise of either sign. Its tetra terms are noise-sized too, so the noise
+    # floor is scaled by the bounding-box diagonal cubed instead.
+    diagonal = float(np.linalg.norm(np.ptp(v, axis=0)))
+    if abs(vol) <= _ZERO_VOLUME_ULPS * np.finfo(np.float64).eps * diagonal**3:
+        return 0.0
     if vol < 0:
         raise InvertedOrientationError(
             f"mesh encloses negative volume {vol}; orientation is inverted"

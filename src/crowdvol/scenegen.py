@@ -13,7 +13,6 @@ parallel without changing a single output byte.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .datamodel import (
     TriMesh,
 )
 from .densitymap import nearest_pixel
+from .parallel import parallel_map
 from .rng import SplitMix64, mix_seed
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -587,18 +587,8 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
     )
 
 
-def _frame_task(args) -> FrameAnnotation:
-    cfg, pool, seed, idx = args
-    return generate_frame(cfg, pool, seed, idx)
-
-
 def generate_split(cfg: SceneConfig, pool: IdentityPool, seed: int, workers: int = 1) -> list[FrameAnnotation]:
-    count = cfg.frames_for(pool.split)
-    tasks = [(cfg, pool, seed, i) for i in range(count)]
-    if workers <= 1 or count < 2:
-        return [_frame_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-        return list(pool_exec.map(_frame_task, tasks))
+    return parallel_map(generate_frame, (cfg, pool, seed), range(cfg.frames_for(pool.split)), workers)
 
 
 def generate_dataset(cfg: SceneConfig, seed: int, workers: int = 1) -> dict[str, list[FrameAnnotation]]:

@@ -1,9 +1,10 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crowdvol import anthro, scenegen
+from crowdvol import anthro, evalharness, scenegen
 from crowdvol.cli import main
 from crowdvol.datamodel import (
     read_annotations,
@@ -139,6 +140,16 @@ def test_label_missing_file_exit_2(tmp_path):
     assert run("label", str(tmp_path / "nope.obj"), str(tmp_path / "nope.labels")) == 2
 
 
+def test_label_missing_taxonomy_exit_2(tmp_path, capsys):
+    write_obj(make_box(), tmp_path / "cube.obj")
+    write_vertex_labels(np.zeros(8, dtype=np.int64), tmp_path / "cube.labels")
+    missing = tmp_path / "missing.cfg"
+    code = run("label", str(tmp_path / "cube.obj"), str(tmp_path / "cube.labels"), "--taxonomy", str(missing))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing.cfg" in err
+
+
 # ---------------------------------------------------------------------------
 # maps
 # ---------------------------------------------------------------------------
@@ -172,6 +183,21 @@ def test_maps_per_part_totals_match(dataset, tmp_path):
         pp = read_vdm(out_pp / f"{frame.frame_id}.vdm").total()
         if v > 0:
             assert abs(pp - v) <= 1e-6 * v  # holds through float32 storage too
+
+
+def test_maps_holds_one_map_at_a_time(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"frames.train": "0", "frames.val": "0", "frames.test": "40"})
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--seed", "2", "--out", str(data)) == 0
+    assert {(f.image_w, f.image_h) for f in read_annotations(data / "test.jsonl")} == {(640, 480)}
+    tracemalloc.start()
+    try:
+        assert run("maps", str(data / "test.jsonl"), "--out", str(tmp_path / "maps"), "--workers", "1") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(list((tmp_path / "maps").glob("*.vdm"))) == 40
+    assert peak < 4 * 640 * 480 * 8  # four float64 maps
 
 
 def test_maps_missing_annotations_exit_2(tmp_path):
@@ -256,6 +282,78 @@ def test_eval_missing_predictions_exit_2(dataset, tmp_path):
         "eval", "--gt", str(dataset / "test.jsonl"), "--preds", str(preds_csv),
         "--out", str(tmp_path / "e"),
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "csv_text, message",
+    [
+        ("frame_id,volume\nf0,1.0\n", "missing column V_pred_dm3"),
+        ("id,V_pred_dm3\nf0,1.0\n", "missing column frame_id"),
+        ("frame_id,V_pred_dm3\n{0},1.0\n{1},-2.5\n", "line 3: V_pred_dm3 must be finite and >= 0"),
+        ("frame_id,V_pred_dm3\n{0},nan\n", "line 2: V_pred_dm3 must be finite and >= 0"),
+        ("frame_id,V_pred_dm3\n{0},12 dm3\n", "line 2: V_pred_dm3 '12 dm3' is not a number"),
+        ("frame_id,V_pred_dm3\n{0},1.0\n{1},2.0\n{0},3.0\n", "line 4: duplicate frame_id"),
+    ],
+    ids=["no-value-column", "no-id-column", "negative", "nan", "not-a-number", "duplicate"],
+)
+def test_eval_bad_predictions_csv_exit_2(dataset, tmp_path, capsys, csv_text, message):
+    ids = [f.frame_id for f in read_annotations(dataset / "test.jsonl")]
+    preds_csv = tmp_path / "bad.csv"
+    preds_csv.write_text(csv_text.format(*ids))
+    assert run(
+        "eval", "--gt", str(dataset / "test.jsonl"), "--preds", str(preds_csv),
+        "--out", str(tmp_path / "e"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{preds_csv}: " in err and message in err
+
+
+def _corrupt_vdm(path: Path, kind: str) -> None:
+    data = bytearray(path.read_bytes())
+    if kind == "truncated":
+        del data[-4:]
+    elif kind == "magic":
+        data[:4] = b"XXXX"
+    else:
+        value = {"nan": np.nan, "negative": -1.0}[kind]
+        data[12:16] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("protocol", ["full", "decoupling", "bins", "scatter"])
+@pytest.mark.parametrize("kind", ["truncated", "magic", "nan", "negative"])
+def test_eval_corrupt_map_exit_2(dataset, tmp_path, capsys, protocol, kind):
+    maps_dir = tmp_path / "maps"
+    assert run("maps", str(dataset / "test.jsonl"), "--out", str(maps_dir), "--sigma", "0") == 0
+    bad = maps_dir / f"{read_annotations(dataset / 'test.jsonl')[-1].frame_id}.vdm"
+    _corrupt_vdm(bad, kind)
+    capsys.readouterr()
+    assert run(
+        "eval", "--gt", str(dataset / "test.jsonl"), "--preds", str(maps_dir),
+        "--protocol", protocol, "--out", str(tmp_path / "e"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(bad) in err
+
+
+@pytest.mark.parametrize("protocol", ["full", "decoupling", "bins", "scatter"])
+def test_eval_reads_each_map_once(dataset, tmp_path, monkeypatch, protocol):
+    maps_dir = tmp_path / "maps"
+    assert run("maps", str(dataset / "train.jsonl"), "--out", str(maps_dir), "--sigma", "0") == 0
+    reads = []
+    real_read_vdm = evalharness.read_vdm
+
+    def counting_read_vdm(path):
+        reads.append(Path(path).name)
+        return real_read_vdm(path)
+
+    monkeypatch.setattr(evalharness, "read_vdm", counting_read_vdm)
+    assert run(
+        "eval", "--gt", str(dataset / "train.jsonl"), "--preds", str(maps_dir),
+        "--protocol", protocol, "--out", str(tmp_path / "e"),
+    ) == 0
+    assert sorted(reads) == sorted(p.name for p in maps_dir.glob("*.vdm"))
 
 
 def test_eval_subset_s2(dataset, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,3 +285,19 @@ def test_protocol_csv_determinism():
     a = eh.full_report_to_csv(eh.evaluate_full(frames, preds))
     b = eh.full_report_to_csv(eh.evaluate_full(frames, preds))
     assert a == b
+
+
+def test_map_protocols_hold_one_map_at_a_time(tmp_path):
+    frames = generated_frames(n_frames=40)
+    assert {(f.image_w, f.image_h) for f in frames} == {(640, 480)}
+    for f in frames:
+        write_vdm(render_vdm(f, SIGMA0), tmp_path / f"{f.frame_id}.vdm")
+    tracemalloc.start()
+    try:
+        preds = eh.load_prediction_maps(tmp_path)
+        eh.evaluate_full(frames, preds)
+        eh.decoupling_eval(frames, preds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 640 * 480 * 8  # four float64 maps

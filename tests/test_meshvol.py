@@ -286,6 +286,26 @@ def test_non_tree_adjacency_rejected():
         meshvol.split_parts(mesh, default_taxonomy())
 
 
+def test_single_face_parts_split_or_fail_plane_fit():
+    # A part made of one hull face's three vertices is flat: its leaf volume
+    # sums to rounding noise of either sign and must read as zero.
+    taxonomy = default_taxonomy()
+    split = 0
+    for seed in range(60):
+        mesh, hull_volume = make_random_convex(seed)
+        for face in mesh.faces:
+            labels = np.ones(mesh.n_vertices, dtype=np.int64)
+            labels[face] = 0
+            labeled = TriMesh(vertices=mesh.vertices, faces=mesh.faces, vertex_labels=labels)
+            try:
+                parts = meshvol.split_parts(labeled, taxonomy)
+            except meshvol.PlaneFitError:
+                continue
+            split += 1
+            assert abs(sum(parts.volumes.values()) - hull_volume * 1000.0) <= 1e-9 * hull_volume * 1000.0
+    assert split > 0
+
+
 def test_part_volumes_closure_validator():
     with pytest.raises(Exception, match="close"):
         meshvol.PartVolumes(volumes={0: 50.0, 1: 40.0}, total_dm3=100.0)
