@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .datamodel import TriMesh, ValidationError
+from .datamodel import ParseError, TriMesh, ValidationError
 from .rng import SplitMix64, mix_seed
 
 DEFAULT_BODY_DENSITY = 1000.0  # kg/m^3
@@ -379,17 +379,29 @@ def write_samples_csv(samples: list[PersonSample], path) -> None:
             writer.writerow([s.gender, repr(s.height_m), repr(s.mass_kg), repr(s.bmi), repr(s.volume_dm3)])
 
 
+_SAMPLE_COLUMNS = ("gender", "height_m", "mass_kg", "bmi", "volume_dm3")
+
+
 def read_samples_csv(path) -> list[PersonSample]:
+    """Rows written by write_samples_csv. A missing column or a value that is
+    not a number raises ParseError naming the file."""
     out: list[PersonSample] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                PersonSample(
-                    gender=row["gender"],
-                    height_m=float(row["height_m"]),
-                    mass_kg=float(row["mass_kg"]),
-                    bmi=float(row["bmi"]),
-                    volume_dm3=float(row["volume_dm3"]),
+        reader = csv.DictReader(fh)
+        missing = [col for col in _SAMPLE_COLUMNS if col not in (reader.fieldnames or ())]
+        if missing:
+            raise ParseError(f"{path}: missing column {', '.join(missing)}")
+        for row in reader:
+            try:
+                out.append(
+                    PersonSample(
+                        gender=row["gender"],
+                        height_m=float(row["height_m"]),
+                        mass_kg=float(row["mass_kg"]),
+                        bmi=float(row["bmi"]),
+                        volume_dm3=float(row["volume_dm3"]),
+                    )
                 )
-            )
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: line {reader.line_num}: bad or missing value") from None
     return out

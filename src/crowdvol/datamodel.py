@@ -458,9 +458,9 @@ def write_vertex_labels(labels: np.ndarray, path) -> None:
 # ---------------------------------------------------------------------------
 
 def write_vdm(dmap: DensityMap, path) -> None:
-    header = VDM_MAGIC + struct.pack("<II", dmap.width, dmap.height)
-    payload = dmap.values.astype("<f4").tobytes(order="C")
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as fh:
+        fh.write(VDM_MAGIC + struct.pack("<II", dmap.width, dmap.height))
+        fh.write(np.ascontiguousarray(dmap.values, dtype="<f4").data)
 
 
 def read_vdm(path) -> DensityMap:

@@ -102,9 +102,16 @@ class PartVolumes:
 # Watertightness and volume
 # ---------------------------------------------------------------------------
 
-def _directed_edges(mesh: TriMesh) -> np.ndarray:
-    f = mesh.faces
-    return np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
+def _directed_edges(faces: np.ndarray) -> np.ndarray:
+    return np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
+
+
+def _unpaired(keys: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the sorted directed-edge keys u*n + v whose reverse v*n + u
+    is not among them."""
+    src, dst = np.divmod(keys, n)
+    rev = dst * n + src
+    return keys[np.minimum(np.searchsorted(keys, rev), len(keys) - 1)] != rev
 
 
 def is_watertight(mesh: TriMesh) -> tuple[bool, list[tuple[int, int]]]:
@@ -112,19 +119,15 @@ def is_watertight(mesh: TriMesh) -> tuple[bool, list[tuple[int, int]]]:
     opposite directed orientation. The diagnostic lists offending edges."""
     if mesh.n_faces == 0:
         return True, []
-    edges = _directed_edges(mesh)
+    edges = _directed_edges(mesh.faces)
     n = mesh.n_vertices
-    keys = edges[:, 0] * n + edges[:, 1]
-    rev_keys = edges[:, 1] * n + edges[:, 0]
-    offenders: set[int] = set()
-    uniq, counts = np.unique(keys, return_counts=True)
-    offenders.update(int(k) for k in uniq[counts > 1])
-    missing = np.setdiff1d(keys, rev_keys)
-    offenders.update(int(k) for k in missing)
-    if not offenders:
+    keys = np.sort(edges[:, 0] * n + edges[:, 1])
+    repeated = keys[1:] == keys[:-1]
+    unpaired = _unpaired(keys, n)
+    if not repeated.any() and not unpaired.any():
         return True, []
-    bad = sorted((k // n, k % n) for k in offenders)
-    return False, bad
+    offenders = np.unique(np.concatenate([keys[1:][repeated], keys[unpaired]]))
+    return False, [(int(k) // n, int(k) % n) for k in offenders]
 
 
 def signed_volume(mesh: TriMesh) -> float:
@@ -168,21 +171,19 @@ def _least_squares_plane(points: np.ndarray) -> tuple[np.ndarray, float] | None:
     return n, float(n @ centroid)
 
 
+def _candidate_triples(n_pts: int) -> np.ndarray:
+    """All point triples, or 2000 seeded draws less those repeating a point."""
+    if n_pts <= _EXHAUSTIVE_LIMIT:
+        return np.array(list(combinations(range(n_pts), 3)), dtype=np.int64)
+    triples = SplitMix64(_PLANE_SEARCH_SEED).randints(0, n_pts - 1, 3 * _RANDOM_TRIPLES).reshape(-1, 3)
+    i, j, k = triples.T
+    return triples[(i != j) & (j != k) & (i != k)]
+
+
 def _candidate_planes(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical candidate (normals, offsets); degenerate triples dropped."""
     n_pts = len(pts)
-    if n_pts <= _EXHAUSTIVE_LIMIT:
-        triples = np.array(list(combinations(range(n_pts), 3)), dtype=np.int64)
-    else:
-        rng = SplitMix64(_PLANE_SEARCH_SEED)
-        rows = []
-        for _ in range(_RANDOM_TRIPLES):
-            i = rng.randint(0, n_pts - 1)
-            j = rng.randint(0, n_pts - 1)
-            k = rng.randint(0, n_pts - 1)
-            if i != j and j != k and i != k:
-                rows.append((i, j, k))
-        triples = np.array(rows, dtype=np.int64)
+    triples = _candidate_triples(n_pts)
     p0 = pts[triples[:, 0]]
     e1 = pts[triples[:, 1]] - p0
     e2 = pts[triples[:, 2]] - p0
@@ -243,35 +244,50 @@ def fit_boundary_plane(points, tol: float = DEFAULT_PLANE_TOL) -> PlaneFit:
 # Plane splitting
 # ---------------------------------------------------------------------------
 
-def _compact(vertices: np.ndarray, faces: list[tuple[int, int, int]]) -> TriMesh:
-    if not faces:
-        return TriMesh(vertices=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=np.int64))
-    farr = np.asarray(faces, dtype=np.int64)
-    used = np.unique(farr)
-    remap = np.full(len(vertices), -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return TriMesh(vertices=vertices[used], faces=remap[farr])
+def _compact(vertices: np.ndarray, faces: np.ndarray) -> TriMesh:
+    """The mesh of ``faces`` over only the vertices they use, in index order."""
+    used = np.zeros(len(vertices), dtype=bool)
+    used[faces] = True
+    remap = np.cumsum(used) - 1
+    return TriMesh(vertices=vertices[used], faces=remap[faces])
 
 
-def _boundary_loops(faces: list[tuple[int, int, int]]) -> list[list[int]]:
-    """Closed loops of the open boundary, traversed against edge direction."""
-    seen: set[tuple[int, int]] = set()
-    for a, b, c in faces:
-        seen.update(((a, b), (b, c), (c, a)))
-    nxt: dict[int, int] = {}
-    for u, v in seen:
-        if (v, u) not in seen:
-            nxt[v] = u  # reversed: the cap must contain (v, u)
+def _boundary_loops(faces: np.ndarray, on_plane: np.ndarray) -> list[list[int]]:
+    """Closed loops of the open boundary, traversed against edge direction.
+
+    Only an edge with both endpoints on the cut plane can be open: every face
+    around a vertex off the plane lies on that vertex's side. Loops are
+    walked from the smallest vertex not yet used. Where the cross-section
+    pinches, a vertex has several outgoing edges; the walk takes the
+    smallest target first and closes a loop whenever it comes back to a
+    vertex already on its path, so every loop is simple.
+    """
+    edges = _directed_edges(faces)
+    edges = edges[on_plane[edges].all(axis=1)]
+    n = len(on_plane)
+    keys = np.unique(edges[:, 0] * n + edges[:, 1])
+    u, v = np.divmod(keys[_unpaired(keys, n)], n)
+    # The cap must contain each open edge (u, v) reversed, as v -> u.
+    succ: dict[int, list[int]] = {}
+    for src, dst in sorted(zip(v.tolist(), u.tolist())):
+        succ.setdefault(src, []).append(dst)
     loops: list[list[int]] = []
-    remaining = dict(nxt)
-    while remaining:
-        start = min(remaining)
-        loop = [start]
-        cur = remaining.pop(start)
-        while cur != start:
-            loop.append(cur)
-            cur = remaining.pop(cur)
-        loops.append(loop)
+    for start in succ:
+        path, index = [start], {start: 0}
+        while len(path) > 1 or succ[start]:
+            targets = succ.get(path[-1])
+            if not targets:
+                raise MeshError("the cut cross-section does not close into loops")
+            nxt = targets.pop(0)
+            i = index.get(nxt)
+            if i is None:
+                index[nxt] = len(path)
+                path.append(nxt)
+            else:
+                loops.append(path[i:])
+                for w in path[i + 1:]:
+                    del index[w]
+                del path[i + 1:]
     return loops
 
 
@@ -280,7 +296,10 @@ def split_by_plane(mesh: TriMesh, plane: Plane) -> tuple[TriMesh, TriMesh]:
 
     Both halves are watertight: the cut cross-section is fan-triangulated
     from its centroid and inserted into both halves with opposite
-    orientations, so child volumes sum exactly to the parent volume.
+    orientations, so child volumes sum exactly to the parent volume. Each
+    half lists the parent's uncrossed faces first, then the pieces of the
+    crossing faces in face order; cut points are numbered in the order the
+    crossing faces first reach them.
     """
     ok, bad_edges = is_watertight(mesh)
     if not ok:
@@ -289,76 +308,73 @@ def split_by_plane(mesh: TriMesh, plane: Plane) -> tuple[TriMesh, TriMesh]:
         empty = TriMesh(vertices=np.zeros((0, 3)), faces=np.zeros((0, 3), dtype=np.int64))
         return empty, empty
 
+    n_orig = mesh.n_vertices
     s = plane.signed_distance(mesh.vertices)
     sign = np.sign(s).astype(np.int8)
     fsign = sign[mesh.faces]
     neg_mask = (fsign <= 0).all(axis=1)
     pos_mask = (fsign >= 0).all(axis=1) & (fsign > 0).any(axis=1)
-    cross_mask = ~neg_mask & ~pos_mask
+    cross = ~neg_mask & ~pos_mask
 
-    extra_vertices: list[np.ndarray] = []
-    cut_cache: dict[tuple[int, int], int] = {}
-    n_orig = mesh.n_vertices
+    # Rotate each crossing face so that its on-plane vertex (if any) or its
+    # lone-signed vertex comes first.
+    cs = fsign[cross]
+    on_vertex = (cs == 0).any(axis=1)
+    lone = np.where(cs[:, 0] == cs[:, 1], 2, np.where(cs[:, 1] == cs[:, 2], 0, 1))
+    lead = np.where(on_vertex, np.argmin(np.abs(cs), axis=1), lone)
+    rot = (lead[:, None] + np.arange(3)) % 3
+    a, b, c = np.take_along_axis(mesh.faces[cross], rot, axis=1).T
+    sa, sb, _ = np.take_along_axis(cs, rot, axis=1).T
 
-    def cut_point(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        idx = cut_cache.get(key)
-        if idx is None:
-            a, b = key
-            t = s[a] / (s[a] - s[b])
-            extra_vertices.append(mesh.vertices[a] + t * (mesh.vertices[b] - mesh.vertices[a]))
-            idx = n_orig + len(extra_vertices) - 1
-            cut_cache[key] = idx
-        return idx
+    # Cut edges in creation order: (b, c) for a face with an on-plane
+    # vertex (its first and second slots coincide), else (a, b) then (c, a).
+    n_cuts = 2 - on_vertex.astype(np.int64)
+    first = np.cumsum(n_cuts) - n_cuts
+    second = first + n_cuts - 1
+    eu = np.empty(int(n_cuts.sum()), dtype=np.int64)
+    ev = np.empty_like(eu)
+    eu[first], ev[first] = np.where(on_vertex, b, a), np.where(on_vertex, c, b)
+    eu[second], ev[second] = np.where(on_vertex, b, c), np.where(on_vertex, c, a)
+    keys, first_use, inverse = np.unique(
+        np.minimum(eu, ev) * n_orig + np.maximum(eu, ev), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first_use)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cut_ids = n_orig + rank[inverse]
+    ka, kb = np.divmod(keys[order], n_orig)
+    t = s[ka] / (s[ka] - s[kb])
+    v = mesh.vertices
+    all_vertices = np.concatenate([v, v[ka] + t[:, None] * (v[kb] - v[ka])])
+    on_plane = np.concatenate([sign == 0, np.ones(len(ka), dtype=bool)])
 
-    neg_faces = [tuple(f) for f in mesh.faces[neg_mask]]
-    pos_faces = [tuple(f) for f in mesh.faces[pos_mask]]
+    # Three piece slots per crossing face, each on the side given by `side`.
+    # A face with an on-plane vertex fills two; its third slot has side 0.
+    q1, q2 = cut_ids[first], cut_ids[second]
+    pieces = np.where(
+        on_vertex[:, None, None],
+        np.stack([np.stack([a, b, q1], 1), np.stack([a, q1, c], 1), np.stack([a, b, q1], 1)], 1),
+        np.stack([np.stack([a, q1, q2], 1), np.stack([q1, b, c], 1), np.stack([q1, c, q2], 1)], 1),
+    ).reshape(-1, 3)
+    side = np.where(
+        on_vertex[:, None],
+        np.stack([sb, -sb, np.zeros_like(sb)], 1),
+        np.stack([sa, -sa, -sa], 1),
+    ).ravel()
+    neg_faces = np.concatenate([mesh.faces[neg_mask], pieces[side < 0]])
+    pos_faces = np.concatenate([mesh.faces[pos_mask], pieces[side > 0]])
 
-    for face in mesh.faces[cross_mask]:
-        a, b, c = (int(v) for v in face)
-        sa, sb, sc = int(sign[a]), int(sign[b]), int(sign[c])
-        # Rotate so the on-plane vertex (if any) or the lone-signed vertex is first.
-        if 0 in (sa, sb, sc):
-            while sign[a] != 0:
-                a, b, c = b, c, a
-            q = cut_point(b, c)
-            if sign[b] > 0:
-                pos_faces.append((a, b, q))
-                neg_faces.append((a, q, c))
-            else:
-                neg_faces.append((a, b, q))
-                pos_faces.append((a, q, c))
-        else:
-            while sign[b] == sign[a] or sign[c] != sign[b]:
-                a, b, c = b, c, a
-            q1 = cut_point(a, b)
-            q2 = cut_point(c, a)
-            if sign[a] < 0:
-                neg_faces.append((a, q1, q2))
-                pos_faces.append((q1, b, c))
-                pos_faces.append((q1, c, q2))
-            else:
-                pos_faces.append((a, q1, q2))
-                neg_faces.append((q1, b, c))
-                neg_faces.append((q1, c, q2))
-
-    all_vertices = mesh.vertices
-    if extra_vertices:
-        all_vertices = np.concatenate([mesh.vertices, np.asarray(extra_vertices)], axis=0)
-
-    loops = _boundary_loops(neg_faces)
+    loops = _boundary_loops(neg_faces, on_plane)
     if loops:
-        caps_neg: list[tuple[int, int, int]] = []
-        centroids: list[np.ndarray] = []
-        base = len(all_vertices)
-        for li, loop in enumerate(loops):
-            centroids.append(all_vertices[loop].mean(axis=0))
-            cidx = base + li
-            for i in range(len(loop)):
-                caps_neg.append((cidx, loop[i], loop[(i + 1) % len(loop)]))
-        all_vertices = np.concatenate([all_vertices, np.asarray(centroids)], axis=0)
-        neg_faces.extend(caps_neg)
-        pos_faces.extend((ci, w2, w1) for ci, w1, w2 in caps_neg)
+        centroids = np.asarray([all_vertices[loop].mean(axis=0) for loop in loops])
+        caps = np.stack([
+            np.repeat(len(all_vertices) + np.arange(len(loops)), [len(loop) for loop in loops]),
+            np.concatenate(loops),
+            np.concatenate([loop[1:] + loop[:1] for loop in loops]),
+        ], axis=1)
+        all_vertices = np.concatenate([all_vertices, centroids])
+        neg_faces = np.concatenate([neg_faces, caps])
+        pos_faces = np.concatenate([pos_faces, caps[:, [0, 2, 1]]])
 
     return _compact(all_vertices, neg_faces), _compact(all_vertices, pos_faces)
 
@@ -379,7 +395,7 @@ def part_adjacency(mesh: TriMesh) -> tuple[list[int], dict[tuple[int, int], np.n
     labels = mesh.vertex_labels
     if labels is None:
         raise ValidationError("mesh has no vertex labels")
-    edges = _directed_edges(mesh)
+    edges = _directed_edges(mesh.faces)
     lu, lv = labels[edges[:, 0]], labels[edges[:, 1]]
     mixed = lu != lv
     boundary: dict[tuple[int, int], set[int]] = {}

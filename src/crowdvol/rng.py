@@ -60,10 +60,14 @@ class SplitMix64:
         """Uniform draw in the open interval (0, 1)."""
         return (float(self.next_u64() >> 11) + 0.5) * 2.0**-53
 
-    def uniforms(self, n: int) -> np.ndarray:
+    def next_u64s(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint64 array, as n next_u64 calls would give."""
         counters = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
         self._index += n
-        z = _outputs_for_counters(self.seed, counters)
+        return _outputs_for_counters(self.seed, counters)
+
+    def uniforms(self, n: int) -> np.ndarray:
+        z = self.next_u64s(n)
         return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
     def normal(self) -> float:
@@ -79,6 +83,12 @@ class SplitMix64:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
         return lo + self.next_u64() % span
+
+    def randints(self, lo: int, hi: int, n: int) -> np.ndarray:
+        """n draws of randint(lo, hi) as an int64 array."""
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        return lo + (self.next_u64s(n) % np.uint64(hi - lo + 1)).astype(np.int64)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

@@ -118,6 +118,39 @@ def make_stacked_cubes() -> TriMesh:
     return TriMesh(vertices=v, faces=np.asarray(faces, dtype=np.int64), vertex_labels=labels)
 
 
+def make_pinched_octahedra() -> TriMesh:
+    """Two unit octahedra centred at (-1, 0, 0) and (1, 0, 0) sharing their
+    vertex at the origin, 8/3 m^3 in all. Cut at z = 0, the cross-section is
+    two squares that meet at the origin."""
+    axes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.float64)
+    octa = np.array(
+        [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4), (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)],
+        dtype=np.int64,
+    )
+    # left octahedron: vertices 0-5, its +x vertex 0 at the origin; the right
+    # one's -x vertex maps onto it and its other five become 6-10
+    right = np.array([6, 0, 7, 8, 9, 10], dtype=np.int64)
+    vertices = np.concatenate([axes + [-1.0, 0.0, 0.0], np.delete(axes, 1, axis=0) + [1.0, 0.0, 0.0]])
+    return TriMesh(vertices=vertices, faces=np.concatenate([octa, right[octa]]))
+
+
+def make_w_notch_prism() -> TriMesh:
+    """Unit-deep prism along y over the x-z profile (0,0) (4,0) (4,2) (3,1)
+    (2,2) (1,1) (0,2): a 4 x 2 block with two V notches whose tips reach
+    z = 1. It holds 4 m^3 below z = 1 and 2 m^3 (three teeth) above."""
+    profile = [(0, 0), (4, 0), (4, 2), (3, 1), (2, 2), (1, 1), (0, 2)]
+    front = [(x, 0.0, z) for x, z in profile]
+    back = [(x, 1.0, z) for x, z in profile]
+    n = len(profile)
+    # the profile is counter-clockwise in (x, z), so these face -y
+    caps = [(0, 1, 3), (1, 2, 3), (0, 3, 5), (3, 4, 5), (0, 5, 6)]
+    faces = list(caps) + [(a + n, c + n, b + n) for a, b, c in caps]
+    for i in range(n):
+        j = (i + 1) % n
+        faces += [(i, j + n, j), (i, i + n, j + n)]
+    return TriMesh(vertices=np.asarray(front + back, dtype=np.float64), faces=np.asarray(faces, dtype=np.int64))
+
+
 def make_person(
     person_id: str = "p0",
     head=(32.0, 32.0),

@@ -13,7 +13,7 @@ from crowdvol.datamodel import (
     write_obj,
     write_vertex_labels,
 )
-from conftest import make_box
+from conftest import make_box, make_pinched_octahedra
 
 
 SMALL_CFG = {
@@ -125,6 +125,19 @@ def test_label_humanoid_matches_analytic(tmp_path, capsys):
             got[int(pid)] = float(vol)
     for pid, analytic in body.part_volumes_dm3.items():
         assert abs(got[pid] - analytic) <= 5e-3 * analytic
+
+
+def test_label_pinched_cross_section(tmp_path, capsys):
+    # The boundary plane z = 0 cuts through the shared vertex of the two
+    # octahedra, so the cross-section pinches there.
+    mesh = make_pinched_octahedra()
+    write_obj(mesh, tmp_path / "pinch.obj")
+    write_vertex_labels(np.where(mesh.vertices[:, 2] < 0, 8, 0), tmp_path / "pinch.labels")
+    assert run("label", str(tmp_path / "pinch.obj"), str(tmp_path / "pinch.labels")) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    volumes = {pid: float(vol) for pid, _, vol in rows}
+    assert volumes["0"] == pytest.approx(4000.0 / 3.0, rel=1e-12)
+    assert volumes["8"] == pytest.approx(4000.0 / 3.0, rel=1e-12)
 
 
 def test_label_open_mesh_exit_4(tmp_path, capsys):
@@ -390,6 +403,21 @@ def test_stats_empty_exit_2(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert run("stats", str(empty)) == 2
+
+
+def test_stats_csv_missing_column_exit_2(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text("height_m,mass_kg,bmi,volume_dm3\n1.7,70.0,24.2,70.0\n")
+    assert run("stats", str(path)) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: {path}: missing column gender"
+
+
+def test_stats_csv_bad_value_exit_2(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text("gender,height_m,mass_kg,bmi,volume_dm3\nf,1.7,heavy,24.2,70.0\nm,1.8\n")
+    assert run("stats", str(path)) == 2
+    assert capsys.readouterr().err.strip() == f"error: {path}: line 2: bad or missing value"
 
 
 def test_stats_alignment_direction(tmp_path, capsys):

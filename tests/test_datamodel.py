@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,22 @@ def test_vdm_write_read_write_identical(tmp_path):
     dm.write_vdm(dmap, p1)
     dm.write_vdm(dm.read_vdm(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_vdm_write_holds_one_float32_copy(tmp_path):
+    rng = np.random.default_rng(8)
+    dmap = dm.DensityMap(width=640, height=480, values=rng.random((480, 640)))
+    path = tmp_path / "big.vdm"
+    payload = 4 * 640 * 480
+    tracemalloc.start()
+    try:
+        dm.write_vdm(dmap, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * payload
+    expected = b"VDM1" + struct.pack("<II", 640, 480) + dmap.values.astype("<f4").tobytes()
+    assert path.read_bytes() == expected
 
 
 # ---------------------------------------------------------------------------

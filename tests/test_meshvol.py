@@ -1,17 +1,25 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import split_reference
 from crowdvol import meshvol
 from crowdvol.datamodel import TriMesh, default_taxonomy
+from crowdvol.rng import SplitMix64
 from conftest import (
     make_box,
     make_icosphere,
+    make_pinched_octahedra,
     make_random_convex,
     make_stacked_cubes,
     make_tetrahedron,
+    make_w_notch_prism,
 )
 
 
@@ -246,6 +254,103 @@ def test_split_through_exact_vertices(unit_cube):
     neg, pos = meshvol.split_by_plane(unit_cube, plane)
     assert meshvol.signed_volume(neg) == 0.0
     assert meshvol.signed_volume(pos) == pytest.approx(1.0, abs=1e-15)
+
+
+def _assert_same_halves(mesh, plane):
+    got = meshvol.split_by_plane(mesh, plane)
+    want = split_reference.split_by_plane(mesh, plane)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.vertices, w.vertices)
+        assert np.array_equal(g.faces, w.faces)
+
+
+def test_split_matches_loop_reference():
+    rng = np.random.default_rng(41)
+    for seed in range(20):
+        mesh, _ = make_random_convex(seed)
+        for _ in range(3):
+            normal = rng.normal(size=3)
+            normal /= np.linalg.norm(normal)
+            interior = mesh.vertices.mean(axis=0) + rng.normal(scale=0.3, size=3)
+            _assert_same_halves(mesh, meshvol.Plane(normal=normal, offset=float(normal @ interior)))
+        # a plane through one hull vertex puts a sign-0 vertex on the cut
+        _assert_same_halves(mesh, meshvol.Plane(normal=normal, offset=float(normal @ mesh.vertices[seed])))
+    cube = make_box()
+    for offset in (0.0, 0.5, 1.0):
+        _assert_same_halves(cube, meshvol.Plane(normal=np.array([0.0, 0.0, 1.0]), offset=offset))
+    diagonal = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    _assert_same_halves(cube, meshvol.Plane(normal=diagonal, offset=float(diagonal @ [1.0, 0.0, 0.0])))
+    sphere = make_icosphere(radius=1.0, subdivisions=3)
+    tilted = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    for offset in (0.0, 0.3, -0.7):
+        _assert_same_halves(sphere, meshvol.Plane(normal=tilted, offset=offset))
+        _assert_same_halves(sphere, meshvol.Plane(normal=np.array([0.0, 0.0, 1.0]), offset=offset))
+
+
+def test_pinched_cross_section_splits_into_simple_loops():
+    mesh = make_pinched_octahedra()
+    neg, pos = meshvol.split_by_plane(mesh, meshvol.Plane(normal=np.array([0.0, 0.0, 1.0]), offset=0.0))
+    for half in (neg, pos):
+        assert meshvol.is_watertight(half) == (True, [])
+        assert abs(meshvol.signed_volume(half) - 4.0 / 3.0) <= 1e-12
+
+
+_PINCH_SCRIPT = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from conftest import make_pinched_octahedra
+from crowdvol import meshvol
+halves = meshvol.split_by_plane(make_pinched_octahedra(), meshvol.Plane(np.array([0.0, 0.0, 1.0]), 0.0))
+print(hashlib.sha256(b"".join(h.vertices.tobytes() + h.faces.tobytes() for h in halves)).hexdigest())
+"""
+
+
+def test_pinched_split_independent_of_hash_seed():
+    tests_dir = Path(__file__).resolve().parent
+    src = str(tests_dir.parent / "src")
+    digests = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", _PINCH_SCRIPT, str(tests_dir)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.add(out.stdout)
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("up", [1.0, -1.0])
+def test_w_notch_prism_cut_at_pinch_height(up):
+    # The notch tips lie on the cut, so the teeth above it touch the block
+    # below only along the tip lines.
+    mesh = make_w_notch_prism()
+    neg, pos = meshvol.split_by_plane(mesh, meshvol.Plane(normal=np.array([0.0, 0.0, up]), offset=up))
+    below, teeth = (neg, pos) if up > 0 else (pos, neg)
+    assert meshvol.signed_volume(below) == pytest.approx(4.0, rel=1e-12)
+    assert meshvol.signed_volume(teeth) == pytest.approx(2.0, rel=1e-12)
+    assert meshvol.is_watertight(neg)[0] and meshvol.is_watertight(pos)[0]
+    _assert_same_halves(mesh, meshvol.Plane(normal=np.array([0.0, 0.0, up]), offset=up))
+
+
+def test_unclosable_boundary_is_a_mesh_error():
+    # Faces (0, 1, 2) and (0, 1, 3) share the directed edge (0, 1): vertex 0
+    # then has two incoming open edges and one outgoing, so no loop closes.
+    faces = np.array([[0, 1, 2], [0, 1, 3]], dtype=np.int64)
+    with pytest.raises(meshvol.MeshError, match="does not close"):
+        meshvol._boundary_loops(faces, np.ones(4, dtype=bool))
+
+
+@pytest.mark.parametrize("n_pts", [31, 100, 6914])
+def test_candidate_triples_match_scalar_draws(n_pts):
+    rng = SplitMix64(meshvol._PLANE_SEARCH_SEED)
+    rows = []
+    for _ in range(meshvol._RANDOM_TRIPLES):
+        i, j, k = (rng.randint(0, n_pts - 1) for _ in range(3))
+        if i != j and j != k and i != k:
+            rows.append((i, j, k))
+    assert np.array_equal(meshvol._candidate_triples(n_pts), np.array(rows, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

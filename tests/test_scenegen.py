@@ -264,6 +264,15 @@ def test_splitmix_normals_match():
     assert np.array_equal(np.array(scalars), b.normals(16))
 
 
+def test_splitmix_randints_continue_the_scalar_stream():
+    a = SplitMix64(13)
+    scalars = [a.randint(-2, 40) for _ in range(50)]
+    b = SplitMix64(13)
+    batch = np.concatenate([b.randints(-2, 40, 20), [b.randint(-2, 40)], b.randints(-2, 40, 29)])
+    assert batch.dtype == np.int64
+    assert batch.tolist() == scalars
+
+
 def test_mix_seed_order_sensitive():
     assert mix_seed(1, 2) != mix_seed(2, 1)
     assert mix_seed(1, 2) == mix_seed(1, 2)
