@@ -11,7 +11,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -122,9 +122,13 @@ class PartTaxonomy:
                     raise ValidationError(f"keypoint id {kp} assigned to more than one part")
                 seen.add(kp)
 
-    @property
+    @cached_property
     def part_ids(self) -> tuple[int, ...]:
         return tuple(pid for pid, _ in self.parts)
+
+    @cached_property
+    def part_id_set(self) -> frozenset[int]:
+        return frozenset(self.part_ids)
 
     def name_of(self, part_id: int) -> str:
         for pid, name in self.parts:
@@ -242,7 +246,7 @@ def validate_person(person: PersonAnnotation, taxonomy: PartTaxonomy, frame_id: 
     if not _finite(person.volume_dm3) or person.volume_dm3 <= 0:
         raise ValidationError(f"{ctx}: volume_dm3 must be a positive finite number")
     for pid, v in person.part_volumes_dm3.items():
-        if pid not in taxonomy.part_ids:
+        if pid not in taxonomy.part_id_set:
             raise ValidationError(f"{ctx}: part_volumes_dm3 has unknown part id {pid}")
         if not _finite(v) or v < 0:
             raise ValidationError(f"{ctx}: part_volumes_dm3[{pid}] must be >= 0 and finite")
@@ -256,7 +260,7 @@ def validate_person(person: PersonAnnotation, taxonomy: PartTaxonomy, frame_id: 
     if not (x0 < x1 and y0 < y1):
         raise ValidationError(f"{ctx}: bbox_px must satisfy x_min < x_max and y_min < y_max")
     for kp in person.keypoints:
-        if kp.part_id not in taxonomy.part_ids:
+        if kp.part_id not in taxonomy.part_id_set:
             raise ValidationError(f"{ctx}: keypoint references unknown part id {kp.part_id}")
 
 

@@ -5,11 +5,17 @@ variant), optionally smoothed by a truncated Gaussian kernel that is
 renormalized over its in-image support, so the total map mass always equals
 the total annotated volume. Accumulation order is fixed (person order, then
 row-major) to keep outputs bit-stable.
+
+Each normalized kernel depends only on sigma and on how far the stamp's
+support is clipped by the image border, so kernels are built once and kept
+in a small LRU cache. A cached kernel is computed by the same code as a
+fresh one, so the map bytes are the same as when every stamp built its own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +54,19 @@ def nearest_pixel(coord: float, size: int) -> int:
     return min(max(idx, 0), size - 1)
 
 
+@lru_cache(maxsize=16)
+def _kernel(sigma_px: float, left: int, right: int, up: int, down: int) -> np.ndarray:
+    """Truncated Gaussian over offsets [-left, right] x [-up, down] around
+    the center pixel, normalized to sum 1; read-only, since it is shared."""
+    dx = np.arange(-left, right + 1)
+    dy = np.arange(-up, down + 1)
+    inv = 1.0 / (2.0 * sigma_px * sigma_px)
+    kernel = np.outer(np.exp(-dy * dy * inv), np.exp(-dx * dx * inv))
+    kernel /= kernel.sum()
+    kernel.flags.writeable = False
+    return kernel
+
+
 def _stamp(acc: np.ndarray, x: float, y: float, mass: float, cfg: SmoothingConfig) -> None:
     h, w = acc.shape
     ix = nearest_pixel(x, w)
@@ -56,14 +75,10 @@ def _stamp(acc: np.ndarray, x: float, y: float, mass: float, cfg: SmoothingConfi
         acc[iy, ix] += mass
         return
     radius = int(math.ceil(cfg.truncation_radius * cfg.sigma_px))
-    x0, x1 = max(0, ix - radius), min(w - 1, ix + radius)
-    y0, y1 = max(0, iy - radius), min(h - 1, iy + radius)
-    dx = np.arange(x0, x1 + 1) - ix
-    dy = np.arange(y0, y1 + 1) - iy
-    inv = 1.0 / (2.0 * cfg.sigma_px * cfg.sigma_px)
-    kernel = np.outer(np.exp(-dy * dy * inv), np.exp(-dx * dx * inv))
-    kernel /= kernel.sum()
-    acc[y0 : y1 + 1, x0 : x1 + 1] += mass * kernel
+    left, right = min(ix, radius), min(w - 1 - ix, radius)
+    up, down = min(iy, radius), min(h - 1 - iy, radius)
+    kernel = _kernel(cfg.sigma_px, left, right, up, down)
+    acc[iy - up : iy + down + 1, ix - left : ix + right + 1] += mass * kernel
 
 
 def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig = SmoothingConfig()) -> DensityMap:
@@ -91,18 +106,15 @@ def render_ppvdm(
     for person in frame.persons:
         hx, hy = person.head_px
         head_ok = 0 <= hx < frame.image_w and 0 <= hy < frame.image_h
+        anchors_by_part: dict[int, list] = {}
+        for kp in person.keypoints:
+            if kp.visible and 0 <= kp.x < frame.image_w and 0 <= kp.y < frame.image_h:
+                anchors_by_part.setdefault(kp.part_id, []).append(kp)
         for part_id in tax.part_ids:
             v_part = person.part_volumes_dm3.get(part_id, 0.0)
             if v_part == 0.0:
                 continue
-            anchors = [
-                kp
-                for kp in person.keypoints
-                if kp.part_id == part_id
-                and kp.visible
-                and 0 <= kp.x < frame.image_w
-                and 0 <= kp.y < frame.image_h
-            ]
+            anchors = anchors_by_part.get(part_id)
             if anchors:
                 share = v_part / len(anchors)
                 for kp in anchors:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
+
 from .datamodel import DensityMap, FrameAnnotation, ParseError, read_vdm
 from .densitymap import integrate
 from .metrics import EvalRecord, MetricsReport, compute_report
@@ -196,15 +198,38 @@ def evaluate_full(frames: list[FrameAnnotation], preds: PredictionSet) -> FullRe
     return FullReport(overall=compute_report(records), per_tag=per_tag, records=records)
 
 
-def _bbox_iou(a, b) -> float:
-    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    if inter <= 0:
-        return 0.0
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
+# Elements per block of pairwise box arrays: 64 KB of float64 at most.
+_PAIR_BLOCK = 8192
+
+
+def _overlapping(boxes, iou_threshold: float) -> list[bool]:
+    """For each (x0, y0, x1, y1) box, whether its IoU with some other box of
+    the list is strictly above the threshold.
+
+    IoU is intersection over union, 0 for boxes that do not intersect. Rows
+    of the pair matrix are taken in blocks so the temporaries stay small,
+    and each IoU uses the same IEEE operations in the same order as the
+    scalar formula, so the flags are exact."""
+    n = len(boxes)
+    if n < 2:
+        return [False] * n
+    b = np.asarray(boxes, dtype=np.float64)
+    x0, y0, x1, y1 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    area = (x1 - x0) * (y1 - y0)
+    hit = np.zeros(n, dtype=bool)
+    rows = max(1, _PAIR_BLOCK // n)
+    for s in range(0, n, rows):
+        e = min(n, s + rows)
+        ix = np.maximum(np.minimum(x1[s:e, None], x1) - np.maximum(x0[s:e, None], x0), 0.0)
+        iy = np.maximum(np.minimum(y1[s:e, None], y1) - np.maximum(y0[s:e, None], y0), 0.0)
+        inter = ix * iy
+        i, j = np.nonzero(inter > 0)
+        iou = np.zeros_like(inter)
+        iou[i, j] = inter[i, j] / (area[s + i] + area[j] - inter[i, j])
+        over = iou > iou_threshold
+        over[np.arange(e - s), np.arange(s, e)] = False
+        hit[s:e] = over.any(axis=1)
+    return hit.tolist()
 
 
 @dataclass(frozen=True)
@@ -237,10 +262,10 @@ def decoupling_eval(
     total = 0
     for frame in frames:
         dmap = _frame_map(pred_maps, frame)
-        boxes = [p.bbox_px for p in frame.persons]
-        for i, person in enumerate(frame.persons):
+        overlapping = _overlapping([p.bbox_px for p in frame.persons], iou_threshold)
+        for person, overlaps in zip(frame.persons, overlapping):
             total += 1
-            if any(_bbox_iou(boxes[i], boxes[j]) > iou_threshold for j in range(len(boxes)) if j != i):
+            if overlaps:
                 dropped += 1
                 continue
             v_hat = integrate(dmap, person.bbox_px)

@@ -12,6 +12,7 @@ parallel without changing a single output byte.
 """
 from __future__ import annotations
 
+import difflib
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .datamodel import (
     Keypoint,
     PersonAnnotation,
     TriMesh,
+    default_taxonomy,
 )
 from .densitymap import nearest_pixel
 from .parallel import parallel_map
@@ -44,19 +46,44 @@ class BodyBuildError(ValueError):
 # Pinhole projection
 # ---------------------------------------------------------------------------
 
+def _rigid(rotation: np.ndarray, points: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """`rotation @ p + translation` for each row p of `points` (n, 3).
+
+    numpy's stacked matmul computes every row with the same BLAS
+    matrix-vector call as a single `rotation @ p`, so each row is bit-equal
+    to transforming that point alone; `points @ rotation.T` and einsum round
+    differently."""
+    return np.matmul(rotation[None], points[:, :, None])[:, :, 0] + translation
+
+
+def _pinhole(points: np.ndarray, camera: CameraParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel x, pixel y and camera depth of world points (n, 3), origin
+    top-left; points at depth <= 0 get pixel (-1, -1)."""
+    cam = _rigid(camera.rotation, points, camera.translation)
+    z = cam[:, 2]
+    front = z > 0
+    z_front = np.where(front, z, 1.0)
+    x = camera.fx * cam[:, 0] / z_front + camera.cx
+    y = camera.fy * cam[:, 1] / z_front + camera.cy
+    if not front.all():
+        x[~front] = -1.0
+        y[~front] = -1.0
+    return x, y, z
+
+
 def project(point_m, camera: CameraParams) -> tuple[float, float]:
     """Project a world point through the pinhole camera, origin top-left."""
-    p = camera.rotation @ np.asarray(point_m, dtype=np.float64) + camera.translation
-    if p[2] <= 0:
-        raise ValueError(f"point {point_m} is behind the camera (z={p[2]})")
-    return (
-        float(camera.fx * p[0] / p[2] + camera.cx),
-        float(camera.fy * p[1] / p[2] + camera.cy),
-    )
+    x, y, z = _pinhole(np.asarray(point_m, dtype=np.float64).reshape(1, 3), camera)
+    if z[0] <= 0:
+        raise ValueError(f"point {point_m} is behind the camera (z={z[0]})")
+    return float(x[0]), float(y[0])
 
 
 def _project_many(points: np.ndarray, camera: CameraParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection; returns (pixels (n,2), depths (n,))."""
+    """Vectorized projection for mesh bboxes; returns (pixels (n,2), depths (n,)).
+
+    `points @ rotation.T` rounds differently from `_pinhole`, and the stored
+    bboxes depend on its bits, so it stays a separate path."""
     p = points @ camera.rotation.T + camera.translation
     z = p[:, 2]
     if (z <= 0).any():
@@ -129,12 +156,6 @@ _ANCHORS = {
     16: (0.055, 0.27),  # r_knee
 }
 _HEAD_CENTER_FRAC = 0.95
-
-_KEYPOINT_PART = {kp: pid for pid, kps in {
-    0: (0, 1), 1: (2, 3, 4, 5, 6), 2: (7, 8), 3: (9, 10),
-    4: (11,), 5: (12,), 6: (13,), 7: (14,), 8: (15, 16),
-}.items() for kp in kps}
-
 
 def _frustum_volume(r0: float, r1: float, h: float) -> float:
     return math.pi * h * (r0 * r0 + r0 * r1 + r1 * r1) / 3.0
@@ -322,11 +343,29 @@ class SceneConfig:
     def __post_init__(self):
         if self.model is None:
             object.__setattr__(self, "model", default_model())
+        if not (self.image_w > 0 and self.image_h > 0):
+            raise ValueError(f"image size must be positive, got {self.image_w}x{self.image_h}")
+        lo, hi = self.focal_range
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"focal range must satisfy 0 < lo <= hi, got {self.focal_range}")
         n_min, n_max = self.persons_range
         if n_min < 0 or n_min > n_max:
             raise ValueError(f"bad persons_range {self.persons_range}")
-        if not (self.area_w > 0 and self.area_d > 0):
-            raise ValueError("placement area must be positive")
+        if not (0 < self.area_w < math.inf and 0 < self.area_d < math.inf):
+            raise ValueError("placement area must be positive and finite")
+        if not math.isfinite(self.area_y0):
+            raise ValueError(f"area.y0 must be finite, got {self.area_y0}")
+        for tag, p in self.tag_probs:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"tag.{tag} must be a probability in [0, 1], got {p}")
+        for prefix, counts in (("frames", self.frames_per_split), ("pool", self.pool_sizes)):
+            for split, count in counts:
+                if count < 0:
+                    raise ValueError(f"{prefix}.{split} must be >= 0, got {count}")
+        if not 0 <= self.sigma_px < math.inf:
+            raise ValueError(f"sigma_px must be >= 0 and finite, got {self.sigma_px}")
+        if not 0 < self.truncation_radius < math.inf:
+            raise ValueError(f"truncation_radius must be positive and finite, got {self.truncation_radius}")
 
     def frames_for(self, split: str) -> int:
         return dict(self.frames_per_split)[split]
@@ -360,37 +399,43 @@ def scene_config_to_pairs(cfg: SceneConfig) -> dict[str, str]:
 
 
 def scene_config_from_pairs(pairs: dict[str, str]) -> SceneConfig:
+    """Scene config from key=value pairs; an absent key keeps its default.
+
+    The keys are those of `scene_config_to_pairs`; any other key raises
+    ValueError naming the closest known key, as does a value that does not
+    parse or is out of range."""
     base = SceneConfig()
-    tag_probs = tuple(
-        (tag, float(pairs.get(f"tag.{tag}", repr(p)))) for tag, p in base.tag_probs
-    )
-    frames = tuple(
-        (split, int(pairs.get(f"frames.{split}", str(c)))) for split, c in base.frames_per_split
-    )
-    pools = tuple(
-        (split, int(pairs.get(f"pool.{split}", str(c)))) for split, c in base.pool_sizes
-    )
-    model = model_from_config(pairs) if "male.mass.mu" in pairs else default_model()
+    defaults = scene_config_to_pairs(base)
+    unknown = sorted(set(pairs) - set(defaults))
+    if unknown:
+        close = difflib.get_close_matches(unknown[0], defaults, n=1)
+        hint = f"; did you mean {close[0]!r}?" if close else ""
+        raise ValueError(f"unknown scene config key {unknown[0]!r}{hint}")
+    merged = {**defaults, **pairs}
+
+    def get(key: str, kind: type):
+        try:
+            return kind(merged[key])
+        except ValueError:
+            raise ValueError(f"{key}={merged[key]!r} is not a valid {kind.__name__}") from None
+
+    def per_split(prefix: str, counts: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
+        return tuple((split, get(f"{prefix}.{split}", int)) for split, _ in counts)
+
     return SceneConfig(
-        image_w=int(pairs.get("image_w", base.image_w)),
-        image_h=int(pairs.get("image_h", base.image_h)),
-        focal_range=(
-            float(pairs.get("focal.lo", base.focal_range[0])),
-            float(pairs.get("focal.hi", base.focal_range[1])),
-        ),
-        persons_range=(
-            int(pairs.get("persons.min", base.persons_range[0])),
-            int(pairs.get("persons.max", base.persons_range[1])),
-        ),
-        area_w=float(pairs.get("area.w", base.area_w)),
-        area_d=float(pairs.get("area.d", base.area_d)),
-        area_y0=float(pairs.get("area.y0", base.area_y0)),
-        tag_probs=tag_probs,
-        frames_per_split=frames,
-        pool_sizes=pools,
-        sigma_px=float(pairs.get("sigma_px", base.sigma_px)),
-        truncation_radius=float(pairs.get("truncation_radius", base.truncation_radius)),
-        model=model,
+        image_w=get("image_w", int),
+        image_h=get("image_h", int),
+        focal_range=(get("focal.lo", float), get("focal.hi", float)),
+        persons_range=(get("persons.min", int), get("persons.max", int)),
+        area_w=get("area.w", float),
+        area_d=get("area.d", float),
+        area_y0=get("area.y0", float),
+        tag_probs=tuple((tag, get(f"tag.{tag}", float)) for tag, _ in base.tag_probs),
+        frames_per_split=per_split("frames", base.frames_per_split),
+        pool_sizes=per_split("pool", base.pool_sizes),
+        sigma_px=get("sigma_px", float),
+        truncation_radius=get("truncation_radius", float),
+        model=model_from_config(merged),
     )
 
 
@@ -478,6 +523,36 @@ def _yaw_matrix(yaw: float) -> np.ndarray:
 _MAX_PLACE_ATTEMPTS = 200
 
 
+class _DiscGrid:
+    """Placed ground discs hashed into square cells keyed by
+    floor(coordinate / cell).
+
+    A cell is a hair wider than the largest conflict distance r_i + r_j, so
+    rounding in the distance or the division cannot put a conflicting pair
+    two cells apart: a new disc need only be tested against the discs in its
+    3x3 block of cells."""
+
+    def __init__(self, max_radius_m: float):
+        self.cell = 2.000001 * max_radius_m
+        self.cells: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
+
+    def _key(self, x: float, y: float) -> tuple[int, int]:
+        return math.floor(x / self.cell), math.floor(y / self.cell)
+
+    def overlaps(self, x: float, y: float, r: float) -> bool:
+        """Whether the disc at (x, y) with radius r cuts a placed disc."""
+        gx, gy = self._key(x, y)
+        for kx in (gx - 1, gx, gx + 1):
+            for ky in (gy - 1, gy, gy + 1):
+                for qx, qy, qr in self.cells.get((kx, ky), ()):
+                    if float(np.hypot(x - qx, y - qy)) < r + qr:
+                        return True
+        return False
+
+    def add(self, x: float, y: float, r: float) -> None:
+        self.cells.setdefault(self._key(x, y), []).append((x, y, r))
+
+
 def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: int) -> FrameAnnotation:
     """One annotated frame, a pure function of (cfg, pool, seed, frame_idx)."""
     if not pool.characters:
@@ -489,22 +564,19 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
     n = rng.randint(cfg.persons_range[0], cfg.persons_range[1])
 
     placed: list[tuple[Character, np.ndarray, float]] = []  # (char, position, yaw)
+    discs = _DiscGrid(max(c.body.disc_radius_m for c in pool.characters))
     head_pixels: set[tuple[int, int]] = set()
     heads_px: list[tuple[float, float]] = []
     for _ in range(n):
         char = pool.characters[rng.randint(0, len(pool.characters) - 1)]
+        r = char.body.disc_radius_m
         for attempt in range(_MAX_PLACE_ATTEMPTS):
-            pos = np.array([
-                (rng.uniform() - 0.5) * cfg.area_w,
-                cfg.area_y0 + rng.uniform() * cfg.area_d,
-                0.0,
-            ])
+            x = (rng.uniform() - 0.5) * cfg.area_w
+            y = cfg.area_y0 + rng.uniform() * cfg.area_d
             yaw = 2.0 * math.pi * rng.uniform()
-            if any(
-                float(np.hypot(pos[0] - q[0], pos[1] - q[1])) < char.body.disc_radius_m + c2.body.disc_radius_m
-                for c2, q, _ in placed
-            ):
+            if discs.overlaps(x, y, r):
                 continue
+            pos = np.array([x, y, 0.0])
             try:
                 head = project(_yaw_matrix(yaw) @ char.body.head_anchor + pos, camera)
             except ValueError:
@@ -516,6 +588,7 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
                 continue
             head_pixels.add(pixel)
             heads_px.append(head)
+            discs.add(x, y, r)
             placed.append((char, pos, yaw))
             break
         else:
@@ -527,7 +600,7 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
     # Project meshes and anchors; bbox from mesh extrema, clipped to the image.
     bboxes: list[tuple[float, float, float, float]] = []
     depths: list[float] = []
-    kp_world: list[dict[int, np.ndarray]] = []
+    kp_pixels: list[tuple[list[int], tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
     for char, pos, yaw in placed:
         rot = _yaw_matrix(yaw)
         world_vertices = char.body.mesh.vertices @ rot.T + pos
@@ -545,27 +618,31 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
         bboxes.append((x0, y0, x1, y1))
         center = rot @ np.array([0.0, 0.0, 0.5 * char.body.height_m]) + pos
         depths.append(float((camera.rotation @ center + camera.translation)[2]))
-        kp_world.append({kp: rot @ anchor + pos for kp, anchor in char.body.anchors.items()})
+        kp_ids = sorted(char.body.anchors)
+        anchors = np.array([char.body.anchors[kp] for kp in kp_ids])
+        kp_pixels.append((kp_ids, _pinhole(_rigid(rot, anchors, pos), camera)))
 
+    # A keypoint is hidden when it leaves the image or falls inside the bbox
+    # of another person nearer to the camera.
+    kp_part = {kp: pid for pid, kps in default_taxonomy().keypoint_map.items() for kp in kps}
+    boxes = np.array(bboxes).reshape(-1, 4)
+    box_depths = np.array(depths)
     persons = []
     for i, (char, pos, yaw) in enumerate(placed):
-        keypoints = []
-        for kp_id in sorted(kp_world[i]):
-            world = kp_world[i][kp_id]
-            cam_pt = camera.rotation @ world + camera.translation
-            if cam_pt[2] <= 0:
-                keypoints.append(Keypoint(x=-1.0, y=-1.0, part_id=_KEYPOINT_PART[kp_id], visible=False))
-                continue
-            x = float(camera.fx * cam_pt[0] / cam_pt[2] + camera.cx)
-            y = float(camera.fy * cam_pt[1] / cam_pt[2] + camera.cy)
-            visible = 0 <= x < cfg.image_w and 0 <= y < cfg.image_h
-            if visible:
-                depth = float(cam_pt[2])
-                for j, (bx0, by0, bx1, by1) in enumerate(bboxes):
-                    if j != i and depths[j] < depth and bx0 <= x <= bx1 and by0 <= y <= by1:
-                        visible = False
-                        break
-            keypoints.append(Keypoint(x=x, y=y, part_id=_KEYPOINT_PART[kp_id], visible=visible))
+        kp_ids, (x, y, z) = kp_pixels[i]
+        visible = (0 <= x) & (x < cfg.image_w) & (0 <= y) & (y < cfg.image_h)
+        xc, yc = x[:, None], y[:, None]
+        covered = (
+            (box_depths < z[:, None])
+            & (boxes[:, 0] <= xc) & (xc <= boxes[:, 2])
+            & (boxes[:, 1] <= yc) & (yc <= boxes[:, 3])
+        )
+        covered[:, i] = False
+        visible &= ~covered.any(axis=1)
+        keypoints = tuple(
+            Keypoint(x=kx, y=ky, part_id=kp_part[kp], visible=vis)
+            for kp, kx, ky, vis in zip(kp_ids, x.tolist(), y.tolist(), visible.tolist())
+        )
         persons.append(
             PersonAnnotation(
                 person_id=f"{frame_id}_p{i:03d}",
@@ -574,7 +651,7 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
                 bbox_px=bboxes[i],
                 volume_dm3=char.body.total_volume_dm3,
                 part_volumes_dm3=dict(char.body.part_volumes_dm3),
-                keypoints=tuple(keypoints),
+                keypoints=keypoints,
             )
         )
     return FrameAnnotation(

@@ -1,0 +1,254 @@
+"""Loop implementations kept as oracles for the array code of the dense path.
+
+These are the per-pair and per-stamp versions that `scenegen.generate_frame`,
+`densitymap._stamp` / `render_vdm` / `render_ppvdm` and
+`evalharness.decoupling_eval` replaced:
+
+- placement tests a new ground disc against every placed person;
+- each keypoint is projected alone and tested against every other bbox;
+- every stamp rebuilds its Gaussian kernel;
+- every pair of boxes in a frame goes through `bbox_iou`.
+
+The array versions must reproduce their outputs bit for bit. The keypoint
+part mapping is the hand-written copy of `configs/taxonomy.cfg` that the
+generator used to carry.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from crowdvol.datamodel import (
+    DensityMap,
+    FrameAnnotation,
+    Keypoint,
+    PersonAnnotation,
+    default_taxonomy,
+)
+from crowdvol.densitymap import DensityMapError, SmoothingConfig, integrate, nearest_pixel
+from crowdvol.evalharness import DecouplingReport, _frame_map
+from crowdvol.rng import SplitMix64, mix_seed
+from crowdvol.scenegen import (
+    _MAX_PLACE_ATTEMPTS,
+    PlacementError,
+    _draw_camera,
+    _draw_tags,
+    _project_many,
+    _yaw_matrix,
+)
+
+KEYPOINT_PART = {kp: pid for pid, kps in {
+    0: (0, 1), 1: (2, 3, 4, 5, 6), 2: (7, 8), 3: (9, 10),
+    4: (11,), 5: (12,), 6: (13,), 7: (14,), 8: (15, 16),
+}.items() for kp in kps}
+
+
+def project(point_m, camera) -> tuple[float, float]:
+    p = camera.rotation @ np.asarray(point_m, dtype=np.float64) + camera.translation
+    if p[2] <= 0:
+        raise ValueError(f"point {point_m} is behind the camera (z={p[2]})")
+    return (
+        float(camera.fx * p[0] / p[2] + camera.cx),
+        float(camera.fy * p[1] / p[2] + camera.cy),
+    )
+
+
+def disc_conflict(x: float, y: float, r: float, placed: list[tuple[float, float, float]]) -> bool:
+    """The placement rule against every placed disc (x, y, r)."""
+    return any(float(np.hypot(x - qx, y - qy)) < r + qr for qx, qy, qr in placed)
+
+
+def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
+    if not pool.characters:
+        raise ValueError(f"identity pool for split {pool.split!r} is empty")
+    rng = SplitMix64(mix_seed(seed, 0xF0 + pool.split_index, frame_idx))
+    frame_id = f"{pool.split}_{frame_idx:05d}"
+    tags = _draw_tags(cfg, rng)
+    camera = _draw_camera(cfg, rng, "birds_eye" in tags)
+    n = rng.randint(cfg.persons_range[0], cfg.persons_range[1])
+
+    placed = []  # (char, position, yaw)
+    head_pixels: set[tuple[int, int]] = set()
+    heads_px: list[tuple[float, float]] = []
+    for _ in range(n):
+        char = pool.characters[rng.randint(0, len(pool.characters) - 1)]
+        for attempt in range(_MAX_PLACE_ATTEMPTS):
+            pos = np.array([
+                (rng.uniform() - 0.5) * cfg.area_w,
+                cfg.area_y0 + rng.uniform() * cfg.area_d,
+                0.0,
+            ])
+            yaw = 2.0 * math.pi * rng.uniform()
+            if any(
+                float(np.hypot(pos[0] - q[0], pos[1] - q[1])) < char.body.disc_radius_m + c2.body.disc_radius_m
+                for c2, q, _ in placed
+            ):
+                continue
+            try:
+                head = project(_yaw_matrix(yaw) @ char.body.head_anchor + pos, camera)
+            except ValueError:
+                continue
+            if not (0 <= head[0] < cfg.image_w and 0 <= head[1] < cfg.image_h):
+                continue
+            pixel = (nearest_pixel(head[0], cfg.image_w), nearest_pixel(head[1], cfg.image_h))
+            if pixel in head_pixels:
+                continue
+            head_pixels.add(pixel)
+            heads_px.append(head)
+            placed.append((char, pos, yaw))
+            break
+        else:
+            raise PlacementError(
+                f"frame {frame_id}: could not place {n} persons after "
+                f"{_MAX_PLACE_ATTEMPTS} attempts; reduce persons_range or enlarge the area"
+            )
+
+    bboxes: list[tuple[float, float, float, float]] = []
+    depths: list[float] = []
+    kp_world: list[dict[int, np.ndarray]] = []
+    for char, pos, yaw in placed:
+        rot = _yaw_matrix(yaw)
+        world_vertices = char.body.mesh.vertices @ rot.T + pos
+        px, _ = _project_many(world_vertices, camera)
+        x0 = max(0.0, float(px[:, 0].min()))
+        y0 = max(0.0, float(px[:, 1].min()))
+        x1 = min(float(cfg.image_w), float(px[:, 0].max()))
+        y1 = min(float(cfg.image_h), float(px[:, 1].max()))
+        bboxes.append((x0, y0, x1, y1))
+        center = rot @ np.array([0.0, 0.0, 0.5 * char.body.height_m]) + pos
+        depths.append(float((camera.rotation @ center + camera.translation)[2]))
+        kp_world.append({kp: rot @ anchor + pos for kp, anchor in char.body.anchors.items()})
+
+    persons = []
+    for i, (char, pos, yaw) in enumerate(placed):
+        keypoints = []
+        for kp_id in sorted(kp_world[i]):
+            world = kp_world[i][kp_id]
+            cam_pt = camera.rotation @ world + camera.translation
+            if cam_pt[2] <= 0:
+                keypoints.append(Keypoint(x=-1.0, y=-1.0, part_id=KEYPOINT_PART[kp_id], visible=False))
+                continue
+            x = float(camera.fx * cam_pt[0] / cam_pt[2] + camera.cx)
+            y = float(camera.fy * cam_pt[1] / cam_pt[2] + camera.cy)
+            visible = 0 <= x < cfg.image_w and 0 <= y < cfg.image_h
+            if visible:
+                depth = float(cam_pt[2])
+                for j, (bx0, by0, bx1, by1) in enumerate(bboxes):
+                    if j != i and depths[j] < depth and bx0 <= x <= bx1 and by0 <= y <= by1:
+                        visible = False
+                        break
+            keypoints.append(Keypoint(x=x, y=y, part_id=KEYPOINT_PART[kp_id], visible=visible))
+        persons.append(
+            PersonAnnotation(
+                person_id=f"{frame_id}_p{i:03d}",
+                character_id=char.character_id,
+                head_px=heads_px[i],
+                bbox_px=bboxes[i],
+                volume_dm3=char.body.total_volume_dm3,
+                part_volumes_dm3=dict(char.body.part_volumes_dm3),
+                keypoints=tuple(keypoints),
+            )
+        )
+    return FrameAnnotation(
+        frame_id=frame_id,
+        image_w=cfg.image_w,
+        image_h=cfg.image_h,
+        persons=tuple(persons),
+        scene_tags=tags,
+        camera=camera,
+    )
+
+
+def stamp(acc: np.ndarray, x: float, y: float, mass: float, cfg: SmoothingConfig) -> None:
+    h, w = acc.shape
+    ix = nearest_pixel(x, w)
+    iy = nearest_pixel(y, h)
+    if cfg.sigma_px == 0:
+        acc[iy, ix] += mass
+        return
+    radius = int(math.ceil(cfg.truncation_radius * cfg.sigma_px))
+    x0, x1 = max(0, ix - radius), min(w - 1, ix + radius)
+    y0, y1 = max(0, iy - radius), min(h - 1, iy + radius)
+    dx = np.arange(x0, x1 + 1) - ix
+    dy = np.arange(y0, y1 + 1) - iy
+    inv = 1.0 / (2.0 * cfg.sigma_px * cfg.sigma_px)
+    kernel = np.outer(np.exp(-dy * dy * inv), np.exp(-dx * dx * inv))
+    kernel /= kernel.sum()
+    acc[y0 : y1 + 1, x0 : x1 + 1] += mass * kernel
+
+
+def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig = SmoothingConfig()) -> DensityMap:
+    acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
+    for person in frame.persons:
+        hx, hy = person.head_px
+        stamp(acc, hx, hy, person.volume_dm3, cfg)
+    return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
+
+
+def render_ppvdm(frame: FrameAnnotation, taxonomy=None, cfg: SmoothingConfig = SmoothingConfig()) -> DensityMap:
+    tax = taxonomy if taxonomy is not None else default_taxonomy()
+    acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
+    for person in frame.persons:
+        hx, hy = person.head_px
+        head_ok = 0 <= hx < frame.image_w and 0 <= hy < frame.image_h
+        for part_id in tax.part_ids:
+            v_part = person.part_volumes_dm3.get(part_id, 0.0)
+            if v_part == 0.0:
+                continue
+            anchors = [
+                kp
+                for kp in person.keypoints
+                if kp.part_id == part_id
+                and kp.visible
+                and 0 <= kp.x < frame.image_w
+                and 0 <= kp.y < frame.image_h
+            ]
+            if anchors:
+                share = v_part / len(anchors)
+                for kp in anchors:
+                    stamp(acc, kp.x, kp.y, share, cfg)
+            elif head_ok:
+                stamp(acc, hx, hy, v_part, cfg)
+            else:
+                raise DensityMapError(f"person {person.person_id!r}: part {part_id} has no anchor")
+    return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
+
+
+def bbox_iou(a, b) -> float:
+    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
+    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
+    inter = ix * iy
+    if inter <= 0:
+        return 0.0
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (area_a + area_b - inter)
+
+
+def decoupling_eval(frames, pred_maps, min_volume_dm3: float = 10.0, iou_threshold: float = 0.0) -> DecouplingReport:
+    errors: list[float] = []
+    misses = 0
+    dropped = 0
+    total = 0
+    for frame in frames:
+        dmap = _frame_map(pred_maps, frame)
+        boxes = [p.bbox_px for p in frame.persons]
+        for i, person in enumerate(frame.persons):
+            total += 1
+            if any(bbox_iou(boxes[i], boxes[j]) > iou_threshold for j in range(len(boxes)) if j != i):
+                dropped += 1
+                continue
+            v_hat = integrate(dmap, person.bbox_px)
+            if v_hat < min_volume_dm3:
+                misses += 1
+            else:
+                errors.append(abs(v_hat - person.volume_dm3))
+    kept = len(errors) + misses
+    return DecouplingReport(
+        ppmae=math.fsum(errors) / len(errors) if errors else math.nan,
+        misses=misses,
+        kept=kept,
+        dropped_overlap=dropped,
+        total_persons=total,
+    )

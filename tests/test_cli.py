@@ -87,6 +87,28 @@ def test_gen_bad_config_exit_code(tmp_path):
     assert run("gen", "--config", str(bad), "--out", str(tmp_path / "x")) == 2
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ({"tag.birds_eye": "1.5"}, "tag.birds_eye must be a probability in [0, 1]"),
+        ({"frames.test": "-3"}, "frames.test must be >= 0"),
+        ({"persons.mx": "3"}, "unknown scene config key 'persons.mx'; did you mean 'persons.max'?"),
+        ({"image_w": "0"}, "image size must be positive"),
+        ({"focal.lo": "800.0", "focal.hi": "700.0"}, "focal range must satisfy 0 < lo <= hi"),
+        ({"pool.val": "-1"}, "pool.val must be >= 0"),
+        ({"persons.min": "1.5"}, "persons.min='1.5' is not a valid int"),
+    ],
+    ids=["probability", "frames", "typo", "image-size", "focal", "pool", "not-an-int"],
+)
+def test_gen_rejects_bad_scene_config_in_one_line(tmp_path, capsys, pairs, message):
+    cfg = write_cfg(tmp_path, pairs)
+    out = tmp_path / "x"
+    assert run("gen", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 def test_gen_dump_meshes(tmp_path):
     cfg = write_cfg(tmp_path, {"pool.train": "2", "pool.val": "2", "pool.test": "2"})
     out = tmp_path / "dump"

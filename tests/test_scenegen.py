@@ -246,6 +246,12 @@ def test_scene_config_roundtrip():
     assert back == cfg
 
 
+def test_scene_config_keeps_partial_model_overrides():
+    cfg = scenegen.scene_config_from_pairs({"gender_mix": "0.25"})
+    assert cfg.model.gender_mix == 0.25
+    assert cfg.model.male == scenegen.SceneConfig().model.male
+
+
 # ---------------------------------------------------------------------------
 # rng
 # ---------------------------------------------------------------------------
