@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .datamodel import ParseError, TriMesh, ValidationError
+from .datamodel import ParseError, TriMesh, ValidationError, open_text
 from .rng import SplitMix64, mix_seed
 
 DEFAULT_BODY_DENSITY = 1000.0  # kg/m^3
@@ -386,7 +386,7 @@ def read_samples_csv(path) -> list[PersonSample]:
     """Rows written by write_samples_csv. A missing column or a value that is
     not a number raises ParseError naming the file."""
     out: list[PersonSample] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [col for col in _SAMPLE_COLUMNS if col not in (reader.fieldnames or ())]
         if missing:

@@ -4,8 +4,17 @@ Subcommands: gen (synthesize an annotated dataset), label (per-part volumes
 of a labeled OBJ mesh), maps (render density maps), eval (run an evaluation
 protocol), stats (dataset and alignment statistics).
 
-Exit codes: 0 success, 2 configuration or missing-input error, 3 placement
-failure, 4 non-watertight mesh, 5 map conservation failure.
+Exit codes:
+  0  success
+  2  a bad flag, config, input file or output path: a missing or unreadable
+     file, a file that does not parse or breaks an invariant, a value out
+     of range, a scene whose bodies cannot be built or sampled
+  3  persons could not be placed in a frame
+  4  a mesh is not watertight
+  5  a map's mass does not match its frame's annotated volume (`maps`)
+
+Every error is one `error: ...` line on stderr; an argparse flag error
+prints its usage line first.
 """
 from __future__ import annotations
 
@@ -47,18 +56,10 @@ def _config_hash(cfg: scenegen.SceneConfig, seed: int) -> str:
 
 
 def cmd_gen(args) -> int:
-    try:
-        cfg = _load_scene_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_scene_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        dataset = scenegen.generate_dataset(cfg, args.seed, workers=args.workers)
-    except scenegen.PlacementError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLACEMENT
+    dataset = scenegen.generate_dataset(cfg, args.seed, workers=args.workers)
     for split, frames in dataset.items():
         datamodel.write_annotations(frames, out / f"{split}.jsonl")
         print(f"{split}: {len(frames)} frames, {sum(f.n_persons for f in frames)} persons")
@@ -83,22 +84,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_label(args) -> int:
-    try:
-        mesh = datamodel.read_obj(args.mesh)
-        labels = datamodel.read_vertex_labels(args.labels, mesh.n_vertices)
-        taxonomy = datamodel.load_taxonomy(args.taxonomy) if args.taxonomy else datamodel.default_taxonomy()
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    mesh = datamodel.read_obj(args.mesh)
+    labels = datamodel.read_vertex_labels(args.labels, mesh.n_vertices)
+    taxonomy = datamodel.load_taxonomy(args.taxonomy) if args.taxonomy else datamodel.default_taxonomy()
     mesh = datamodel.TriMesh(vertices=mesh.vertices, faces=mesh.faces, vertex_labels=labels)
-    try:
-        parts = meshvol.split_parts(mesh, taxonomy, tol=args.tol)
-    except meshvol.NonWatertightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_WATERTIGHT
-    except (meshvol.MeshError, datamodel.ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    parts = meshvol.split_parts(mesh, taxonomy, tol=args.tol)
     print("part_id,name,volume_dm3")
     for pid in sorted(parts.volumes):
         print(f"{pid},{taxonomy.name_of(pid)},{parts.volumes[pid]!r}")
@@ -117,16 +107,8 @@ def _write_map(per_part, taxonomy, cfg, out_dir: Path, frame) -> float:
 
 
 def cmd_maps(args) -> int:
-    taxonomy = None
-    try:
-        if args.taxonomy:
-            taxonomy = datamodel.load_taxonomy(args.taxonomy)
-        frames = datamodel.read_annotations(args.annotations, taxonomy)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if taxonomy is None:
-        taxonomy = datamodel.default_taxonomy()
+    taxonomy = datamodel.load_taxonomy(args.taxonomy) if args.taxonomy else datamodel.default_taxonomy()
+    frames = datamodel.read_annotations(args.annotations, taxonomy)
     cfg = densitymap.SmoothingConfig(sigma_px=args.sigma, truncation_radius=args.truncation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,81 +131,62 @@ def _load_predictions(path: str) -> evalharness.PredictionSet:
 
 
 def cmd_eval(args) -> int:
-    try:
-        frames = datamodel.read_annotations(args.gt)
-        preds = _load_predictions(args.preds)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    frames = datamodel.read_annotations(args.gt)
+    preds = _load_predictions(args.preds)
     frames = evalharness.apply_subset_preset(frames, args.subset)
     if not frames:
-        print(f"error: subset {args.subset!r} selects no frames", file=sys.stderr)
-        return EXIT_CONFIG
+        raise evalharness.EvalError(f"subset {args.subset!r} selects no frames")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        if args.protocol == "full":
-            report = evalharness.evaluate_full(frames, preds)
-            (out / "report.csv").write_text(evalharness.full_report_to_csv(report), encoding="utf-8")
-            print(evalharness.full_report_to_csv(report), end="")
-        elif args.protocol == "decoupling":
-            report = evalharness.decoupling_eval(
-                frames, preds, min_volume_dm3=args.min_volume, iou_threshold=args.iou_threshold
-            )
-            (out / "report.csv").write_text(evalharness.decoupling_to_csv(report), encoding="utf-8")
-            print(evalharness.decoupling_to_csv(report), end="")
-        elif args.protocol == "bins":
-            edges = [float(tok) for tok in args.bin_edges.split(",")]
-            bins = evalharness.crowd_size_bins(frames, preds, edges)
-            (out / "bins.csv").write_text(evalharness.bins_to_csv(bins), encoding="utf-8")
-            plots.write_bins_svg(bins, out / "bins.svg")
-            print(evalharness.bins_to_csv(bins), end="")
-        else:  # scatter
-            records = evalharness.build_records(frames, preds)
-            points = metrics.mae_ppmae_scatter([r for r in records if r.n_persons >= 1])
-            (out / "scatter.csv").write_text(metrics.scatter_to_csv(points), encoding="utf-8")
-            plots.write_scatter_svg(points, out / "scatter.svg")
-            print(f"scatter: {len(points)} points -> {out / 'scatter.svg'}")
-    except (OSError, evalharness.EvalError, datamodel.ParseError, datamodel.ValidationError) as exc:
-        # Maps are read as each protocol reaches their frame, so a bad map
-        # file surfaces here.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.protocol == "full":
+        report = evalharness.evaluate_full(frames, preds)
+        (out / "report.csv").write_text(evalharness.full_report_to_csv(report), encoding="utf-8")
+        print(evalharness.full_report_to_csv(report), end="")
+    elif args.protocol == "decoupling":
+        report = evalharness.decoupling_eval(
+            frames, preds, min_volume_dm3=args.min_volume, iou_threshold=args.iou_threshold
+        )
+        (out / "report.csv").write_text(evalharness.decoupling_to_csv(report), encoding="utf-8")
+        print(evalharness.decoupling_to_csv(report), end="")
+    elif args.protocol == "bins":
+        bins = evalharness.crowd_size_bins(frames, preds, args.bin_edges)
+        (out / "bins.csv").write_text(evalharness.bins_to_csv(bins), encoding="utf-8")
+        plots.write_bins_svg(bins, out / "bins.svg")
+        print(evalharness.bins_to_csv(bins), end="")
+    else:  # scatter
+        records = evalharness.build_records(frames, preds)
+        points = metrics.mae_ppmae_scatter([r for r in records if r.n_persons >= 1])
+        (out / "scatter.csv").write_text(metrics.scatter_to_csv(points), encoding="utf-8")
+        plots.write_scatter_svg(points, out / "scatter.svg")
+        print(f"scatter: {len(points)} points -> {out / 'scatter.svg'}")
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
     path = Path(args.input)
-    try:
-        if path.suffix == ".csv":
-            samples = anthro.read_samples_csv(path)
-            if not samples:
-                print("error: empty sample file", file=sys.stderr)
-                return EXIT_CONFIG
-            print("key,value")
-            print(f"n_samples,{len(samples)}")
-            print(f"mean_volume_dm3,{math.fsum(s.volume_dm3 for s in samples) / len(samples)!r}")
-            if args.target_config:
-                model = anthro.model_from_config(datamodel.read_keyvalues(args.target_config))
-                reports = _alignment_reports(samples, args.before, model)
-                for name, rep in reports.items():
-                    print(f"kl_{name}_before,{rep.kl_before!r}")
-                    print(f"kl_{name}_after,{rep.kl_after!r}")
-                    print(f"kl_{name}_pct_change,{rep.pct_change!r}")
-                if args.out:
-                    anthro.write_alignment_csv(reports, Path(args.out) / "alignment.csv")
-        else:
-            frames = datamodel.read_annotations(path)
-            stats = evalharness.dataset_stats(frames)
-            print(evalharness.stats_to_csv(stats), end="")
+    if path.suffix == ".csv":
+        samples = anthro.read_samples_csv(path)
+        if not samples:
+            raise datamodel.ParseError(f"{path}: empty sample file")
+        print("key,value")
+        print(f"n_samples,{len(samples)}")
+        print(f"mean_volume_dm3,{math.fsum(s.volume_dm3 for s in samples) / len(samples)!r}")
+        if args.target_config:
+            model = anthro.model_from_config(datamodel.read_keyvalues(args.target_config))
+            reports = _alignment_reports(samples, args.before, model)
+            for name, rep in reports.items():
+                print(f"kl_{name}_before,{rep.kl_before!r}")
+                print(f"kl_{name}_after,{rep.kl_after!r}")
+                print(f"kl_{name}_pct_change,{rep.pct_change!r}")
             if args.out:
-                Path(args.out).mkdir(parents=True, exist_ok=True)
-                (Path(args.out) / "stats.csv").write_text(
-                    evalharness.stats_to_csv(stats), encoding="utf-8"
-                )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+                anthro.write_alignment_csv(reports, Path(args.out) / "alignment.csv")
+    else:
+        frames = datamodel.read_annotations(path)
+        stats = evalharness.dataset_stats(frames)
+        print(evalharness.stats_to_csv(stats), end="")
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+            (Path(args.out) / "stats.csv").write_text(evalharness.stats_to_csv(stats), encoding="utf-8")
     return EXIT_OK
 
 
@@ -253,8 +216,26 @@ def _alignment_reports(samples, before_path, model):
     return reports
 
 
+def _workers(text: str) -> int:
+    """argparse type of --workers: an integer >= 1."""
+    n = int(text) if text.strip().isdecimal() else 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
+def _bin_edges(text: str) -> list[float]:
+    """argparse type of --bin-edges: comma-separated numbers."""
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="crowdvol", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="crowdvol", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -262,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--config", help="key=value scene config file")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--workers", type=int, default=_default_workers())
+    p_gen.add_argument("--workers", type=_workers, default=_default_workers())
     p_gen.add_argument("--dump-meshes", action="store_true", help="also write per-character OBJ meshes")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -280,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_maps.add_argument("--sigma", type=float, default=4.0)
     p_maps.add_argument("--truncation", type=float, default=4.0)
     p_maps.add_argument("--taxonomy")
-    p_maps.add_argument("--workers", type=int, default=_default_workers())
+    p_maps.add_argument("--workers", type=_workers, default=_default_workers())
     p_maps.set_defaults(func=cmd_maps)
 
     p_eval = sub.add_parser("eval", help="evaluate predictions against ground truth")
@@ -291,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default=".")
     p_eval.add_argument("--min-volume", type=float, default=10.0)
     p_eval.add_argument("--iou-threshold", type=float, default=0.0)
-    p_eval.add_argument("--bin-edges", default="1,5,10,20,inf")
+    p_eval.add_argument("--bin-edges", type=_bin_edges, default="1,5,10,20,inf")
     p_eval.set_defaults(func=cmd_eval)
 
     p_stats = sub.add_parser("stats", help="dataset statistics or sample alignment")
@@ -303,9 +284,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """Run one subcommand. This is the one place where an error becomes an
+    exit code; a maps conservation failure is a result, returned as 5."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except scenegen.PlacementError as exc:
+        return _fail(exc, EXIT_PLACEMENT)
+    except meshvol.NonWatertightError as exc:
+        return _fail(exc, EXIT_NOT_WATERTIGHT)
+    except (OSError, ValueError, anthro.SamplingError) as exc:
+        # ValueError covers ParseError, ValidationError, EvalError, MeshError
+        # and BodyBuildError.
+        return _fail(exc, EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,11 @@ construction; arrays are marked read-only.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -280,6 +282,23 @@ def validate_frame(frame: FrameAnnotation, taxonomy: PartTaxonomy | None = None)
 
 
 # ---------------------------------------------------------------------------
+# Text input
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def open_text(path, newline: str | None = None):
+    """Open a UTF-8 text file for reading. Bytes that do not decode, and a
+    CSV reader's structural errors, raise ParseError naming the path."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
 # Annotation JSON Lines I/O
 # ---------------------------------------------------------------------------
 
@@ -296,11 +315,13 @@ def _person_to_dict(p: PersonAnnotation) -> dict:
 
 
 def _person_from_dict(d: dict) -> PersonAnnotation:
+    hx, hy = d["head_px"]
+    x0, y0, x1, y1 = d["bbox_px"]
     return PersonAnnotation(
         person_id=str(d["person_id"]),
         character_id=str(d["character_id"]),
-        head_px=(float(d["head_px"][0]), float(d["head_px"][1])),
-        bbox_px=tuple(float(v) for v in d["bbox_px"]),
+        head_px=(float(hx), float(hy)),
+        bbox_px=(float(x0), float(y0), float(x1), float(y1)),
         volume_dm3=float(d["volume_dm3"]),
         part_volumes_dm3={int(k): float(v) for k, v in d["part_volumes_dm3"].items()},
         keypoints=tuple(
@@ -363,16 +384,19 @@ def write_annotations(frames, path, taxonomy: PartTaxonomy | None = None) -> Non
 
 def read_annotations(path, taxonomy: PartTaxonomy | None = None) -> list[FrameAnnotation]:
     frames: list[FrameAnnotation] = []
-    text = Path(path).read_text(encoding="utf-8")
+    with open_text(path) as fh:
+        text = fh.read()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            d = json.loads(line)
-            frame = frame_from_dict(d)
-        except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError) as exc:
+            frame = frame_from_dict(json.loads(line))
+        except (KeyError, TypeError, IndexError, AttributeError, OverflowError, ValueError) as exc:
             raise ParseError(f"{path}: malformed annotation on line {lineno}: {exc}") from exc
-        validate_frame(frame, taxonomy)
+        try:
+            validate_frame(frame, taxonomy)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
         frames.append(frame)
     return frames
 
@@ -384,7 +408,7 @@ def read_annotations(path, taxonomy: PartTaxonomy | None = None) -> list[FrameAn
 def read_obj(path) -> TriMesh:
     vertices: list[tuple[float, float, float]] = []
     faces: list[tuple[int, int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -413,10 +437,13 @@ def read_obj(path) -> TriMesh:
                 faces.append(tuple(idx))
             else:
                 raise ParseError(f"{path}: unsupported record {tokens[0]!r} at line {lineno}")
-    return TriMesh(
-        vertices=np.array(vertices, dtype=np.float64).reshape(-1, 3),
-        faces=np.array(faces, dtype=np.int64).reshape(-1, 3),
-    )
+    try:
+        return TriMesh(
+            vertices=np.array(vertices, dtype=np.float64).reshape(-1, 3),
+            faces=np.array(faces, dtype=np.int64).reshape(-1, 3),
+        )
+    except ValidationError as exc:  # a degenerate face
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_obj(mesh: TriMesh, path) -> None:
@@ -431,7 +458,7 @@ def write_obj(mesh: TriMesh, path) -> None:
 def read_vertex_labels(path, n_vertices: int) -> np.ndarray:
     """Sidecar labels: one `vertex_index part_id` pair per line."""
     labels = np.full(n_vertices, -1, dtype=np.int64)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -502,7 +529,8 @@ def parse_keyvalues(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def read_keyvalues(path) -> dict[str, str]:
-    return parse_keyvalues(Path(path).read_text(encoding="utf-8"), str(path))
+    with open_text(path) as fh:
+        return parse_keyvalues(fh.read(), str(path))
 
 
 def write_keyvalues(pairs: dict[str, str], path) -> None:

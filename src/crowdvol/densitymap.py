@@ -41,10 +41,10 @@ class SmoothingConfig:
     truncation_radius: float = 4.0
 
     def __post_init__(self):
-        if self.sigma_px < 0:
-            raise ValidationError("sigma_px must be >= 0")
-        if not self.truncation_radius > 0:
-            raise ValidationError("truncation_radius must be positive")
+        if not 0 <= self.sigma_px < math.inf:
+            raise ValidationError(f"sigma_px must be >= 0 and finite, got {self.sigma_px}")
+        if not 0 < self.truncation_radius < math.inf:
+            raise ValidationError(f"truncation_radius must be positive and finite, got {self.truncation_radius}")
 
 
 def nearest_pixel(coord: float, size: int) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import DensityMap, FrameAnnotation, ParseError, read_vdm
+from .datamodel import DensityMap, FrameAnnotation, ParseError, open_text, read_vdm
 from .densitymap import integrate
 from .metrics import EvalRecord, MetricsReport, compute_report
 
@@ -71,7 +71,7 @@ def load_predictions_csv(path) -> PredictionSet:
     """CSV with header frame_id,V_pred_dm3: one row per frame, each value a
     finite number >= 0. Anything else raises ParseError naming the line."""
     values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [col for col in ("frame_id", "V_pred_dm3") if col not in (reader.fieldnames or ())]
         if missing:
@@ -256,6 +256,10 @@ def decoupling_eval(
     excluded. Integrated volumes below `min_volume_dm3` count as detection
     misses and do not contribute to the volume-error average.
     """
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise EvalError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
+    if not 0.0 <= min_volume_dm3 < math.inf:
+        raise EvalError(f"min_volume_dm3 must be finite and >= 0, got {min_volume_dm3}")
     errors: list[float] = []
     misses = 0
     dropped = 0
@@ -295,7 +299,7 @@ def crowd_size_bins(
     frames: list[FrameAnnotation], preds: PredictionSet, bin_edges: list[float]
 ) -> list[CrowdBin]:
     """Partition frames by person count into [e_i, e_{i+1}) and report per bin."""
-    if len(bin_edges) < 2 or any(a >= b for a, b in zip(bin_edges[:-1], bin_edges[1:])):
+    if len(bin_edges) < 2 or not all(a < b for a, b in zip(bin_edges[:-1], bin_edges[1:])):
         raise EvalError(f"bin edges must be strictly increasing, got {bin_edges}")
     records = build_records(frames, preds)
     bins: list[list[EvalRecord]] = [[] for _ in range(len(bin_edges) - 1)]

@@ -74,50 +74,6 @@ def compute_report(records: list[EvalRecord]) -> MetricsReport:
 
 
 @dataclass(frozen=True)
-class MetricSums:
-    """Mergeable partial sums for sharded evaluation: records can be
-    partitioned across workers and the shards combined afterwards."""
-
-    ae_sum: float = 0.0
-    ae_sq_sum: float = 0.0
-    ppae_sum: float = 0.0
-    k: int = 0
-    ppmae_k: int = 0
-
-    @staticmethod
-    def from_records(records: list[EvalRecord]) -> "MetricSums":
-        crowd = [r for r in records if r.n_persons >= 1]
-        return MetricSums(
-            ae_sum=math.fsum(abs(r.v_true - r.v_pred) for r in records),
-            ae_sq_sum=math.fsum((r.v_true - r.v_pred) ** 2 for r in records),
-            ppae_sum=math.fsum(abs(r.v_true - r.v_pred) / r.n_persons for r in crowd),
-            k=len(records),
-            ppmae_k=len(crowd),
-        )
-
-    def merge(self, other: "MetricSums") -> "MetricSums":
-        return MetricSums(
-            ae_sum=math.fsum((self.ae_sum, other.ae_sum)),
-            ae_sq_sum=math.fsum((self.ae_sq_sum, other.ae_sq_sum)),
-            ppae_sum=math.fsum((self.ppae_sum, other.ppae_sum)),
-            k=self.k + other.k,
-            ppmae_k=self.ppmae_k + other.ppmae_k,
-        )
-
-    def report(self) -> MetricsReport:
-        if self.k == 0:
-            raise ValueError("no records accumulated")
-        return MetricsReport(
-            mae=self.ae_sum / self.k,
-            ppmae=self.ppae_sum / self.ppmae_k if self.ppmae_k else math.nan,
-            rmse=math.sqrt(self.ae_sq_sum / self.k),
-            k=self.k,
-            ppmae_k=self.ppmae_k,
-            empty_frames=self.k - self.ppmae_k,
-        )
-
-
-@dataclass(frozen=True)
 class ScatterPoint:
     """Per-frame point of the absolute-error vs per-person-error scatter.
 

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -493,3 +494,112 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# The exit-code boundary: every error is one `error:` line, never a traceback
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A small dataset with no birds_eye frames, its sigma-0 maps, and broken
+    copies of each input file kind; {name} placeholders in ERROR_CASES."""
+    root = tmp_path_factory.mktemp("bad_inputs")
+    data, maps = root / "data", root / "maps"
+    cfg = write_cfg(root, {"tag.birds_eye": "0.0"})
+    assert run("gen", "--config", cfg, "--seed", "1", "--out", str(data)) == 0
+    assert run("maps", str(data / "test.jsonl"), "--out", str(maps), "--sigma", "0") == 0
+    cube, labels = root / "cube.obj", root / "cube.labels"
+    box = make_box()
+    write_obj(box, cube)
+    write_vertex_labels(np.zeros(8, dtype=np.int64), labels)
+    write_obj(type(box)(vertices=box.vertices, faces=box.faces[:-1]), root / "open.obj")
+    frame = json.loads((data / "test.jsonl").read_text().splitlines()[0])
+    frame["persons"][0]["bbox_px"] = [1.0, 2.0, 3.0]
+    (root / "bbox3.jsonl").write_text(json.dumps(frame) + "\n")
+    (root / "empty_samples.csv").write_text("gender,height_m,mass_kg,bmi,volume_dm3\n")
+    for name, source in [
+        ("nonutf8.jsonl", data / "test.jsonl"),
+        ("nonutf8.obj", cube),
+        ("nonutf8.labels", labels),
+        ("nonutf8.cfg", Path(cfg)),
+    ]:
+        (root / name).write_bytes(b"\xff" + source.read_bytes())
+    (root / "nonutf8_preds.csv").write_bytes(b"frame_id,V_pred_dm3\nf\xff,1.0\n")
+    (root / "nonutf8_samples.csv").write_bytes(b"gender,height_m,mass_kg,bmi,volume_dm3\n\xff\n")
+    return {"root": str(root), "gt": str(data / "test.jsonl"), "maps": str(maps),
+            "cube": str(cube), "labels": str(labels)}
+
+
+GEN = "gen --out {root}/g --config {cfg}"
+EVAL = "eval --gt {gt} --preds {maps} --out {root}/e"
+BODY_BUILD = {"male.mass.mu": "6.5", "female.mass.mu": "6.5", "bmi.hi": "500"}
+
+# (argv, scene-config pairs written to {cfg}, exit code, message fragment)
+ERROR_CASES = {
+    "bin-edges-token": (EVAL + " --protocol bins --bin-edges 1,x", None, 2,
+                        "argument --bin-edges: expected comma-separated numbers, got '1,x'"),
+    "bin-edges-empty": (EVAL + " --protocol bins --bin-edges ,", None, 2,
+                        "argument --bin-edges: expected comma-separated numbers, got ','"),
+    "bin-edges-nan": (EVAL + " --protocol bins --bin-edges 1,nan,5", None, 2,
+                      "bin edges must be strictly increasing"),
+    "sigma-negative": ("maps {gt} --out {root}/m --sigma -1", None, 2, "sigma_px must be >= 0 and finite, got -1.0"),
+    "sigma-nan": ("maps {gt} --out {root}/m --sigma nan", None, 2, "sigma_px must be >= 0 and finite, got nan"),
+    "sigma-inf": ("maps {gt} --out {root}/m --sigma inf", None, 2, "sigma_px must be >= 0 and finite, got inf"),
+    "truncation-zero": ("maps {gt} --out {root}/m --truncation 0", None, 2,
+                        "truncation_radius must be positive and finite, got 0.0"),
+    "truncation-inf": ("maps {gt} --out {root}/m --truncation inf", None, 2,
+                       "truncation_radius must be positive and finite, got inf"),
+    "gen-out": ("gen --out /dev/null/x --config {cfg}", {}, 2, "Not a directory: '/dev/null/x'"),
+    "maps-out": ("maps {gt} --out /dev/null/x", None, 2, "Not a directory: '/dev/null/x'"),
+    "eval-out": ("eval --gt {gt} --preds {maps} --out /dev/null/x", None, 2, "Not a directory: '/dev/null/x'"),
+    "infeasible-bmi": (GEN, {"bmi.lo": "45", "bmi.hi": "50"}, 2, "BMI rejection rate exceeded 99%"),
+    "body-build": (GEN, BODY_BUILD, 2, "unreachable for height"),
+    "body-build-2-workers": (GEN + " --workers 2", BODY_BUILD, 2, "unreachable for height"),
+    "iou-above-1": (EVAL + " --protocol decoupling --iou-threshold 2", None, 2,
+                    "iou_threshold must lie in [0, 1], got 2.0"),
+    "iou-nan": (EVAL + " --protocol decoupling --iou-threshold nan", None, 2, "iou_threshold must lie in [0, 1]"),
+    "min-volume-nan": (EVAL + " --protocol decoupling --min-volume nan", None, 2,
+                       "min_volume_dm3 must be finite and >= 0, got nan"),
+    "min-volume-negative": (EVAL + " --protocol decoupling --min-volume -1", None, 2,
+                            "min_volume_dm3 must be finite and >= 0, got -1.0"),
+    "gen-workers-0": (GEN + " --workers 0", {}, 2, "argument --workers: expected an integer >= 1, got '0'"),
+    "gen-workers-word": (GEN + " --workers two", {}, 2, "argument --workers: expected an integer >= 1, got 'two'"),
+    "maps-workers-neg": ("maps {gt} --out {root}/m --workers -3", None, 2,
+                         "argument --workers: expected an integer >= 1, got '-3'"),
+    "jsonl-not-utf8": ("maps {root}/nonutf8.jsonl --out {root}/m", None, 2, "{root}/nonutf8.jsonl: not UTF-8 text"),
+    "obj-not-utf8": ("label {root}/nonutf8.obj {labels}", None, 2, "{root}/nonutf8.obj: not UTF-8 text"),
+    "labels-not-utf8": ("label {cube} {root}/nonutf8.labels", None, 2, "{root}/nonutf8.labels: not UTF-8 text"),
+    "config-not-utf8": ("gen --out {root}/g --config {root}/nonutf8.cfg", None, 2, "{root}/nonutf8.cfg: not UTF-8 text"),
+    "taxonomy-not-utf8": ("label {cube} {labels} --taxonomy {root}/nonutf8.cfg", None, 2,
+                          "{root}/nonutf8.cfg: not UTF-8 text"),
+    "preds-not-utf8": ("eval --gt {gt} --preds {root}/nonutf8_preds.csv --out {root}/e", None, 2,
+                       "{root}/nonutf8_preds.csv: not UTF-8 text"),
+    "samples-not-utf8": ("stats {root}/nonutf8_samples.csv", None, 2, "{root}/nonutf8_samples.csv: not UTF-8 text"),
+    "bbox-3": ("maps {root}/bbox3.jsonl --out {root}/m", None, 2,
+               "{root}/bbox3.jsonl: malformed annotation on line 1: not enough values to unpack"),
+    "empty-samples": ("stats {root}/empty_samples.csv", None, 2, "{root}/empty_samples.csv: empty sample file"),
+    "empty-subset": (EVAL + " --subset S2", None, 2, "subset 'S2' selects no frames"),
+    "placement": (GEN, {"persons.min": "40", "persons.max": "40", "area.w": "0.5", "area.d": "0.5"}, 3,
+                  "could not place"),
+    "not-watertight": ("label {root}/open.obj {labels}", None, 4, "mesh is not watertight"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:tag 'birds_eye' does not occur")
+@pytest.mark.parametrize("case", list(ERROR_CASES))
+def test_error_is_one_line_with_its_exit_code(bad_inputs, tmp_path, capsys, case):
+    argv, pairs, code, fragment = ERROR_CASES[case]
+    paths = dict(bad_inputs, cfg=write_cfg(tmp_path, pairs) if pairs is not None else "")
+    capsys.readouterr()
+    try:
+        got = main([tok.format(**paths) for tok in argv.split()])
+    except SystemExit as exc:  # argparse rejected a flag
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1 and fragment.format(**paths) in error_lines[0]
+    if not fragment.startswith("argument "):
+        assert err == error_lines[0] + "\n"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -150,6 +151,13 @@ def test_obj_index_out_of_range(tmp_path):
     path = tmp_path / "oob.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
     with pytest.raises(dm.ParseError, match="out of range"):
+        dm.read_obj(path)
+
+
+def test_obj_degenerate_face_names_the_file(tmp_path):
+    path = tmp_path / "degenerate.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 2\n")
+    with pytest.raises(dm.ValidationError, match=f"^{re.escape(str(path))}: degenerate face at index 0$"):
         dm.read_obj(path)
 
 

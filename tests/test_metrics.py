@@ -136,26 +136,6 @@ def test_report_csv_shape():
     assert lines[1].startswith("mae,")
 
 
-def test_partial_sums_merge_matches_direct():
-    from crowdvol.metrics import MetricSums
-
-    rng = np.random.default_rng(9)
-    records = _random_records(rng, 300) + [rec("empty", 5.0, 4.0, n=0)]
-    direct = compute_report(records)
-    merged = (
-        MetricSums.from_records(records[:100])
-        .merge(MetricSums.from_records(records[100:250]))
-        .merge(MetricSums.from_records(records[250:]))
-        .report()
-    )
-    assert merged.k == direct.k
-    assert merged.ppmae_k == direct.ppmae_k
-    assert merged.empty_frames == direct.empty_frames
-    assert merged.mae == pytest.approx(direct.mae, rel=1e-12)
-    assert merged.ppmae == pytest.approx(direct.ppmae, rel=1e-12)
-    assert merged.rmse == pytest.approx(direct.rmse, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # scatter
 # ---------------------------------------------------------------------------
