@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .datamodel import ParseError, TriMesh, ValidationError, open_text
 from .rng import SplitMix64, mix_seed
+from .special import ndtr
 
 DEFAULT_BODY_DENSITY = 1000.0  # kg/m^3
 DEFAULT_BMI_RANGE = (10.0, 50.0)  # kg/m^2
@@ -48,7 +48,8 @@ class LogNormalParams:
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
         positive = x > 0
-        out[positive] = ndtr((np.log(x[positive]) - self.mu) / self.sigma)
+        z = (np.log(x[positive]) - self.mu) / self.sigma
+        out[positive] = [ndtr(v) for v in z.tolist()]
         return out
 
 

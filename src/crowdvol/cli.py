@@ -13,8 +13,10 @@ Exit codes:
   4  a mesh is not watertight
   5  a map's mass does not match its frame's annotated volume (`maps`)
 
-Every error is one `error: ...` line on stderr; an argparse flag error
-prints its usage line first.
+Every error is one `error: ...` line on stderr and every warning one
+`warning: ...` line; an argparse flag error prints its usage line first.
+`--workers` defaults to the CVE_WORKERS environment variable, checked the
+same way.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import hashlib
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -34,13 +37,6 @@ EXIT_CONFIG = 2
 EXIT_PLACEMENT = 3
 EXIT_NOT_WATERTIGHT = 4
 EXIT_CONSERVATION = 5
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CVE_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_scene_config(path: str | None) -> scenegen.SceneConfig:
@@ -243,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--config", help="key=value scene config file")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--workers", type=_workers, default=_default_workers())
+    p_gen.add_argument("--workers", type=_workers, default=os.environ.get("CVE_WORKERS", "1"))
     p_gen.add_argument("--dump-meshes", action="store_true", help="also write per-character OBJ meshes")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -261,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_maps.add_argument("--sigma", type=float, default=4.0)
     p_maps.add_argument("--truncation", type=float, default=4.0)
     p_maps.add_argument("--taxonomy")
-    p_maps.add_argument("--workers", type=_workers, default=_default_workers())
+    p_maps.add_argument("--workers", type=_workers, default=os.environ.get("CVE_WORKERS", "1"))
     p_maps.set_defaults(func=cmd_maps)
 
     p_eval = sub.add_parser("eval", help="evaluate predictions against ground truth")
@@ -289,12 +285,18 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+def _warn(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Run one subcommand. This is the one place where an error becomes an
     exit code; a maps conservation failure is a result, returned as 5."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn
+            return args.func(args)
     except scenegen.PlacementError as exc:
         return _fail(exc, EXIT_PLACEMENT)
     except meshvol.NonWatertightError as exc:

@@ -2,12 +2,14 @@
 
 Every stochastic component of the toolkit draws from these streams so that
 outputs are a pure function of the configured seed, independent of platform,
-worker count, or library version.
+worker count, or library version. Normals come from the Cephes `ndtri` port
+in `special`, so they depend only on the seed and on libm's `log` and `sqrt`.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
+
+from .special import ndtri
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -72,10 +74,10 @@ class SplitMix64:
 
     def normal(self) -> float:
         """Standard normal via the inverse CDF of one uniform draw."""
-        return float(ndtri(self.uniform()))
+        return ndtri(self.uniform())
 
     def normals(self, n: int) -> np.ndarray:
-        return ndtri(self.uniforms(n))
+        return np.array([ndtri(u) for u in self.uniforms(n).tolist()])
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer uniform on [lo, hi] inclusive."""

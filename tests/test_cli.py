@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -567,6 +570,9 @@ ERROR_CASES = {
     "gen-workers-word": (GEN + " --workers two", {}, 2, "argument --workers: expected an integer >= 1, got 'two'"),
     "maps-workers-neg": ("maps {gt} --out {root}/m --workers -3", None, 2,
                          "argument --workers: expected an integer >= 1, got '-3'"),
+    "env-workers-0": ("CVE_WORKERS=0 " + GEN, {}, 2, "argument --workers: expected an integer >= 1, got '0'"),
+    "env-workers-word": ("CVE_WORKERS=abc maps {gt} --out {root}/m", None, 2,
+                         "argument --workers: expected an integer >= 1, got 'abc'"),
     "jsonl-not-utf8": ("maps {root}/nonutf8.jsonl --out {root}/m", None, 2, "{root}/nonutf8.jsonl: not UTF-8 text"),
     "obj-not-utf8": ("label {root}/nonutf8.obj {labels}", None, 2, "{root}/nonutf8.obj: not UTF-8 text"),
     "labels-not-utf8": ("label {cube} {root}/nonutf8.labels", None, 2, "{root}/nonutf8.labels: not UTF-8 text"),
@@ -588,12 +594,15 @@ ERROR_CASES = {
 
 @pytest.mark.filterwarnings("ignore:tag 'birds_eye' does not occur")
 @pytest.mark.parametrize("case", list(ERROR_CASES))
-def test_error_is_one_line_with_its_exit_code(bad_inputs, tmp_path, capsys, case):
+def test_error_is_one_line_with_its_exit_code(bad_inputs, tmp_path, capsys, monkeypatch, case):
     argv, pairs, code, fragment = ERROR_CASES[case]
     paths = dict(bad_inputs, cfg=write_cfg(tmp_path, pairs) if pairs is not None else "")
+    tokens = argv.split()
+    while "=" in tokens[0]:  # leading NAME=value tokens set the environment, as in a shell
+        monkeypatch.setenv(*tokens.pop(0).split("=", 1))
     capsys.readouterr()
     try:
-        got = main([tok.format(**paths) for tok in argv.split()])
+        got = main([tok.format(**paths) for tok in tokens])
     except SystemExit as exc:  # argparse rejected a flag
         got = exc.code
     err = capsys.readouterr().err
@@ -603,3 +612,18 @@ def test_error_is_one_line_with_its_exit_code(bad_inputs, tmp_path, capsys, case
     assert len(error_lines) == 1 and fragment.format(**paths) in error_lines[0]
     if not fragment.startswith("argument "):
         assert err == error_lines[0] + "\n"
+
+
+def test_warning_is_one_line(bad_inputs):
+    """A library UserWarning reaches a CLI user as one `warning:` line."""
+    argv = EVAL.format(**bad_inputs).split() + ["--subset", "S2"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "crowdvol.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "warning: tag 'birds_eye' does not occur in the dataset",
+        "error: subset 'S2' selects no frames",
+    ]

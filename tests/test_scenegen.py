@@ -265,9 +265,10 @@ def test_splitmix_scalar_matches_batch():
 
 def test_splitmix_normals_match():
     a = SplitMix64(7)
-    scalars = [a.normal() for _ in range(16)]
+    scalars = [a.normal() for _ in range(5_000)]
     b = SplitMix64(7)
-    assert np.array_equal(np.array(scalars), b.normals(16))
+    assert np.array_equal(np.array(scalars), b.normals(5_000))
+    assert a.normal() == b.normal()
 
 
 def test_splitmix_randints_continue_the_scalar_stream():
