@@ -11,11 +11,13 @@ import csv
 import json
 import math
 import struct
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +39,8 @@ class ParseError(ValueError):
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Keypoint:
-    """A 2D keypoint: pixel position, owning body part, visibility flag."""
+class Keypoint(NamedTuple):
+    """A 2D keypoint: pixel position, owning body part, visibility flag; one plain tuple."""
 
     x: float
     y: float
@@ -133,27 +134,15 @@ class PartTaxonomy:
         return frozenset(self.part_ids)
 
     def name_of(self, part_id: int) -> str:
-        for pid, name in self.parts:
-            if pid == part_id:
-                return name
-        raise KeyError(part_id)
+        return dict(self.parts)[part_id]
 
     def id_of(self, name: str) -> int:
-        for pid, pname in self.parts:
-            if pname == name:
-                return pid
-        raise KeyError(name)
+        return {pname: pid for pid, pname in self.parts}[name]
 
 
 # Keypoint ids of the default 17-joint skeleton shipped in configs/taxonomy.cfg.
-KEYPOINT_NAMES = (
-    "head_top", "chin",
-    "neck", "spine_top", "spine_mid", "spine_low", "pelvis",
-    "l_shoulder", "l_elbow", "r_shoulder", "r_elbow",
-    "l_wrist", "r_wrist",
-    "l_hip", "r_hip",
-    "l_knee", "r_knee",
-)
+KEYPOINT_NAMES = tuple("head_top chin neck spine_top spine_mid spine_low pelvis l_shoulder l_elbow r_shoulder "
+                       "r_elbow l_wrist r_wrist l_hip r_hip l_knee r_knee".split())
 
 
 def default_config_text(name: str) -> str:
@@ -208,11 +197,7 @@ class TriMesh:
         if faces.size:
             if faces.min() < 0 or faces.max() >= len(verts):
                 raise ValidationError("face index out of range")
-            degen = (
-                (faces[:, 0] == faces[:, 1])
-                | (faces[:, 1] == faces[:, 2])
-                | (faces[:, 0] == faces[:, 2])
-            )
+            degen = (faces[:, 0] == faces[:, 1]) | (faces[:, 1] == faces[:, 2]) | (faces[:, 0] == faces[:, 2])
             if degen.any():
                 raise ValidationError(f"degenerate face at index {int(np.nonzero(degen)[0][0])}")
         verts.flags.writeable = False
@@ -261,9 +246,9 @@ def validate_person(person: PersonAnnotation, taxonomy: PartTaxonomy, frame_id: 
     x0, y0, x1, y1 = person.bbox_px
     if not (x0 < x1 and y0 < y1):
         raise ValidationError(f"{ctx}: bbox_px must satisfy x_min < x_max and y_min < y_max")
-    for kp in person.keypoints:
-        if kp.part_id not in taxonomy.part_id_set:
-            raise ValidationError(f"{ctx}: keypoint references unknown part id {kp.part_id}")
+    if unknown := {kp.part_id for kp in person.keypoints} - taxonomy.part_id_set:
+        first = next(kp.part_id for kp in person.keypoints if kp.part_id in unknown)
+        raise ValidationError(f"{ctx}: keypoint references unknown part id {first}")
 
 
 def validate_frame(frame: FrameAnnotation, taxonomy: PartTaxonomy | None = None) -> None:
@@ -310,8 +295,17 @@ def _person_to_dict(p: PersonAnnotation) -> dict:
         "bbox_px": [float(v) for v in p.bbox_px],
         "volume_dm3": float(p.volume_dm3),
         "part_volumes_dm3": {str(pid): float(v) for pid, v in p.part_volumes_dm3.items()},
-        "keypoints": [[float(k.x), float(k.y), int(k.part_id), 1 if k.visible else 0] for k in p.keypoints],
+        "keypoints": [[float(x), float(y), int(pid), 1 if vis else 0] for x, y, pid, vis in p.keypoints],
     }
+
+
+def _keypoints_from_lists(records: list) -> tuple[Keypoint, ...]:
+    """Stored keypoints: each exactly [x, y, part_id, visible], part_id an integer and visible 0 or 1."""
+    for k in records:
+        if type(k) is not list or len(k) != 4 or type(k[2]) is not int or type(k[3]) is not int or k[3] not in (0, 1):
+            raise ValueError(f"keypoint must be [x, y, integer part_id, visible 0 or 1], got {k!r}")
+    new = tuple.__new__  # Keypoint._make without a Python call per keypoint
+    return tuple([new(Keypoint, (float(x), float(y), pid, vis == 1)) for x, y, pid, vis in records])
 
 
 def _person_from_dict(d: dict) -> PersonAnnotation:
@@ -324,11 +318,11 @@ def _person_from_dict(d: dict) -> PersonAnnotation:
         bbox_px=(float(x0), float(y0), float(x1), float(y1)),
         volume_dm3=float(d["volume_dm3"]),
         part_volumes_dm3={int(k): float(v) for k, v in d["part_volumes_dm3"].items()},
-        keypoints=tuple(
-            Keypoint(x=float(k[0]), y=float(k[1]), part_id=int(k[2]), visible=bool(k[3]))
-            for k in d.get("keypoints", [])
-        ),
+        keypoints=_keypoints_from_lists(d.get("keypoints", [])),
     )
+
+
+_INTRINSICS = ("fx", "fy", "cx", "cy")
 
 
 def frame_to_dict(frame: FrameAnnotation) -> dict:
@@ -338,12 +332,9 @@ def frame_to_dict(frame: FrameAnnotation) -> dict:
         "image_h": int(frame.image_h),
         "scene_tags": sorted(frame.scene_tags),
         "camera": {
-            "fx": float(frame.camera.fx),
-            "fy": float(frame.camera.fy),
-            "cx": float(frame.camera.cx),
-            "cy": float(frame.camera.cy),
-            "rotation": [float(v) for v in frame.camera.rotation.reshape(-1)],
-            "translation": [float(v) for v in frame.camera.translation],
+            **{key: float(getattr(frame.camera, key)) for key in _INTRINSICS},
+            "rotation": frame.camera.rotation.reshape(-1).tolist(),
+            "translation": frame.camera.translation.tolist(),
         },
         "persons": [_person_to_dict(p) for p in frame.persons],
     }
@@ -358,10 +349,7 @@ def frame_from_dict(d: dict) -> FrameAnnotation:
         persons=tuple(_person_from_dict(p) for p in d["persons"]),
         scene_tags=frozenset(str(t) for t in d.get("scene_tags", [])),
         camera=CameraParams(
-            fx=float(cam["fx"]),
-            fy=float(cam["fy"]),
-            cx=float(cam["cx"]),
-            cy=float(cam["cy"]),
+            **{key: float(cam[key]) for key in _INTRINSICS},
             rotation=np.array(cam["rotation"], dtype=np.float64).reshape(3, 3),
             translation=np.array(cam["translation"], dtype=np.float64),
         ),
@@ -377,9 +365,7 @@ def write_annotations(frames, path, taxonomy: PartTaxonomy | None = None) -> Non
     frames = list(frames)
     for frame in frames:
         validate_frame(frame, taxonomy)
-    lines = [frame_to_json_line(f) for f in frames]
-    data = ("\n".join(lines) + "\n") if lines else ""
-    Path(path).write_bytes(data.encode("utf-8"))
+    Path(path).write_bytes("".join(frame_to_json_line(f) + "\n" for f in frames).encode("utf-8"))
 
 
 def read_annotations(path, taxonomy: PartTaxonomy | None = None) -> list[FrameAnnotation]:
@@ -405,83 +391,135 @@ def read_annotations(path, taxonomy: PartTaxonomy | None = None) -> list[FrameAn
 # OBJ mesh I/O (subset: `v` and triangular `f` records)
 # ---------------------------------------------------------------------------
 
-def read_obj(path) -> TriMesh:
-    vertices: list[tuple[float, float, float]] = []
-    faces: list[tuple[int, int, int]] = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if tokens[0] == "v":
-                if len(tokens) != 4:
-                    raise ParseError(f"{path}: bad vertex record at line {lineno}")
+_CHUNK_CHARS = 1 << 20  # text per bulk parse: bounds the readers' memory
+_UNLABELED = -(1 << 63)  # a labels entry not yet read
+
+
+def _loadtxt(rows: list[str], dtype, columns: int) -> np.ndarray | None:
+    """The rows as a (len(rows), columns) array; None if numpy refuses or
+    skips a row. numpy parses a subset of what float() and int() accept (no
+    `_` separators, no non-ASCII digits or blanks), to the same values."""
+    with warnings.catch_warnings():  # numpy 1.x truncates an int written "1.5", with a warning
+        warnings.simplefilter("error")
+        try:
+            out = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2) if rows else np.zeros((0, columns), dtype)
+        except (ValueError, Warning):
+            return None
+    return out if out.shape == (len(rows), columns) else None
+
+
+def _obj_chunk(text: str, n_vertices: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vertices and 0-based faces of a chunk of OBJ lines, parsed by numpy;
+    None unless every line is `v x y z` or `f i j k`, with one space after
+    the letter, and no vertex follows a face."""
+    text = "\n" + text.rstrip("\n")  # every line starts after a newline
+    split = text.find("\nf ") if "\nf " in text else len(text)
+    v_text, f_text = text[:split].replace("\nv ", "\n"), text[split:].replace("\nf ", "\n")
+    v_rows, f_rows = v_text.split("\n")[1:], f_text.split("\n")[1:]
+    if len(text) - len(v_text) - len(f_text) != 2 * (len(v_rows) + len(f_rows)):
+        return None  # a line lost no prefix: not every line was a record
+    verts, idx = _loadtxt(v_rows, np.float64, 3), _loadtxt(f_rows, np.int64, 3)
+    if verts is None or idx is None or idx.size and not 1 <= idx.min() <= idx.max() <= n_vertices + len(verts):
+        return None
+    return verts, idx - 1
+
+
+def _obj_records(path, lines: list[str], lineno: int, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """_obj_chunk record by record, for what numpy refuses; names the first bad line."""
+    vertices, faces = [], []
+    for lineno, raw in enumerate(lines, start=lineno):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] == "v":
+            try:
+                x, y, z = map(float, tokens[1:])
+            except ValueError:
+                raise ParseError(f"{path}: bad vertex record at line {lineno}") from None
+            vertices.append((x, y, z))
+        elif tokens[0] == "f":
+            if len(tokens) != 4:
+                raise ParseError(f"{path}: non-triangular face at line {lineno}")
+            faces.append([])
+            for tok in tokens[1:]:
                 try:
-                    vertices.append((float(tokens[1]), float(tokens[2]), float(tokens[3])))
-                except ValueError as exc:
-                    raise ParseError(f"{path}: bad vertex record at line {lineno}") from exc
-            elif tokens[0] == "f":
-                if len(tokens) != 4:
-                    raise ParseError(f"{path}: non-triangular face at line {lineno}")
-                idx = []
-                for tok in tokens[1:]:
-                    head = tok.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError as exc:
-                        raise ParseError(f"{path}: bad face index at line {lineno}") from exc
-                    if i < 1 or i > len(vertices):
-                        raise ParseError(f"{path}: face index out of range at line {lineno}")
-                    idx.append(i - 1)
-                faces.append(tuple(idx))
-            else:
-                raise ParseError(f"{path}: unsupported record {tokens[0]!r} at line {lineno}")
+                    i = int(tok.split("/")[0])
+                except ValueError:
+                    raise ParseError(f"{path}: bad face index at line {lineno}") from None
+                if not 1 <= i <= n_vertices + len(vertices):
+                    raise ParseError(f"{path}: face index out of range at line {lineno}")
+                faces[-1].append(i - 1)
+        else:
+            raise ParseError(f"{path}: unsupported record {tokens[0]!r} at line {lineno}")
+    return np.array(vertices, dtype=np.float64).reshape(-1, 3), np.array(faces, dtype=np.int64).reshape(-1, 3)
+
+
+def read_obj(path) -> TriMesh:
+    """Mesh of `v x y z` and triangular `f i j k` records (`f i/t/n ...`
+    keeps the vertex index i), blank lines and `#` comment lines."""
+    chunks = [(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))]
+    lineno = 1
+    with open_text(path) as fh:
+        while lines := fh.readlines(_CHUNK_CHARS):
+            n_vertices = sum(len(verts) for verts, _ in chunks)
+            chunks.append(_obj_chunk("".join(lines), n_vertices) or _obj_records(path, lines, lineno, n_vertices))
+            lineno += len(lines)
+    vertices, faces = (np.concatenate(arrays) for arrays in zip(*chunks))
     try:
-        return TriMesh(
-            vertices=np.array(vertices, dtype=np.float64).reshape(-1, 3),
-            faces=np.array(faces, dtype=np.int64).reshape(-1, 3),
-        )
+        return TriMesh(vertices=vertices, faces=faces)
     except ValidationError as exc:  # a degenerate face
         raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_obj(mesh: TriMesh, path) -> None:
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
-    for a, b, c in mesh.faces:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    lines = [f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a} {b} {c}\n" for a, b, c in (mesh.faces + 1).tolist()]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+def _label_records(path, lines: list[str], lineno: int, labels: np.ndarray) -> None:
+    """Label a chunk's vertices record by record, for what numpy refuses; names the first bad line."""
+    for lineno, raw in enumerate(lines, start=lineno):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) != 2:
+            raise ParseError(f"{path}: expected 'vertex_index part_id' at line {lineno}")
+        try:
+            vi, pid = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError(f"{path}: bad integer at line {lineno}") from None
+        if vi < 0 or vi >= len(labels):
+            raise ParseError(f"{path}: vertex index {vi} out of range at line {lineno}")
+        if labels[vi] != _UNLABELED:
+            raise ParseError(f"{path}: vertex {vi} labeled again at line {lineno}")
+        if not -(1 << 63) <= pid < 1 << 63:
+            raise ParseError(f"{path}: part id {pid} out of range at line {lineno}")
+        labels[vi] = pid
 
 
 def read_vertex_labels(path, n_vertices: int) -> np.ndarray:
-    """Sidecar labels: one `vertex_index part_id` pair per line."""
-    labels = np.full(n_vertices, -1, dtype=np.int64)
+    """Sidecar labels: one `vertex_index part_id` line per vertex."""
+    labels = np.full(n_vertices, _UNLABELED, dtype=np.int64)
+    lineno = 1
     with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ParseError(f"{path}: expected 'vertex_index part_id' at line {lineno}")
-            try:
-                vi, pid = int(tokens[0]), int(tokens[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad integer at line {lineno}") from exc
-            if vi < 0 or vi >= n_vertices:
-                raise ParseError(f"{path}: vertex index {vi} out of range at line {lineno}")
-            labels[vi] = pid
+        while lines := fh.readlines(_CHUNK_CHARS):
+            rows = _loadtxt(lines, np.int64, 2)  # None on comments and blank lines
+            vi, pid = (None, None) if rows is None else rows.T
+            if vi is not None and (not vi.size or 0 <= vi.min() and vi.max() < n_vertices
+                                   and np.bincount(vi).max() == 1 and (labels[vi] == _UNLABELED).all()):
+                labels[vi] = pid
+            else:
+                _label_records(path, lines, lineno, labels)
+            lineno += len(lines)
     if (labels < 0).any():
-        missing = int(np.nonzero(labels < 0)[0][0])
-        raise ValidationError(f"{path}: vertex {missing} has no part label")
+        raise ValidationError(f"{path}: vertex {int(np.argmax(labels < 0))} has no part label")
     return labels
 
 
 def write_vertex_labels(labels: np.ndarray, path) -> None:
-    lines = [f"{i} {int(pid)}" for i, pid in enumerate(labels)]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    lines = [f"{i} {pid}\n" for i, pid in enumerate(np.asarray(labels).astype(np.int64).tolist())]
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,10 @@ def render_ppvdm(
     for person in frame.persons:
         hx, hy = person.head_px
         head_ok = 0 <= hx < frame.image_w and 0 <= hy < frame.image_h
-        anchors_by_part: dict[int, list] = {}
-        for kp in person.keypoints:
-            if kp.visible and 0 <= kp.x < frame.image_w and 0 <= kp.y < frame.image_h:
-                anchors_by_part.setdefault(kp.part_id, []).append(kp)
+        anchors_by_part: dict[int, list[tuple[float, float]]] = {}
+        for x, y, part_id, visible in person.keypoints:
+            if visible and 0 <= x < frame.image_w and 0 <= y < frame.image_h:
+                anchors_by_part.setdefault(part_id, []).append((x, y))
         for part_id in tax.part_ids:
             v_part = person.part_volumes_dm3.get(part_id, 0.0)
             if v_part == 0.0:
@@ -117,8 +117,8 @@ def render_ppvdm(
             anchors = anchors_by_part.get(part_id)
             if anchors:
                 share = v_part / len(anchors)
-                for kp in anchors:
-                    _stamp(acc, kp.x, kp.y, share, cfg)
+                for x, y in anchors:
+                    _stamp(acc, x, y, share, cfg)
             elif head_ok:
                 _stamp(acc, hx, hy, v_part, cfg)
             else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import difflib
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -190,16 +191,8 @@ def build_humanoid(sample: PersonSample, seed: int) -> Humanoid:
     height = sample.height_m
     target_m3 = sample.volume_dm3 / 1000.0
 
-    radii = {}
-    for pid, _ in _STACK:
-        jitter = 1.0 + 0.10 * (stream.uniform() - 0.5)
-        radii[pid] = _BASE_RADII[pid] * height * jitter
-
-    bounds = []
-    z_acc = 0.0
-    for _, frac in _STACK:
-        z_acc += frac * height
-        bounds.append(z_acc)
+    radii = {pid: _BASE_RADII[pid] * height * (1.0 + 0.10 * (stream.uniform() - 0.5)) for pid, _ in _STACK}
+    bounds = list(accumulate(frac * height for _, frac in _STACK))
 
     # Labeled ring profile. Each part contributes two rings; the ring sitting
     # exactly on a part boundary belongs to the smaller part id of the pair,
@@ -209,17 +202,10 @@ def build_humanoid(sample: PersonSample, seed: int) -> Humanoid:
     def profile_for(scale: float) -> list[tuple[float, float, int]]:
         rings: list[tuple[float, float, int]] = []
         for idx, (pid, _) in enumerate(_STACK):
-            r = radii[pid] * scale
-            z0 = bounds[idx - 1] if idx else 0.0
-            z1 = bounds[idx]
-            if idx == 0 or min(pid, _STACK[idx - 1][0]) == pid:
-                rings.append((z0, r, pid))
-            else:
-                rings.append((z0 + _BOUNDARY_BAND, r, pid))
-            if idx == len(_STACK) - 1 or min(pid, _STACK[idx + 1][0]) == pid:
-                rings.append((z1, r, pid))
-            else:
-                rings.append((z1 - _BOUNDARY_BAND, r, pid))
+            z0, z1 = bounds[idx - 1] if idx else 0.0, bounds[idx]
+            lo = z0 if idx == 0 or pid < _STACK[idx - 1][0] else z0 + _BOUNDARY_BAND
+            hi = z1 if idx == len(_STACK) - 1 or pid < _STACK[idx + 1][0] else z1 - _BOUNDARY_BAND
+            rings += [(lo, radii[pid] * scale, pid), (hi, radii[pid] * scale, pid)]
         return rings
 
     def part_solids(scale: float) -> dict[int, tuple[tuple[float, float, float, float], ...]]:
@@ -277,42 +263,19 @@ def _mesh_from_profile(profile: list[tuple[float, float, int]]) -> TriMesh:
     """Closed surface of revolution over the labeled (z, radius, part) rings."""
     n = _RING_SIDES
     angles = 2.0 * math.pi * np.arange(n) / n
-    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    z, r, pid = (np.array(column) for column in zip(*profile))
+    rr = (r * _AREA_FIX)[:, None]
+    rings = np.stack([rr * np.cos(angles), rr * np.sin(angles), np.repeat(z[:, None], n, axis=1)], axis=2)
+    vertices = np.concatenate([rings.reshape(-1, 3), [[0.0, 0.0, z[0]], [0.0, 0.0, z[-1]]]])
+    labels = np.concatenate([np.repeat(pid, n), pid[[0, -1]]])
 
-    vertices: list[np.ndarray] = []
-    labels: list[int] = []
-    ring_start: list[int] = []
-    for z, r, pid in profile:
-        ring_start.append(len(vertices))
-        rr = r * _AREA_FIX
-        for j in range(n):
-            vertices.append(np.array([rr * cos_a[j], rr * sin_a[j], z]))
-            labels.append(pid)
-
-    faces: list[tuple[int, int, int]] = []
-    for (a0, b0) in zip(ring_start[:-1], ring_start[1:]):
-        for j in range(n):
-            k = (j + 1) % n
-            faces.append((a0 + j, a0 + k, b0 + k))
-            faces.append((a0 + j, b0 + k, b0 + j))
-
-    bottom_center = len(vertices)
-    vertices.append(np.array([0.0, 0.0, profile[0][0]]))
-    labels.append(profile[0][2])
-    top_center = len(vertices)
-    vertices.append(np.array([0.0, 0.0, profile[-1][0]]))
-    labels.append(profile[-1][2])
-    first, last = ring_start[0], ring_start[-1]
-    for j in range(n):
-        k = (j + 1) % n
-        faces.append((bottom_center, first + k, first + j))
-        faces.append((top_center, last + j, last + k))
-
-    return TriMesh(
-        vertices=np.asarray(vertices),
-        faces=np.asarray(faces, dtype=np.int64),
-        vertex_labels=np.asarray(labels, dtype=np.int64),
-    )
+    # Two triangles per ring pair and side, then a fan on each end cap.
+    j, k = np.arange(n), (np.arange(n) + 1) % n
+    a = n * np.arange(len(profile) - 1)[:, None]
+    b, last, bottom = a + n, n * (len(profile) - 1), n * len(profile)
+    sides = np.stack([a + j, a + k, b + k, a + j, b + k, b + j], axis=2).reshape(-1, 3)
+    caps = np.stack([np.full(n, bottom), k, j, np.full(n, bottom + 1), last + j, last + k], axis=1).reshape(-1, 3)
+    return TriMesh(vertices=vertices, faces=np.concatenate([sides, caps]), vertex_labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +563,8 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
     # Project meshes and anchors; bbox from mesh extrema, clipped to the image.
     bboxes: list[tuple[float, float, float, float]] = []
     depths: list[float] = []
-    kp_pixels: list[tuple[list[int], tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
+    kp_pixels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    kp_ids = sorted(_ANCHORS)
     for char, pos, yaw in placed:
         rot = _yaw_matrix(yaw)
         world_vertices = char.body.mesh.vertices @ rot.T + pos
@@ -618,18 +582,18 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
         bboxes.append((x0, y0, x1, y1))
         center = rot @ np.array([0.0, 0.0, 0.5 * char.body.height_m]) + pos
         depths.append(float((camera.rotation @ center + camera.translation)[2]))
-        kp_ids = sorted(char.body.anchors)
         anchors = np.array([char.body.anchors[kp] for kp in kp_ids])
-        kp_pixels.append((kp_ids, _pinhole(_rigid(rot, anchors, pos), camera)))
+        kp_pixels.append(_pinhole(_rigid(rot, anchors, pos), camera))
 
     # A keypoint is hidden when it leaves the image or falls inside the bbox
     # of another person nearer to the camera.
     kp_part = {kp: pid for pid, kps in default_taxonomy().keypoint_map.items() for kp in kps}
+    kp_parts = [kp_part[kp] for kp in kp_ids]
     boxes = np.array(bboxes).reshape(-1, 4)
     box_depths = np.array(depths)
     persons = []
     for i, (char, pos, yaw) in enumerate(placed):
-        kp_ids, (x, y, z) = kp_pixels[i]
+        x, y, z = kp_pixels[i]
         visible = (0 <= x) & (x < cfg.image_w) & (0 <= y) & (y < cfg.image_h)
         xc, yc = x[:, None], y[:, None]
         covered = (
@@ -639,10 +603,7 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
         )
         covered[:, i] = False
         visible &= ~covered.any(axis=1)
-        keypoints = tuple(
-            Keypoint(x=kx, y=ky, part_id=kp_part[kp], visible=vis)
-            for kp, kx, ky, vis in zip(kp_ids, x.tolist(), y.tolist(), visible.tolist())
-        )
+        keypoints = tuple(map(Keypoint._make, zip(x.tolist(), y.tolist(), kp_parts, visible.tolist())))
         persons.append(
             PersonAnnotation(
                 person_id=f"{frame_id}_p{i:03d}",

@@ -1,17 +1,22 @@
-"""Loop implementations kept as oracles for the array code of the dense path.
+"""Loop implementations kept as oracles for the array code.
 
-These are the per-pair and per-stamp versions that `scenegen.generate_frame`,
-`densitymap._stamp` / `render_vdm` / `render_ppvdm` and
-`evalharness.decoupling_eval` replaced:
+These are the per-pair, per-stamp and per-record versions that
+`scenegen.generate_frame`, `densitymap._stamp` / `render_vdm` /
+`render_ppvdm`, `evalharness.decoupling_eval`, `datamodel.read_obj` /
+`read_vertex_labels` / `_person_from_dict` and `scenegen._mesh_from_profile`
+replaced:
 
 - placement tests a new ground disc against every placed person;
 - each keypoint is projected alone and tested against every other bbox;
 - every stamp rebuilds its Gaussian kernel;
-- every pair of boxes in a frame goes through `bbox_iou`.
+- every pair of boxes in a frame goes through `bbox_iou`;
+- OBJ and labels files are parsed one record at a time;
+- each stored keypoint becomes its own object;
+- the humanoid mesh is built one vertex and one face at a time.
 
-The array versions must reproduce their outputs bit for bit. The keypoint
-part mapping is the hand-written copy of `configs/taxonomy.cfg` that the
-generator used to carry.
+The array versions must reproduce their outputs bit for bit, and the
+readers their error messages. The keypoint part mapping is the hand-written
+copy of `configs/taxonomy.cfg` that the generator used to carry.
 """
 from __future__ import annotations
 
@@ -23,14 +28,20 @@ from crowdvol.datamodel import (
     DensityMap,
     FrameAnnotation,
     Keypoint,
+    ParseError,
     PersonAnnotation,
+    TriMesh,
+    ValidationError,
     default_taxonomy,
+    open_text,
 )
 from crowdvol.densitymap import DensityMapError, SmoothingConfig, integrate, nearest_pixel
 from crowdvol.evalharness import DecouplingReport, _frame_map
 from crowdvol.rng import SplitMix64, mix_seed
 from crowdvol.scenegen import (
+    _AREA_FIX,
     _MAX_PLACE_ATTEMPTS,
+    _RING_SIDES,
     PlacementError,
     _draw_camera,
     _draw_tags,
@@ -251,4 +262,129 @@ def decoupling_eval(frames, pred_maps, min_volume_dm3: float = 10.0, iou_thresho
         kept=kept,
         dropped_overlap=dropped,
         total_persons=total,
+    )
+
+
+def read_obj(path) -> TriMesh:
+    vertices: list[tuple[float, float, float]] = []
+    faces: list[tuple[int, int, int]] = []
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if tokens[0] == "v":
+                if len(tokens) != 4:
+                    raise ParseError(f"{path}: bad vertex record at line {lineno}")
+                try:
+                    vertices.append((float(tokens[1]), float(tokens[2]), float(tokens[3])))
+                except ValueError as exc:
+                    raise ParseError(f"{path}: bad vertex record at line {lineno}") from exc
+            elif tokens[0] == "f":
+                if len(tokens) != 4:
+                    raise ParseError(f"{path}: non-triangular face at line {lineno}")
+                idx = []
+                for tok in tokens[1:]:
+                    head = tok.split("/")[0]
+                    try:
+                        i = int(head)
+                    except ValueError as exc:
+                        raise ParseError(f"{path}: bad face index at line {lineno}") from exc
+                    if i < 1 or i > len(vertices):
+                        raise ParseError(f"{path}: face index out of range at line {lineno}")
+                    idx.append(i - 1)
+                faces.append(tuple(idx))
+            else:
+                raise ParseError(f"{path}: unsupported record {tokens[0]!r} at line {lineno}")
+    try:
+        return TriMesh(
+            vertices=np.array(vertices, dtype=np.float64).reshape(-1, 3),
+            faces=np.array(faces, dtype=np.int64).reshape(-1, 3),
+        )
+    except ValidationError as exc:  # a degenerate face
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def read_vertex_labels(path, n_vertices: int) -> np.ndarray:
+    """The record-by-record reader; a vertex listed twice keeps its last label."""
+    labels = np.full(n_vertices, -1, dtype=np.int64)
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ParseError(f"{path}: expected 'vertex_index part_id' at line {lineno}")
+            try:
+                vi, pid = int(tokens[0]), int(tokens[1])
+            except ValueError as exc:
+                raise ParseError(f"{path}: bad integer at line {lineno}") from exc
+            if vi < 0 or vi >= n_vertices:
+                raise ParseError(f"{path}: vertex index {vi} out of range at line {lineno}")
+            labels[vi] = pid
+    if (labels < 0).any():
+        missing = int(np.nonzero(labels < 0)[0][0])
+        raise ValidationError(f"{path}: vertex {missing} has no part label")
+    return labels
+
+
+def person_from_dict(d: dict) -> PersonAnnotation:
+    """The per-keypoint reader, which also took records of any length and any
+    truthy visibility."""
+    hx, hy = d["head_px"]
+    x0, y0, x1, y1 = d["bbox_px"]
+    return PersonAnnotation(
+        person_id=str(d["person_id"]),
+        character_id=str(d["character_id"]),
+        head_px=(float(hx), float(hy)),
+        bbox_px=(float(x0), float(y0), float(x1), float(y1)),
+        volume_dm3=float(d["volume_dm3"]),
+        part_volumes_dm3={int(k): float(v) for k, v in d["part_volumes_dm3"].items()},
+        keypoints=tuple(
+            Keypoint(x=float(k[0]), y=float(k[1]), part_id=int(k[2]), visible=bool(k[3]))
+            for k in d.get("keypoints", [])
+        ),
+    )
+
+
+def mesh_from_profile(profile: list[tuple[float, float, int]]) -> TriMesh:
+    n = _RING_SIDES
+    angles = 2.0 * math.pi * np.arange(n) / n
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+
+    vertices: list[np.ndarray] = []
+    labels: list[int] = []
+    ring_start: list[int] = []
+    for z, r, pid in profile:
+        ring_start.append(len(vertices))
+        rr = r * _AREA_FIX
+        for j in range(n):
+            vertices.append(np.array([rr * cos_a[j], rr * sin_a[j], z]))
+            labels.append(pid)
+
+    faces: list[tuple[int, int, int]] = []
+    for (a0, b0) in zip(ring_start[:-1], ring_start[1:]):
+        for j in range(n):
+            k = (j + 1) % n
+            faces.append((a0 + j, a0 + k, b0 + k))
+            faces.append((a0 + j, b0 + k, b0 + j))
+
+    bottom_center = len(vertices)
+    vertices.append(np.array([0.0, 0.0, profile[0][0]]))
+    labels.append(profile[0][2])
+    top_center = len(vertices)
+    vertices.append(np.array([0.0, 0.0, profile[-1][0]]))
+    labels.append(profile[-1][2])
+    first, last = ring_start[0], ring_start[-1]
+    for j in range(n):
+        k = (j + 1) % n
+        faces.append((bottom_center, first + k, first + j))
+        faces.append((top_center, last + j, last + k))
+
+    return TriMesh(
+        vertices=np.asarray(vertices),
+        faces=np.asarray(faces, dtype=np.int64),
+        vertex_labels=np.asarray(labels, dtype=np.int64),
     )

@@ -518,8 +518,13 @@ def bad_inputs(tmp_path_factory):
     write_vertex_labels(np.zeros(8, dtype=np.int64), labels)
     write_obj(type(box)(vertices=box.vertices, faces=box.faces[:-1]), root / "open.obj")
     frame = json.loads((data / "test.jsonl").read_text().splitlines()[0])
+    for name, record in KEYPOINT_RECORDS.items():
+        bad = json.loads(json.dumps(frame))
+        bad["persons"][0]["keypoints"][0] = record
+        (root / f"{name}.jsonl").write_text(json.dumps(frame) + "\n" + json.dumps(bad) + "\n")
     frame["persons"][0]["bbox_px"] = [1.0, 2.0, 3.0]
     (root / "bbox3.jsonl").write_text(json.dumps(frame) + "\n")
+    (root / "twice.labels").write_text("0 0\n1 0\n2 0\n1 3\n")
     (root / "empty_samples.csv").write_text("gender,height_m,mass_kg,bmi,volume_dm3\n")
     for name, source in [
         ("nonutf8.jsonl", data / "test.jsonl"),
@@ -533,6 +538,20 @@ def bad_inputs(tmp_path_factory):
     return {"root": str(root), "gt": str(data / "test.jsonl"), "maps": str(maps),
             "cube": str(cube), "labels": str(labels)}
 
+
+# Keypoint records that are not exactly [x, y, integer part_id, visible 0 or 1].
+KEYPOINT_RECORDS = {
+    "kp-extra-field": [20.0, 30.0, 0, 7, "junk"],
+    "kp-visible-7": [20.0, 30.0, 0, 7],
+    "kp-three-fields": [20.0, 30.0, 0],
+    "kp-float-part": [20.0, 30.0, 0.5, 1],
+}
+KEYPOINT_CASES = {
+    name: (f"maps {{root}}/{name}.jsonl --out {{root}}/m", None, 2,
+           f"{{root}}/{name}.jsonl: malformed annotation on line 2: "
+           f"keypoint must be [x, y, integer part_id, visible 0 or 1], got {record!r}")
+    for name, record in KEYPOINT_RECORDS.items()
+}
 
 GEN = "gen --out {root}/g --config {cfg}"
 EVAL = "eval --gt {gt} --preds {maps} --out {root}/e"
@@ -589,6 +608,9 @@ ERROR_CASES = {
     "placement": (GEN, {"persons.min": "40", "persons.max": "40", "area.w": "0.5", "area.d": "0.5"}, 3,
                   "could not place"),
     "not-watertight": ("label {root}/open.obj {labels}", None, 4, "mesh is not watertight"),
+    "labels-vertex-twice": ("label {cube} {root}/twice.labels", None, 2,
+                            "{root}/twice.labels: vertex 1 labeled again at line 4"),
+    **KEYPOINT_CASES,
 }
 
 
