@@ -1,3 +1,3 @@
 """Ground-truth generation and evaluation toolkit for crowd volume estimation."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -55,14 +55,15 @@ def cmd_gen(args) -> int:
     cfg = _load_scene_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = scenegen.generate_dataset(cfg, args.seed, workers=args.workers)
+    pools = scenegen.build_identity_pools(cfg, args.seed)
+    dataset = {split: scenegen.generate_split(cfg, pool, args.seed, args.workers) for split, pool in pools.items()}
     for split, frames in dataset.items():
         datamodel.write_annotations(frames, out / f"{split}.jsonl")
         print(f"{split}: {len(frames)} frames, {sum(f.n_persons for f in frames)} persons")
     if args.dump_meshes:
         mesh_dir = out / "meshes"
         mesh_dir.mkdir(exist_ok=True)
-        for pool in scenegen.build_identity_pools(cfg, args.seed).values():
+        for pool in pools.values():
             for char in pool.characters:
                 datamodel.write_obj(char.body.mesh, mesh_dir / f"{char.character_id}.obj")
                 datamodel.write_vertex_labels(

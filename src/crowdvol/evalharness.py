@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 
@@ -31,40 +31,39 @@ class EvalError(ValueError):
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """Per-frame predictions: a scalar total, an in-memory density map, or
-    the path of a .vdm map that is read only when a protocol reaches its
-    frame, per frame id."""
+    """Per-frame predictions by frame id: a scalar total (dm^3), an
+    in-memory density map, or the path of a .vdm map that is read only when
+    a protocol reaches its frame."""
 
-    source: str
-    scalars: dict[str, float]
-    maps: dict[str, DensityMap]
-    map_paths: dict[str, Path] = field(default_factory=dict)
+    by_frame: dict[str, float | DensityMap | Path]
 
     def has(self, frame_id: str) -> bool:
-        return frame_id in self.scalars or frame_id in self.maps or frame_id in self.map_paths
+        return frame_id in self.by_frame
+
+    def is_map(self, frame_id: str) -> bool:
+        return isinstance(self.by_frame.get(frame_id), (DensityMap, Path))
 
     def total_for(self, frame_id: str) -> float:
-        if frame_id in self.scalars:
-            return self.scalars[frame_id]
         if not self.has(frame_id):
             raise EvalError(f"no prediction for frame {frame_id!r}")
-        return self.map_for(frame_id).total()
+        return self.map_for(frame_id).total() if self.is_map(frame_id) else self.by_frame[frame_id]
 
     def map_for(self, frame_id: str) -> DensityMap:
         """The frame's map; a map on disk is read anew on every call."""
-        if frame_id in self.maps:
-            return self.maps[frame_id]
-        if frame_id in self.map_paths:
-            return read_vdm(self.map_paths[frame_id])
+        pred = self.by_frame.get(frame_id)
+        if isinstance(pred, Path):
+            return read_vdm(pred)
+        if isinstance(pred, DensityMap):
+            return pred
         raise EvalError(f"no density-map prediction for frame {frame_id!r}")
 
 
-def scalar_predictions(values: dict[str, float], source: str = "scalar") -> PredictionSet:
-    return PredictionSet(source=source, scalars=dict(values), maps={})
+def scalar_predictions(values: dict[str, float]) -> PredictionSet:
+    return PredictionSet(dict(values))
 
 
-def map_predictions(maps: dict[str, DensityMap], source: str = "maps") -> PredictionSet:
-    return PredictionSet(source=source, scalars={}, maps=dict(maps))
+def map_predictions(maps: dict[str, DensityMap]) -> PredictionSet:
+    return PredictionSet(dict(maps))
 
 
 def load_predictions_csv(path) -> PredictionSet:
@@ -88,14 +87,13 @@ def load_predictions_csv(path) -> PredictionSet:
             if frame_id in values:
                 raise ParseError(f"{where}: duplicate frame_id {frame_id!r}")
             values[frame_id] = value
-    return PredictionSet(source=str(path), scalars=values, maps={})
+    return PredictionSet(values)
 
 
 def load_prediction_maps(directory) -> PredictionSet:
     """Directory of <frame_id>.vdm files, indexed by frame id; no map is read
     here."""
-    paths = {p.stem: p for p in sorted(Path(directory).glob("*.vdm"))}
-    return PredictionSet(source=str(directory), scalars={}, maps={}, map_paths=paths)
+    return PredictionSet({p.stem: p for p in sorted(Path(directory).glob("*.vdm"))})
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +135,12 @@ def mean_volume_estimator(count_per_frame: dict[str, int], mean_volume_dm3: floa
         if count < 0:
             raise EvalError(f"negative count for frame {frame_id!r}")
         values[frame_id] = count * mean_volume_dm3
-    return PredictionSet(source="mean_volume_estimator", scalars=values, maps={})
+    return PredictionSet(values)
 
 
 def oracular_count_estimator(frames: list[FrameAnnotation], mean_volume_dm3: float) -> PredictionSet:
     """Mean-volume estimator fed with ground-truth person counts."""
-    counts = {f.frame_id: f.n_persons for f in frames}
-    preds = mean_volume_estimator(counts, mean_volume_dm3)
-    return PredictionSet(source="oracular_count", scalars=preds.scalars, maps={})
+    return mean_volume_estimator({f.frame_id: f.n_persons for f in frames}, mean_volume_dm3)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +165,7 @@ def build_records(frames: list[FrameAnnotation], preds: PredictionSet) -> list[E
         raise EvalError(f"missing predictions for frames: {', '.join(missing)}")
     records = []
     for f in frames:
-        if f.frame_id in preds.scalars:
-            v_pred = preds.scalars[f.frame_id]
-        else:
-            v_pred = _frame_map(preds, f).total()
+        v_pred = _frame_map(preds, f).total() if preds.is_map(f.frame_id) else preds.by_frame[f.frame_id]
         records.append(
             EvalRecord(frame_id=f.frame_id, v_true=f.total_volume_dm3, v_pred=v_pred, n_persons=f.n_persons)
         )

@@ -407,12 +407,12 @@ def part_adjacency(mesh: TriMesh) -> tuple[list[int], dict[tuple[int, int], np.n
     return parts, {k: np.array(sorted(v), dtype=np.int64) for k, v in boundary.items()}
 
 
-def _check_tree(parts: list[int], pairs: list[tuple[int, int]]) -> None:
+def _tree_adjacency(parts: list[int], pairs: list[tuple[int, int]]) -> dict[int, set[int]]:
+    """Neighbors of each part; raises unless the pairs form a spanning tree."""
     if len(pairs) != len(parts) - 1:
         raise NonTreeAdjacencyError(
             f"part adjacency is not a tree: {len(parts)} parts, {len(pairs)} boundaries"
         )
-    # connectivity check
     adj: dict[int, set[int]] = {p: set() for p in parts}
     for a, b in pairs:
         adj[a].add(b)
@@ -426,6 +426,7 @@ def _check_tree(parts: list[int], pairs: list[tuple[int, int]]) -> None:
                 stack.append(nbr)
     if len(seen) != len(parts):
         raise NonTreeAdjacencyError("part adjacency graph is disconnected")
+    return adj
 
 
 def split_parts(mesh: TriMesh, taxonomy: PartTaxonomy, tol: float = DEFAULT_PLANE_TOL) -> PartVolumes:
@@ -447,12 +448,7 @@ def split_parts(mesh: TriMesh, taxonomy: PartTaxonomy, tol: float = DEFAULT_PLAN
     parts, boundaries = part_adjacency(mesh)
     if len(parts) == 1:
         return PartVolumes(volumes={parts[0]: total_dm3}, total_dm3=total_dm3)
-    _check_tree(parts, list(boundaries))
-
-    adj: dict[int, set[int]] = {p: set() for p in parts}
-    for a, b in boundaries:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = _tree_adjacency(parts, list(boundaries))
 
     bare = TriMesh(vertices=mesh.vertices, faces=mesh.faces)
     volumes: dict[int, float] = {}

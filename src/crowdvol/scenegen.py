@@ -57,10 +57,9 @@ def _rigid(rotation: np.ndarray, points: np.ndarray, translation: np.ndarray) ->
     return np.matmul(rotation[None], points[:, :, None])[:, :, 0] + translation
 
 
-def _pinhole(points: np.ndarray, camera: CameraParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pixel x, pixel y and camera depth of world points (n, 3), origin
+def _pinhole(cam: np.ndarray, camera: CameraParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel x, pixel y and depth of camera-frame points (n, 3), origin
     top-left; points at depth <= 0 get pixel (-1, -1)."""
-    cam = _rigid(camera.rotation, points, camera.translation)
     z = cam[:, 2]
     front = z > 0
     z_front = np.where(front, z, 1.0)
@@ -74,23 +73,20 @@ def _pinhole(points: np.ndarray, camera: CameraParams) -> tuple[np.ndarray, np.n
 
 def project(point_m, camera: CameraParams) -> tuple[float, float]:
     """Project a world point through the pinhole camera, origin top-left."""
-    x, y, z = _pinhole(np.asarray(point_m, dtype=np.float64).reshape(1, 3), camera)
+    point = np.asarray(point_m, dtype=np.float64).reshape(1, 3)
+    x, y, z = _pinhole(_rigid(camera.rotation, point, camera.translation), camera)
     if z[0] <= 0:
         raise ValueError(f"point {point_m} is behind the camera (z={z[0]})")
     return float(x[0]), float(y[0])
 
 
-def _project_many(points: np.ndarray, camera: CameraParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection for mesh bboxes; returns (pixels (n,2), depths (n,)).
-
-    `points @ rotation.T` rounds differently from `_pinhole`, and the stored
-    bboxes depend on its bits, so it stays a separate path."""
-    p = points @ camera.rotation.T + camera.translation
-    z = p[:, 2]
-    if (z <= 0).any():
-        raise ValueError("point behind the camera")
-    px = np.stack([camera.fx * p[:, 0] / z + camera.cx, camera.fy * p[:, 1] / z + camera.cy], axis=1)
-    return px, z
+def _body_pose(camera: CameraParams, x: float, y: float, yaw: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation and translation taking the body frame of a person standing
+    at ground point (x, y), turned by `yaw` about the vertical, into the
+    camera frame."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    yaw_rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return camera.rotation @ yaw_rotation, camera.rotation @ np.array([x, y, 0.0]) + camera.translation
 
 
 def look_at_camera(eye, target, fx: float, fy: float, cx: float, cy: float) -> CameraParams:
@@ -136,26 +132,26 @@ _AREA_FIX = math.sqrt((2.0 * math.pi / _RING_SIDES) / math.sin(2.0 * math.pi / _
 _BOUNDARY_BAND = 1e-3  # meters between a boundary ring and the next part's first ring
 
 # Keypoint anchors as (x, z) fractions of body height in the body frame
-# (x lateral, y forward, z up, feet at the origin).
-_ANCHORS = {
-    0: (0.0, 0.99),     # head_top
-    1: (0.0, 0.89),     # chin
-    2: (0.0, 0.855),    # neck
-    3: (0.0, 0.78),     # spine_top
-    4: (0.0, 0.70),     # spine_mid
-    5: (0.0, 0.62),     # spine_low
-    6: (0.0, 0.53),     # pelvis
-    7: (-0.11, 0.82),   # l_shoulder
-    8: (-0.14, 0.63),   # l_elbow
-    9: (0.11, 0.82),    # r_shoulder
-    10: (0.14, 0.63),   # r_elbow
-    11: (-0.15, 0.44),  # l_wrist
-    12: (0.15, 0.44),   # r_wrist
-    13: (-0.06, 0.50),  # l_hip
-    14: (0.06, 0.50),   # r_hip
-    15: (-0.055, 0.27), # l_knee
-    16: (0.055, 0.27),  # r_knee
-}
+# (x lateral, y forward, z up, feet at the origin), in keypoint id order.
+_ANCHORS = (
+    (0.0, 0.99),     # 0 head_top
+    (0.0, 0.89),     # 1 chin
+    (0.0, 0.855),    # 2 neck
+    (0.0, 0.78),     # 3 spine_top
+    (0.0, 0.70),     # 4 spine_mid
+    (0.0, 0.62),     # 5 spine_low
+    (0.0, 0.53),     # 6 pelvis
+    (-0.11, 0.82),   # 7 l_shoulder
+    (-0.14, 0.63),   # 8 l_elbow
+    (0.11, 0.82),    # 9 r_shoulder
+    (0.14, 0.63),    # 10 r_elbow
+    (-0.15, 0.44),   # 11 l_wrist
+    (0.15, 0.44),    # 12 r_wrist
+    (-0.06, 0.50),   # 13 l_hip
+    (0.06, 0.50),    # 14 r_hip
+    (-0.055, 0.27),  # 15 l_knee
+    (0.055, 0.27),   # 16 r_knee
+)
 _HEAD_CENTER_FRAC = 0.95
 
 def _frustum_volume(r0: float, r1: float, h: float) -> float:
@@ -168,13 +164,14 @@ class Humanoid:
     keypoint anchors in the body frame, and a personal-space disc radius.
 
     `solids` holds each part's frusta as (z0, z1, r0, r1) tuples in meters;
-    their closed forms are what part_volumes_dm3 is computed from."""
+    their closed forms are what part_volumes_dm3 is computed from. `anchors`
+    is a (17, 3) array, row k the anchor of keypoint k."""
 
     mesh: TriMesh
     solids: dict[int, tuple[tuple[float, float, float, float], ...]]
     part_volumes_dm3: dict[int, float]
     total_volume_dm3: float
-    anchors: dict[int, np.ndarray]
+    anchors: np.ndarray
     head_anchor: np.ndarray
     disc_radius_m: float
     height_m: float
@@ -194,67 +191,58 @@ def build_humanoid(sample: PersonSample, seed: int) -> Humanoid:
     radii = {pid: _BASE_RADII[pid] * height * (1.0 + 0.10 * (stream.uniform() - 0.5)) for pid, _ in _STACK}
     bounds = list(accumulate(frac * height for _, frac in _STACK))
 
-    # Labeled ring profile. Each part contributes two rings; the ring sitting
-    # exactly on a part boundary belongs to the smaller part id of the pair,
-    # matching the one-sided frontier that split_parts fits its plane to. The
-    # short transition band between parts then falls on the split plane's
-    # other side, exactly as the per-interval closed forms assume.
-    def profile_for(scale: float) -> list[tuple[float, float, int]]:
-        rings: list[tuple[float, float, int]] = []
-        for idx, (pid, _) in enumerate(_STACK):
-            z0, z1 = bounds[idx - 1] if idx else 0.0, bounds[idx]
-            lo = z0 if idx == 0 or pid < _STACK[idx - 1][0] else z0 + _BOUNDARY_BAND
-            hi = z1 if idx == len(_STACK) - 1 or pid < _STACK[idx + 1][0] else z1 - _BOUNDARY_BAND
-            rings += [(lo, radii[pid] * scale, pid), (hi, radii[pid] * scale, pid)]
-        return rings
+    # Labeled ring profile at the unscaled radii. Each part contributes two
+    # rings; the ring sitting exactly on a part boundary belongs to the
+    # smaller part id of the pair, matching the one-sided frontier that
+    # split_parts fits its plane to. The short transition band between parts
+    # then falls on the split plane's other side: the frustum between two
+    # rings belongs to the larger part id of the pair, exactly as the
+    # per-interval closed forms assume.
+    rings: list[tuple[float, float, int]] = []
+    for idx, (pid, _) in enumerate(_STACK):
+        z0, z1 = bounds[idx - 1] if idx else 0.0, bounds[idx]
+        lo = z0 if idx == 0 or pid < _STACK[idx - 1][0] else z0 + _BOUNDARY_BAND
+        hi = z1 if idx == len(_STACK) - 1 or pid < _STACK[idx + 1][0] else z1 - _BOUNDARY_BAND
+        rings += [(lo, radii[pid], pid), (hi, radii[pid], pid)]
+    unit_solids: dict[int, list[tuple[float, float, float, float]]] = {pid: [] for pid, _ in _STACK}
+    for (z0, r0, p0), (z1, r1, p1) in zip(rings[:-1], rings[1:]):
+        unit_solids[max(p0, p1)].append((z0, z1, r0, r1))
+    unit_m3 = {
+        pid: math.fsum(_frustum_volume(r0, r1, z1 - z0) for z0, z1, r0, r1 in solids)
+        for pid, solids in unit_solids.items()
+    }
 
-    def part_solids(scale: float) -> dict[int, tuple[tuple[float, float, float, float], ...]]:
-        rings = profile_for(scale)
-        out: dict[int, list[tuple[float, float, float, float]]] = {pid: [] for pid, _ in _STACK}
-        part_idx = 0
-        for (z0, r0, _), (z1, r1, _) in zip(rings[:-1], rings[1:]):
-            while z1 > bounds[part_idx] + 1e-12:
-                part_idx += 1
-            out[_STACK[part_idx][0]].append((z0, z1, r0, r1))
-        return {pid: tuple(solids) for pid, solids in out.items()}
-
-    def analytic_parts(scale: float) -> dict[int, float]:
-        return {
-            pid: math.fsum(_frustum_volume(r0, r1, z1 - z0) for z0, z1, r0, r1 in solids)
-            for pid, solids in part_solids(scale).items()
-        }
-
-    base_total = math.fsum(analytic_parts(1.0).values())
-    scale_sq = target_m3 / base_total
+    scale_sq = target_m3 / math.fsum(unit_m3.values())
     if not 0.16 <= scale_sq <= 6.25:
         raise BodyBuildError(
             f"target volume {sample.volume_dm3:.1f} dm3 unreachable for height {height:.2f} m"
         )
     scale = math.sqrt(scale_sq)
-    parts_m3 = analytic_parts(scale)
 
-    # Round the total to float32 so a sigma=0 density map stores it losslessly,
-    # then close the parts onto the rounded total.
-    raw_total_dm3 = math.fsum(v * 1000.0 for v in parts_m3.values())
+    # A frustum's volume goes with the square of its radii. Round the total
+    # to float32 so a sigma=0 density map stores it losslessly, then close
+    # the parts onto the rounded total.
+    parts_dm3 = {pid: v * scale_sq * 1000.0 for pid, v in unit_m3.items()}
+    raw_total_dm3 = math.fsum(parts_dm3.values())
     total_dm3 = float(np.float32(raw_total_dm3))
     fix = total_dm3 / raw_total_dm3
-    part_volumes = {pid: v * 1000.0 * fix for pid, v in parts_m3.items()}
 
-    mesh = _mesh_from_profile(profile_for(scale))
-    anchors = {}
-    for kp_id, (fx, fz) in _ANCHORS.items():
+    anchors = []
+    for fx, fz in _ANCHORS:
         jx = 0.01 * height * (stream.uniform() - 0.5)
         jy = 0.01 * height * (stream.uniform() - 0.5)
-        anchors[kp_id] = np.array([fx * height + jx, jy, fz * height])
-    disc = max(radii.values()) * scale * _AREA_FIX + 0.06
+        anchors.append((fx * height + jx, jy, fz * height))
     return Humanoid(
-        mesh=mesh,
-        solids=part_solids(scale),
-        part_volumes_dm3=part_volumes,
+        mesh=_mesh_from_profile([(z, r * scale, pid) for z, r, pid in rings]),
+        solids={
+            pid: tuple((z0, z1, r0 * scale, r1 * scale) for z0, z1, r0, r1 in solids)
+            for pid, solids in unit_solids.items()
+        },
+        part_volumes_dm3={pid: v * fix for pid, v in parts_dm3.items()},
         total_volume_dm3=total_dm3,
-        anchors=anchors,
+        anchors=np.array(anchors),
         head_anchor=np.array([0.0, 0.0, _HEAD_CENTER_FRAC * height]),
-        disc_radius_m=disc,
+        disc_radius_m=max(radii.values()) * scale * _AREA_FIX + 0.06,
         height_m=height,
     )
 
@@ -299,8 +287,6 @@ class SceneConfig:
     )
     frames_per_split: tuple[tuple[str, int], ...] = (("train", 30), ("val", 10), ("test", 10))
     pool_sizes: tuple[tuple[str, int], ...] = (("train", 50), ("val", 8), ("test", 16))
-    sigma_px: float = 4.0
-    truncation_radius: float = 4.0
     model: AnthropometricModel | None = None  # None selects the shipped default
 
     def __post_init__(self):
@@ -325,10 +311,6 @@ class SceneConfig:
             for split, count in counts:
                 if count < 0:
                     raise ValueError(f"{prefix}.{split} must be >= 0, got {count}")
-        if not 0 <= self.sigma_px < math.inf:
-            raise ValueError(f"sigma_px must be >= 0 and finite, got {self.sigma_px}")
-        if not 0 < self.truncation_radius < math.inf:
-            raise ValueError(f"truncation_radius must be positive and finite, got {self.truncation_radius}")
 
     def frames_for(self, split: str) -> int:
         return dict(self.frames_per_split)[split]
@@ -348,8 +330,6 @@ def scene_config_to_pairs(cfg: SceneConfig) -> dict[str, str]:
         "area.w": repr(cfg.area_w),
         "area.d": repr(cfg.area_d),
         "area.y0": repr(cfg.area_y0),
-        "sigma_px": repr(cfg.sigma_px),
-        "truncation_radius": repr(cfg.truncation_radius),
     }
     for tag, p in cfg.tag_probs:
         pairs[f"tag.{tag}"] = repr(p)
@@ -396,8 +376,6 @@ def scene_config_from_pairs(pairs: dict[str, str]) -> SceneConfig:
         tag_probs=tuple((tag, get(f"tag.{tag}", float)) for tag, _ in base.tag_probs),
         frames_per_split=per_split("frames", base.frames_per_split),
         pool_sizes=per_split("pool", base.pool_sizes),
-        sigma_px=get("sigma_px", float),
-        truncation_radius=get("truncation_radius", float),
         model=model_from_config(merged),
     )
 
@@ -478,11 +456,6 @@ def _draw_camera(cfg: SceneConfig, rng: SplitMix64, birds_eye: bool) -> CameraPa
     return look_at_camera(eye, target, fx=fx, fy=fx, cx=cx, cy=cy)
 
 
-def _yaw_matrix(yaw: float) -> np.ndarray:
-    c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 _MAX_PLACE_ATTEMPTS = 200
 
 
@@ -526,7 +499,7 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
     camera = _draw_camera(cfg, rng, "birds_eye" in tags)
     n = rng.randint(cfg.persons_range[0], cfg.persons_range[1])
 
-    placed: list[tuple[Character, np.ndarray, float]] = []  # (char, position, yaw)
+    placed: list[tuple[Character, np.ndarray, np.ndarray]] = []  # (char, body-to-camera rotation, translation)
     discs = _DiscGrid(max(c.body.disc_radius_m for c in pool.characters))
     head_pixels: set[tuple[int, int]] = set()
     heads_px: list[tuple[float, float]] = []
@@ -539,11 +512,10 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
             yaw = 2.0 * math.pi * rng.uniform()
             if discs.overlaps(x, y, r):
                 continue
-            pos = np.array([x, y, 0.0])
-            try:
-                head = project(_yaw_matrix(yaw) @ char.body.head_anchor + pos, camera)
-            except ValueError:
-                continue
+            rot, shift = _body_pose(camera, x, y, yaw)
+            # A head behind the camera gets pixel (-1, -1), outside the image.
+            hx, hy, _ = _pinhole(_rigid(rot, char.body.head_anchor[None], shift), camera)
+            head = (float(hx[0]), float(hy[0]))
             if not (0 <= head[0] < cfg.image_w and 0 <= head[1] < cfg.image_h):
                 continue
             pixel = (nearest_pixel(head[0], cfg.image_w), nearest_pixel(head[1], cfg.image_h))
@@ -552,7 +524,7 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
             head_pixels.add(pixel)
             heads_px.append(head)
             discs.add(x, y, r)
-            placed.append((char, pos, yaw))
+            placed.append((char, rot, shift))
             break
         else:
             raise PlacementError(
@@ -560,39 +532,38 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
                 f"{_MAX_PLACE_ATTEMPTS} attempts; reduce persons_range or enlarge the area"
             )
 
-    # Project meshes and anchors; bbox from mesh extrema, clipped to the image.
+    # One rigid transform and one pinhole per person take the mesh vertices
+    # (the bbox is their extrema, clipped to the image), the keypoint anchors
+    # and the body centre (the person's depth) into the image.
     bboxes: list[tuple[float, float, float, float]] = []
     depths: list[float] = []
     kp_pixels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    kp_ids = sorted(_ANCHORS)
-    for char, pos, yaw in placed:
-        rot = _yaw_matrix(yaw)
-        world_vertices = char.body.mesh.vertices @ rot.T + pos
-        try:
-            px, _ = _project_many(world_vertices, camera)
-        except ValueError as exc:
+    for char, rot, shift in placed:
+        body = char.body
+        nv = len(body.mesh.vertices)
+        points = np.concatenate([body.mesh.vertices, body.anchors, [[0.0, 0.0, 0.5 * body.height_m]]])
+        x, y, z = _pinhole(_rigid(rot, points, shift), camera)
+        if z[:nv].min() <= 0:
             raise PlacementError(
-                f"frame {frame_id}: a body extends behind the camera; "
-                f"move the placement area away from the camera ({exc})"
-            ) from exc
-        x0 = max(0.0, float(px[:, 0].min()))
-        y0 = max(0.0, float(px[:, 1].min()))
-        x1 = min(float(cfg.image_w), float(px[:, 0].max()))
-        y1 = min(float(cfg.image_h), float(px[:, 1].max()))
-        bboxes.append((x0, y0, x1, y1))
-        center = rot @ np.array([0.0, 0.0, 0.5 * char.body.height_m]) + pos
-        depths.append(float((camera.rotation @ center + camera.translation)[2]))
-        anchors = np.array([char.body.anchors[kp] for kp in kp_ids])
-        kp_pixels.append(_pinhole(_rigid(rot, anchors, pos), camera))
+                f"frame {frame_id}: a body extends behind the camera; move the placement area away from the camera"
+            )
+        bboxes.append((
+            max(0.0, float(x[:nv].min())),
+            max(0.0, float(y[:nv].min())),
+            min(float(cfg.image_w), float(x[:nv].max())),
+            min(float(cfg.image_h), float(y[:nv].max())),
+        ))
+        depths.append(float(z[-1]))
+        kp_pixels.append((x[nv:-1], y[nv:-1], z[nv:-1]))
 
     # A keypoint is hidden when it leaves the image or falls inside the bbox
     # of another person nearer to the camera.
     kp_part = {kp: pid for pid, kps in default_taxonomy().keypoint_map.items() for kp in kps}
-    kp_parts = [kp_part[kp] for kp in kp_ids]
+    kp_parts = [kp_part[kp] for kp in range(len(_ANCHORS))]
     boxes = np.array(bboxes).reshape(-1, 4)
     box_depths = np.array(depths)
     persons = []
-    for i, (char, pos, yaw) in enumerate(placed):
+    for i, (char, _, _) in enumerate(placed):
         x, y, z = kp_pixels[i]
         visible = (0 <= x) & (x < cfg.image_w) & (0 <= y) & (y < cfg.image_h)
         xc, yc = x[:, None], y[:, None]

@@ -7,7 +7,9 @@ These are the per-pair, per-stamp and per-record versions that
 replaced:
 
 - placement tests a new ground disc against every placed person;
-- each keypoint is projected alone and tested against every other bbox;
+- each mesh vertex, keypoint anchor and body centre goes through the
+  person's body-to-camera pose and the pinhole alone, and each keypoint is
+  tested against every other bbox;
 - every stamp rebuilds its Gaussian kernel;
 - every pair of boxes in a frame goes through `bbox_iou`;
 - OBJ and labels files are parsed one record at a time;
@@ -45,8 +47,6 @@ from crowdvol.scenegen import (
     PlacementError,
     _draw_camera,
     _draw_tags,
-    _project_many,
-    _yaw_matrix,
 )
 
 KEYPOINT_PART = {kp: pid for pid, kps in {
@@ -55,13 +55,20 @@ KEYPOINT_PART = {kp: pid for pid, kps in {
 }.items() for kp in kps}
 
 
-def project(point_m, camera) -> tuple[float, float]:
-    p = camera.rotation @ np.asarray(point_m, dtype=np.float64) + camera.translation
-    if p[2] <= 0:
-        raise ValueError(f"point {point_m} is behind the camera (z={p[2]})")
+def body_pose(camera, x: float, y: float, yaw: float) -> tuple[np.ndarray, np.ndarray]:
+    """Body-to-camera rotation and translation: the camera rotation times
+    the yaw about the vertical, and the camera pose applied to the ground
+    point."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    yaw_rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return camera.rotation @ yaw_rotation, camera.rotation @ np.array([x, y, 0.0]) + camera.translation
+
+
+def pixel(cam_pt: np.ndarray, camera) -> tuple[float, float]:
+    """The pinhole pixel of one camera-frame point in front of the camera."""
     return (
-        float(camera.fx * p[0] / p[2] + camera.cx),
-        float(camera.fy * p[1] / p[2] + camera.cy),
+        float(camera.fx * cam_pt[0] / cam_pt[2] + camera.cx),
+        float(camera.fy * cam_pt[1] / cam_pt[2] + camera.cy),
     )
 
 
@@ -79,35 +86,33 @@ def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
     camera = _draw_camera(cfg, rng, "birds_eye" in tags)
     n = rng.randint(cfg.persons_range[0], cfg.persons_range[1])
 
-    placed = []  # (char, position, yaw)
+    placed = []  # (char, ground x, ground y, body-to-camera rotation, translation)
     head_pixels: set[tuple[int, int]] = set()
     heads_px: list[tuple[float, float]] = []
     for _ in range(n):
         char = pool.characters[rng.randint(0, len(pool.characters) - 1)]
         for attempt in range(_MAX_PLACE_ATTEMPTS):
-            pos = np.array([
-                (rng.uniform() - 0.5) * cfg.area_w,
-                cfg.area_y0 + rng.uniform() * cfg.area_d,
-                0.0,
-            ])
+            x = (rng.uniform() - 0.5) * cfg.area_w
+            y = cfg.area_y0 + rng.uniform() * cfg.area_d
             yaw = 2.0 * math.pi * rng.uniform()
             if any(
-                float(np.hypot(pos[0] - q[0], pos[1] - q[1])) < char.body.disc_radius_m + c2.body.disc_radius_m
-                for c2, q, _ in placed
+                float(np.hypot(x - qx, y - qy)) < char.body.disc_radius_m + c2.body.disc_radius_m
+                for c2, qx, qy, _, _ in placed
             ):
                 continue
-            try:
-                head = project(_yaw_matrix(yaw) @ char.body.head_anchor + pos, camera)
-            except ValueError:
+            rot, shift = body_pose(camera, x, y, yaw)
+            head_cam = rot @ char.body.head_anchor + shift
+            if head_cam[2] <= 0:
                 continue
+            head = pixel(head_cam, camera)
             if not (0 <= head[0] < cfg.image_w and 0 <= head[1] < cfg.image_h):
                 continue
-            pixel = (nearest_pixel(head[0], cfg.image_w), nearest_pixel(head[1], cfg.image_h))
-            if pixel in head_pixels:
+            px = (nearest_pixel(head[0], cfg.image_w), nearest_pixel(head[1], cfg.image_h))
+            if px in head_pixels:
                 continue
-            head_pixels.add(pixel)
+            head_pixels.add(px)
             heads_px.append(head)
-            placed.append((char, pos, yaw))
+            placed.append((char, x, y, rot, shift))
             break
         else:
             raise PlacementError(
@@ -117,31 +122,30 @@ def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
 
     bboxes: list[tuple[float, float, float, float]] = []
     depths: list[float] = []
-    kp_world: list[dict[int, np.ndarray]] = []
-    for char, pos, yaw in placed:
-        rot = _yaw_matrix(yaw)
-        world_vertices = char.body.mesh.vertices @ rot.T + pos
-        px, _ = _project_many(world_vertices, camera)
-        x0 = max(0.0, float(px[:, 0].min()))
-        y0 = max(0.0, float(px[:, 1].min()))
-        x1 = min(float(cfg.image_w), float(px[:, 0].max()))
-        y1 = min(float(cfg.image_h), float(px[:, 1].max()))
-        bboxes.append((x0, y0, x1, y1))
-        center = rot @ np.array([0.0, 0.0, 0.5 * char.body.height_m]) + pos
-        depths.append(float((camera.rotation @ center + camera.translation)[2]))
-        kp_world.append({kp: rot @ anchor + pos for kp, anchor in char.body.anchors.items()})
+    kp_cam: list[list[np.ndarray]] = []
+    for char, _, _, rot, shift in placed:
+        xs, ys = [], []
+        for vertex in char.body.mesh.vertices:
+            cam_pt = rot @ vertex + shift
+            if cam_pt[2] <= 0:
+                raise PlacementError(f"frame {frame_id}: a body extends behind the camera")
+            vx, vy = pixel(cam_pt, camera)
+            xs.append(vx)
+            ys.append(vy)
+        bboxes.append((max(0.0, min(xs)), max(0.0, min(ys)), min(float(cfg.image_w), max(xs)),
+                       min(float(cfg.image_h), max(ys))))
+        centre = np.array([0.0, 0.0, 0.5 * char.body.height_m])
+        depths.append(float((rot @ centre + shift)[2]))
+        kp_cam.append([rot @ anchor + shift for anchor in char.body.anchors])
 
     persons = []
-    for i, (char, pos, yaw) in enumerate(placed):
+    for i, (char, _, _, _, _) in enumerate(placed):
         keypoints = []
-        for kp_id in sorted(kp_world[i]):
-            world = kp_world[i][kp_id]
-            cam_pt = camera.rotation @ world + camera.translation
+        for kp_id, cam_pt in enumerate(kp_cam[i]):
             if cam_pt[2] <= 0:
                 keypoints.append(Keypoint(x=-1.0, y=-1.0, part_id=KEYPOINT_PART[kp_id], visible=False))
                 continue
-            x = float(camera.fx * cam_pt[0] / cam_pt[2] + camera.cx)
-            y = float(camera.fy * cam_pt[1] / cam_pt[2] + camera.cy)
+            x, y = pixel(cam_pt, camera)
             visible = 0 <= x < cfg.image_w and 0 <= y < cfg.image_h
             if visible:
                 depth = float(cam_pt[2])

@@ -113,13 +113,23 @@ def test_gen_rejects_bad_scene_config_in_one_line(tmp_path, capsys, pairs, messa
     assert not out.exists()
 
 
-def test_gen_dump_meshes(tmp_path):
+def test_gen_dump_meshes(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, {"pool.train": "2", "pool.val": "2", "pool.test": "2"})
     out = tmp_path / "dump"
+    builds = []
+    build = scenegen.build_identity_pools
+    monkeypatch.setattr(scenegen, "build_identity_pools", lambda *args: builds.append(args) or build(*args))
     assert run("gen", "--config", cfg, "--out", str(out), "--dump-meshes") == 0
+    assert len(builds) == 1
     objs = sorted((out / "meshes").glob("*.obj"))
     assert len(objs) == 6
-    assert (out / "meshes" / "c0000.labels").exists()
+    for pool in build(*builds[0]).values():
+        for char in pool.characters:
+            write_obj(char.body.mesh, tmp_path / "want.obj")
+            write_vertex_labels(char.body.mesh.vertex_labels, tmp_path / "want.labels")
+            for suffix in ("obj", "labels"):
+                got = (out / "meshes" / f"{char.character_id}.{suffix}").read_bytes()
+                assert got == (tmp_path / f"want.{suffix}").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +586,7 @@ ERROR_CASES = {
     "maps-out": ("maps {gt} --out /dev/null/x", None, 2, "Not a directory: '/dev/null/x'"),
     "eval-out": ("eval --gt {gt} --preds {maps} --out /dev/null/x", None, 2, "Not a directory: '/dev/null/x'"),
     "infeasible-bmi": (GEN, {"bmi.lo": "45", "bmi.hi": "50"}, 2, "BMI rejection rate exceeded 99%"),
+    "scene-key-of-0.1.0": (GEN, {"sigma_px": "4.0"}, 2, "unknown scene config key 'sigma_px'"),
     "body-build": (GEN, BODY_BUILD, 2, "unreachable for height"),
     "body-build-2-workers": (GEN + " --workers 2", BODY_BUILD, 2, "unreachable for height"),
     "iou-above-1": (EVAL + " --protocol decoupling --iou-threshold 2", None, 2,

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from crowdvol import anthro, meshvol, scenegen
-from crowdvol.datamodel import default_taxonomy, frame_to_json_line, identity_camera, validate_frame
+from crowdvol.datamodel import (
+    default_config_text,
+    default_taxonomy,
+    frame_to_json_line,
+    identity_camera,
+    parse_keyvalues,
+    validate_frame,
+)
 from crowdvol.rng import SplitMix64, mix_seed
 
 
@@ -69,7 +76,8 @@ def test_humanoid_torso_anchor_count():
     body = scenegen.build_humanoid(sample, seed=2)
     tax = default_taxonomy()
     torso_kps = tax.keypoint_map[tax.id_of("torso")]
-    assert sum(1 for kp in body.anchors if kp in torso_kps) == 5
+    assert body.anchors.shape == (17, 3)
+    assert sum(1 for kp in range(len(body.anchors)) if kp in torso_kps) == 5
 
 
 def test_humanoid_deterministic():
@@ -241,9 +249,16 @@ def test_workers_do_not_change_output():
 
 
 def test_scene_config_roundtrip():
-    cfg = small_cfg(sigma_px=2.5, area_w=6.0)
+    cfg = small_cfg(area_y0=2.5, area_w=6.0)
     back = scenegen.scene_config_from_pairs(scenegen.scene_config_to_pairs(cfg))
     assert back == cfg
+
+
+def test_shipped_scene_cfg_lists_the_scene_defaults():
+    cfg = scenegen.SceneConfig()
+    model_keys = set(anthro.model_to_config(cfg.model))
+    shipped = parse_keyvalues(default_config_text("scene"), "scene.cfg")
+    assert shipped == {k: v for k, v in scenegen.scene_config_to_pairs(cfg).items() if k not in model_keys}
 
 
 def test_scene_config_keeps_partial_model_overrides():
