@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .datamodel import ParseError, TriMesh, ValidationError, open_text
+from .datamodel import ParseError, TriMesh, ValidationError, config_getter, default_config, open_text
 from .rng import SplitMix64, mix_seed
 from .special import ndtr
 
@@ -38,8 +38,8 @@ class LogNormalParams:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
+            raise ValidationError(f"need a finite mu and 0 < sigma < inf, got mu={self.mu}, sigma={self.sigma}")
 
     def median(self) -> float:
         return math.exp(self.mu)
@@ -84,9 +84,7 @@ class AnthropometricModel:
 def default_model() -> AnthropometricModel:
     """Shipped defaults (configs/model.cfg); order-of-magnitude realistic,
     fully overridable through the same key=value format."""
-    from .datamodel import default_config_text, parse_keyvalues
-
-    return model_from_config(parse_keyvalues(default_config_text("model"), "model.cfg"))
+    return model_from_config({})
 
 
 @dataclass(frozen=True)
@@ -117,9 +115,7 @@ class ScalingConfig:
 @lru_cache(maxsize=1)
 def default_scaling() -> ScalingConfig:
     """Shipped defaults (configs/scaling.cfg)."""
-    from .datamodel import default_config_text, parse_keyvalues
-
-    return scaling_from_config(parse_keyvalues(default_config_text("scaling"), "scaling.cfg"))
+    return scaling_from_config({})
 
 
 @dataclass(frozen=True)
@@ -333,20 +329,23 @@ def model_to_config(model: AnthropometricModel) -> dict[str, str]:
     return pairs
 
 
-def model_from_config(pairs: dict[str, str]) -> AnthropometricModel:
-    def gender(name: str) -> GenderParams:
-        return GenderParams(
-            mass=LogNormalParams(float(pairs[f"{name}.mass.mu"]), float(pairs[f"{name}.mass.sigma"])),
-            height=LogNormalParams(float(pairs[f"{name}.height.mu"]), float(pairs[f"{name}.height.sigma"])),
-        )
+def build_model(get) -> AnthropometricModel:
+    """The model a config_getter's `get` describes, by model.cfg's keys."""
+    def lognormal(prefix: str) -> LogNormalParams:
+        return LogNormalParams(get(f"{prefix}.mu", float), get(f"{prefix}.sigma", float))
 
     return AnthropometricModel(
-        female=gender("female"),
-        male=gender("male"),
-        gender_mix=float(pairs.get("gender_mix", "0.5")),
-        bmi_range=(float(pairs.get("bmi.lo", "10")), float(pairs.get("bmi.hi", "50"))),
-        body_density=float(pairs.get("body_density", "1000")),
+        female=GenderParams(mass=lognormal("female.mass"), height=lognormal("female.height")),
+        male=GenderParams(mass=lognormal("male.mass"), height=lognormal("male.height")),
+        gender_mix=get("gender_mix", float),
+        bmi_range=(get("bmi.lo", float), get("bmi.hi", float)),
+        body_density=get("body_density", float),
     )
+
+
+def model_from_config(pairs: dict[str, str], source: str = "<config>") -> AnthropometricModel:
+    """The shipped model.cfg with `pairs` overriding any of its keys."""
+    return build_model(config_getter(pairs, default_config("model"), "model", source))
 
 
 def scaling_to_config(cfg: ScalingConfig) -> dict[str, str]:
@@ -360,14 +359,12 @@ def scaling_to_config(cfg: ScalingConfig) -> dict[str, str]:
     return pairs
 
 
-def scaling_from_config(pairs: dict[str, str]) -> ScalingConfig:
+def scaling_from_config(pairs: dict[str, str], source: str = "<config>") -> ScalingConfig:
+    """The shipped scaling.cfg with `pairs` overriding any of its keys."""
+    get = config_getter(pairs, default_config("scaling"), "scaling", source)
+
     def axis(name: str) -> TruncatedNormal:
-        return TruncatedNormal(
-            mean=float(pairs[f"scale.{name}.mean"]),
-            std=float(pairs[f"scale.{name}.std"]),
-            lower=float(pairs[f"scale.{name}.lower"]),
-            upper=float(pairs[f"scale.{name}.upper"]),
-        )
+        return TruncatedNormal(*(get(f"scale.{name}.{field}", float) for field in ("mean", "std", "lower", "upper")))
 
     return ScalingConfig(x=axis("x"), y=axis("y"), z=axis("z"))
 

@@ -39,12 +39,6 @@ EXIT_NOT_WATERTIGHT = 4
 EXIT_CONSERVATION = 5
 
 
-def _load_scene_config(path: str | None) -> scenegen.SceneConfig:
-    if path is None:
-        return scenegen.SceneConfig()
-    return scenegen.scene_config_from_pairs(datamodel.read_keyvalues(path))
-
-
 def _config_hash(cfg: scenegen.SceneConfig, seed: int) -> str:
     pairs = scenegen.scene_config_to_pairs(cfg)
     text = "\n".join(f"{k}={pairs[k]}" for k in sorted(pairs)) + f"\nseed={seed}"
@@ -52,7 +46,8 @@ def _config_hash(cfg: scenegen.SceneConfig, seed: int) -> str:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_scene_config(args.config)
+    cfg = (scenegen.scene_config_from_pairs(datamodel.read_keyvalues(args.config), args.config)
+           if args.config else scenegen.SceneConfig())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pools = scenegen.build_identity_pools(cfg, args.seed)
@@ -165,18 +160,20 @@ def cmd_stats(args) -> int:
         samples = anthro.read_samples_csv(path)
         if not samples:
             raise datamodel.ParseError(f"{path}: empty sample file")
+        before = anthro.read_samples_csv(args.before) if args.before else samples
+        reports = {}
+        if args.target_config:
+            model = anthro.model_from_config(datamodel.read_keyvalues(args.target_config), args.target_config)
+            reports = _alignment_reports(samples, before, model)
         print("key,value")
         print(f"n_samples,{len(samples)}")
         print(f"mean_volume_dm3,{math.fsum(s.volume_dm3 for s in samples) / len(samples)!r}")
-        if args.target_config:
-            model = anthro.model_from_config(datamodel.read_keyvalues(args.target_config))
-            reports = _alignment_reports(samples, args.before, model)
-            for name, rep in reports.items():
-                print(f"kl_{name}_before,{rep.kl_before!r}")
-                print(f"kl_{name}_after,{rep.kl_after!r}")
-                print(f"kl_{name}_pct_change,{rep.pct_change!r}")
-            if args.out:
-                anthro.write_alignment_csv(reports, Path(args.out) / "alignment.csv")
+        for name, rep in reports.items():
+            print(f"kl_{name}_before,{rep.kl_before!r}")
+            print(f"kl_{name}_after,{rep.kl_after!r}")
+            print(f"kl_{name}_pct_change,{rep.pct_change!r}")
+        if args.target_config and args.out:
+            anthro.write_alignment_csv(reports, Path(args.out) / "alignment.csv")
     else:
         frames = datamodel.read_annotations(path)
         stats = evalharness.dataset_stats(frames)
@@ -187,21 +184,14 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _alignment_reports(samples, before_path, model):
+def _alignment_reports(samples, before, model):
     """KL per feature; a gender-mixed population is compared against the
     mixture's dominant component per gender, so features are reported
     per gender."""
     reports = {}
-    after_by_gender = {
-        g: [s for s in samples if s.gender == g] for g in ("female", "male")
-    }
-    before = anthro.read_samples_csv(before_path) if before_path else samples
-    before_by_gender = {
-        g: [s for s in before if s.gender == g] for g in ("female", "male")
-    }
     for gender in ("female", "male"):
         params = model.params_for(gender)
-        aft, bef = after_by_gender[gender], before_by_gender[gender]
+        aft, bef = ([s for s in group if s.gender == gender] for group in (samples, before))
         if len(aft) < 2 or len(bef) < 2:
             continue
         reports[f"height_{gender}"] = anthro.alignment_report(

@@ -8,8 +8,10 @@ construction; arrays are marked read-only.
 from __future__ import annotations
 
 import csv
+import difflib
 import json
 import math
+import re
 import struct
 import warnings
 from contextlib import contextmanager
@@ -145,9 +147,10 @@ KEYPOINT_NAMES = tuple("head_top chin neck spine_top spine_mid spine_low pelvis 
                        "r_elbow l_wrist r_wrist l_hip r_hip l_knee r_knee".split())
 
 
-def default_config_text(name: str) -> str:
-    """Raw text of a shipped default config (taxonomy, model, scaling, scene)."""
-    return (resources.files("crowdvol") / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
+def default_config(name: str) -> dict[str, str]:
+    """Pairs of a shipped default config (taxonomy, model, scaling, scene)."""
+    text = (resources.files("crowdvol") / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
+    return parse_keyvalues(text, f"{name}.cfg")
 
 
 @lru_cache(maxsize=1)
@@ -157,7 +160,7 @@ def default_taxonomy() -> PartTaxonomy:
     The taxonomy is data-driven: this parses configs/taxonomy.cfg, so an
     edited copy of that file behaves identically through load_taxonomy.
     """
-    return taxonomy_from_config(parse_keyvalues(default_config_text("taxonomy"), "taxonomy.cfg"))
+    return taxonomy_from_config(default_config("taxonomy"), "taxonomy.cfg")
 
 
 @dataclass(frozen=True)
@@ -561,8 +564,10 @@ def parse_keyvalues(text: str, source: str = "<config>") -> dict[str, str]:
             continue
         if "=" not in line:
             raise ParseError(f"{source}: expected key=value at line {lineno}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ParseError(f"{source}: key {key!r} repeated at line {lineno}")
+        out[key] = value
     return out
 
 
@@ -576,6 +581,32 @@ def write_keyvalues(pairs: dict[str, str], path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+def config_getter(pairs: dict[str, str], defaults: dict[str, str], kind: str, source: str = "<config>"):
+    """Typed lookup over {**defaults, **pairs}, the one reader of every config
+    kind: `get(key, int)` parses a value. A key that `defaults` lacks, or a
+    value its type does not parse, raises ParseError naming the source."""
+    for key in pairs:
+        if key not in defaults:
+            close = difflib.get_close_matches(key, defaults, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ParseError(f"{source}: unknown {kind} config key {key!r}{hint}")
+    merged = {**defaults, **pairs}
+
+    def get(key: str, type_):
+        try:
+            return type_(merged[key])
+        except ValueError:
+            name = type_.__name__.replace("_", " ")  # int_list reads "int list"
+            raise ParseError(f"{source}: {key}={merged[key]!r} is not a valid {name}") from None
+
+    return get
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; empty items are skipped."""
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
 def taxonomy_to_config(tax: PartTaxonomy) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for pid, name in tax.parts:
@@ -584,23 +615,20 @@ def taxonomy_to_config(tax: PartTaxonomy) -> dict[str, str]:
     return pairs
 
 
-def taxonomy_from_config(pairs: dict[str, str]) -> PartTaxonomy:
-    ids = sorted(
-        {int(k.split(".")[1]) for k in pairs if k.startswith("part.") and k.endswith(".name")}
-    )
-    parts = []
-    keypoint_map: dict[int, tuple[int, ...]] = {}
-    for pid in ids:
-        parts.append((pid, pairs[f"part.{pid}.name"]))
-        raw = pairs.get(f"part.{pid}.keypoints", "")
-        keypoint_map[pid] = tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
-    if not parts:
-        raise ParseError("taxonomy config defines no parts")
-    return PartTaxonomy(parts=tuple(parts), keypoint_map=keypoint_map)
+def taxonomy_from_config(pairs: dict[str, str], source: str = "<config>") -> PartTaxonomy:
+    """A complete taxonomy: one part per `part.N.name` key, owning the
+    keypoints of its optional `part.N.keypoints` list."""
+    ids = sorted(int(m[1]) for key in pairs if (m := re.fullmatch(r"part\.(0|[1-9][0-9]*)\.name", key)))
+    get = config_getter(pairs, {f"part.{pid}.{field}": "" for pid in ids for field in ("name", "keypoints")},
+                        "taxonomy", source)
+    if not ids:
+        raise ParseError(f"{source}: taxonomy config defines no parts")
+    return PartTaxonomy(parts=tuple((pid, get(f"part.{pid}.name", str)) for pid in ids),
+                        keypoint_map={pid: get(f"part.{pid}.keypoints", int_list) for pid in ids})
 
 
 def load_taxonomy(path) -> PartTaxonomy:
-    return taxonomy_from_config(read_keyvalues(path))
+    return taxonomy_from_config(read_keyvalues(path), str(path))
 
 
 def save_taxonomy(tax: PartTaxonomy, path) -> None:

@@ -214,6 +214,8 @@ def fit_boundary_plane(points, tol: float = DEFAULT_PLANE_TOL) -> PlaneFit:
     are broken by the minimum RMS distance of non-traversed points, then by
     the lexicographically smallest canonical (normal, offset).
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"plane tolerance must be positive and finite, got {tol}")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n_pts = len(pts)
     if n_pts < 3:

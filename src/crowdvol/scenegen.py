@@ -12,20 +12,20 @@ parallel without changing a single output byte.
 """
 from __future__ import annotations
 
-import difflib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .anthro import AnthropometricModel, PersonSample, default_model, model_from_config, model_to_config
+from .anthro import AnthropometricModel, PersonSample, build_model, default_model, model_to_config
 from .datamodel import (
     CameraParams,
     FrameAnnotation,
     Keypoint,
     PersonAnnotation,
     TriMesh,
+    config_getter,
     default_taxonomy,
 )
 from .densitymap import nearest_pixel
@@ -287,11 +287,9 @@ class SceneConfig:
     )
     frames_per_split: tuple[tuple[str, int], ...] = (("train", 30), ("val", 10), ("test", 10))
     pool_sizes: tuple[tuple[str, int], ...] = (("train", 50), ("val", 8), ("test", 16))
-    model: AnthropometricModel | None = None  # None selects the shipped default
+    model: AnthropometricModel = field(default_factory=default_model)
 
     def __post_init__(self):
-        if self.model is None:
-            object.__setattr__(self, "model", default_model())
         if not (self.image_w > 0 and self.image_h > 0):
             raise ValueError(f"image size must be positive, got {self.image_w}x{self.image_h}")
         lo, hi = self.focal_range
@@ -341,30 +339,14 @@ def scene_config_to_pairs(cfg: SceneConfig) -> dict[str, str]:
     return pairs
 
 
-def scene_config_from_pairs(pairs: dict[str, str]) -> SceneConfig:
+def scene_config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> SceneConfig:
     """Scene config from key=value pairs; an absent key keeps its default.
 
-    The keys are those of `scene_config_to_pairs`; any other key raises
-    ValueError naming the closest known key, as does a value that does not
-    parse or is out of range."""
+    The keys are those of `scene_config_to_pairs`, model.cfg's among them;
+    any other key, a value that does not parse or one out of range raises
+    ValueError."""
     base = SceneConfig()
-    defaults = scene_config_to_pairs(base)
-    unknown = sorted(set(pairs) - set(defaults))
-    if unknown:
-        close = difflib.get_close_matches(unknown[0], defaults, n=1)
-        hint = f"; did you mean {close[0]!r}?" if close else ""
-        raise ValueError(f"unknown scene config key {unknown[0]!r}{hint}")
-    merged = {**defaults, **pairs}
-
-    def get(key: str, kind: type):
-        try:
-            return kind(merged[key])
-        except ValueError:
-            raise ValueError(f"{key}={merged[key]!r} is not a valid {kind.__name__}") from None
-
-    def per_split(prefix: str, counts: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
-        return tuple((split, get(f"{prefix}.{split}", int)) for split, _ in counts)
-
+    get = config_getter(pairs, scene_config_to_pairs(base), "scene", source)
     return SceneConfig(
         image_w=get("image_w", int),
         image_h=get("image_h", int),
@@ -374,9 +356,9 @@ def scene_config_from_pairs(pairs: dict[str, str]) -> SceneConfig:
         area_d=get("area.d", float),
         area_y0=get("area.y0", float),
         tag_probs=tuple((tag, get(f"tag.{tag}", float)) for tag, _ in base.tag_probs),
-        frames_per_split=per_split("frames", base.frames_per_split),
-        pool_sizes=per_split("pool", base.pool_sizes),
-        model=model_from_config(merged),
+        frames_per_split=tuple((split, get(f"frames.{split}", int)) for split in SPLIT_NAMES),
+        pool_sizes=tuple((split, get(f"pool.{split}", int)) for split in SPLIT_NAMES),
+        model=build_model(get),
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,36 @@ def test_model_config_roundtrip():
     model = anthro.default_model()
     back = anthro.model_from_config(anthro.model_to_config(model))
     assert back == model
+
+
+def test_partial_model_config_overrides_the_shipped_model():
+    model = anthro.model_from_config({"gender_mix": "0.25", "male.mass.sigma": "0.2"})
+    default = anthro.default_model()
+    assert model.gender_mix == 0.25 and model.male.mass.sigma == 0.2
+    assert (model.female, model.male.height, model.bmi_range) == (default.female, default.male.height, default.bmi_range)
+    assert anthro.scaling_from_config({"scale.z.std": "0.1"}).z.std == 0.1
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ({"female.mass.sigmaa": "0.2"}, "m.cfg: unknown model config key 'female.mass.sigmaa'; did you mean "
+                                    "'female.mass.sigma'?"),
+    ({"bogus": "1"}, "m.cfg: unknown model config key 'bogus'"),
+    ({"bmi.lo": "low"}, "m.cfg: bmi.lo='low' is not a valid float"),
+])
+def test_model_config_errors_name_file_and_key(pairs, message):
+    with pytest.raises(anthro.ParseError, match=re.escape(message)):
+        anthro.model_from_config(pairs, "m.cfg")
+
+
+def test_scaling_config_rejects_unknown_keys():
+    with pytest.raises(anthro.ParseError, match="unknown scaling config key 'scale.w.std'"):
+        anthro.scaling_from_config({"scale.w.std": "0.1"})
+
+
+@pytest.mark.parametrize("mu, sigma", [(math.nan, 0.1), (math.inf, 0.1), (0.0, 0.0), (0.0, math.inf), (0.0, math.nan)])
+def test_lognormal_needs_finite_parameters(mu, sigma):
+    with pytest.raises(anthro.ValidationError, match="need a finite mu and 0 < sigma < inf"):
+        anthro.LogNormalParams(mu, sigma)
 
 
 def test_scaling_config_roundtrip():

@@ -11,6 +11,7 @@ import pytest
 from crowdvol import anthro, evalharness, scenegen
 from crowdvol.cli import main
 from crowdvol.datamodel import (
+    default_config,
     read_annotations,
     read_vdm,
     write_keyvalues,
@@ -456,6 +457,22 @@ def test_stats_csv_bad_value_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == f"error: {path}: line 2: bad or missing value"
 
 
+def test_stats_partial_model_overrides_the_shipped_one(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 400, seed=4), samples)
+    partial, full = tmp_path / "partial.cfg", tmp_path / "full.cfg"
+    partial.write_text("gender_mix=0.25\n")
+    shipped = (Path(anthro.__file__).parent / "configs" / "model.cfg").read_text(encoding="utf-8")
+    assert shipped.count("\ngender_mix=0.5\n") == 1
+    full.write_text(shipped.replace("\ngender_mix=0.5\n", "\ngender_mix=0.25\n"))
+    outputs = []
+    for cfg in (partial, full):
+        assert run("stats", str(samples), "--target-config", str(cfg)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 15
+
+
 def test_stats_alignment_direction(tmp_path, capsys):
     model = anthro.default_model()
     target_cfg = tmp_path / "target.cfg"
@@ -535,6 +552,21 @@ def bad_inputs(tmp_path_factory):
     frame["persons"][0]["bbox_px"] = [1.0, 2.0, 3.0]
     (root / "bbox3.jsonl").write_text(json.dumps(frame) + "\n")
     (root / "twice.labels").write_text("0 0\n1 0\n2 0\n1 3\n")
+    pinch = make_pinched_octahedra()
+    write_obj(pinch, root / "pinch.obj")
+    write_vertex_labels(np.where(pinch.vertices[:, 2] < 0, 8, 0), root / "pinch.labels")
+    (root / "twice.cfg").write_text("image_w=640\nimage_w=800\n")
+    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 40, seed=3), root / "samples.csv")
+    model, taxonomy = default_config("model"), default_config("taxonomy")
+    for name, pairs in {
+        "model": model,
+        "model-typo": {"female.mass.sigmaa" if k == "female.mass.sigma" else k: v for k, v in model.items()},
+        "model-bogus": {**model, "bogus": "1"},
+        "model-mu-nan": {**model, "female.height.mu": "nan"},
+        "taxonomy-typo": {"part.0.nmae" if k == "part.0.name" else k: v for k, v in taxonomy.items()},
+        "taxonomy-keypoints": {**taxonomy, "part.1.keypoints": "2,x3"},
+    }.items():
+        write_keyvalues(pairs, root / f"{name}.cfg")
     (root / "empty_samples.csv").write_text("gender,height_m,mass_kg,bmi,volume_dm3\n")
     for name, source in [
         ("nonutf8.jsonl", data / "test.jsonl"),
@@ -566,6 +598,9 @@ KEYPOINT_CASES = {
 GEN = "gen --out {root}/g --config {cfg}"
 EVAL = "eval --gt {gt} --preds {maps} --out {root}/e"
 BODY_BUILD = {"male.mass.mu": "6.5", "female.mass.mu": "6.5", "bmi.hi": "500"}
+STATS = "stats {root}/samples.csv --target-config {root}/"
+LABEL_PINCH = "label {root}/pinch.obj {root}/pinch.labels"
+LABEL_TAXONOMY = "label {cube} {labels} --taxonomy {root}/"
 
 # (argv, scene-config pairs written to {cfg}, exit code, message fragment)
 ERROR_CASES = {
@@ -621,6 +656,23 @@ ERROR_CASES = {
     "not-watertight": ("label {root}/open.obj {labels}", None, 4, "mesh is not watertight"),
     "labels-vertex-twice": ("label {cube} {root}/twice.labels", None, 2,
                             "{root}/twice.labels: vertex 1 labeled again at line 4"),
+    "config-key-twice": ("gen --out {root}/g --config {root}/twice.cfg", None, 2,
+                         "{root}/twice.cfg: key 'image_w' repeated at line 2"),
+    "scene-model-not-a-float": (GEN, {"female.mass.mu": "abc"}, 2, "{cfg}: female.mass.mu='abc' is not a valid float"),
+    "scene-model-mu-nan": (GEN, {"female.mass.mu": "nan"}, 2, "need a finite mu and 0 < sigma < inf, got mu=nan"),
+    "model-typo": (STATS + "model-typo.cfg", None, 2, "{root}/model-typo.cfg: unknown model config key "
+                   "'female.mass.sigmaa'; did you mean 'female.mass.sigma'?"),
+    "model-bogus": (STATS + "model-bogus.cfg", None, 2, "{root}/model-bogus.cfg: unknown model config key 'bogus'"),
+    "model-mu-nan": (STATS + "model-mu-nan.cfg", None, 2, "need a finite mu and 0 < sigma < inf, got mu=nan"),
+    "stats-before-missing": (STATS + "model.cfg --before {root}/missing.csv", None, 2,
+                             "No such file or directory: '{root}/missing.csv'"),
+    "taxonomy-typo": (LABEL_TAXONOMY + "taxonomy-typo.cfg", None, 2,
+                      "{root}/taxonomy-typo.cfg: unknown taxonomy config key 'part.0.nmae'"),
+    "taxonomy-keypoints": (LABEL_TAXONOMY + "taxonomy-keypoints.cfg", None, 2,
+                           "{root}/taxonomy-keypoints.cfg: part.1.keypoints='2,x3' is not a valid int list"),
+    "tol-negative": (LABEL_PINCH + " --tol -1", None, 2, "plane tolerance must be positive and finite, got -1.0"),
+    "tol-nan": (LABEL_PINCH + " --tol nan", None, 2, "plane tolerance must be positive and finite, got nan"),
+    "tol-inf": (LABEL_PINCH + " --tol inf", None, 2, "plane tolerance must be positive and finite, got inf"),
     **KEYPOINT_CASES,
 }
 
@@ -638,8 +690,10 @@ def test_error_is_one_line_with_its_exit_code(bad_inputs, tmp_path, capsys, monk
         got = main([tok.format(**paths) for tok in tokens])
     except SystemExit as exc:  # argparse rejected a flag
         got = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert got == code
+    if tokens[0] == "stats":  # stats checks every input before its first line
+        assert out == ""
     assert "Traceback" not in err
     error_lines = [line for line in err.splitlines() if "error:" in line]
     assert len(error_lines) == 1 and fragment.format(**paths) in error_lines[0]

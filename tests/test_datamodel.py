@@ -249,8 +249,7 @@ def test_default_taxonomy_shape():
 
 def test_default_taxonomy_comes_from_shipped_config():
     # the shipped config file is the source of truth, editable by users
-    pairs = dm.parse_keyvalues(dm.default_config_text("taxonomy"))
-    parsed = dm.taxonomy_from_config(pairs)
+    parsed = dm.taxonomy_from_config(dm.default_config("taxonomy"))
     assert parsed == dm.default_taxonomy()
     kp_ids = [k for kps in parsed.keypoint_map.values() for k in kps]
     assert sorted(kp_ids) == list(range(len(dm.KEYPOINT_NAMES)))
@@ -277,6 +276,32 @@ def test_keyvalue_parsing(tmp_path):
     path.write_text("nonsense\n")
     with pytest.raises(dm.ParseError, match="line 1"):
         dm.read_keyvalues(path)
+
+
+def test_repeated_key_names_file_and_line(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("image_w=640\n# comment\nimage_w = 800\n")
+    with pytest.raises(dm.ParseError, match=re.escape(f"{path}: key 'image_w' repeated at line 3")):
+        dm.read_keyvalues(path)
+
+
+def test_taxonomy_file_is_complete():
+    tax = dm.taxonomy_from_config({"part.3.name": "body", "part.0.name": "head", "part.0.keypoints": "0, 1,"})
+    assert tax.parts == ((0, "head"), (3, "body"))
+    assert tax.keypoint_map == {0: (0, 1), 3: ()}
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ({"part.0.nmae": "head"}, "t.cfg: unknown taxonomy config key 'part.0.nmae'"),
+    ({"part.0.name": "head", "part.x.name": "body"}, "t.cfg: unknown taxonomy config key 'part.x.name'"),
+    ({"part.0.name": "head", "part.01.name": "body"}, "t.cfg: unknown taxonomy config key 'part.01.name'"),
+    ({"part.0.name": "head", "part.1.keypoints": "2"}, "t.cfg: unknown taxonomy config key 'part.1.keypoints'"),
+    ({"part.0.name": "head", "part.0.keypoints": "2,x3"}, "t.cfg: part.0.keypoints='2,x3' is not a valid int list"),
+    ({}, "t.cfg: taxonomy config defines no parts"),
+])
+def test_taxonomy_config_errors_name_file_and_key(pairs, message):
+    with pytest.raises(dm.ParseError, match=re.escape(message)):
+        dm.taxonomy_from_config(pairs, "t.cfg")
 
 
 def test_trimesh_rejects_bad_faces():

@@ -202,6 +202,13 @@ def test_collinear_points_error():
         meshvol.fit_boundary_plane(pts)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_fit_rejects_tolerance_outside_zero_to_inf(tol):
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+    with pytest.raises(ValueError, match="plane tolerance must be positive and finite"):
+        meshvol.fit_boundary_plane(pts, tol)
+
+
 def test_fit_is_deterministic_on_large_sets():
     rng = np.random.default_rng(23)
     pts = rng.normal(size=(60, 3))  # above the exhaustive limit

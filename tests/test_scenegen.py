@@ -5,11 +5,10 @@ import pytest
 
 from crowdvol import anthro, meshvol, scenegen
 from crowdvol.datamodel import (
-    default_config_text,
+    default_config,
     default_taxonomy,
     frame_to_json_line,
     identity_camera,
-    parse_keyvalues,
     validate_frame,
 )
 from crowdvol.rng import SplitMix64, mix_seed
@@ -257,7 +256,7 @@ def test_scene_config_roundtrip():
 def test_shipped_scene_cfg_lists_the_scene_defaults():
     cfg = scenegen.SceneConfig()
     model_keys = set(anthro.model_to_config(cfg.model))
-    shipped = parse_keyvalues(default_config_text("scene"), "scene.cfg")
+    shipped = default_config("scene")
     assert shipped == {k: v for k, v in scenegen.scene_config_to_pairs(cfg).items() if k not in model_keys}
 
 
