@@ -23,7 +23,7 @@ DEFAULT_BMI_RANGE = (10.0, 50.0)  # kg/m^2
 
 
 class SamplingError(RuntimeError):
-    pass
+    exit_code = 2  # of the crowdvol command line
 
 
 class InfeasibleModelError(SamplingError):
@@ -332,7 +332,10 @@ def model_to_config(model: AnthropometricModel) -> dict[str, str]:
 def build_model(get) -> AnthropometricModel:
     """The model a config_getter's `get` describes, by model.cfg's keys."""
     def lognormal(prefix: str) -> LogNormalParams:
-        return LogNormalParams(get(f"{prefix}.mu", float), get(f"{prefix}.sigma", float))
+        try:
+            return LogNormalParams(get(f"{prefix}.mu", float), get(f"{prefix}.sigma", float))
+        except ValidationError as exc:
+            raise ValidationError(f"{prefix}: {exc}") from None
 
     return AnthropometricModel(
         female=GenderParams(mass=lognormal("female.mass"), height=lognormal("female.height")),
@@ -344,8 +347,13 @@ def build_model(get) -> AnthropometricModel:
 
 
 def model_from_config(pairs: dict[str, str], source: str = "<config>") -> AnthropometricModel:
-    """The shipped model.cfg with `pairs` overriding any of its keys."""
-    return build_model(config_getter(pairs, default_config("model"), "model", source))
+    """The shipped model.cfg with `pairs` overriding any of its keys. A
+    value out of range raises ValidationError naming `source`."""
+    get = config_getter(pairs, default_config("model"), "model", source)
+    try:
+        return build_model(get)
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from None
 
 
 def scaling_to_config(cfg: ScalingConfig) -> dict[str, str]:

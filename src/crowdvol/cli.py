@@ -21,7 +21,6 @@ same way.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import sys
@@ -29,23 +28,27 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from . import anthro, datamodel, densitymap, evalharness, metrics, meshvol, plots, scenegen
-from .parallel import parallel_map
+
+# Each cmd_* imports the library modules it runs, so `--version`, `--help`
+# and a usage error load no numpy, and a subcommand loads only its own
+# modules. Modules are imported whole and their functions called as
+# attributes, so a wrapper or fake set on a module attribute takes effect.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_PLACEMENT = 3
-EXIT_NOT_WATERTIGHT = 4
 EXIT_CONSERVATION = 5
 
 
-def _config_hash(cfg: scenegen.SceneConfig, seed: int) -> str:
-    pairs = scenegen.scene_config_to_pairs(cfg)
+def _config_hash(pairs: dict[str, str], seed: int) -> str:
+    import hashlib
+
     text = "\n".join(f"{k}={pairs[k]}" for k in sorted(pairs)) + f"\nseed={seed}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def cmd_gen(args) -> int:
+    from . import datamodel, scenegen
+
     cfg = (scenegen.scene_config_from_pairs(datamodel.read_keyvalues(args.config), args.config)
            if args.config else scenegen.SceneConfig())
     out = Path(args.out)
@@ -68,7 +71,7 @@ def cmd_gen(args) -> int:
         "tool": "crowdvol",
         "version": __version__,
         "seed": str(args.seed),
-        "config_hash": _config_hash(cfg, args.seed),
+        "config_hash": _config_hash(scenegen.scene_config_to_pairs(cfg), args.seed),
         "splits": ",".join(f"{split}:{len(frames)}" for split, frames in dataset.items()),
     }
     datamodel.write_keyvalues(manifest, out / "manifest.txt")
@@ -76,11 +79,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_label(args) -> int:
+    from . import datamodel, meshvol
+
     mesh = datamodel.read_obj(args.mesh)
     labels = datamodel.read_vertex_labels(args.labels, mesh.n_vertices)
     taxonomy = datamodel.load_taxonomy(args.taxonomy) if args.taxonomy else datamodel.default_taxonomy()
     mesh = datamodel.TriMesh(vertices=mesh.vertices, faces=mesh.faces, vertex_labels=labels)
-    parts = meshvol.split_parts(mesh, taxonomy, tol=args.tol)
+    tol = meshvol.DEFAULT_PLANE_TOL if args.tol is None else args.tol
+    parts = meshvol.split_parts(mesh, taxonomy, tol=tol)
     print("part_id,name,volume_dm3")
     for pid in sorted(parts.volumes):
         print(f"{pid},{taxonomy.name_of(pid)},{parts.volumes[pid]!r}")
@@ -90,6 +96,8 @@ def cmd_label(args) -> int:
 
 def _write_map(per_part, taxonomy, cfg, out_dir: Path, frame) -> float:
     """Render one frame's map, write its .vdm file and return its mass."""
+    from . import datamodel, densitymap
+
     if per_part:
         dmap = densitymap.render_ppvdm(frame, taxonomy, cfg)
     else:
@@ -99,6 +107,9 @@ def _write_map(per_part, taxonomy, cfg, out_dir: Path, frame) -> float:
 
 
 def cmd_maps(args) -> int:
+    from . import datamodel, densitymap
+    from .parallel import parallel_map
+
     taxonomy = datamodel.load_taxonomy(args.taxonomy) if args.taxonomy else datamodel.default_taxonomy()
     frames = datamodel.read_annotations(args.annotations, taxonomy)
     cfg = densitymap.SmoothingConfig(sigma_px=args.sigma, truncation_radius=args.truncation)
@@ -115,16 +126,13 @@ def cmd_maps(args) -> int:
     return EXIT_CONSERVATION if failed else EXIT_OK
 
 
-def _load_predictions(path: str) -> evalharness.PredictionSet:
-    p = Path(path)
-    if p.is_dir():
-        return evalharness.load_prediction_maps(p)
-    return evalharness.load_predictions_csv(p)
-
-
 def cmd_eval(args) -> int:
+    from . import datamodel, evalharness
+
     frames = datamodel.read_annotations(args.gt)
-    preds = _load_predictions(args.preds)
+    preds_path = Path(args.preds)
+    preds = (evalharness.load_prediction_maps(preds_path) if preds_path.is_dir()
+             else evalharness.load_predictions_csv(preds_path))
     frames = evalharness.apply_subset_preset(frames, args.subset)
     if not frames:
         raise evalharness.EvalError(f"subset {args.subset!r} selects no frames")
@@ -141,11 +149,15 @@ def cmd_eval(args) -> int:
         (out / "report.csv").write_text(evalharness.decoupling_to_csv(report), encoding="utf-8")
         print(evalharness.decoupling_to_csv(report), end="")
     elif args.protocol == "bins":
+        from . import plots
+
         bins = evalharness.crowd_size_bins(frames, preds, args.bin_edges)
         (out / "bins.csv").write_text(evalharness.bins_to_csv(bins), encoding="utf-8")
         plots.write_bins_svg(bins, out / "bins.svg")
         print(evalharness.bins_to_csv(bins), end="")
     else:  # scatter
+        from . import metrics, plots
+
         records = evalharness.build_records(frames, preds)
         points = metrics.mae_ppmae_scatter([r for r in records if r.n_persons >= 1])
         (out / "scatter.csv").write_text(metrics.scatter_to_csv(points), encoding="utf-8")
@@ -156,7 +168,19 @@ def cmd_eval(args) -> int:
 
 def cmd_stats(args) -> int:
     path = Path(args.input)
-    if path.suffix == ".csv":
+    samples_input = path.suffix == ".csv"
+    what = "a samples .csv without --target-config" if samples_input else "annotations"
+    for flag, value, used in (
+        ("--target-config", args.target_config, samples_input),
+        ("--before", args.before, samples_input and args.target_config),
+        ("--out", args.out, not samples_input or args.target_config),
+    ):
+        if value and not used:
+            raise ValueError(f"stats: {flag} is not used with {what}")
+    out = Path(args.out) if args.out else None
+    if samples_input:
+        from . import anthro, datamodel
+
         samples = anthro.read_samples_csv(path)
         if not samples:
             raise datamodel.ParseError(f"{path}: empty sample file")
@@ -165,6 +189,8 @@ def cmd_stats(args) -> int:
         if args.target_config:
             model = anthro.model_from_config(datamodel.read_keyvalues(args.target_config), args.target_config)
             reports = _alignment_reports(samples, before, model)
+        if out:
+            out.mkdir(parents=True, exist_ok=True)
         print("key,value")
         print(f"n_samples,{len(samples)}")
         print(f"mean_volume_dm3,{math.fsum(s.volume_dm3 for s in samples) / len(samples)!r}")
@@ -172,15 +198,17 @@ def cmd_stats(args) -> int:
             print(f"kl_{name}_before,{rep.kl_before!r}")
             print(f"kl_{name}_after,{rep.kl_after!r}")
             print(f"kl_{name}_pct_change,{rep.pct_change!r}")
-        if args.target_config and args.out:
-            anthro.write_alignment_csv(reports, Path(args.out) / "alignment.csv")
+        if out:
+            anthro.write_alignment_csv(reports, out / "alignment.csv")
     else:
-        frames = datamodel.read_annotations(path)
-        stats = evalharness.dataset_stats(frames)
-        print(evalharness.stats_to_csv(stats), end="")
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            (Path(args.out) / "stats.csv").write_text(evalharness.stats_to_csv(stats), encoding="utf-8")
+        from . import datamodel, evalharness
+
+        text = evalharness.stats_to_csv(evalharness.dataset_stats(datamodel.read_annotations(path)))
+        if out:
+            out.mkdir(parents=True, exist_ok=True)
+        print(text, end="")
+        if out:
+            (out / "stats.csv").write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -188,6 +216,8 @@ def _alignment_reports(samples, before, model):
     """KL per feature; a gender-mixed population is compared against the
     mixture's dominant component per gender, so features are reported
     per gender."""
+    from . import anthro
+
     reports = {}
     for gender in ("female", "male"):
         params = model.params_for(gender)
@@ -238,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_label.add_argument("mesh")
     p_label.add_argument("labels", help="sidecar file: one 'vertex_index part_id' per line")
     p_label.add_argument("--taxonomy", help="key=value taxonomy config")
-    p_label.add_argument("--tol", type=float, default=meshvol.DEFAULT_PLANE_TOL)
+    p_label.add_argument("--tol", type=float)
     p_label.set_defaults(func=cmd_label)
 
     p_maps = sub.add_parser("maps", help="render density maps from annotations")
@@ -271,31 +301,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(exc: Exception, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
 def _warn(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     """Run one subcommand. This is the one place where an error becomes an
-    exit code; a maps conservation failure is a result, returned as 5."""
+    exit code: PlacementError, NonWatertightError and SamplingError carry
+    theirs as `exit_code`, any other OSError or ValueError (ParseError,
+    ValidationError, EvalError, MeshError, BodyBuildError) gives 2, and any
+    other RuntimeError is a bug and propagates. A maps conservation failure
+    is a result, returned as 5."""
     args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warn
             return args.func(args)
-    except scenegen.PlacementError as exc:
-        return _fail(exc, EXIT_PLACEMENT)
-    except meshvol.NonWatertightError as exc:
-        return _fail(exc, EXIT_NOT_WATERTIGHT)
-    except (OSError, ValueError, anthro.SamplingError) as exc:
-        # ValueError covers ParseError, ValidationError, EvalError, MeshError
-        # and BodyBuildError.
-        return _fail(exc, EXIT_CONFIG)
+    except (OSError, ValueError, RuntimeError) as exc:
+        code = getattr(exc, "exit_code", EXIT_CONFIG if isinstance(exc, (OSError, ValueError)) else None)
+        if code is None:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

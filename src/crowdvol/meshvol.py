@@ -33,6 +33,8 @@ class MeshError(ValueError):
 
 
 class NonWatertightError(MeshError):
+    exit_code = 4  # of the crowdvol command line
+
     def __init__(self, edges: list[tuple[int, int]]):
         self.edges = edges
         preview = ", ".join(str(e) for e in edges[:8])

@@ -25,6 +25,7 @@ from .datamodel import (
     Keypoint,
     PersonAnnotation,
     TriMesh,
+    ValidationError,
     config_getter,
     default_taxonomy,
 )
@@ -36,7 +37,7 @@ SPLIT_NAMES = ("train", "val", "test")
 
 
 class PlacementError(RuntimeError):
-    pass
+    exit_code = 3  # of the crowdvol command line
 
 
 class BodyBuildError(ValueError):
@@ -291,24 +292,24 @@ class SceneConfig:
 
     def __post_init__(self):
         if not (self.image_w > 0 and self.image_h > 0):
-            raise ValueError(f"image size must be positive, got {self.image_w}x{self.image_h}")
+            raise ValidationError(f"image size must be positive, got {self.image_w}x{self.image_h}")
         lo, hi = self.focal_range
         if not 0 < lo <= hi < math.inf:
-            raise ValueError(f"focal range must satisfy 0 < lo <= hi, got {self.focal_range}")
+            raise ValidationError(f"focal range must satisfy 0 < lo <= hi, got {self.focal_range}")
         n_min, n_max = self.persons_range
         if n_min < 0 or n_min > n_max:
-            raise ValueError(f"bad persons_range {self.persons_range}")
+            raise ValidationError(f"bad persons_range {self.persons_range}")
         if not (0 < self.area_w < math.inf and 0 < self.area_d < math.inf):
-            raise ValueError("placement area must be positive and finite")
+            raise ValidationError("placement area must be positive and finite")
         if not math.isfinite(self.area_y0):
-            raise ValueError(f"area.y0 must be finite, got {self.area_y0}")
+            raise ValidationError(f"area.y0 must be finite, got {self.area_y0}")
         for tag, p in self.tag_probs:
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"tag.{tag} must be a probability in [0, 1], got {p}")
+                raise ValidationError(f"tag.{tag} must be a probability in [0, 1], got {p}")
         for prefix, counts in (("frames", self.frames_per_split), ("pool", self.pool_sizes)):
             for split, count in counts:
                 if count < 0:
-                    raise ValueError(f"{prefix}.{split} must be >= 0, got {count}")
+                    raise ValidationError(f"{prefix}.{split} must be >= 0, got {count}")
 
     def frames_for(self, split: str) -> int:
         return dict(self.frames_per_split)[split]
@@ -344,22 +345,25 @@ def scene_config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> 
 
     The keys are those of `scene_config_to_pairs`, model.cfg's among them;
     any other key, a value that does not parse or one out of range raises
-    ValueError."""
+    ValueError naming `source`."""
     base = SceneConfig()
     get = config_getter(pairs, scene_config_to_pairs(base), "scene", source)
-    return SceneConfig(
-        image_w=get("image_w", int),
-        image_h=get("image_h", int),
-        focal_range=(get("focal.lo", float), get("focal.hi", float)),
-        persons_range=(get("persons.min", int), get("persons.max", int)),
-        area_w=get("area.w", float),
-        area_d=get("area.d", float),
-        area_y0=get("area.y0", float),
-        tag_probs=tuple((tag, get(f"tag.{tag}", float)) for tag, _ in base.tag_probs),
-        frames_per_split=tuple((split, get(f"frames.{split}", int)) for split in SPLIT_NAMES),
-        pool_sizes=tuple((split, get(f"pool.{split}", int)) for split in SPLIT_NAMES),
-        model=build_model(get),
-    )
+    try:
+        return SceneConfig(
+            image_w=get("image_w", int),
+            image_h=get("image_h", int),
+            focal_range=(get("focal.lo", float), get("focal.hi", float)),
+            persons_range=(get("persons.min", int), get("persons.max", int)),
+            area_w=get("area.w", float),
+            area_d=get("area.d", float),
+            area_y0=get("area.y0", float),
+            tag_probs=tuple((tag, get(f"tag.{tag}", float)) for tag, _ in base.tag_probs),
+            frames_per_split=tuple((split, get(f"frames.{split}", int)) for split in SPLIT_NAMES),
+            pool_sizes=tuple((split, get(f"pool.{split}", int)) for split in SPLIT_NAMES),
+            model=build_model(get),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

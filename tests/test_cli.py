@@ -473,6 +473,18 @@ def test_stats_partial_model_overrides_the_shipped_one(tmp_path, capsys):
     assert len(outputs[0].splitlines()) == 15
 
 
+def test_stats_out_creates_its_directory(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 40, seed=4), samples)
+    model = str(Path(anthro.__file__).parent / "configs" / "model.cfg")
+    assert run("stats", str(samples), "--target-config", model) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "new" / "dir"
+    assert run("stats", str(samples), "--target-config", model, "--out", str(out)) == 0
+    assert capsys.readouterr().out == printed
+    assert (out / "alignment.csv").read_text().startswith("metric,before,after,pct_change\n")
+
+
 def test_stats_alignment_direction(tmp_path, capsys):
     model = anthro.default_model()
     target_cfg = tmp_path / "target.cfg"
@@ -666,6 +678,17 @@ ERROR_CASES = {
     "model-mu-nan": (STATS + "model-mu-nan.cfg", None, 2, "need a finite mu and 0 < sigma < inf, got mu=nan"),
     "stats-before-missing": (STATS + "model.cfg --before {root}/missing.csv", None, 2,
                              "No such file or directory: '{root}/missing.csv'"),
+    "stats-annotations-target-config": ("stats {gt} --target-config {root}/model-typo.cfg --before {root}/missing.csv",
+                                        None, 2, "stats: --target-config is not used with annotations"),
+    "stats-annotations-before": ("stats {gt} --before {root}/samples.csv", None, 2,
+                                 "stats: --before is not used with annotations"),
+    "stats-samples-out": ("stats {root}/samples.csv --out {root}/s", None, 2,
+                          "stats: --out is not used with a samples .csv without --target-config"),
+    "stats-samples-before": ("stats {root}/samples.csv --before {root}/samples.csv", None, 2,
+                             "stats: --before is not used with a samples .csv without --target-config"),
+    "scene-tag-range": (GEN, {"tag.birds_eye": "1.5"}, 2, "{cfg}: tag.birds_eye must be a probability in [0, 1]"),
+    "scene-lognormal-range": (GEN, {"female.mass.mu": "nan"}, 2,
+                              "{cfg}: female.mass: need a finite mu and 0 < sigma < inf, got mu=nan"),
     "taxonomy-typo": (LABEL_TAXONOMY + "taxonomy-typo.cfg", None, 2,
                       "{root}/taxonomy-typo.cfg: unknown taxonomy config key 'part.0.nmae'"),
     "taxonomy-keypoints": (LABEL_TAXONOMY + "taxonomy-keypoints.cfg", None, 2,

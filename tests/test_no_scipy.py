@@ -42,9 +42,14 @@ def pipeline(tmp_path_factory):
 
 
 def test_import_loads_no_scipy():
-    proc = python("-c", "import sys, crowdvol.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    """Every crowdvol module, since `crowdvol.cli` alone imports none of them."""
+    proc = python("-c", "import importlib, pkgutil, sys, crowdvol; "
+                  "names = [m.name for m in pkgutil.iter_modules(crowdvol.__path__)]; "
+                  "[importlib.import_module(f'crowdvol.{name}') for name in names]; "
+                  "print(len(names), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    count, scipy = proc.stdout.split(" ", 1)
+    assert int(count) >= 12 and scipy.strip() == "[]"
 
 
 def test_gen_workers_agree(pipeline):
