@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .datamodel import ParseError, TriMesh, ValidationError, config_getter, default_config, open_text
+from .datamodel import ParseError, ValidationError, config_getter, default_config, open_text
 from .rng import SplitMix64, mix_seed
 from .special import ndtr
 
@@ -40,9 +40,6 @@ class LogNormalParams:
     def __post_init__(self):
         if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
             raise ValidationError(f"need a finite mu and 0 < sigma < inf, got mu={self.mu}, sigma={self.sigma}")
-
-    def median(self) -> float:
-        return math.exp(self.mu)
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -131,12 +128,6 @@ class PersonSample:
 # Unit conversions
 # ---------------------------------------------------------------------------
 
-def mass_from_volume(volume_m3: float, density: float = DEFAULT_BODY_DENSITY) -> float:
-    if not (volume_m3 > 0 and density > 0):
-        raise ValueError("volume and density must be positive")
-    return volume_m3 * density
-
-
 def volume_from_mass(mass_kg: float, density: float = DEFAULT_BODY_DENSITY) -> float:
     if not (mass_kg > 0 and density > 0):
         raise ValueError("mass and density must be positive")
@@ -195,12 +186,6 @@ def sample_population(model: AnthropometricModel, n: int, seed: int) -> list[Per
     return samples
 
 
-def sample_lognormal(params: LogNormalParams, n: int, seed: int) -> np.ndarray:
-    """Vectorized draw of n log-normal values (no rejection)."""
-    stream = SplitMix64(seed)
-    return np.exp(params.mu + params.sigma * stream.normals(n))
-
-
 def sample_scaling(cfg: ScalingConfig, seed: int, max_attempts: int = 1_000_000) -> tuple[float, float, float]:
     """One (x, y, z) scaling triple, each factor drawn by rejection from its
     truncated normal."""
@@ -219,33 +204,23 @@ def sample_scaling(cfg: ScalingConfig, seed: int, max_attempts: int = 1_000_000)
     return out[0], out[1], out[2]
 
 
-def apply_scaling(mesh: TriMesh, sx: float, sy: float, sz: float) -> TriMesh:
-    """Scale vertex coordinates per axis; volume scales by sx*sy*sz."""
-    if not (sx > 0 and sy > 0 and sz > 0):
-        raise ValueError("scaling factors must be positive")
-    return TriMesh(
-        vertices=mesh.vertices * np.array([sx, sy, sz]),
-        faces=mesh.faces,
-        vertex_labels=mesh.vertex_labels,
-    )
-
-
-def scale_samples(samples: list[PersonSample], cfg: ScalingConfig, seed: int,
-                  density: float = DEFAULT_BODY_DENSITY) -> list[PersonSample]:
+def scale_samples(samples: list[PersonSample], cfg: ScalingConfig, seed: int) -> list[PersonSample]:
     """Population-level effect of per-person mesh scaling: the vertical factor
-    stretches height, the product of all three scales volume and thus mass."""
+    stretches height, the product of all three scales volume and mass alike,
+    so each sample keeps its body density."""
     out = []
     for i, s in enumerate(samples):
         sx, sy, sz = sample_scaling(cfg, mix_seed(seed, i))
         height = s.height_m * sz
-        mass = s.mass_kg * (sx * sy * sz)
+        factor = sx * sy * sz
+        mass = s.mass_kg * factor
         out.append(
             PersonSample(
                 gender=s.gender,
                 height_m=height,
                 mass_kg=mass,
                 bmi=mass / (height * height),
-                volume_dm3=mass / density * 1000.0,
+                volume_dm3=s.volume_dm3 * factor,
             )
         )
     return out
@@ -354,17 +329,6 @@ def model_from_config(pairs: dict[str, str], source: str = "<config>") -> Anthro
         return build_model(get)
     except ValidationError as exc:
         raise ValidationError(f"{source}: {exc}") from None
-
-
-def scaling_to_config(cfg: ScalingConfig) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for axis in ("x", "y", "z"):
-        tn: TruncatedNormal = getattr(cfg, axis)
-        pairs[f"scale.{axis}.mean"] = repr(tn.mean)
-        pairs[f"scale.{axis}.std"] = repr(tn.std)
-        pairs[f"scale.{axis}.lower"] = repr(tn.lower)
-        pairs[f"scale.{axis}.upper"] = repr(tn.upper)
-    return pairs
 
 
 def scaling_from_config(pairs: dict[str, str], source: str = "<config>") -> ScalingConfig:

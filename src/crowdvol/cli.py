@@ -139,22 +139,24 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.protocol == "full":
-        report = evalharness.evaluate_full(frames, preds)
-        (out / "report.csv").write_text(evalharness.full_report_to_csv(report), encoding="utf-8")
-        print(evalharness.full_report_to_csv(report), end="")
+        text = evalharness.full_report_to_csv(evalharness.evaluate_full(frames, preds))
+        (out / "report.csv").write_text(text, encoding="utf-8")
+        print(text, end="")
     elif args.protocol == "decoupling":
         report = evalharness.decoupling_eval(
             frames, preds, min_volume_dm3=args.min_volume, iou_threshold=args.iou_threshold
         )
-        (out / "report.csv").write_text(evalharness.decoupling_to_csv(report), encoding="utf-8")
-        print(evalharness.decoupling_to_csv(report), end="")
+        text = evalharness.decoupling_to_csv(report)
+        (out / "report.csv").write_text(text, encoding="utf-8")
+        print(text, end="")
     elif args.protocol == "bins":
         from . import plots
 
         bins = evalharness.crowd_size_bins(frames, preds, args.bin_edges)
-        (out / "bins.csv").write_text(evalharness.bins_to_csv(bins), encoding="utf-8")
+        text = evalharness.bins_to_csv(bins)
+        (out / "bins.csv").write_text(text, encoding="utf-8")
         plots.write_bins_svg(bins, out / "bins.svg")
-        print(evalharness.bins_to_csv(bins), end="")
+        print(text, end="")
     else:  # scatter
         from . import metrics, plots
 

@@ -142,11 +142,6 @@ class PartTaxonomy:
         return {pname: pid for pid, pname in self.parts}[name]
 
 
-# Keypoint ids of the default 17-joint skeleton shipped in configs/taxonomy.cfg.
-KEYPOINT_NAMES = tuple("head_top chin neck spine_top spine_mid spine_low pelvis l_shoulder l_elbow r_shoulder "
-                       "r_elbow l_wrist r_wrist l_hip r_hip l_knee r_knee".split())
-
-
 def default_config(name: str) -> dict[str, str]:
     """Pairs of a shipped default config (taxonomy, model, scaling, scene)."""
     text = (resources.files("crowdvol") / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
@@ -607,14 +602,6 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def taxonomy_to_config(tax: PartTaxonomy) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for pid, name in tax.parts:
-        pairs[f"part.{pid}.name"] = name
-        pairs[f"part.{pid}.keypoints"] = ",".join(str(k) for k in tax.keypoint_map.get(pid, ()))
-    return pairs
-
-
 def taxonomy_from_config(pairs: dict[str, str], source: str = "<config>") -> PartTaxonomy:
     """A complete taxonomy: one part per `part.N.name` key, owning the
     keypoints of its optional `part.N.keypoints` list."""
@@ -629,7 +616,3 @@ def taxonomy_from_config(pairs: dict[str, str], source: str = "<config>") -> Par
 
 def load_taxonomy(path) -> PartTaxonomy:
     return taxonomy_from_config(read_keyvalues(path), str(path))
-
-
-def save_taxonomy(tax: PartTaxonomy, path) -> None:
-    write_keyvalues(taxonomy_to_config(tax), path)

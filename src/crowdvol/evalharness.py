@@ -3,7 +3,7 @@
 Predictions are either per-frame scalars (dm^3) or density maps; protocols
 cover full-set metrics, per-person decoupling with a detection threshold,
 crowd-size binning, tag-based subset filtering, and the mean-volume
-reference estimators.
+reference estimator.
 """
 from __future__ import annotations
 
@@ -43,11 +43,6 @@ class PredictionSet:
     def is_map(self, frame_id: str) -> bool:
         return isinstance(self.by_frame.get(frame_id), (DensityMap, Path))
 
-    def total_for(self, frame_id: str) -> float:
-        if not self.has(frame_id):
-            raise EvalError(f"no prediction for frame {frame_id!r}")
-        return self.map_for(frame_id).total() if self.is_map(frame_id) else self.by_frame[frame_id]
-
     def map_for(self, frame_id: str) -> DensityMap:
         """The frame's map; a map on disk is read anew on every call."""
         pred = self.by_frame.get(frame_id)
@@ -56,14 +51,6 @@ class PredictionSet:
         if isinstance(pred, DensityMap):
             return pred
         raise EvalError(f"no density-map prediction for frame {frame_id!r}")
-
-
-def scalar_predictions(values: dict[str, float]) -> PredictionSet:
-    return PredictionSet(dict(values))
-
-
-def map_predictions(maps: dict[str, DensityMap]) -> PredictionSet:
-    return PredictionSet(dict(maps))
 
 
 def load_predictions_csv(path) -> PredictionSet:
@@ -128,19 +115,10 @@ def dataset_stats(frames: list[FrameAnnotation]) -> DatasetStats:
     )
 
 
-def mean_volume_estimator(count_per_frame: dict[str, int], mean_volume_dm3: float) -> PredictionSet:
-    """Counting-based reference: V_hat = count * dataset mean person volume."""
-    values = {}
-    for frame_id, count in count_per_frame.items():
-        if count < 0:
-            raise EvalError(f"negative count for frame {frame_id!r}")
-        values[frame_id] = count * mean_volume_dm3
-    return PredictionSet(values)
-
-
 def oracular_count_estimator(frames: list[FrameAnnotation], mean_volume_dm3: float) -> PredictionSet:
-    """Mean-volume estimator fed with ground-truth person counts."""
-    return mean_volume_estimator({f.frame_id: f.n_persons for f in frames}, mean_volume_dm3)
+    """Counting-based reference fed with ground-truth person counts:
+    V_hat = count * dataset mean person volume."""
+    return PredictionSet({f.frame_id: f.n_persons * mean_volume_dm3 for f in frames})
 
 
 # ---------------------------------------------------------------------------

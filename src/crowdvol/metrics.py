@@ -106,17 +106,6 @@ def mae_ppmae_scatter(records: list[EvalRecord]) -> list[ScatterPoint]:
     return points
 
 
-def report_to_csv(report: MetricsReport) -> str:
-    out = StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["metric", "value", "k"])
-    writer.writerow(["mae", repr(report.mae), report.k])
-    writer.writerow(["ppmae", repr(report.ppmae), report.ppmae_k])
-    writer.writerow(["rmse", repr(report.rmse), report.k])
-    writer.writerow(["empty_frames", report.empty_frames, report.k])
-    return out.getvalue()
-
-
 def scatter_to_csv(points: list[ScatterPoint]) -> str:
     out = StringIO()
     writer = csv.writer(out)

@@ -76,9 +76,6 @@ class SplitMix64:
         """Standard normal via the inverse CDF of one uniform draw."""
         return ndtri(self.uniform())
 
-    def normals(self, n: int) -> np.ndarray:
-        return np.array([ndtri(u) for u in self.uniforms(n).tolist()])
-
     def randint(self, lo: int, hi: int) -> int:
         """Integer uniform on [lo, hi] inclusive."""
         if hi < lo:
@@ -91,9 +88,3 @@ class SplitMix64:
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + (self.next_u64s(n) % np.uint64(hi - lo + 1)).astype(np.int64)
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]

@@ -72,15 +72,6 @@ def _pinhole(cam: np.ndarray, camera: CameraParams) -> tuple[np.ndarray, np.ndar
     return x, y, z
 
 
-def project(point_m, camera: CameraParams) -> tuple[float, float]:
-    """Project a world point through the pinhole camera, origin top-left."""
-    point = np.asarray(point_m, dtype=np.float64).reshape(1, 3)
-    x, y, z = _pinhole(_rigid(camera.rotation, point, camera.translation), camera)
-    if z[0] <= 0:
-        raise ValueError(f"point {point_m} is behind the camera (z={z[0]})")
-    return float(x[0]), float(y[0])
-
-
 def _body_pose(camera: CameraParams, x: float, y: float, yaw: float) -> tuple[np.ndarray, np.ndarray]:
     """Rotation and translation taking the body frame of a person standing
     at ground point (x, y), turned by `yaw` about the vertical, into the

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.optimize import brentq
 from scipy.stats import lognorm, truncnorm
 
 from crowdvol import anthro, meshvol
+from crowdvol.datamodel import TriMesh, ValidationError, default_config
 from conftest import make_random_convex
 
 
@@ -66,20 +68,18 @@ def test_infeasible_model_raises():
 # ---------------------------------------------------------------------------
 
 def test_mass_volume_paper_density():
-    assert anthro.mass_from_volume(0.07, 1000.0) == 70.0
-    assert anthro.mass_from_volume(1.0, 1000.0) == 1000.0
+    assert anthro.volume_from_mass(70.0, 1000.0) == 0.07
+    assert anthro.volume_from_mass(1000.0, 1000.0) == 1.0
 
 
 def test_mass_volume_roundtrip():
-    rng = np.random.default_rng(2)
-    for v in rng.uniform(0.01, 0.2, size=1000):
-        back = anthro.volume_from_mass(anthro.mass_from_volume(v, 985.0), 985.0)
-        assert abs(back - v) <= 1e-15 * v
+    """Each sampled person's volume is its mass over the model's body density."""
+    model = replace(anthro.default_model(), body_density=985.0)
+    for s in anthro.sample_population(model, 1000, seed=2):
+        assert abs(s.volume_dm3 / 1000.0 * 985.0 - s.mass_kg) <= 1e-15 * s.mass_kg
 
 
 def test_conversion_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        anthro.mass_from_volume(-1.0)
     with pytest.raises(ValueError):
         anthro.volume_from_mass(0.0)
 
@@ -121,30 +121,57 @@ def test_scaling_determinism():
 # Mesh scaling
 # ---------------------------------------------------------------------------
 
-def test_apply_scaling_identity(unit_cube):
-    out = anthro.apply_scaling(unit_cube, 1.0, 1.0, 1.0)
-    assert np.array_equal(out.vertices, unit_cube.vertices)
-    assert np.array_equal(out.faces, unit_cube.faces)
+def _pinned(value):
+    """A truncated normal whose every draw is `value`."""
+    return anthro.TruncatedNormal(mean=value, std=1e-300, lower=value / 2.0, upper=value * 2.0)
 
 
-def test_apply_scaling_doubles_cube(unit_cube):
-    out = anthro.apply_scaling(unit_cube, 2.0, 1.0, 1.0)
-    assert meshvol.signed_volume(out) == pytest.approx(2.0, rel=1e-12)
+def test_apply_scaling_identity():
+    samples = anthro.sample_population(anthro.default_model(), 50, seed=4)
+    unit = anthro.ScalingConfig(x=_pinned(1.0), y=_pinned(1.0), z=_pinned(1.0))
+    assert anthro.scale_samples(samples, unit, seed=5) == samples
+
+
+def test_apply_scaling_doubles_cube():
+    samples = anthro.sample_population(anthro.default_model(), 50, seed=6)
+    wide = anthro.ScalingConfig(x=_pinned(2.0), y=_pinned(1.0), z=_pinned(1.0))
+    for s, t in zip(samples, anthro.scale_samples(samples, wide, seed=7)):
+        assert t.height_m == s.height_m
+        assert t.mass_kg == 2.0 * s.mass_kg
+        assert t.volume_dm3 == 2.0 * s.volume_dm3
+
+
+def test_apply_scaling_rejects_nonpositive():
+    with pytest.raises(ValidationError, match="positive"):
+        anthro.TruncatedNormal(mean=1.0, std=0.1, lower=0.0, upper=1.5)
+    with pytest.raises(ValidationError, match="positive"):
+        anthro.TruncatedNormal(mean=1.0, std=0.1, lower=-0.5, upper=1.5)
 
 
 def test_apply_scaling_volume_ratio():
+    """Scaling a mesh per axis scales its volume by sx*sy*sz: the identity
+    scale_samples applies to each sample's mass and volume."""
     rng = np.random.default_rng(8)
     for seed in range(30):
         mesh, _ = make_random_convex(seed)
         sx, sy, sz = rng.uniform(0.4, 2.5, size=3)
         base = meshvol.signed_volume(mesh)
-        scaled = meshvol.signed_volume(anthro.apply_scaling(mesh, sx, sy, sz))
+        scaled = meshvol.signed_volume(TriMesh(vertices=mesh.vertices * [sx, sy, sz], faces=mesh.faces))
         assert abs(scaled - sx * sy * sz * base) <= 1e-9 * scaled
 
 
-def test_apply_scaling_rejects_nonpositive(unit_cube):
-    with pytest.raises(ValueError):
-        anthro.apply_scaling(unit_cube, 0.0, 1.0, 1.0)
+def test_scale_samples_keeps_the_body_density():
+    model = replace(anthro.default_model(), body_density=985.0)
+    samples = anthro.sample_population(model, 200, seed=9)
+    unit = anthro.TruncatedNormal(mean=1.0, std=1e-300, lower=0.5, upper=1.5)
+    same = anthro.scale_samples(samples, anthro.ScalingConfig(x=unit, y=unit, z=unit), seed=10)
+    for s, t in zip(samples, same):
+        assert abs(t.volume_dm3 - s.volume_dm3) <= 1e-12 * s.volume_dm3
+    scaled = anthro.scale_samples(samples, anthro.default_scaling(), seed=11)
+    assert any(t.mass_kg != s.mass_kg for s, t in zip(samples, scaled))
+    for s, t in zip(samples, scaled):
+        density = s.mass_kg / s.volume_dm3
+        assert abs(t.mass_kg / t.volume_dm3 - density) <= 1e-12 * density
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +199,7 @@ def test_kl_two_bin_hand_case():
 
 def test_kl_self_divergence_small():
     target = anthro.LogNormalParams(mu=math.log(1.7), sigma=0.05)
-    samples = anthro.sample_lognormal(target, 1_000_000, seed=11)
+    samples = np.random.default_rng(11).lognormal(target.mu, target.sigma, 1_000_000)
     assert anthro.kl_divergence(samples, target, bins=50) <= 0.01
 
 
@@ -205,7 +232,7 @@ def test_kl_no_target_mass_error():
 
 def test_alignment_no_change():
     target = anthro.LogNormalParams(mu=math.log(1.7), sigma=0.05)
-    samples = anthro.sample_lognormal(target, 5000, seed=21).tolist()
+    samples = np.random.default_rng(21).lognormal(target.mu, target.sigma, 5000).tolist()
     report = anthro.alignment_report(samples, samples, target)
     assert report.pct_change == 0.0
     assert report.kl_before == report.kl_after
@@ -213,8 +240,8 @@ def test_alignment_no_change():
 
 def test_alignment_fields_consistent():
     target = anthro.LogNormalParams(mu=math.log(1.7), sigma=0.05)
-    before = anthro.sample_lognormal(anthro.LogNormalParams(math.log(1.7), 0.01), 5000, seed=2)
-    after = anthro.sample_lognormal(target, 5000, seed=3)
+    before = np.random.default_rng(2).lognormal(math.log(1.7), 0.01, 5000)
+    after = np.random.default_rng(3).lognormal(target.mu, target.sigma, 5000)
     rep = anthro.alignment_report(before, after, target)
     assert rep.kl_after == pytest.approx(rep.kl_before * (1.0 - rep.pct_change), rel=1e-12)
 
@@ -223,7 +250,7 @@ def test_narrow_population_scaling_decreases_kl():
     target_sigma = 0.04
     target = anthro.LogNormalParams(mu=math.log(1.70), sigma=target_sigma)
     narrow = anthro.LogNormalParams(mu=math.log(1.70), sigma=target_sigma / 5.0)
-    heights = anthro.sample_lognormal(narrow, 20_000, seed=31)
+    heights = np.random.default_rng(31).lognormal(narrow.mu, narrow.sigma, 20_000)
     samples = [
         anthro.PersonSample(gender="female", height_m=h, mass_kg=65.0, bmi=65.0 / h**2, volume_dm3=65.0)
         for h in heights
@@ -279,9 +306,7 @@ def test_lognormal_needs_finite_parameters(mu, sigma):
 
 
 def test_scaling_config_roundtrip():
-    cfg = anthro.default_scaling()
-    back = anthro.scaling_from_config(anthro.scaling_to_config(cfg))
-    assert back == cfg
+    assert anthro.scaling_from_config(default_config("scaling")) == anthro.default_scaling()
 
 
 def test_samples_csv_roundtrip(tmp_path):

@@ -278,6 +278,15 @@ def test_eval_full_gt_maps_all_zero(dataset, tmp_path, capsys):
     assert "overall,rmse,0.0" in report
 
 
+def test_readme_library_use_runs(dataset, tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)  # the block reads data/test.jsonl, which `dataset` wrote
+    exec(code, {})
+    mae, _, rmse = (float(v) for v in capsys.readouterr().out.split())
+    assert 0.0 <= mae <= 1e-6 and 0.0 <= rmse <= 1e-6  # rendered maps keep each frame's volume
+
+
 def test_eval_scatter_svg_point_count(dataset, tmp_path):
     frames = read_annotations(dataset / "test.jsonl")
     preds_csv = tmp_path / "preds.csv"

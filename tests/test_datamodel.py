@@ -252,7 +252,7 @@ def test_default_taxonomy_comes_from_shipped_config():
     parsed = dm.taxonomy_from_config(dm.default_config("taxonomy"))
     assert parsed == dm.default_taxonomy()
     kp_ids = [k for kps in parsed.keypoint_map.values() for k in kps]
-    assert sorted(kp_ids) == list(range(len(dm.KEYPOINT_NAMES)))
+    assert sorted(kp_ids) == list(range(17))  # the 17-joint skeleton
 
 
 def test_taxonomy_keypoints_unique_across_parts():
@@ -263,7 +263,7 @@ def test_taxonomy_keypoints_unique_across_parts():
 def test_taxonomy_config_roundtrip(tmp_path):
     tax = dm.default_taxonomy()
     path = tmp_path / "tax.cfg"
-    dm.save_taxonomy(tax, path)
+    dm.write_keyvalues(dm.default_config("taxonomy"), path)
     back = dm.load_taxonomy(path)
     assert back.parts == tax.parts
     assert back.keypoint_map == tax.keypoint_map

@@ -57,21 +57,18 @@ def test_dataset_stats_no_persons_error():
 
 
 # ---------------------------------------------------------------------------
-# mean-volume estimators
+# mean-volume estimator
 # ---------------------------------------------------------------------------
 
 def test_mean_volume_estimator_hand_case():
-    preds = eh.mean_volume_estimator({"f": 30}, 65.2)
-    assert preds.total_for("f") == 30 * 65.2 == 1956.0
+    frame = make_frame([make_person(person_id=f"p{i}", head=(float(1 + 2 * i), 5.0)) for i in range(30)], frame_id="f")
+    preds = eh.oracular_count_estimator([frame], 65.2)
+    assert preds.by_frame == {"f": 30 * 65.2} and 30 * 65.2 == 1956.0
 
 
 def test_mean_volume_estimator_zero_count():
-    assert eh.mean_volume_estimator({"f": 0}, 65.2).total_for("f") == 0.0
-
-
-def test_mean_volume_estimator_negative_count():
-    with pytest.raises(eh.EvalError):
-        eh.mean_volume_estimator({"f": -1}, 65.2)
+    preds = eh.oracular_count_estimator([make_frame([], frame_id="f")], 65.2)
+    assert preds.by_frame == {"f": 0.0}
 
 
 def test_oracular_estimator_ppmae_identity():
@@ -93,7 +90,7 @@ def test_oracular_estimator_ppmae_identity():
 
 def test_full_eval_gt_predictions_zero():
     frames = generated_frames()
-    preds = eh.scalar_predictions({f.frame_id: f.total_volume_dm3 for f in frames})
+    preds = eh.PredictionSet({f.frame_id: f.total_volume_dm3 for f in frames})
     report = eh.evaluate_full(frames, preds)
     assert report.overall.mae == 0.0
     assert report.overall.rmse == 0.0
@@ -104,21 +101,21 @@ def test_full_eval_rendered_maps_conserve():
     frames = generated_frames()
     for sigma in (0.0, 4.0):
         maps = {f.frame_id: render_vdm(f, SmoothingConfig(sigma_px=sigma)) for f in frames}
-        report = eh.evaluate_full(frames, eh.map_predictions(maps))
+        report = eh.evaluate_full(frames, eh.PredictionSet(maps))
         mean_v = eh.dataset_stats(frames).mean_person_volume_dm3
         assert report.overall.mae <= 1e-6 * mean_v
 
 
 def test_full_eval_missing_prediction_lists_frames():
     frames = generated_frames(n_frames=3)
-    preds = eh.scalar_predictions({frames[0].frame_id: 100.0})
+    preds = eh.PredictionSet({frames[0].frame_id: 100.0})
     with pytest.raises(eh.EvalError, match=frames[1].frame_id):
         eh.evaluate_full(frames, preds)
 
 
 def test_full_eval_per_tag_partition():
     frames = generated_frames(n_frames=30, seed=5)
-    preds = eh.scalar_predictions({f.frame_id: f.total_volume_dm3 + 1.0 for f in frames})
+    preds = eh.PredictionSet({f.frame_id: f.total_volume_dm3 + 1.0 for f in frames})
     report = eh.evaluate_full(frames, preds)
     for tag, rep in report.per_tag.items():
         assert rep.k == sum(1 for f in frames if tag in f.scene_tags)
@@ -130,7 +127,7 @@ def test_full_eval_per_tag_partition():
 
 def test_decoupling_oracle_zero_error():
     frames = generated_frames(seed=8)
-    maps = eh.map_predictions({f.frame_id: render_vdm(f, SIGMA0) for f in frames})
+    maps = eh.PredictionSet({f.frame_id: render_vdm(f, SIGMA0) for f in frames})
     report = eh.decoupling_eval(frames, maps)
     assert report.kept > 0
     assert report.misses == 0
@@ -143,7 +140,7 @@ def test_decoupling_small_person_is_miss():
     small = make_person(person_id="small", head=(10.0, 10.0), volume=8.0, parts={0: 8.0}, bbox=(5.0, 5.0, 15.0, 15.0))
     big = make_person(person_id="big", head=(50.0, 50.0), volume=70.0, parts={0: 70.0}, bbox=(45.0, 45.0, 55.0, 55.0))
     frame = make_frame([small, big])
-    maps = eh.map_predictions({frame.frame_id: render_vdm(frame, SIGMA0)})
+    maps = eh.PredictionSet({frame.frame_id: render_vdm(frame, SIGMA0)})
     report = eh.decoupling_eval([frame], maps)
     assert report.misses == 1
     assert report.kept == 2
@@ -155,7 +152,7 @@ def test_decoupling_overlapping_pair_dropped():
     b = make_person(person_id="b", head=(18.0, 10.0), volume=60.0, parts={0: 60.0}, bbox=(15.0, 5.0, 30.0, 20.0))
     c = make_person(person_id="c", head=(50.0, 50.0), volume=80.0, parts={0: 80.0}, bbox=(45.0, 45.0, 55.0, 55.0))
     frame = make_frame([a, b, c])
-    maps = eh.map_predictions({frame.frame_id: render_vdm(frame, SIGMA0)})
+    maps = eh.PredictionSet({frame.frame_id: render_vdm(frame, SIGMA0)})
     report = eh.decoupling_eval([frame], maps)
     assert report.dropped_overlap == 2
     assert report.kept == 1
@@ -166,7 +163,7 @@ def test_decoupling_iou_threshold_keeps_light_overlap():
     a = make_person(person_id="a", head=(10.0, 10.0), volume=70.0, parts={0: 70.0}, bbox=(5.0, 5.0, 20.0, 20.0))
     b = make_person(person_id="b", head=(25.0, 10.0), volume=60.0, parts={0: 60.0}, bbox=(19.0, 5.0, 34.0, 20.0))
     frame = make_frame([a, b])
-    maps = eh.map_predictions({frame.frame_id: render_vdm(frame, SIGMA0)})
+    maps = eh.PredictionSet({frame.frame_id: render_vdm(frame, SIGMA0)})
     strict = eh.decoupling_eval([frame], maps, iou_threshold=0.0)
     assert strict.dropped_overlap == 2
     loose = eh.decoupling_eval([frame], maps, iou_threshold=0.5)
@@ -178,9 +175,9 @@ def test_decoupling_map_size_mismatch():
     frame = make_frame([make_person()])
     wrong = render_vdm(make_frame([make_person(head=(5.0, 5.0))], w=32, h=32), SIGMA0)
     with pytest.raises(eh.EvalError, match="size"):
-        eh.decoupling_eval([frame], eh.map_predictions({frame.frame_id: wrong}))
+        eh.decoupling_eval([frame], eh.PredictionSet({frame.frame_id: wrong}))
     with pytest.raises(eh.EvalError, match="size"):
-        eh.evaluate_full([frame], eh.map_predictions({frame.frame_id: wrong}))
+        eh.evaluate_full([frame], eh.PredictionSet({frame.frame_id: wrong}))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +186,7 @@ def test_decoupling_map_size_mismatch():
 
 def test_bins_partition_rule():
     frames = [make_frame([make_person(person_id=f"p{i}", head=(float(2 + 3 * i), 5.0)) for i in range(7)], frame_id="f7")]
-    preds = eh.scalar_predictions({"f7": frames[0].total_volume_dm3})
+    preds = eh.PredictionSet({"f7": frames[0].total_volume_dm3})
     bins = eh.crowd_size_bins(frames, preds, [1, 10, 50, math.inf])
     assert bins[0].n_frames == 1
     assert bins[1].n_frames == 0 and bins[1].report is None
@@ -198,7 +195,7 @@ def test_bins_partition_rule():
 
 def test_bins_cover_all_crowd_frames():
     frames = generated_frames(n_frames=25, seed=6)
-    preds = eh.scalar_predictions({f.frame_id: f.total_volume_dm3 for f in frames})
+    preds = eh.PredictionSet({f.frame_id: f.total_volume_dm3 for f in frames})
     bins = eh.crowd_size_bins(frames, preds, [1, 3, 5, math.inf])
     assert sum(b.n_frames for b in bins) == sum(1 for f in frames if f.n_persons >= 1)
 
@@ -206,7 +203,7 @@ def test_bins_cover_all_crowd_frames():
 def test_bins_recombine_to_global_mae():
     frames = generated_frames(n_frames=25, seed=7)
     rng = np.random.default_rng(0)
-    preds = eh.scalar_predictions(
+    preds = eh.PredictionSet(
         {f.frame_id: max(0.0, f.total_volume_dm3 + rng.normal(scale=30.0)) for f in frames}
     )
     bins = eh.crowd_size_bins(frames, preds, [1, 3, 5, math.inf])
@@ -219,7 +216,7 @@ def test_bins_recombine_to_global_mae():
 
 def test_bins_rejects_bad_edges():
     frames = generated_frames(n_frames=2)
-    preds = eh.scalar_predictions({f.frame_id: 0.0 for f in frames})
+    preds = eh.PredictionSet({f.frame_id: 0.0 for f in frames})
     with pytest.raises(eh.EvalError):
         eh.crowd_size_bins(frames, preds, [5, 5])
 
@@ -268,20 +265,19 @@ def test_load_predictions_csv(tmp_path):
     path = tmp_path / "preds.csv"
     path.write_text("frame_id,V_pred_dm3\nf0,123.5\nf1,7\n")
     preds = eh.load_predictions_csv(path)
-    assert preds.total_for("f0") == 123.5
-    assert preds.total_for("f1") == 7.0
+    assert preds.by_frame == {"f0": 123.5, "f1": 7.0}
 
 
 def test_load_prediction_maps(tmp_path):
     frame = make_frame([make_person(volume=70.0)])
     write_vdm(render_vdm(frame, SIGMA0), tmp_path / "f0.vdm")
     preds = eh.load_prediction_maps(tmp_path)
-    assert preds.total_for("f0") == 70.0  # float32-exact value survives the file
+    assert preds.map_for("f0").total() == 70.0  # float32-exact value survives the file
 
 
 def test_protocol_csv_determinism():
     frames = generated_frames(n_frames=10, seed=13)
-    preds = eh.scalar_predictions({f.frame_id: f.total_volume_dm3 * 1.01 for f in frames})
+    preds = eh.PredictionSet({f.frame_id: f.total_volume_dm3 * 1.01 for f in frames})
     a = eh.full_report_to_csv(eh.evaluate_full(frames, preds))
     b = eh.full_report_to_csv(eh.evaluate_full(frames, preds))
     assert a == b

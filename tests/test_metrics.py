@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from crowdvol.evalharness import FullReport, full_report_to_csv
 from crowdvol.metrics import (
     EvalRecord,
     compute_report,
     mae,
     mae_ppmae_scatter,
     ppmae,
-    report_to_csv,
     rmse,
 )
 
@@ -130,10 +130,12 @@ def test_report_excludes_empty_frames_from_ppmae():
 
 
 def test_report_csv_shape():
-    csv_text = report_to_csv(compute_report([rec("a", 10.0, 10.0)]))
+    records = [rec("a", 10.0, 10.0)]
+    csv_text = full_report_to_csv(FullReport(overall=compute_report(records), per_tag={}, records=records))
     lines = csv_text.strip().splitlines()
-    assert lines[0] == "metric,value,k"
-    assert lines[1].startswith("mae,")
+    assert lines[0] == "subset,metric,value,k"
+    assert lines[1].startswith("overall,mae,")
+    assert len(lines) == 4
 
 
 # ---------------------------------------------------------------------------

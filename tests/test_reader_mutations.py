@@ -34,7 +34,7 @@ READERS = {
     "annotations": (_annotations, dm.read_annotations),
     "obj": (lambda path: dm.write_obj(make_box(), path), dm.read_obj),
     "labels": (lambda path: dm.write_vertex_labels(np.arange(8) % 3, path), lambda path: dm.read_vertex_labels(path, 8)),
-    "keyvalues": (lambda path: dm.save_taxonomy(dm.default_taxonomy(), path), dm.read_keyvalues),
+    "keyvalues": (lambda path: dm.write_keyvalues(dm.default_config("taxonomy"), path), dm.read_keyvalues),
     "predictions": (lambda path: path.write_text("frame_id,V_pred_dm3\nf0,12.5\nf1,0.0\n"), load_predictions_csv),
     "samples": (_samples, anthro.read_samples_csv),
     "vdm": (_vdm, dm.read_vdm),
