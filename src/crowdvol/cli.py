@@ -29,6 +29,11 @@ from pathlib import Path
 
 from . import __version__
 
+# OpenBLAS's thread pool costs every numpy process start-up time, and its
+# spinning threads CPU time, for matrices too small to gain from threads.
+# Output bytes do not depend on the thread count. A value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 # Each cmd_* imports the library modules it runs, so `--version`, `--help`
 # and a usage error load no numpy, and a subcommand loads only its own
 # modules. Modules are imported whole and their functions called as

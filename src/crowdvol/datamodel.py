@@ -306,16 +306,37 @@ def _keypoints_from_lists(records: list) -> tuple[Keypoint, ...]:
     return tuple([new(Keypoint, (float(x), float(y), pid, vis == 1)) for x, y, pid, vis in records])
 
 
+# Exact types of a JSON number as json.loads returns it; a bool is not one.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _json_string(value, field: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _json_integer(value, field: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _person_from_dict(d: dict) -> PersonAnnotation:
     hx, hy = d["head_px"]
     x0, y0, x1, y1 = d["bbox_px"]
+    volume, parts = d["volume_dm3"], d["part_volumes_dm3"]
+    numbers = (hx, hy, x0, y0, x1, y1, volume, *parts.values())
+    if not _NUMBER_TYPES.issuperset(map(type, numbers)):
+        bad = next(v for v in numbers if type(v) not in _NUMBER_TYPES)
+        raise ValueError(f"head_px, bbox_px and volumes must be numbers, got {bad!r}")
     return PersonAnnotation(
-        person_id=str(d["person_id"]),
-        character_id=str(d["character_id"]),
+        person_id=_json_string(d["person_id"], "person_id"),
+        character_id=_json_string(d["character_id"], "character_id"),
         head_px=(float(hx), float(hy)),
         bbox_px=(float(x0), float(y0), float(x1), float(y1)),
-        volume_dm3=float(d["volume_dm3"]),
-        part_volumes_dm3={int(k): float(v) for k, v in d["part_volumes_dm3"].items()},
+        volume_dm3=float(volume),
+        part_volumes_dm3={int(k): float(v) for k, v in parts.items()},
         keypoints=_keypoints_from_lists(d.get("keypoints", [])),
     )
 
@@ -341,9 +362,9 @@ def frame_to_dict(frame: FrameAnnotation) -> dict:
 def frame_from_dict(d: dict) -> FrameAnnotation:
     cam = d["camera"]
     return FrameAnnotation(
-        frame_id=str(d["frame_id"]),
-        image_w=int(d["image_w"]),
-        image_h=int(d["image_h"]),
+        frame_id=_json_string(d["frame_id"], "frame_id"),
+        image_w=_json_integer(d["image_w"], "image_w"),
+        image_h=_json_integer(d["image_h"], "image_h"),
         persons=tuple(_person_from_dict(p) for p in d["persons"]),
         scene_tags=frozenset(str(t) for t in d.get("scene_tags", [])),
         camera=CameraParams(

@@ -73,7 +73,9 @@ class Plane:
         object.__setattr__(self, "normal", n)
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) @ self.normal - self.offset
+        d = np.asarray(points, dtype=np.float64) @ self.normal
+        d -= self.offset
+        return d
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,41 @@ class PartVolumes:
 # ---------------------------------------------------------------------------
 
 def _directed_edges(faces: np.ndarray) -> np.ndarray:
-    return np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
+    """Rows (u, v): every face's first edge, then every second, then every third."""
+    edges = np.empty((3, len(faces), 2), dtype=faces.dtype)
+    edges[:, :, 0] = faces.T
+    edges[:2, :, 1] = faces[:, 1:].T
+    edges[2, :, 1] = faces[:, 0]
+    return edges.reshape(-1, 2)
+
+
+def _edges_pair_up(faces: np.ndarray, n: int) -> bool:
+    """True iff every undirected edge of the faces occurs exactly once in
+    each direction.
+
+    Directed edge (u, v) gets the key 2*(min*n + max) + (u > v). Sorted, the
+    keys then pair up as (2k, 2k + 1) exactly when each undirected edge k
+    occurs once forward and once backward.
+    """
+    keys = np.empty((3, len(faces)), dtype=np.int64)
+    for slot in range(3):
+        u, v, k = faces[:, slot], faces[:, (slot + 1) % 3], keys[slot]
+        np.minimum(u, v, out=k)
+        k *= n
+        k += np.maximum(u, v)
+        k *= 2
+        k += u > v
+    keys = keys.reshape(-1)
+    keys.sort()
+    first, second = keys[0::2], keys[1::2]
+    return len(keys) % 2 == 0 and not (first & 1).any() and bool((second - first == 1).all())
+
+
+def _unique(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """np.unique(a, axis=axis). Asking for the first indices too keeps
+    np.unique from importing numpy.ma, as its plain form does on first use
+    in numpy 2.3 and later: about 13 ms of every `label` process."""
+    return np.unique(a, axis=axis, return_index=True)[0]
 
 
 def _unpaired(keys: np.ndarray, n: int) -> np.ndarray:
@@ -121,14 +157,13 @@ def is_watertight(mesh: TriMesh) -> tuple[bool, list[tuple[int, int]]]:
     opposite directed orientation. The diagnostic lists offending edges."""
     if mesh.n_faces == 0:
         return True, []
-    edges = _directed_edges(mesh.faces)
     n = mesh.n_vertices
+    if _edges_pair_up(mesh.faces, n):
+        return True, []
+    edges = _directed_edges(mesh.faces)
     keys = np.sort(edges[:, 0] * n + edges[:, 1])
     repeated = keys[1:] == keys[:-1]
-    unpaired = _unpaired(keys, n)
-    if not repeated.any() and not unpaired.any():
-        return True, []
-    offenders = np.unique(np.concatenate([keys[1:][repeated], keys[unpaired]]))
+    offenders = np.unique(np.concatenate([keys[1:][repeated], keys[_unpaired(keys, n)]]))
     return False, [(int(k) // n, int(k) % n) for k in offenders]
 
 
@@ -144,7 +179,8 @@ def signed_volume(mesh: TriMesh) -> float:
     a = v[mesh.faces[:, 0]]
     b = v[mesh.faces[:, 1]]
     c = v[mesh.faces[:, 2]]
-    terms = np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+    terms = np.einsum("ij,ij->i", a, np.cross(b, c))
+    terms /= 6.0
     vol = math.fsum(terms.tolist())
     # A flat surface (a zero-volume leaf of split_parts) sums to rounding
     # noise of either sign. Its tetra terms are noise-sized too, so the noise
@@ -182,8 +218,9 @@ def _candidate_triples(n_pts: int) -> np.ndarray:
     return triples[(i != j) & (j != k) & (i != k)]
 
 
-def _candidate_planes(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical candidate (normals, offsets); degenerate triples dropped."""
+def _candidate_planes(pts: np.ndarray, lsq: tuple[np.ndarray, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical candidate (normals, offsets); degenerate triples dropped.
+    ``lsq`` is the least-squares plane of ``pts``."""
     n_pts = len(pts)
     triples = _candidate_triples(n_pts)
     p0 = pts[triples[:, 0]]
@@ -196,10 +233,8 @@ def _candidate_planes(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     normals = cr[valid] / norms[valid, None]
     offsets = np.einsum("ij,ij->i", normals, p0[valid])
     if n_pts > _EXHAUSTIVE_LIMIT:
-        lsq = _least_squares_plane(pts)
-        if lsq is not None:
-            normals = np.concatenate([normals, lsq[0][None, :]], axis=0)
-            offsets = np.concatenate([offsets, [lsq[1]]])
+        normals = np.concatenate([normals, lsq[0][None, :]], axis=0)
+        offsets = np.concatenate([offsets, [lsq[1]]])
     # canonical form: first nonzero normal component positive
     lead = np.where(normals[:, 0] != 0.0, np.sign(normals[:, 0]),
                     np.where(normals[:, 1] != 0.0, np.sign(normals[:, 1]), np.sign(normals[:, 2])))
@@ -222,38 +257,62 @@ def fit_boundary_plane(points, tol: float = DEFAULT_PLANE_TOL) -> PlaneFit:
     n_pts = len(pts)
     if n_pts < 3:
         raise CollinearPointsError(f"need at least 3 points, got {n_pts}")
-    if _least_squares_plane(pts) is None:
+    lsq = _least_squares_plane(pts)
+    if lsq is None:
         raise CollinearPointsError("all points are collinear")
-    normals, offsets = _candidate_planes(pts)
+    normals, offsets = _candidate_planes(pts, lsq)
     if len(normals) == 0:
         raise CollinearPointsError("no valid candidate planes; points are collinear")
 
-    dists = np.abs(pts @ normals.T - offsets)  # (n_pts, n_candidates)
+    dists = pts @ normals.T  # (n_pts, n_candidates)
+    dists -= offsets
+    np.abs(dists, out=dists)
     inside = dists <= tol
     counts = inside.sum(axis=0)
-    sq_outside = np.where(inside, 0.0, dists * dists).sum(axis=0)
-    n_outside = n_pts - counts
-    rms = np.sqrt(np.divide(sq_outside, np.maximum(n_outside, 1)))
+    # Only the candidates traversing the most points can come first, so the
+    # RMS is taken for those alone.
+    tied = np.flatnonzero(counts == counts.max())
+    n_outside = n_pts - int(counts[tied[0]])
+    if n_outside == 0:
+        rms = np.zeros(len(tied))
+    else:
+        sq = dists[:, tied]
+        sq *= sq
+        sq[inside[:, tied]] = 0.0
+        # The bits must match a sum over all candidates. numpy sums an
+        # (n, k) array over axis 0 row by row when k > 1 but pairwise when
+        # k == 1, so cumsum, always row by row, stands in for the sum unless
+        # there is one candidate only.
+        sq_outside = np.cumsum(sq, axis=0)[-1] if len(normals) > 1 else sq.sum(axis=0)
+        rms = np.sqrt(sq_outside / n_outside)
     # lexsort is stable and keyed from the last array backwards; the first
     # row after sorting realizes the total tie-break order.
-    order = np.lexsort((offsets, normals[:, 2], normals[:, 1], normals[:, 0], rms, -counts))
-    best = int(order[0])
+    order = np.lexsort((offsets[tied], normals[tied, 2], normals[tied, 1], normals[tied, 0], rms))
+    best = int(tied[order[0]])
 
     plane = Plane(normal=normals[best], offset=float(offsets[best]))
     traversed_idx = np.nonzero(inside[:, best])[0]
-    return PlaneFit(plane=plane, traversed=traversed_idx, rms_distance=float(rms[best]))
+    return PlaneFit(plane=plane, traversed=traversed_idx, rms_distance=float(rms[order[0]]))
 
 
 # ---------------------------------------------------------------------------
 # Plane splitting
 # ---------------------------------------------------------------------------
 
-def _compact(vertices: np.ndarray, faces: np.ndarray) -> TriMesh:
-    """The mesh of ``faces`` over only the vertices they use, in index order."""
+def _compact(vertices: np.ndarray, *blocks: np.ndarray) -> TriMesh:
+    """The mesh of the face blocks, stacked in order, over only the vertices
+    they use, in index order."""
     used = np.zeros(len(vertices), dtype=bool)
-    used[faces] = True
-    remap = np.cumsum(used) - 1
-    return TriMesh(vertices=vertices[used], faces=remap[faces])
+    for block in blocks:
+        used[block] = True
+    remap = np.cumsum(used, dtype=np.int64)
+    remap -= 1
+    faces = np.empty((sum(len(block) for block in blocks), 3), dtype=np.int64)
+    start = 0
+    for block in blocks:
+        np.take(remap, block, out=faces[start:start + len(block)])
+        start += len(block)
+    return TriMesh(vertices=vertices[used], faces=faces)
 
 
 def _boundary_loops(faces: np.ndarray, on_plane: np.ndarray) -> list[list[int]]:
@@ -269,7 +328,7 @@ def _boundary_loops(faces: np.ndarray, on_plane: np.ndarray) -> list[list[int]]:
     edges = _directed_edges(faces)
     edges = edges[on_plane[edges].all(axis=1)]
     n = len(on_plane)
-    keys = np.unique(edges[:, 0] * n + edges[:, 1])
+    keys = _unique(edges[:, 0] * n + edges[:, 1])
     u, v = np.divmod(keys[_unpaired(keys, n)], n)
     # The cap must contain each open edge (u, v) reversed, as v -> u.
     succ: dict[int, list[int]] = {}
@@ -316,8 +375,10 @@ def split_by_plane(mesh: TriMesh, plane: Plane) -> tuple[TriMesh, TriMesh]:
     s = plane.signed_distance(mesh.vertices)
     sign = np.sign(s).astype(np.int8)
     fsign = sign[mesh.faces]
-    neg_mask = (fsign <= 0).all(axis=1)
-    pos_mask = (fsign >= 0).all(axis=1) & (fsign > 0).any(axis=1)
+    s0, s1, s2 = fsign.T
+    fmax = np.maximum(np.maximum(s0, s1), s2)
+    neg_mask = fmax <= 0
+    pos_mask = (np.minimum(np.minimum(s0, s1), s2) >= 0) & (fmax > 0)
     cross = ~neg_mask & ~pos_mask
 
     # Rotate each crossing face so that its on-plane vertex (if any) or its
@@ -365,10 +426,14 @@ def split_by_plane(mesh: TriMesh, plane: Plane) -> tuple[TriMesh, TriMesh]:
         np.stack([sb, -sb, np.zeros_like(sb)], 1),
         np.stack([sa, -sa, -sa], 1),
     ).ravel()
-    neg_faces = np.concatenate([mesh.faces[neg_mask], pieces[side < 0]])
-    pos_faces = np.concatenate([mesh.faces[pos_mask], pieces[side > 0]])
+    neg_pieces, pos_pieces = pieces[side < 0], pieces[side > 0]
 
-    loops = _boundary_loops(neg_faces, on_plane)
+    # An open edge has both ends on the plane, so of the uncrossed faces only
+    # those with two vertices on it can hold one: on the negative side, the
+    # faces whose signs sum to -1 or 0.
+    on_edge = neg_mask & (s0 + s1 + s2 >= -1)
+    loops = _boundary_loops(np.concatenate([mesh.faces[on_edge], neg_pieces]), on_plane)
+    caps = np.zeros((0, 3), dtype=np.int64)
     if loops:
         centroids = np.asarray([all_vertices[loop].mean(axis=0) for loop in loops])
         caps = np.stack([
@@ -377,10 +442,9 @@ def split_by_plane(mesh: TriMesh, plane: Plane) -> tuple[TriMesh, TriMesh]:
             np.concatenate([loop[1:] + loop[:1] for loop in loops]),
         ], axis=1)
         all_vertices = np.concatenate([all_vertices, centroids])
-        neg_faces = np.concatenate([neg_faces, caps])
-        pos_faces = np.concatenate([pos_faces, caps[:, [0, 2, 1]]])
 
-    return _compact(all_vertices, neg_faces), _compact(all_vertices, pos_faces)
+    return (_compact(all_vertices, mesh.faces[neg_mask], neg_pieces, caps),
+            _compact(all_vertices, mesh.faces[pos_mask], pos_pieces, caps[:, [0, 2, 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +463,23 @@ def part_adjacency(mesh: TriMesh) -> tuple[list[int], dict[tuple[int, int], np.n
     labels = mesh.vertex_labels
     if labels is None:
         raise ValidationError("mesh has no vertex labels")
-    edges = _directed_edges(mesh.faces)
-    lu, lv = labels[edges[:, 0]], labels[edges[:, 1]]
-    mixed = lu != lv
-    boundary: dict[tuple[int, int], set[int]] = {}
-    for (u, v), a, b in zip(edges[mixed], lu[mixed], lv[mixed]):
-        key = (int(min(a, b)), int(max(a, b)))
-        frontier = int(u) if a < b else int(v)
-        boundary.setdefault(key, set()).add(frontier)
-    parts = sorted(int(p) for p in np.unique(labels))
-    return parts, {k: np.array(sorted(v), dtype=np.int64) for k, v in boundary.items()}
+    faces = mesh.faces
+    face_labels = labels[faces]
+    # Rows (smaller id, larger id, frontier vertex) of the edges whose ends
+    # are labeled differently.
+    blocks = []
+    for slot in range(3):
+        nxt = (slot + 1) % 3
+        a, b = face_labels[:, slot], face_labels[:, nxt]
+        mixed = a != b
+        a, b = a[mixed], b[mixed]
+        frontier = np.where(a < b, faces[mixed, slot], faces[mixed, nxt])
+        blocks.append(np.column_stack([np.minimum(a, b), np.maximum(a, b), frontier]))
+    rows = _unique(np.concatenate(blocks), axis=0)
+    pairs, starts = np.unique(rows[:, :2], axis=0, return_index=True)
+    vertex_sets = np.split(rows[:, 2].copy(), starts[1:])
+    parts = _unique(labels).tolist()
+    return parts, {(a, b): vs for (a, b), vs in zip(pairs.tolist(), vertex_sets)}
 
 
 def _tree_adjacency(parts: list[int], pairs: list[tuple[int, int]]) -> dict[int, set[int]]:
@@ -444,12 +515,11 @@ def split_parts(mesh: TriMesh, taxonomy: PartTaxonomy, tol: float = DEFAULT_PLAN
     labels = mesh.vertex_labels
     if labels is None:
         raise ValidationError("split_parts requires per-vertex part labels")
-    unknown = set(int(p) for p in np.unique(labels)) - set(taxonomy.part_ids)
+    parts, boundaries = part_adjacency(mesh)
+    unknown = set(parts) - set(taxonomy.part_ids)
     if unknown:
         raise ValidationError(f"labels reference part ids not in taxonomy: {sorted(unknown)}")
     total_dm3 = signed_volume(mesh) * M3_TO_DM3
-
-    parts, boundaries = part_adjacency(mesh)
     if len(parts) == 1:
         return PartVolumes(volumes={parts[0]: total_dm3}, total_dm3=total_dm3)
     adj = _tree_adjacency(parts, list(boundaries))

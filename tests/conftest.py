@@ -151,6 +151,37 @@ def make_w_notch_prism() -> TriMesh:
     return TriMesh(vertices=np.asarray(front + back, dtype=np.float64), faces=np.asarray(faces, dtype=np.int64))
 
 
+def make_frusta_body(sides: int, rings_per_part: int) -> TriMesh:
+    """A labeled stack of polygon rings closed by a fan at each end: parts
+    8, 6, 1 and 0 from the bottom, like a humanoid's calves, thigh, torso and
+    head. Ring radii vary smoothly and each vertex's height is jittered by up
+    to 8 mm, more than the default plane tolerance, so a boundary ring is
+    not quite planar and some of its points lie outside the fitted plane."""
+    parts = (8, 6, 1, 0)
+    n_rings = len(parts) * rings_per_part
+    ring = np.repeat(np.arange(n_rings), sides)
+    j = np.tile(np.arange(sides), n_rings)
+    angle = 2.0 * np.pi * j / sides
+    radius = 0.1 + 0.03 * np.cos(0.7 * ring)
+    z = 0.05 * ring + 0.008 * np.sin(3.7 * j + ring)
+    bottom, top = len(ring), len(ring) + 1
+    vertices = np.concatenate([
+        np.column_stack([radius * np.cos(angle), radius * np.sin(angle), z]),
+        [[0.0, 0.0, -0.05], [0.0, 0.0, 0.05 * n_rings]],
+    ])
+    labels = np.concatenate([np.repeat(parts, rings_per_part * sides), [parts[0], parts[-1]]])
+    k = (np.arange(sides) + 1) % sides
+    faces = []
+    for r in range(n_rings - 1):
+        a, b = r * sides, (r + 1) * sides
+        faces.append(np.column_stack([a + np.arange(sides), a + k, b + k]))
+        faces.append(np.column_stack([a + np.arange(sides), b + k, b + np.arange(sides)]))
+    last = (n_rings - 1) * sides
+    faces.append(np.column_stack([np.full(sides, bottom), k, np.arange(sides)]))
+    faces.append(np.column_stack([np.full(sides, top), last + np.arange(sides), last + k]))
+    return TriMesh(vertices=vertices, faces=np.concatenate(faces), vertex_labels=labels)
+
+
 def make_person(
     person_id: str = "p0",
     head=(32.0, 32.0),

@@ -1,17 +1,78 @@
-"""Loop-based plane split kept as an oracle for `meshvol.split_by_plane`.
+"""Earlier meshvol implementations kept as oracles for the current ones.
 
-This is the per-face implementation the array version replaced. It builds
-the same halves face by face: cut points numbered in first-creation order,
-uncrossed faces first, then each crossing face's products in face order,
-and one fan cap per boundary loop. The array version must reproduce its
-vertex and face arrays exactly. It does not validate its input and, like
-the original, assumes one outgoing boundary edge per vertex.
+- `split_by_plane` is the per-face split the array version replaced. It
+  builds the same halves face by face: cut points numbered in
+  first-creation order, uncrossed faces first, then each crossing face's
+  products in face order, and one fan cap per boundary loop. The array
+  version must reproduce its vertex and face arrays exactly. It does not
+  validate its input and, like the original, assumes one outgoing boundary
+  edge per vertex.
+- `is_watertight` looks up the reverse of every sorted directed-edge key
+  with a binary search.
+- `part_adjacency` collects frontier vertices one mixed-label edge at a
+  time.
+- `fit_boundary_plane` takes the RMS distance of every candidate plane, not
+  only of those traversing the most points.
+
+meshvol must return the same flags, offender lists, vertex sets and planes,
+bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from crowdvol import meshvol
 from crowdvol.datamodel import TriMesh
+
+
+def _directed_edges(faces: np.ndarray) -> np.ndarray:
+    return np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
+
+
+def is_watertight(mesh: TriMesh) -> tuple[bool, list[tuple[int, int]]]:
+    if mesh.n_faces == 0:
+        return True, []
+    edges = _directed_edges(mesh.faces)
+    n = mesh.n_vertices
+    keys = np.sort(edges[:, 0] * n + edges[:, 1])
+    repeated = keys[1:] == keys[:-1]
+    src, dst = np.divmod(keys, n)
+    rev = dst * n + src
+    unpaired = keys[np.minimum(np.searchsorted(keys, rev), len(keys) - 1)] != rev
+    if not repeated.any() and not unpaired.any():
+        return True, []
+    offenders = np.unique(np.concatenate([keys[1:][repeated], keys[unpaired]]))
+    return False, [(int(k) // n, int(k) % n) for k in offenders]
+
+
+def part_adjacency(mesh: TriMesh) -> tuple[list[int], dict[tuple[int, int], np.ndarray]]:
+    labels = mesh.vertex_labels
+    edges = _directed_edges(mesh.faces)
+    lu, lv = labels[edges[:, 0]], labels[edges[:, 1]]
+    mixed = lu != lv
+    boundary: dict[tuple[int, int], set[int]] = {}
+    for (u, v), a, b in zip(edges[mixed], lu[mixed], lv[mixed]):
+        key = (int(min(a, b)), int(max(a, b)))
+        frontier = int(u) if a < b else int(v)
+        boundary.setdefault(key, set()).add(frontier)
+    parts = sorted(int(p) for p in np.unique(labels))
+    return parts, {k: np.array(sorted(v), dtype=np.int64) for k, v in boundary.items()}
+
+
+def fit_boundary_plane(points, tol: float) -> meshvol.PlaneFit:
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n_pts = len(pts)
+    normals, offsets = meshvol._candidate_planes(pts, meshvol._least_squares_plane(pts))
+    dists = np.abs(pts @ normals.T - offsets)
+    inside = dists <= tol
+    counts = inside.sum(axis=0)
+    sq_outside = np.where(inside, 0.0, dists * dists).sum(axis=0)
+    n_outside = n_pts - counts
+    rms = np.sqrt(np.divide(sq_outside, np.maximum(n_outside, 1)))
+    order = np.lexsort((offsets, normals[:, 2], normals[:, 1], normals[:, 0], rms, -counts))
+    best = int(order[0])
+    plane = meshvol.Plane(normal=normals[best], offset=float(offsets[best]))
+    return meshvol.PlaneFit(plane=plane, traversed=np.nonzero(inside[:, best])[0], rms_distance=float(rms[best]))
 
 
 def _compact(vertices: np.ndarray, faces: list[tuple[int, int, int]]) -> TriMesh:

@@ -18,7 +18,7 @@ from crowdvol.datamodel import (
     write_obj,
     write_vertex_labels,
 )
-from conftest import make_box, make_pinched_octahedra
+from conftest import make_box, make_frusta_body, make_pinched_octahedra
 
 
 SMALL_CFG = {
@@ -184,6 +184,43 @@ def test_label_open_mesh_exit_4(tmp_path, capsys):
     write_vertex_labels(np.zeros(8, dtype=np.int64), tmp_path / "open.labels")
     assert run("label", str(tmp_path / "open.obj"), str(tmp_path / "open.labels")) == 4
     assert "edges" in capsys.readouterr().err
+
+
+# sha256 of `label` stdout, recorded from the meshvol code that took a
+# binary search per edge, a Python loop per mixed-label edge and the RMS of
+# every candidate plane. A rewrite that promises the same bits keeps them; a
+# data-version bump records them anew and says so in CHANGES.md.
+LABEL_DIGESTS = {
+    "frusta-12x3": "929753bfe5e988be15273e9940dbd4f44cb28dfc6ab2ee5c62aa00e21aec3f00",
+    "frusta-48x5": "a7e0fac875966c512c8d6e336d7129cc47e128e1357dfdfdcd3b2f85929770b9",
+    "humanoid-0": "89b8aaf9fbbc3133f7a250080e413aaaaef9d6238198035660dbbb5a67eac750",
+    "humanoid-1": "00f0b2de17c8b928c8bd5b9fbdb6f1a6b20b7079a98c5c3373be9dd57ba7c83d",
+}
+
+
+def label_digests(root: Path, capsys) -> dict[str, str]:
+    import hashlib
+
+    for sides, rings in ((12, 3), (48, 5)):
+        body = make_frusta_body(sides, rings)
+        write_obj(body, root / f"frusta-{sides}x{rings}.obj")
+        write_vertex_labels(body.vertex_labels, root / f"frusta-{sides}x{rings}.labels")
+    pools = {"pool.train": "0", "pool.val": "0", "pool.test": "2"}
+    cfg = write_cfg(root, {**pools, "frames.train": "0", "frames.val": "0", "frames.test": "1"})
+    assert run("gen", "--config", cfg, "--seed", "3", "--out", str(root / "g"), "--dump-meshes") == 0
+    for i, obj in enumerate(sorted((root / "g" / "meshes").glob("*.obj"))):
+        for suffix in ("obj", "labels"):
+            (root / f"humanoid-{i}.{suffix}").write_bytes(obj.with_suffix(f".{suffix}").read_bytes())
+    digests = {}
+    for name in LABEL_DIGESTS:
+        capsys.readouterr()
+        assert run("label", str(root / f"{name}.obj"), str(root / f"{name}.labels")) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_label_stdout_digests(tmp_path, capsys):
+    assert label_digests(tmp_path, capsys) == LABEL_DIGESTS
 
 
 def test_label_missing_file_exit_2(tmp_path):
@@ -570,6 +607,11 @@ def bad_inputs(tmp_path_factory):
         bad = json.loads(json.dumps(frame))
         bad["persons"][0]["keypoints"][0] = record
         (root / f"{name}.jsonl").write_text(json.dumps(frame) + "\n" + json.dumps(bad) + "\n")
+    for name, (where, key, retype, _) in STRICT_FIELDS.items():
+        bad = json.loads(json.dumps(frame))
+        record = bad if where == "frame" else bad["persons"][0]
+        record[key] = retype(record[key])
+        (root / f"{name}.jsonl").write_text(json.dumps(bad) + "\n")
     frame["persons"][0]["bbox_px"] = [1.0, 2.0, 3.0]
     (root / "bbox3.jsonl").write_text(json.dumps(frame) + "\n")
     (root / "twice.labels").write_text("0 0\n1 0\n2 0\n1 3\n")
@@ -614,6 +656,22 @@ KEYPOINT_CASES = {
            f"{{root}}/{name}.jsonl: malformed annotation on line 2: "
            f"keypoint must be [x, y, integer part_id, visible 0 or 1], got {record!r}")
     for name, record in KEYPOINT_RECORDS.items()
+}
+
+# Annotation fields given a JSON type other than their own, each in a copy of
+# a valid frame: (frame or its first person, key, new value from the old
+# one, message fragment). Each used to be coerced and read without an error.
+NUMBERS_MESSAGE = "head_px, bbox_px and volumes must be numbers, got "
+STRICT_FIELDS = {
+    "image-w-float": ("frame", "image_w", lambda w: w + 0.9, "image_w must be an integer, got 640.9"),
+    "head-px-strings": ("person", "head_px", lambda xy: [str(v) for v in xy], NUMBERS_MESSAGE + "'"),
+    "volume-string": ("person", "volume_dm3", str, NUMBERS_MESSAGE + "'"),
+    "bbox-bool": ("person", "bbox_px", lambda box: [True, *box[1:]], NUMBERS_MESSAGE + "True"),
+    "person-id-int": ("person", "person_id", lambda _: 7, "person_id must be a string, got 7"),
+}
+STRICT_CASES = {
+    name: (f"stats {{root}}/{name}.jsonl", None, 2, f"{{root}}/{name}.jsonl: malformed annotation on line 1: {msg}")
+    for name, (_, _, _, msg) in STRICT_FIELDS.items()
 }
 
 GEN = "gen --out {root}/g --config {cfg}"
@@ -706,6 +764,7 @@ ERROR_CASES = {
     "tol-nan": (LABEL_PINCH + " --tol nan", None, 2, "plane tolerance must be positive and finite, got nan"),
     "tol-inf": (LABEL_PINCH + " --tol inf", None, 2, "plane tolerance must be positive and finite, got inf"),
     **KEYPOINT_CASES,
+    **STRICT_CASES,
 }
 
 

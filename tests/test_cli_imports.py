@@ -74,3 +74,15 @@ def test_eval_full_loads_no_scene_or_mesh_module(inputs):
                   "--protocol", "full", "--out", inputs / "eval")
     assert library("datamodel", "evalharness") <= mods
     assert not mods & library("scenegen", "anthro", "meshvol")
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_cli_import_sets_one_blas_thread_unless_preset(preset, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = "import os, crowdvol.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == want

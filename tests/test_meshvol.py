@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import split_reference
-from crowdvol import meshvol
+from crowdvol import meshvol, scenegen
 from crowdvol.datamodel import TriMesh, default_taxonomy
 from crowdvol.rng import SplitMix64
 from conftest import (
@@ -123,6 +123,28 @@ def test_duplicated_face_not_watertight(unit_cube):
     assert not ok and bad
 
 
+def _broken_variants(faces: np.ndarray) -> list[np.ndarray]:
+    """The faces as given, with the last one missing, with the first one
+    duplicated, with the first one flipped, and all of them twice over."""
+    return [faces, faces[:-1], np.concatenate([faces, faces[:1]]),
+            np.concatenate([faces[:1, ::-1], faces[1:]]), np.concatenate([faces, faces])]
+
+
+def test_watertight_matches_binary_search_reference(unit_cube):
+    rng = np.random.default_rng(5)
+    cases = [(unit_cube, faces) for faces in _broken_variants(unit_cube.faces)]
+    for seed in range(20):
+        hull, _ = make_random_convex(seed)
+        cases += [(hull, hull.faces), (hull, np.delete(hull.faces, rng.integers(hull.n_faces), axis=0))]
+    n_open = 0
+    for mesh, faces in cases:
+        broken = TriMesh(vertices=mesh.vertices, faces=faces)
+        got = meshvol.is_watertight(broken)
+        assert got == split_reference.is_watertight(broken)
+        n_open += not got[0]
+    assert n_open == 4 + 20
+
+
 # ---------------------------------------------------------------------------
 # fit_boundary_plane
 # ---------------------------------------------------------------------------
@@ -217,6 +239,24 @@ def test_fit_is_deterministic_on_large_sets():
     assert np.array_equal(a.plane.normal, b.plane.normal)
     assert a.plane.offset == b.plane.offset
     assert np.array_equal(a.traversed, b.traversed)
+
+
+@pytest.mark.parametrize("n_pts", [9, 25, 31, 80, 300])
+def test_fit_matches_full_rms_reference(n_pts):
+    """Noisy points near a plane, with some outside the tolerance, so the
+    RMS of the tied candidates is summed; coarse coordinates make ties."""
+    rng = np.random.default_rng(n_pts)
+    for trial in range(6):
+        pts = np.column_stack([rng.uniform(-1, 1, (n_pts, 2)), rng.normal(0.0, 0.02, n_pts)])
+        if trial % 2:
+            pts = np.round(pts * 20.0) / 20.0
+        got = meshvol.fit_boundary_plane(pts, tol=0.01)
+        want = split_reference.fit_boundary_plane(pts, tol=0.01)
+        assert 0 < len(got.traversed) < n_pts and got.rms_distance > 0.0
+        assert np.array_equal(got.plane.normal, want.plane.normal)
+        assert got.plane.offset == want.plane.offset
+        assert np.array_equal(got.traversed, want.traversed)
+        assert got.rms_distance == want.rms_distance
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +427,25 @@ def test_two_stacked_cubes_split_at_shared_ring():
 def test_split_parts_requires_labels(unit_cube):
     with pytest.raises(Exception, match="labels"):
         meshvol.split_parts(unit_cube, default_taxonomy())
+
+
+def _assert_same_adjacency(mesh):
+    parts, boundaries = meshvol.part_adjacency(mesh)
+    want_parts, want_boundaries = split_reference.part_adjacency(mesh)
+    assert parts == want_parts and sorted(boundaries) == sorted(want_boundaries)
+    for key, vertices in want_boundaries.items():
+        assert boundaries[key].dtype == np.int64 and np.array_equal(boundaries[key], vertices)
+
+
+def test_part_adjacency_matches_loop_reference():
+    pools = scenegen.build_identity_pools(scenegen.SceneConfig(), 3)
+    bodies = [char.body.mesh for pool in pools.values() for char in pool.characters]
+    assert len(bodies) > 50
+    for mesh in bodies + [make_stacked_cubes()]:
+        _assert_same_adjacency(mesh)
+    cube = make_box()
+    for labels in (np.arange(8) % 3, np.zeros(8)):
+        _assert_same_adjacency(TriMesh(vertices=cube.vertices, faces=cube.faces, vertex_labels=labels))
 
 
 def test_non_tree_adjacency_rejected():
