@@ -58,7 +58,7 @@ def cmd_gen(args) -> int:
            if args.config else scenegen.SceneConfig())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pools = scenegen.build_identity_pools(cfg, args.seed)
+    pools = scenegen.build_identity_pools(cfg, args.seed, args.dump_meshes)
     dataset = {split: scenegen.generate_split(cfg, pool, args.seed, args.workers) for split, pool in pools.items()}
     for split, frames in dataset.items():
         datamodel.write_annotations(frames, out / f"{split}.jsonl")

@@ -172,7 +172,7 @@ class DensityMap:
             raise ValidationError(
                 f"density map shape {vals.shape} does not match {self.height}x{self.width}"
             )
-        if vals.size and (not np.isfinite(vals).all() or (vals < 0).any()):
+        if vals.size and not (vals.min() >= 0 and vals.max() < math.inf):
             raise ValidationError("density map values must be finite and non-negative")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)

@@ -375,8 +375,11 @@ class IdentityPool:
     characters: tuple[Character, ...]
 
 
-def build_identity_pools(cfg: SceneConfig, seed: int) -> dict[str, IdentityPool]:
-    """Disjoint character sets per split, anthropometrics drawn once."""
+def build_identity_pools(cfg: SceneConfig, seed: int, all_bodies: bool = False) -> dict[str, IdentityPool]:
+    """Disjoint character sets per split, anthropometrics drawn once.
+
+    A split without frames gets an empty pool, so its bodies are never
+    built, unless `all_bodies` is set; the other pools do not change."""
     from .anthro import sample_population
 
     sizes = [cfg.pool_for(s) for s in SPLIT_NAMES]
@@ -385,7 +388,7 @@ def build_identity_pools(cfg: SceneConfig, seed: int) -> dict[str, IdentityPool]
     offset = 0
     for split_index, (split, size) in enumerate(zip(SPLIT_NAMES, sizes)):
         characters = []
-        for i in range(size):
+        for i in range(size if all_bodies or cfg.frames_for(split) else 0):
             idx = offset + i
             char_id = f"c{idx:04d}"
             body = build_humanoid(samples[idx], mix_seed(seed, 0xB0, idx))

@@ -133,6 +133,25 @@ def test_gen_dump_meshes(tmp_path, monkeypatch):
                 assert got == (tmp_path / f"want.{suffix}").read_bytes()
 
 
+def test_gen_builds_only_the_bodies_its_frames_use(tmp_path, monkeypatch, capsys):
+    pairs = {"frames.train": "0", "frames.val": "0", "frames.test": "5"}
+    cfg = tmp_path / "scene.cfg"
+    write_keyvalues(pairs, cfg)
+    calls = []
+    build = scenegen.build_humanoid
+    monkeypatch.setattr(scenegen, "build_humanoid", lambda *args: calls.append(args) or build(*args))
+    outputs = {}
+    for flags in ((), ("--dump-meshes",)):
+        calls.clear()
+        out = tmp_path / f"out{len(flags)}"
+        assert run("gen", "--config", str(cfg), "--seed", "5", "--out", str(out), *flags) == 0
+        outputs[flags] = (len(calls), capsys.readouterr().out, tree_bytes(out))
+    (used, stdout, files), (built, all_stdout, all_files) = outputs.values()
+    assert (used, built) == (16, 50 + 8 + 16)  # pool.test, against every pool of the default scene
+    assert stdout == all_stdout
+    assert files == {name: data for name, data in all_files.items() if not name.startswith("meshes")}
+
+
 # ---------------------------------------------------------------------------
 # label
 # ---------------------------------------------------------------------------

@@ -316,6 +316,25 @@ def test_density_map_rejects_negative():
         dm.DensityMap(width=2, height=1, values=np.array([[1.0, -0.5]]))
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, -1e-300, -0.0, 0.0, None],
+    ids=["nan", "inf", "-inf", "-1e-300", "-0.0", "zeros", "empty"],
+)
+def test_density_map_check_matches_full_array_oracle(bad):
+    values = np.zeros((0, 3)) if bad is None else np.zeros((4, 3))
+    if bad is not None:
+        values[2, 1] = bad
+    # the check as it was, with full-size isfinite and comparison temporaries
+    rejected = bool(values.size) and (not np.isfinite(values).all() or (values < 0).any())
+    if rejected:
+        with pytest.raises(dm.ValidationError, match="must be finite and non-negative"):
+            dm.DensityMap(width=3, height=values.shape[0], values=values)
+    else:
+        dmap = dm.DensityMap(width=3, height=values.shape[0], values=values)
+        assert np.array_equal(dmap.values, values)
+    assert rejected == (bad in (math.inf, -math.inf, -1e-300) or bad != bad)
+
+
 def test_frame_total_volume_is_derived():
     frame = make_frame([make_person(volume=70.0), make_person(person_id="p1", head=(5, 5), volume=60.0)])
     assert frame.total_volume_dm3 == 130.0
