@@ -297,17 +297,33 @@ def _person_to_dict(p: PersonAnnotation) -> dict:
     }
 
 
-def _keypoints_from_lists(records: list) -> tuple[Keypoint, ...]:
-    """Stored keypoints: each exactly [x, y, part_id, visible], part_id an integer and visible 0 or 1."""
-    for k in records:
-        if type(k) is not list or len(k) != 4 or type(k[2]) is not int or type(k[3]) is not int or k[3] not in (0, 1):
-            raise ValueError(f"keypoint must be [x, y, integer part_id, visible 0 or 1], got {k!r}")
-    new = tuple.__new__  # Keypoint._make without a Python call per keypoint
-    return tuple([new(Keypoint, (float(x), float(y), pid, vis == 1)) for x, y, pid, vis in records])
-
-
 # Exact types of a JSON number as json.loads returns it; a bool is not one.
 _NUMBER_TYPES = frozenset((int, float))
+
+
+def _keypoints_from_lists(records: list) -> tuple[Keypoint, ...]:
+    """Stored keypoints: each exactly [x, y, part_id, visible], x and y finite
+    numbers, part_id an integer and visible 0 or 1."""
+    numbers, inf, new = _NUMBER_TYPES, math.inf, tuple.__new__  # new: Keypoint._make without its Python call
+    keypoints = []
+    for k in records:
+        if type(k) is list and len(k) == 4:
+            x, y, pid, vis = k
+            if (type(x) in numbers and type(y) in numbers and -inf < x < inf and -inf < y < inf
+                    and type(pid) is int and type(vis) is int and (vis == 0 or vis == 1)):
+                keypoints.append(new(Keypoint, (float(x), float(y), pid, vis == 1)))
+                continue
+        raise ValueError(f"keypoint must be [x, y, integer part_id, visible 0 or 1], got {k!r}")
+    return tuple(keypoints)
+
+
+def _finite_numbers(values: tuple, what: str) -> tuple:
+    """`values`, each a finite JSON number, or ValueError naming the first
+    that is not."""
+    if not (_NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))):
+        bad = next(v for v in values if type(v) not in _NUMBER_TYPES or not math.isfinite(v))
+        raise ValueError(f"{what} must be finite numbers, got {bad!r}")
+    return values
 
 
 def _json_string(value, field: str) -> str:
@@ -326,10 +342,7 @@ def _person_from_dict(d: dict) -> PersonAnnotation:
     hx, hy = d["head_px"]
     x0, y0, x1, y1 = d["bbox_px"]
     volume, parts = d["volume_dm3"], d["part_volumes_dm3"]
-    numbers = (hx, hy, x0, y0, x1, y1, volume, *parts.values())
-    if not _NUMBER_TYPES.issuperset(map(type, numbers)):
-        bad = next(v for v in numbers if type(v) not in _NUMBER_TYPES)
-        raise ValueError(f"head_px, bbox_px and volumes must be numbers, got {bad!r}")
+    _finite_numbers((hx, hy, x0, y0, x1, y1, volume, *parts.values()), "head_px, bbox_px and volumes")
     return PersonAnnotation(
         person_id=_json_string(d["person_id"], "person_id"),
         character_id=_json_string(d["character_id"], "character_id"),
@@ -361,16 +374,22 @@ def frame_to_dict(frame: FrameAnnotation) -> dict:
 
 def frame_from_dict(d: dict) -> FrameAnnotation:
     cam = d["camera"]
+    intrinsics = _finite_numbers(tuple(cam[key] for key in _INTRINSICS), "camera intrinsics")
+    rotation = _finite_numbers(tuple(cam["rotation"]), "camera rotation entries")
+    translation = _finite_numbers(tuple(cam["translation"]), "camera translation entries")
+    tags = d.get("scene_tags", [])
+    if type(tags) is not list or not all(type(t) is str for t in tags):
+        raise ValueError(f"scene_tags must be a list of strings, got {tags!r}")
     return FrameAnnotation(
         frame_id=_json_string(d["frame_id"], "frame_id"),
         image_w=_json_integer(d["image_w"], "image_w"),
         image_h=_json_integer(d["image_h"], "image_h"),
         persons=tuple(_person_from_dict(p) for p in d["persons"]),
-        scene_tags=frozenset(str(t) for t in d.get("scene_tags", [])),
+        scene_tags=frozenset(tags),
         camera=CameraParams(
-            **{key: float(cam[key]) for key in _INTRINSICS},
-            rotation=np.array(cam["rotation"], dtype=np.float64).reshape(3, 3),
-            translation=np.array(cam["translation"], dtype=np.float64),
+            **{key: float(v) for key, v in zip(_INTRINSICS, intrinsics)},
+            rotation=np.array(rotation, dtype=np.float64).reshape(3, 3),
+            translation=np.array(translation, dtype=np.float64).reshape(3),
         ),
     )
 
@@ -387,6 +406,14 @@ def write_annotations(frames, path, taxonomy: PartTaxonomy | None = None) -> Non
     Path(path).write_bytes("".join(frame_to_json_line(f) + "\n" for f in frames).encode("utf-8"))
 
 
+def _not_a_number(name: str) -> float:
+    raise ValueError(f"{name} is not a finite JSON number")
+
+
+# Python's json reads NaN, Infinity and -Infinity unless told otherwise.
+_DECODER = json.JSONDecoder(parse_constant=_not_a_number)
+
+
 def read_annotations(path, taxonomy: PartTaxonomy | None = None) -> list[FrameAnnotation]:
     frames: list[FrameAnnotation] = []
     with open_text(path) as fh:
@@ -395,7 +422,7 @@ def read_annotations(path, taxonomy: PartTaxonomy | None = None) -> list[FrameAn
         if not line.strip():
             continue
         try:
-            frame = frame_from_dict(json.loads(line))
+            frame = frame_from_dict(_DECODER.decode(line))
         except (KeyError, TypeError, IndexError, AttributeError, OverflowError, ValueError) as exc:
             raise ParseError(f"{path}: malformed annotation on line {lineno}: {exc}") from exc
         try:

@@ -67,30 +67,42 @@ def _kernel(sigma_px: float, left: int, right: int, up: int, down: int) -> np.nd
     return kernel
 
 
-def _stamp(acc: np.ndarray, x: float, y: float, mass: float, cfg: SmoothingConfig) -> None:
+def _stamp_all(acc: np.ndarray, stamps: list[tuple[float, float, float]], cfg: SmoothingConfig) -> None:
+    """Add each (x, y, mass) stamp to `acc` in order: at its nearest pixel,
+    spread over the truncated kernel renormalized to its in-image support.
+    A stamp a full radius from every border takes the one full kernel."""
     h, w = acc.shape
-    ix = nearest_pixel(x, w)
-    iy = nearest_pixel(y, h)
+    ceil = math.ceil
     if cfg.sigma_px == 0:
-        acc[iy, ix] += mass
+        for x, y, mass in stamps:
+            acc[min(max(ceil(y - 0.5), 0), h - 1), min(max(ceil(x - 0.5), 0), w - 1)] += mass
         return
-    radius = int(math.ceil(cfg.truncation_radius * cfg.sigma_px))
-    left, right = min(ix, radius), min(w - 1 - ix, radius)
-    up, down = min(iy, radius), min(h - 1 - iy, radius)
-    kernel = _kernel(cfg.sigma_px, left, right, up, down)
-    acc[iy - up : iy + down + 1, ix - left : ix + right + 1] += mass * kernel
+    radius = int(ceil(cfg.truncation_radius * cfg.sigma_px))
+    full = _kernel(cfg.sigma_px, radius, radius, radius, radius)
+    for x, y, mass in stamps:
+        ix = min(max(ceil(x - 0.5), 0), w - 1)  # nearest_pixel, inlined
+        iy = min(max(ceil(y - 0.5), 0), h - 1)
+        if radius <= ix < w - radius and radius <= iy < h - radius:
+            acc[iy - radius : iy + radius + 1, ix - radius : ix + radius + 1] += mass * full
+        else:
+            left, right = min(ix, radius), min(w - 1 - ix, radius)
+            up, down = min(iy, radius), min(h - 1 - iy, radius)
+            kernel = _kernel(cfg.sigma_px, left, right, up, down)
+            acc[iy - up : iy + down + 1, ix - left : ix + right + 1] += mass * kernel
 
 
 def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig = SmoothingConfig()) -> DensityMap:
     """One impulse of each person's total volume at their head pixel."""
-    acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
+    stamps = []
     for person in frame.persons:
         hx, hy = person.head_px
         if not (0 <= hx < frame.image_w and 0 <= hy < frame.image_h):
             raise DensityMapError(
                 f"person {person.person_id!r} has head_px {person.head_px} outside the image"
             )
-        _stamp(acc, hx, hy, person.volume_dm3, cfg)
+        stamps.append((hx, hy, person.volume_dm3))
+    acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
+    _stamp_all(acc, stamps, cfg)
     return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
 
 
@@ -102,7 +114,7 @@ def render_ppvdm(
     """Distribute each part's volume equally over that part's visible
     in-image keypoints; parts with none fall back to the head pixel."""
     tax = taxonomy if taxonomy is not None else default_taxonomy()
-    acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
+    stamps = []
     for person in frame.persons:
         hx, hy = person.head_px
         head_ok = 0 <= hx < frame.image_w and 0 <= hy < frame.image_h
@@ -117,15 +129,16 @@ def render_ppvdm(
             anchors = anchors_by_part.get(part_id)
             if anchors:
                 share = v_part / len(anchors)
-                for x, y in anchors:
-                    _stamp(acc, x, y, share, cfg)
+                stamps += [(x, y, share) for x, y in anchors]
             elif head_ok:
-                _stamp(acc, hx, hy, v_part, cfg)
+                stamps.append((hx, hy, v_part))
             else:
                 raise DensityMapError(
                     f"person {person.person_id!r}: part {part_id} has no visible "
                     f"in-image keypoints and head_px {person.head_px} is invalid"
                 )
+    acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
+    _stamp_all(acc, stamps, cfg)
     return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
 
 

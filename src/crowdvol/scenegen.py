@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -48,53 +48,59 @@ class BodyBuildError(ValueError):
 # Pinhole projection
 # ---------------------------------------------------------------------------
 
-def _rigid(rotation: np.ndarray, points: np.ndarray, translation: np.ndarray) -> np.ndarray:
-    """`rotation @ p + translation` for each row p of `points` (n, 3).
-
-    numpy's stacked matmul computes every row with the same BLAS
-    matrix-vector call as a single `rotation @ p`, so each row is bit-equal
-    to transforming that point alone; `points @ rotation.T` and einsum round
-    differently."""
-    return np.matmul(rotation[None], points[:, :, None])[:, :, 0] + translation
+_ORIGIN = (0.0, 0.0, 0.0)
 
 
-def _pinhole(cam: np.ndarray, camera: CameraParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pixel x, pixel y and depth of camera-frame points (n, 3), origin
-    top-left; points at depth <= 0 get pixel (-1, -1)."""
-    z = cam[:, 2]
-    front = z > 0
-    z_front = np.where(front, z, 1.0)
-    x = camera.fx * cam[:, 0] / z_front + camera.cx
-    y = camera.fy * cam[:, 1] / z_front + camera.cy
-    if not front.all():
-        x[~front] = -1.0
-        y[~front] = -1.0
-    return x, y, z
+def _rigid(rotation, point, translation) -> list:
+    """`rotation @ point + translation`, each coordinate summed in one fixed
+    order: ((p0*r0 + p1*r1) + p2*r2) + t, for the rotation row (r0, r1, r2).
+
+    An entry may be a float or a numpy array, and arrays broadcast. Python
+    floats and numpy ufuncs round this arithmetic alike, so a point's bits do
+    not depend on how many points share the call, nor on the BLAS kernel or
+    its thread count, as a matrix product's do."""
+    p0, p1, p2 = point
+    return [((p0 * r0 + p1 * r1) + p2 * r2) + t for (r0, r1, r2), t in zip(rotation, translation)]
 
 
-def _body_pose(camera: CameraParams, x: float, y: float, yaw: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation and translation taking the body frame of a person standing
-    at ground point (x, y), turned by `yaw` about the vertical, into the
-    camera frame."""
+def _pinhole(camera: CameraParams, x, y, z) -> tuple:
+    """Pixel x and y, origin top-left, of camera-frame coordinates at depth
+    z > 0; floats or numpy arrays, rounded alike."""
+    return camera.fx * x / z + camera.cx, camera.fy * y / z + camera.cy
+
+
+def _body_pose(camera_rows, camera_shift, x: float, y: float, yaw: float) -> tuple[tuple, list]:
+    """Rotation rows and translation taking the body frame of a person
+    standing at ground point (x, y), turned by `yaw` about the vertical, into
+    the camera frame, whose rotation rows and translation are given: the
+    camera rotation times the yaw rotation, and the camera pose applied to
+    the ground point."""
     c, s = math.cos(yaw), math.sin(yaw)
-    yaw_rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return camera.rotation @ yaw_rotation, camera.rotation @ np.array([x, y, 0.0]) + camera.translation
+    rotation = tuple((r0 * c + r1 * s, r1 * c - r0 * s, r2) for r0, r1, r2 in camera_rows)
+    return rotation, _rigid(camera_rows, (x, y, 0.0), camera_shift)
+
+
+def _unit(v) -> tuple[float, float, float]:
+    norm = math.sqrt(math.fsum(c * c for c in v))
+    return tuple(c / norm for c in v)
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def look_at_camera(eye, target, fx: float, fy: float, cx: float, cy: float) -> CameraParams:
     """World-to-camera pose for a camera at `eye` looking at `target`,
     x right, y down, z forward."""
-    eye = np.asarray(eye, dtype=np.float64)
-    forward = np.asarray(target, dtype=np.float64) - eye
-    forward = forward / np.linalg.norm(forward)
-    up = np.array([0.0, 0.0, 1.0])
-    if abs(float(forward @ up)) > 0.999:
-        up = np.array([0.0, 1.0, 0.0])
-    right = np.cross(forward, up)
-    right = right / np.linalg.norm(right)
-    down = np.cross(forward, right)
-    rotation = np.stack([right, down, forward], axis=0)
-    return CameraParams(fx=fx, fy=fy, cx=cx, cy=cy, rotation=rotation, translation=-(rotation @ eye))
+    eye = tuple(float(v) for v in eye)
+    forward = _unit([float(t) - e for t, e in zip(target, eye)])
+    up = (0.0, 1.0, 0.0) if abs(forward[2]) > 0.999 else (0.0, 0.0, 1.0)  # forward[2]: forward · (0, 0, 1)
+    right = _unit(_cross(forward, up))
+    rotation = (right, _cross(forward, right), forward)
+    return CameraParams(
+        fx=fx, fy=fy, cx=cx, cy=cy,
+        rotation=np.array(rotation), translation=np.negative(_rigid(rotation, eye, _ORIGIN)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +170,7 @@ class Humanoid:
     part_volumes_dm3: dict[int, float]
     total_volume_dm3: float
     anchors: np.ndarray
-    head_anchor: np.ndarray
+    head_anchor: tuple[float, float, float]
     disc_radius_m: float
     height_m: float
 
@@ -233,7 +239,7 @@ def build_humanoid(sample: PersonSample, seed: int) -> Humanoid:
         part_volumes_dm3={pid: v * fix for pid, v in parts_dm3.items()},
         total_volume_dm3=total_dm3,
         anchors=np.array(anchors),
-        head_anchor=np.array([0.0, 0.0, _HEAD_CENTER_FRAC * height]),
+        head_anchor=(0.0, 0.0, _HEAD_CENTER_FRAC * height),
         disc_radius_m=max(radii.values()) * scale * _AREA_FIX + 0.06,
         height_m=height,
     )
@@ -479,23 +485,26 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
     camera = _draw_camera(cfg, rng, "birds_eye" in tags)
     n = rng.randint(cfg.persons_range[0], cfg.persons_range[1])
 
-    placed: list[tuple[Character, np.ndarray, np.ndarray]] = []  # (char, body-to-camera rotation, translation)
+    camera_rows, camera_shift = camera.rotation.tolist(), camera.translation.tolist()
+    placed: list[tuple[int, tuple, tuple]] = []  # (character index, body-to-camera rotation, translation)
     discs = _DiscGrid(max(c.body.disc_radius_m for c in pool.characters))
     head_pixels: set[tuple[int, int]] = set()
     heads_px: list[tuple[float, float]] = []
     for _ in range(n):
-        char = pool.characters[rng.randint(0, len(pool.characters) - 1)]
-        r = char.body.disc_radius_m
+        index = rng.randint(0, len(pool.characters) - 1)
+        body = pool.characters[index].body
+        r = body.disc_radius_m
         for attempt in range(_MAX_PLACE_ATTEMPTS):
             x = (rng.uniform() - 0.5) * cfg.area_w
             y = cfg.area_y0 + rng.uniform() * cfg.area_d
             yaw = 2.0 * math.pi * rng.uniform()
             if discs.overlaps(x, y, r):
                 continue
-            rot, shift = _body_pose(camera, x, y, yaw)
-            # A head behind the camera gets pixel (-1, -1), outside the image.
-            hx, hy, _ = _pinhole(_rigid(rot, char.body.head_anchor[None], shift), camera)
-            head = (float(hx[0]), float(hy[0]))
+            rot, shift = _body_pose(camera_rows, camera_shift, x, y, yaw)
+            hx, hy, hz = _rigid(rot, body.head_anchor, shift)
+            if hz <= 0:  # behind the camera
+                continue
+            head = _pinhole(camera, hx, hy, hz)
             if not (0 <= head[0] < cfg.image_w and 0 <= head[1] < cfg.image_h):
                 continue
             pixel = (nearest_pixel(head[0], cfg.image_w), nearest_pixel(head[1], cfg.image_h))
@@ -504,7 +513,7 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
             head_pixels.add(pixel)
             heads_px.append(head)
             discs.add(x, y, r)
-            placed.append((char, rot, shift))
+            placed.append((index, rot, shift))
             break
         else:
             raise PlacementError(
@@ -512,58 +521,31 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
                 f"{_MAX_PLACE_ATTEMPTS} attempts; reduce persons_range or enlarge the area"
             )
 
-    # One rigid transform and one pinhole per person take the mesh vertices
-    # (the bbox is their extrema, clipped to the image), the keypoint anchors
-    # and the body centre (the person's depth) into the image.
-    bboxes: list[tuple[float, float, float, float]] = []
-    depths: list[float] = []
-    kp_pixels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for char, rot, shift in placed:
-        body = char.body
-        nv = len(body.mesh.vertices)
-        points = np.concatenate([body.mesh.vertices, body.anchors, [[0.0, 0.0, 0.5 * body.height_m]]])
-        x, y, z = _pinhole(_rigid(rot, points, shift), camera)
-        if z[:nv].min() <= 0:
-            raise PlacementError(
-                f"frame {frame_id}: a body extends behind the camera; move the placement area away from the camera"
-            )
-        bboxes.append((
-            max(0.0, float(x[:nv].min())),
-            max(0.0, float(y[:nv].min())),
-            min(float(cfg.image_w), float(x[:nv].max())),
-            min(float(cfg.image_h), float(y[:nv].max())),
-        ))
-        depths.append(float(z[-1]))
-        kp_pixels.append((x[nv:-1], y[nv:-1], z[nv:-1]))
+    boxes, depths, kx, ky, kz = _project_bodies(cfg, pool, camera, placed, frame_id)
 
     # A keypoint is hidden when it leaves the image or falls inside the bbox
     # of another person nearer to the camera.
+    visible = (0 <= kx) & (kx < cfg.image_w) & (0 <= ky) & (ky < cfg.image_h)
+    inside = np.flatnonzero(visible)
+    hidden = _occluded(boxes, depths, kx.reshape(-1)[inside], ky.reshape(-1)[inside], kz.reshape(-1)[inside],
+                       inside // len(_ANCHORS), cfg.image_w)
+    visible.reshape(-1)[inside[hidden]] = False
+
     kp_part = {kp: pid for pid, kps in default_taxonomy().keypoint_map.items() for kp in kps}
     kp_parts = [kp_part[kp] for kp in range(len(_ANCHORS))]
-    boxes = np.array(bboxes).reshape(-1, 4)
-    box_depths = np.array(depths)
     persons = []
-    for i, (char, _, _) in enumerate(placed):
-        x, y, z = kp_pixels[i]
-        visible = (0 <= x) & (x < cfg.image_w) & (0 <= y) & (y < cfg.image_h)
-        xc, yc = x[:, None], y[:, None]
-        covered = (
-            (box_depths < z[:, None])
-            & (boxes[:, 0] <= xc) & (xc <= boxes[:, 2])
-            & (boxes[:, 1] <= yc) & (yc <= boxes[:, 3])
-        )
-        covered[:, i] = False
-        visible &= ~covered.any(axis=1)
-        keypoints = tuple(map(Keypoint._make, zip(x.tolist(), y.tolist(), kp_parts, visible.tolist())))
+    rows = zip(placed, boxes.tolist(), kx.tolist(), ky.tolist(), visible.tolist())
+    for i, ((index, _, _), bbox, xs, ys, flags) in enumerate(rows):
+        char = pool.characters[index]
         persons.append(
             PersonAnnotation(
                 person_id=f"{frame_id}_p{i:03d}",
                 character_id=char.character_id,
                 head_px=heads_px[i],
-                bbox_px=bboxes[i],
+                bbox_px=tuple(bbox),
                 volume_dm3=char.body.total_volume_dm3,
                 part_volumes_dm3=dict(char.body.part_volumes_dm3),
-                keypoints=keypoints,
+                keypoints=tuple(map(tuple.__new__, repeat(Keypoint), zip(xs, ys, kp_parts, flags))),
             )
         )
     return FrameAnnotation(
@@ -574,6 +556,105 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
         scene_tags=tags,
         camera=camera,
     )
+
+
+def _project_bodies(cfg: SceneConfig, pool: IdentityPool, camera: CameraParams, placed, frame_id: str):
+    """Bboxes (n, 4), depths (n,) and keypoint pixel x, y and depth (n, 17)
+    of the placed persons; a keypoint behind the camera gets pixel (-1, -1).
+
+    Each character's persons go through `_rigid` and `_pinhole` together, as
+    (persons, points) arrays, so temporaries grow with one body and not with
+    the frame. The points are the mesh vertices (the bbox is their extrema,
+    clipped to the image), the keypoint anchors and the body centre (the
+    person's depth)."""
+    n, n_kp = len(placed), len(_ANCHORS)
+    boxes, depths = np.empty((n, 4)), np.empty(n)
+    kx, ky, kz = np.empty((n, n_kp)), np.empty((n, n_kp)), np.empty((n, n_kp))
+    members: dict[int, list[int]] = {}
+    for i, (index, _, _) in enumerate(placed):
+        members.setdefault(index, []).append(i)
+    for index, rows in members.items():
+        body = pool.characters[index].body
+        nv = body.mesh.n_vertices
+        pose = np.array([[*rot[0], *rot[1], *rot[2], *shift] for _, rot, shift in map(placed.__getitem__, rows)])
+        pose = pose.T[:, :, None]  # 12 columns of (persons, 1)
+        points = np.concatenate([body.mesh.vertices, body.anchors, [[0.0, 0.0, 0.5 * body.height_m]]]).T
+        x, y, z = _rigid((pose[0:3], pose[3:6], pose[6:9]), points, pose[9:12])
+        if z[:, :nv].min() <= 0:
+            raise PlacementError(
+                f"frame {frame_id}: a body extends behind the camera; move the placement area away from the camera"
+            )
+        front = z > 0
+        x, y = _pinhole(camera, x, y, np.where(front, z, 1.0))
+        x[~front] = -1.0
+        y[~front] = -1.0
+        boxes[rows] = np.column_stack([
+            np.maximum(0.0, x[:, :nv].min(axis=1)),
+            np.maximum(0.0, y[:, :nv].min(axis=1)),
+            np.minimum(float(cfg.image_w), x[:, :nv].max(axis=1)),
+            np.minimum(float(cfg.image_h), y[:, :nv].max(axis=1)),
+        ])
+        depths[rows] = z[:, -1]
+        kx[rows], ky[rows], kz[rows] = x[:, nv:-1], y[:, nv:-1], z[:, nv:-1]
+    return boxes, depths, kx, ky, kz
+
+
+_OCCLUSION_CELL = 32.0  # px, the grid cell of the occlusion test; doubled while boxes span too many
+_CELLS_PER_BOX = 64  # most grid cells a box spans on average
+_PAIR_BLOCK = 1 << 15  # keypoint-box pairs compared at once: bounds the memory
+
+
+def _occluded(boxes: np.ndarray, depths: np.ndarray, kx, ky, kz, owner, image_w: int) -> np.ndarray:
+    """Flags of the keypoints, given as flat arrays of in-image pixels with
+    their depth and their person's index `owner`, that fall inside the bbox
+    of another person nearer to the camera: `depths[j] < z`, four `<=`, and
+    j not the owner.
+
+    The comparisons run on candidate pairs only: each box is entered in the
+    cells of a uniform grid that it spans, and a keypoint meets the boxes of
+    its own cell. A cell index is floor(coordinate / cell), monotone in the
+    coordinate, so a box that holds a keypoint spans its cell, and the flags
+    are those of all pairs."""
+    hidden = np.zeros(len(kx), dtype=bool)
+    if not (len(kx) and len(boxes)):
+        return hidden
+    x0, y0, x1, y1 = boxes.T
+    cell = _OCCLUSION_CELL
+    while True:
+        c0, r0 = np.floor(x0 / cell), np.floor(y0 / cell)
+        w = np.maximum(np.floor(x1 / cell) - c0 + 1.0, 0.0)
+        h = np.maximum(np.floor(y1 / cell) - r0 + 1.0, 0.0)
+        if (w * h).sum() <= _CELLS_PER_BOX * len(boxes):
+            break
+        cell *= 2.0
+    spanning = np.flatnonzero(w * h)
+    w, h = w[spanning].astype(np.int64), h[spanning].astype(np.int64)
+    count = w * h
+    box = np.repeat(spanning, count)
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    w = np.repeat(w, count)
+    stride = math.floor(image_w / cell) + 1
+    key = (np.repeat(r0[spanning].astype(np.int64), count) + k // w) * stride
+    key += np.repeat(c0[spanning].astype(np.int64), count) + k % w
+    order = np.argsort(key, kind="stable")
+    key, box = key[order], box[order]
+
+    kp_key = np.floor(ky / cell).astype(np.int64) * stride + np.floor(kx / cell).astype(np.int64)
+    first = np.searchsorted(key, kp_key, "left")
+    n_boxes = np.searchsorted(key, kp_key, "right") - first
+    ends = np.cumsum(n_boxes)
+    offset = first - (ends - n_boxes)  # a keypoint's pair q meets box entry q + offset
+    bounds = [0, *np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1], _PAIR_BLOCK)).tolist(), len(kx)]
+    for start, stop in zip(bounds, bounds[1:]):
+        if start == stop:
+            continue
+        counts = n_boxes[start:stop]
+        kp = np.repeat(np.arange(start, stop), counts)
+        j = box[np.arange(ends[start] - counts[0], ends[stop - 1]) + np.repeat(offset[start:stop], counts)]
+        x, y = kx[kp], ky[kp]
+        hit = (depths[j] < kz[kp]) & (x0[j] <= x) & (x <= x1[j]) & (y0[j] <= y) & (y <= y1[j]) & (j != owner[kp])
+        hidden[kp[hit]] = True
+    return hidden
 
 
 def generate_split(cfg: SceneConfig, pool: IdentityPool, seed: int, workers: int = 1) -> list[FrameAnnotation]:

@@ -14,6 +14,24 @@ from crowdvol.datamodel import (
     identity_camera,
 )
 
+# A dense crowd at 1920x1080, as in the benchmark's dense workload, with two
+# test frames.
+DENSE_PAIRS = {
+    "image_w": "1920",
+    "image_h": "1080",
+    "focal.lo": "1000.0",
+    "focal.hi": "1200.0",
+    "persons.min": "280",
+    "persons.max": "320",
+    "area.w": "12.0",
+    "area.d": "40.0",
+    "area.y0": "10.0",
+    "tag.birds_eye": "0.0",
+    "frames.train": "0",
+    "frames.val": "0",
+    "frames.test": "2",
+}
+
 
 def make_box(sx=1.0, sy=1.0, sz=1.0, origin=(0.0, 0.0, 0.0), flip=False) -> TriMesh:
     ox, oy, oz = origin

@@ -1,15 +1,15 @@
 """Loop implementations kept as oracles for the array code.
 
 These are the per-pair, per-stamp and per-record versions that
-`scenegen.generate_frame`, `densitymap._stamp` / `render_vdm` /
+`scenegen.generate_frame`, `densitymap._stamp_all` / `render_vdm` /
 `render_ppvdm`, `evalharness.decoupling_eval`, `datamodel.read_obj` /
 `read_vertex_labels` / `_person_from_dict` and `scenegen._mesh_from_profile`
 replaced:
 
 - placement tests a new ground disc against every placed person;
 - each mesh vertex, keypoint anchor and body centre goes through the
-  person's body-to-camera pose and the pinhole alone, and each keypoint is
-  tested against every other bbox;
+  person's body-to-camera pose and the pinhole alone, in Python floats, and
+  each keypoint is tested against every other bbox;
 - every stamp rebuilds its Gaussian kernel;
 - every pair of boxes in a frame goes through `bbox_iou`;
 - OBJ and labels files are parsed one record at a time;
@@ -55,20 +55,32 @@ KEYPOINT_PART = {kp: pid for pid, kps in {
 }.items() for kp in kps}
 
 
-def body_pose(camera, x: float, y: float, yaw: float) -> tuple[np.ndarray, np.ndarray]:
+def rigid(rotation, point, translation) -> list[float]:
+    """`rotation @ point + translation` in Python floats, each coordinate
+    ((r0*p0 + r1*p1) + r2*p2) + t."""
+    return [((r[0] * point[0] + r[1] * point[1]) + r[2] * point[2]) + t for r, t in zip(rotation, translation)]
+
+
+def body_pose(camera, x: float, y: float, yaw: float) -> tuple[list, list[float]]:
     """Body-to-camera rotation and translation: the camera rotation times
     the yaw about the vertical, and the camera pose applied to the ground
-    point."""
+    point, as float matrix products."""
     c, s = math.cos(yaw), math.sin(yaw)
-    yaw_rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return camera.rotation @ yaw_rotation, camera.rotation @ np.array([x, y, 0.0]) + camera.translation
+    cam = camera.rotation.tolist()
+    yaw_rotation = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+    rotation = [
+        [(cam[i][0] * yaw_rotation[0][j] + cam[i][1] * yaw_rotation[1][j]) + cam[i][2] * yaw_rotation[2][j]
+         for j in range(3)]
+        for i in range(3)
+    ]
+    return rotation, rigid(cam, [x, y, 0.0], camera.translation.tolist())
 
 
-def pixel(cam_pt: np.ndarray, camera) -> tuple[float, float]:
+def pixel(cam_pt, camera) -> tuple[float, float]:
     """The pinhole pixel of one camera-frame point in front of the camera."""
     return (
-        float(camera.fx * cam_pt[0] / cam_pt[2] + camera.cx),
-        float(camera.fy * cam_pt[1] / cam_pt[2] + camera.cy),
+        camera.fx * cam_pt[0] / cam_pt[2] + camera.cx,
+        camera.fy * cam_pt[1] / cam_pt[2] + camera.cy,
     )
 
 
@@ -101,7 +113,7 @@ def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
             ):
                 continue
             rot, shift = body_pose(camera, x, y, yaw)
-            head_cam = rot @ char.body.head_anchor + shift
+            head_cam = rigid(rot, char.body.head_anchor, shift)
             if head_cam[2] <= 0:
                 continue
             head = pixel(head_cam, camera)
@@ -122,11 +134,11 @@ def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
 
     bboxes: list[tuple[float, float, float, float]] = []
     depths: list[float] = []
-    kp_cam: list[list[np.ndarray]] = []
+    kp_cam: list[list[list[float]]] = []
     for char, _, _, rot, shift in placed:
         xs, ys = [], []
-        for vertex in char.body.mesh.vertices:
-            cam_pt = rot @ vertex + shift
+        for vertex in char.body.mesh.vertices.tolist():
+            cam_pt = rigid(rot, vertex, shift)
             if cam_pt[2] <= 0:
                 raise PlacementError(f"frame {frame_id}: a body extends behind the camera")
             vx, vy = pixel(cam_pt, camera)
@@ -134,9 +146,8 @@ def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
             ys.append(vy)
         bboxes.append((max(0.0, min(xs)), max(0.0, min(ys)), min(float(cfg.image_w), max(xs)),
                        min(float(cfg.image_h), max(ys))))
-        centre = np.array([0.0, 0.0, 0.5 * char.body.height_m])
-        depths.append(float((rot @ centre + shift)[2]))
-        kp_cam.append([rot @ anchor + shift for anchor in char.body.anchors])
+        depths.append(rigid(rot, [0.0, 0.0, 0.5 * char.body.height_m], shift)[2])
+        kp_cam.append([rigid(rot, anchor, shift) for anchor in char.body.anchors.tolist()])
 
     persons = []
     for i, (char, _, _, _, _) in enumerate(placed):
@@ -148,7 +159,7 @@ def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
             x, y = pixel(cam_pt, camera)
             visible = 0 <= x < cfg.image_w and 0 <= y < cfg.image_h
             if visible:
-                depth = float(cam_pt[2])
+                depth = cam_pt[2]
                 for j, (bx0, by0, bx1, by1) in enumerate(bboxes):
                     if j != i and depths[j] < depth and bx0 <= x <= bx1 and by0 <= y <= by1:
                         visible = False

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -240,6 +241,48 @@ def label_digests(root: Path, capsys) -> dict[str, str]:
 
 def test_label_stdout_digests(tmp_path, capsys):
     assert label_digests(tmp_path, capsys) == LABEL_DIGESTS
+
+
+# sha256 of the outputs of a small gen -> maps -> eval chain at data version
+# 0.3.0: the annotations, the manifest, all per-part maps in name order, and
+# the stdout of maps and of two eval protocols. A change that keeps the data
+# version keeps them; a data-version bump records them anew and says so in
+# CHANGES.md.
+CHAIN_DIGESTS = {
+    "test.jsonl": "1e161c52d1e7b0b1ae8c6244cc29644d32835427c0c7604116fa6391016b6873",
+    "manifest.txt": "4910d83433e3d5687db4495407ec003c747dee50ee4410384e9e57c37b0cbf11",
+    "maps/*.vdm": "203e9ccfb18cc8671c3a9eaba2abec278fce8abd3aabda20e7d4f8d51cc12a62",
+    "maps.stdout": "0c3025e6d8f323e015ae06f46e07207bdbbce546302e37eaa946d78f42d653fa",
+    "eval-full.stdout": "52f3f877e5c8c6097b4d0f08b3a6cc134fa50a17661f9d357e82f7f867f12c99",
+    "eval-decoupling.stdout": "c4acb283c119ee2d8d67c2ef03bcec55ddc72f7d6491516fc6eb9e1c6683778e",
+}
+
+
+def chain_digests(root: Path, capsys) -> dict[str, str]:
+    import hashlib
+
+    cfg = write_cfg(root, {"frames.train": "0", "frames.val": "0", "frames.test": "6",
+                           "persons.min": "10", "persons.max": "20"})
+    outputs = {}
+    for name, argv in (
+        ("gen", ["gen", "--config", cfg, "--seed", "3", "--out", str(root / "g")]),
+        ("maps", ["maps", str(root / "g" / "test.jsonl"), "--out", str(root / "maps"), "--per-part"]),
+        ("eval-full", ["eval", "--gt", str(root / "g" / "test.jsonl"), "--preds", str(root / "maps"),
+                       "--out", str(root / "e")]),
+        ("eval-decoupling", ["eval", "--gt", str(root / "g" / "test.jsonl"), "--preds", str(root / "maps"),
+                             "--protocol", "decoupling", "--out", str(root / "e")]),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == 0
+        outputs[f"{name}.stdout"] = capsys.readouterr().out.encode("utf-8")
+    outputs["test.jsonl"] = (root / "g" / "test.jsonl").read_bytes()
+    outputs["manifest.txt"] = (root / "g" / "manifest.txt").read_bytes()
+    outputs["maps/*.vdm"] = b"".join(p.read_bytes() for p in sorted((root / "maps").glob("*.vdm")))
+    return {name: hashlib.sha256(outputs[name]).hexdigest() for name in CHAIN_DIGESTS}
+
+
+def test_chain_output_digests(tmp_path, capsys):
+    assert chain_digests(tmp_path, capsys) == CHAIN_DIGESTS
 
 
 def test_label_missing_file_exit_2(tmp_path):
@@ -603,6 +646,33 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
+# Runs the CLI module as `python -m crowdvol.cli` does, after registering an
+# exit handler that reports the gc freeze count at shutdown.
+SHUTDOWN_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"freeze_count={gc.get_freeze_count()}\\n"))
+sys.argv = ["crowdvol", *sys.argv[1:]]
+runpy.run_module("crowdvol.cli", run_name="__main__")
+"""
+
+
+def test_process_exit_freezes_objects_and_keeps_exit_handlers_and_output(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"frames.train": "30", "frames.val": "30", "frames.test": "30"})
+    assert run("gen", "--config", cfg, "--seed", "2", "--out", str(tmp_path / "in_process")) == 0
+    want = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with open(tmp_path / "stdout.txt", "w") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-c", SHUTDOWN_PROBE, "gen", "--config", cfg, "--seed", "2", "--out", str(tmp_path / "g")],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+    assert proc.returncode == 0, proc.stderr
+    reports = [line for line in proc.stderr.splitlines() if line.startswith("freeze_count=")]
+    assert len(reports) == 1 and int(reports[0].split("=")[1]) > 0
+    assert (tmp_path / "stdout.txt").read_text() == want
+    assert tree_bytes(tmp_path / "g") == tree_bytes(tmp_path / "in_process")
+
+
 # ---------------------------------------------------------------------------
 # The exit-code boundary: every error is one `error:` line, never a traceback
 # ---------------------------------------------------------------------------
@@ -625,12 +695,12 @@ def bad_inputs(tmp_path_factory):
     for name, record in KEYPOINT_RECORDS.items():
         bad = json.loads(json.dumps(frame))
         bad["persons"][0]["keypoints"][0] = record
-        (root / f"{name}.jsonl").write_text(json.dumps(frame) + "\n" + json.dumps(bad) + "\n")
+        (root / f"{name}.jsonl").write_text(json.dumps(frame) + "\n" + json_text(bad) + "\n")
     for name, (where, key, retype, _) in STRICT_FIELDS.items():
         bad = json.loads(json.dumps(frame))
-        record = bad if where == "frame" else bad["persons"][0]
+        record = {"frame": bad, "person": bad["persons"][0], "camera": bad["camera"]}[where]
         record[key] = retype(record[key])
-        (root / f"{name}.jsonl").write_text(json.dumps(bad) + "\n")
+        (root / f"{name}.jsonl").write_text(json_text(bad) + "\n")
     frame["persons"][0]["bbox_px"] = [1.0, 2.0, 3.0]
     (root / "bbox3.jsonl").write_text(json.dumps(frame) + "\n")
     (root / "twice.labels").write_text("0 0\n1 0\n2 0\n1 3\n")
@@ -663,30 +733,57 @@ def bad_inputs(tmp_path_factory):
             "cube": str(cube), "labels": str(labels)}
 
 
-# Keypoint records that are not exactly [x, y, integer part_id, visible 0 or 1].
+def json_text(value) -> str:
+    """JSON text of `value`, with each string "1e999" written as that number,
+    which reads as inf."""
+    return json.dumps(value).replace('"1e999"', "1e999")
+
+
+def keypoint_message(record) -> str:
+    """The reader's message for a bad keypoint record: a JSON constant that
+    is not a number is named, any other record shown as read."""
+    text = json_text(record)
+    constant = next((c for c in ("NaN", "Infinity") if c in text), None)
+    if constant:
+        return f"{constant} is not a finite JSON number"
+    return f"keypoint must be [x, y, integer part_id, visible 0 or 1], got {json.loads(text)!r}"
+
+
+# Keypoint records that are not exactly [finite x, finite y, integer part_id,
+# visible 0 or 1].
 KEYPOINT_RECORDS = {
     "kp-extra-field": [20.0, 30.0, 0, 7, "junk"],
     "kp-visible-7": [20.0, 30.0, 0, 7],
     "kp-three-fields": [20.0, 30.0, 0],
     "kp-float-part": [20.0, 30.0, 0.5, 1],
+    "kp-x-string": ["12.5", 30.0, 0, 1],
+    "kp-x-nan": [math.nan, 30.0, 0, 1],
+    "kp-y-infinity": [20.0, math.inf, 0, 1],
+    "kp-y-1e999": [20.0, "1e999", 0, 1],
 }
 KEYPOINT_CASES = {
     name: (f"maps {{root}}/{name}.jsonl --out {{root}}/m", None, 2,
-           f"{{root}}/{name}.jsonl: malformed annotation on line 2: "
-           f"keypoint must be [x, y, integer part_id, visible 0 or 1], got {record!r}")
+           f"{{root}}/{name}.jsonl: malformed annotation on line 2: {keypoint_message(record)}")
     for name, record in KEYPOINT_RECORDS.items()
 }
 
-# Annotation fields given a JSON type other than their own, each in a copy of
-# a valid frame: (frame or its first person, key, new value from the old
-# one, message fragment). Each used to be coerced and read without an error.
-NUMBERS_MESSAGE = "head_px, bbox_px and volumes must be numbers, got "
+# Annotation fields given a JSON type other than their own, or a number that
+# is not finite, each in a copy of a valid frame: (the frame, its first person
+# or its camera, key, new value from the old one, message fragment). Each used
+# to be coerced or read without an error.
+NUMBERS_MESSAGE = "head_px, bbox_px and volumes must be finite numbers, got "
 STRICT_FIELDS = {
     "image-w-float": ("frame", "image_w", lambda w: w + 0.9, "image_w must be an integer, got 640.9"),
     "head-px-strings": ("person", "head_px", lambda xy: [str(v) for v in xy], NUMBERS_MESSAGE + "'"),
     "volume-string": ("person", "volume_dm3", str, NUMBERS_MESSAGE + "'"),
     "bbox-bool": ("person", "bbox_px", lambda box: [True, *box[1:]], NUMBERS_MESSAGE + "True"),
+    "bbox-x1-1e999": ("person", "bbox_px", lambda box: [*box[:2], "1e999", box[3]], NUMBERS_MESSAGE + "inf"),
     "person-id-int": ("person", "person_id", lambda _: 7, "person_id must be a string, got 7"),
+    "camera-fx-string": ("camera", "fx", lambda _: "700", "camera intrinsics must be finite numbers, got '700'"),
+    "rotation-string": ("camera", "rotation", lambda rot: ["0.5", *rot[1:]],
+                        "camera rotation entries must be finite numbers, got '0.5'"),
+    "translation-nan": ("camera", "translation", lambda t: [math.nan, *t[1:]], "NaN is not a finite JSON number"),
+    "tags-integers": ("frame", "scene_tags", lambda _: [1, 2], "scene_tags must be a list of strings, got [1, 2]"),
 }
 STRICT_CASES = {
     name: (f"stats {{root}}/{name}.jsonl", None, 2, f"{{root}}/{name}.jsonl: malformed annotation on line 1: {msg}")

@@ -1,8 +1,9 @@
 """The array code of the dense path against the loop versions it replaced.
 
 `loop_reference` keeps the per-pair placement and occlusion loops, the
-per-stamp kernel and the pairwise box-overlap loop. Frames, maps and
-decoupling reports must equal theirs exactly.
+per-point projection in Python floats, the per-stamp kernel and the pairwise
+box-overlap loop. Frames, maps and decoupling reports must equal theirs
+exactly.
 """
 import math
 
@@ -10,28 +11,11 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import make_frame, make_person
+from conftest import DENSE_PAIRS, make_frame, make_person
 from crowdvol import evalharness as eh
 from crowdvol import scenegen
-from crowdvol.datamodel import Keypoint, frame_to_json_line
+from crowdvol.datamodel import Keypoint, frame_to_json_line, identity_camera
 from crowdvol.densitymap import SmoothingConfig, render_ppvdm, render_vdm
-
-# A dense crowd at 1920x1080, as in the benchmark's dense workload.
-DENSE_PAIRS = {
-    "image_w": "1920",
-    "image_h": "1080",
-    "focal.lo": "1000.0",
-    "focal.hi": "1200.0",
-    "persons.min": "280",
-    "persons.max": "320",
-    "area.w": "12.0",
-    "area.d": "40.0",
-    "area.y0": "10.0",
-    "tag.birds_eye": "0.0",
-    "frames.train": "0",
-    "frames.val": "0",
-    "frames.test": "2",
-}
 
 SIGMAS = (0.0, 1.5, 4.0)
 
@@ -86,14 +70,85 @@ def test_default_scene_frames_match_loop_reference():
     assert {"birds_eye", "heavy_occlusion"} <= tags
 
 
-def test_rigid_rows_equal_single_matvecs():
+def test_rigid_and_pinhole_batches_equal_scalar_floats():
+    # Rows of poses against columns of points, as _project_bodies batches
+    # them, give each point's bits in Python floats alone.
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        rot = rng.normal(size=(3, 3))
+    cam = identity_camera(fx=1100.0, fy=1050.0, cx=961.5, cy=538.25)
+    for _ in range(30):
+        rot, shift = rng.normal(size=(7, 3, 3)), rng.normal(size=(7, 3)) * 10.0
         points = rng.normal(size=(17, 3)) * rng.uniform(0.1, 50.0)
-        shift = rng.normal(size=3) * 10.0
-        rows = scenegen._rigid(rot, points, shift)
-        assert np.array_equal(rows, np.array([rot @ p + shift for p in points]))
+        pose = np.concatenate([rot.reshape(7, 9), shift], axis=1).T[:, :, None]
+        x, y, z = scenegen._rigid((pose[0:3], pose[3:6], pose[6:9]), points.T, pose[9:12])
+        px, py = scenegen._pinhole(cam, x, y, z)
+        for m in range(7):
+            for k, point in enumerate(points.tolist()):
+                want = ref.rigid(rot[m].tolist(), point, shift[m].tolist())
+                assert [x[m, k], y[m, k], z[m, k]] == want
+                assert (px[m, k], py[m, k]) == ref.pixel(want, cam)
+                assert scenegen._rigid(rot[m].tolist(), point, shift[m].tolist()) == want
+
+
+def all_pairs_hidden(boxes, depths, kx, ky, kz, owner):
+    """The occlusion test on every keypoint-box pair, in blocks of keypoints."""
+    hidden = []
+    for s in range(0, len(kx), 500):
+        x, y, z = kx[s:s + 500, None], ky[s:s + 500, None], kz[s:s + 500, None]
+        covered = (
+            (depths < z)
+            & (boxes[:, 0] <= x) & (x <= boxes[:, 2])
+            & (boxes[:, 1] <= y) & (y <= boxes[:, 3])
+        )
+        covered[np.arange(len(x)), owner[s:s + 500]] = False
+        hidden.append(covered.any(axis=1))
+    return np.concatenate(hidden)
+
+
+CROWD_PAIRS = {
+    **DENSE_PAIRS, "focal.lo": "300.0", "focal.hi": "320.0", "persons.min": "1000", "persons.max": "1000",
+    "area.w": "60.0", "area.d": "80.0", "frames.test": "1",
+}
+
+
+def test_occlusion_grid_matches_all_pairs_on_a_crowd():
+    cfg = scenegen.scene_config_from_pairs(CROWD_PAIRS)
+    frame = scenegen.generate_frame(cfg, scenegen.build_identity_pools(cfg, 1)["test"], 1, 0)
+    assert frame.n_persons == 1000
+    boxes = np.array([p.bbox_px for p in frame.persons])
+    kps = np.array([(kp.x, kp.y, i) for i, p in enumerate(frame.persons) for kp in p.keypoints
+                    if 0 <= kp.x < cfg.image_w and 0 <= kp.y < cfg.image_h])
+    # Keypoints on box corners and edges and on grid-cell edges, with
+    # depths drawn so that many pairs tie on depth too.
+    rng = np.random.default_rng(2)
+    of = rng.integers(0, len(boxes), size=3000)
+    corners = np.column_stack([boxes[of, rng.integers(0, 2, size=3000) * 2],
+                               boxes[of, 1 + rng.integers(0, 2, size=3000) * 2],
+                               (of + rng.integers(1, len(boxes), size=3000)) % len(boxes)])
+    cells = np.column_stack([rng.integers(0, 60, size=1000) * 32.0, rng.uniform(0, 1080, size=1000),
+                             rng.integers(0, len(boxes), size=1000)])
+    kps = np.concatenate([kps, corners, cells])
+    kps = kps[(kps[:, 0] < cfg.image_w) & (kps[:, 1] < cfg.image_h)]
+    depths = rng.integers(10, 60, size=len(boxes)).astype(float)
+    kz = rng.integers(10, 60, size=len(kps)).astype(float)
+    kx, ky, owner = kps[:, 0], kps[:, 1], kps[:, 2].astype(np.int64)
+    got = scenegen._occluded(boxes, depths, kx, ky, kz, owner, cfg.image_w)
+    want = all_pairs_hidden(boxes, depths, kx, ky, kz, owner)
+    assert np.array_equal(got, want)
+    assert 0.1 < want.mean() < 0.9
+
+
+def test_occlusion_grid_matches_all_pairs_on_image_wide_boxes():
+    # Boxes that span the whole image make the grid coarsen its cells.
+    rng = np.random.default_rng(4)
+    w, h = 4000, 3000
+    corners = np.sort(rng.uniform(0, [w, h], size=(2, 300, 2)), axis=0)
+    boxes = np.concatenate([corners[0], corners[1]], axis=1)
+    boxes[::3] = [0.0, 0.0, w, h]
+    kx, ky = rng.uniform(0, w, size=5000), rng.uniform(0, h, size=5000)
+    kz, depths = rng.uniform(1, 9, size=5000), rng.uniform(1, 9, size=300)
+    owner = rng.integers(0, 300, size=5000)
+    got = scenegen._occluded(boxes, depths, kx, ky, kz, owner, w)
+    assert np.array_equal(got, all_pairs_hidden(boxes, depths, kx, ky, kz, owner))
 
 
 def test_disc_grid_matches_all_pairs_near_cell_edges():

@@ -29,33 +29,45 @@ def small_cfg(**overrides):
 # projection
 # ---------------------------------------------------------------------------
 
+def project(cam, point):
+    return scenegen._pinhole(cam, *scenegen._rigid(cam.rotation, point, cam.translation))
+
+
 def test_project_principal_point():
     cam = identity_camera(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0)
-    x, y, _ = scenegen._pinhole(scenegen._rigid(cam.rotation, np.array([[0.0, 0.0, 2.0]]), cam.translation), cam)
-    assert (x[0], y[0]) == (960.0, 540.0)
+    assert project(cam, (0.0, 0.0, 2.0)) == (960.0, 540.0)
 
 
 def test_project_hand_arithmetic():
     cam = identity_camera(fx=1000.0, fy=900.0, cx=960.0, cy=540.0)
-    x, y, _ = scenegen._pinhole(scenegen._rigid(cam.rotation, np.array([[0.5, 0.25, 2.0]]), cam.translation), cam)
-    assert x[0] == 960.0 + 1000.0 * 0.5 / 2.0  # 1210
-    assert x[0] == 1210.0
-    assert y[0] == 540.0 + 900.0 * 0.25 / 2.0
+    x, y = project(cam, (0.5, 0.25, 2.0))
+    assert x == 960.0 + 1000.0 * 0.5 / 2.0  # 1210
+    assert x == 1210.0
+    assert y == 540.0 + 900.0 * 0.25 / 2.0
 
 
-def test_project_behind_camera_is_off_image():
-    cam = identity_camera()
-    points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-    x, y, z = scenegen._pinhole(scenegen._rigid(cam.rotation, points, cam.translation), cam)
-    assert x.tolist() == y.tolist() == [-1.0, -1.0]
-    assert z.tolist() == [0.0, -1.0]
+def test_keypoint_behind_camera_is_off_image():
+    # The body's lateral axis points along the camera's, and the body stands
+    # just far enough away that its mesh is in front of the camera while the
+    # right-hand keypoints are behind it.
+    cfg = small_cfg()
+    pool = scenegen.build_identity_pools(cfg, 0)["test"]
+    body = pool.characters[0].body
+    rot = ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0))
+    shift = (0.0, 0.0, float(body.mesh.vertices[:, 0].max()) + 0.01)
+    boxes, depths, kx, ky, kz = scenegen._project_bodies(cfg, pool, identity_camera(), [(0, rot, shift)], "f")
+    behind = kz[0] <= 0
+    assert 0 < behind.sum() < len(behind)
+    assert kx[0][behind].tolist() == ky[0][behind].tolist() == [-1.0] * int(behind.sum())
+    assert depths[0] == shift[2]
+    assert boxes.shape == (1, 4)
 
 
 def test_look_at_camera_centers_target():
     cam = scenegen.look_at_camera((0.0, -2.0, 1.5), (0.0, 5.0, 1.0), 600.0, 600.0, 320.0, 240.0)
-    x, y, _ = scenegen._pinhole(scenegen._rigid(cam.rotation, np.array([[0.0, 5.0, 1.0]]), cam.translation), cam)
-    assert x[0] == pytest.approx(320.0, abs=1e-9)
-    assert y[0] == pytest.approx(240.0, abs=1e-9)
+    x, y = project(cam, (0.0, 5.0, 1.0))
+    assert x == pytest.approx(320.0, abs=1e-9)
+    assert y == pytest.approx(240.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
