@@ -16,7 +16,6 @@ import numpy as np
 
 from .datamodel import ParseError, ValidationError, config_getter, default_config, open_text
 from .rng import SplitMix64, mix_seed
-from .special import ndtr
 
 DEFAULT_BODY_DENSITY = 1000.0  # kg/m^3
 DEFAULT_BMI_RANGE = (10.0, 50.0)  # kg/m^2
@@ -41,13 +40,11 @@ class LogNormalParams:
         if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
             raise ValidationError(f"need a finite mu and 0 < sigma < inf, got mu={self.mu}, sigma={self.sigma}")
 
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        positive = x > 0
-        z = (np.log(x[positive]) - self.mu) / self.sigma
-        out[positive] = [ndtr(v) for v in z.tolist()]
-        return out
+    def cdf(self, x: float) -> float:
+        """P(X <= x), from libm's `log` and `erfc`."""
+        if not x > 0:
+            return 0.0
+        return 0.5 * math.erfc((self.mu - math.log(x)) / (self.sigma * math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -249,7 +246,7 @@ def kl_divergence(samples, target: LogNormalParams, bins: int = 50) -> float:
         raise ValueError("samples are all identical; histogram support is degenerate")
     counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
     p = counts / counts.sum()
-    cdf = target.cdf(edges)
+    cdf = np.array([target.cdf(edge) for edge in edges.tolist()])
     support_mass = cdf[-1] - cdf[0]
     if support_mass <= 0:
         raise ValueError("target has no probability mass on the sample support")
@@ -257,7 +254,7 @@ def kl_divergence(samples, target: LogNormalParams, bins: int = 50) -> float:
     mask = p > 0
     if (q[mask] <= 0).any():
         return math.inf
-    return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
+    return max(0.0, math.fsum(pi * math.log(pi / qi) for pi, qi in zip(p[mask].tolist(), q[mask].tolist())))
 
 
 @dataclass(frozen=True)
@@ -353,8 +350,10 @@ _SAMPLE_COLUMNS = ("gender", "height_m", "mass_kg", "bmi", "volume_dm3")
 
 
 def read_samples_csv(path) -> list[PersonSample]:
-    """Rows written by write_samples_csv. A missing column or a value that is
-    not a number raises ParseError naming the file."""
+    """Rows written by write_samples_csv. A missing column, a value that is
+    not a number, a gender other than female or male, or a height, mass,
+    BMI or volume that is not a finite number > 0 raises ParseError naming
+    the file and line."""
     out: list[PersonSample] = []
     with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -362,16 +361,15 @@ def read_samples_csv(path) -> list[PersonSample]:
         if missing:
             raise ParseError(f"{path}: missing column {', '.join(missing)}")
         for row in reader:
+            where = f"{path}: line {reader.line_num}"
             try:
-                out.append(
-                    PersonSample(
-                        gender=row["gender"],
-                        height_m=float(row["height_m"]),
-                        mass_kg=float(row["mass_kg"]),
-                        bmi=float(row["bmi"]),
-                        volume_dm3=float(row["volume_dm3"]),
-                    )
-                )
+                values = [float(row[col]) for col in _SAMPLE_COLUMNS[1:]]
             except (TypeError, ValueError):
-                raise ParseError(f"{path}: line {reader.line_num}: bad or missing value") from None
+                raise ParseError(f"{where}: bad or missing value") from None
+            for col, value in zip(_SAMPLE_COLUMNS[1:], values):
+                if not 0 < value < math.inf:
+                    raise ParseError(f"{where}: {col} must be a finite number > 0, got {row[col]!r}")
+            if row["gender"] not in ("female", "male"):
+                raise ParseError(f"{where}: gender must be female or male, got {row['gender']!r}")
+            out.append(PersonSample(row["gender"], *values))
     return out

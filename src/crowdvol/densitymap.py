@@ -57,11 +57,12 @@ def nearest_pixel(coord: float, size: int) -> int:
 @lru_cache(maxsize=16)
 def _kernel(sigma_px: float, left: int, right: int, up: int, down: int) -> np.ndarray:
     """Truncated Gaussian over offsets [-left, right] x [-up, down] around
-    the center pixel, normalized to sum 1; read-only, since it is shared."""
-    dx = np.arange(-left, right + 1)
-    dy = np.arange(-up, down + 1)
+    the center pixel, normalized to sum 1; read-only, since it is shared.
+    Its factors come from libm's `exp`, not from numpy's CPU-dispatched one."""
     inv = 1.0 / (2.0 * sigma_px * sigma_px)
-    kernel = np.outer(np.exp(-dy * dy * inv), np.exp(-dx * dx * inv))
+    ys = [math.exp(-d * d * inv) for d in range(-up, down + 1)]
+    xs = [math.exp(-d * d * inv) for d in range(-left, right + 1)]
+    kernel = np.outer(ys, xs)
     kernel /= kernel.sum()
     kernel.flags.writeable = False
     return kernel

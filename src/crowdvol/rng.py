@@ -15,6 +15,8 @@ _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# (2**53 - 0.5) * 2**-53 rounds to 1.0; that one draw takes the largest double below 1
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 def mix_seed(*parts: int) -> int:
@@ -60,7 +62,8 @@ class SplitMix64:
 
     def uniform(self) -> float:
         """Uniform draw in the open interval (0, 1)."""
-        return (float(self.next_u64() >> 11) + 0.5) * 2.0**-53
+        u = (float(self.next_u64() >> 11) + 0.5) * 2.0**-53
+        return u if u < 1.0 else _BELOW_ONE
 
     def next_u64s(self, n: int) -> np.ndarray:
         """The next n outputs as a uint64 array, as n next_u64 calls would give."""
@@ -70,7 +73,7 @@ class SplitMix64:
 
     def uniforms(self, n: int) -> np.ndarray:
         z = self.next_u64s(n)
-        return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return np.minimum(((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53, _BELOW_ONE)
 
     def normal(self) -> float:
         """Standard normal via the inverse CDF of one uniform draw."""

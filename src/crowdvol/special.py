@@ -1,11 +1,13 @@
-"""Normal distribution functions ported from Cephes.
+"""Inverse of the standard normal CDF, ported from Cephes.
 
-Scalar Python ports of `ndtri`, `ndtr`, `erf` and `erfc` from the Cephes
-Math Library (S. L. Moshier, *Methods and Programs for Mathematical
-Functions*, 1989), with the coefficients and the Horner order of its
-`polevl`/`p1evl`. They use only `math.log`, `math.sqrt` and `math.exp`, so
-a result depends on the input and on the platform's libm, and equals the
-Cephes build that scipy ships bit for bit.
+A scalar Python port of `ndtri` from the Cephes Math Library (S. L.
+Moshier, *Methods and Programs for Mathematical Functions*, 1989), with the
+coefficients and the Horner order of its `polevl`/`p1evl`. It uses only
+`math.log` and `math.sqrt`, so a result depends on the input and on the
+platform's libm, and equals the Cephes build that scipy ships bit for bit.
+Every normal draw of `rng` goes through it, so its bits decide every
+sampled body; the standard library's `NormalDist.inv_cdf` rounds
+differently.
 """
 from __future__ import annotations
 
@@ -13,8 +15,6 @@ import math
 
 _S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
-_SQRT1_2 = 7.07106781186547524401e-1
-_MAXLOG = 7.09782712893383996843e2
 
 # ndtri, 0 <= |y - 0.5| <= 3/8
 _P0 = (
@@ -78,61 +78,6 @@ _Q2 = (
     2.89247864745380683936e-6,
     6.79019408009981274425e-9,
 )
-# erfc, 1 <= |x| < 8
-_P = (
-    2.46196981473530512524e-10,
-    5.64189564831068821977e-1,
-    7.46321056442269912687e0,
-    4.86371970985681366614e1,
-    1.96520832956077098242e2,
-    5.26445194995477358631e2,
-    9.34528527171957607540e2,
-    1.02755188689515710272e3,
-    5.57535335369399327526e2,
-)
-_Q = (
-    1.32281951154744992508e1,
-    8.67072140885989742329e1,
-    3.54937778887819891062e2,
-    9.75708501743205489753e2,
-    1.82390916687909736289e3,
-    2.24633760818710981792e3,
-    1.65666309194161350182e3,
-    5.57535340817727675546e2,
-)
-# erfc, |x| >= 8
-_R = (
-    5.64189583547755073984e-1,
-    1.27536670759978104416e0,
-    5.01905042251180477414e0,
-    6.16021097993053585195e0,
-    7.40974269950448939160e0,
-    2.97886665372100240670e0,
-)
-_S = (
-    2.26052863220117276590e0,
-    9.39603524938001434673e0,
-    1.20489539808096656605e1,
-    1.70814450747565897222e1,
-    9.60896809063285878198e0,
-    3.36907645100081516050e0,
-)
-# erf, |x| <= 1
-_T = (
-    9.60497373987051638749e0,
-    9.00260197203842689217e1,
-    2.23200534594684319226e3,
-    7.00332514112805075473e3,
-    5.55923013010394962768e4,
-)
-_U = (
-    3.35617141647503099647e1,
-    5.21357949780152679795e2,
-    4.59432382970980127987e3,
-    2.26290000613890934246e4,
-    4.92673942608635921086e4,
-)
-
 
 def polevl(x: float, coef: tuple[float, ...]) -> float:
     """coef[0]·x^N + ... + coef[N], by Horner's rule."""
@@ -178,52 +123,3 @@ def ndtri(y0: float) -> float:
         x1 = z * polevl(z, _P2) / p1evl(z, _Q2)
     x = x0 - x1
     return -x if negate else x
-
-
-def ndtr(a: float) -> float:
-    """Standard normal CDF."""
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * erf(x)
-    y = 0.5 * erfc(z)
-    return 1.0 - y if x > 0 else y
-
-
-def erfc(a: float) -> float:
-    """Complementary error function, 1 - erf(a)."""
-    if math.isnan(a):
-        return math.nan
-    x = abs(a)
-    if x < 1.0:
-        return 1.0 - erf(a)
-    z = -a * a
-    if z < -_MAXLOG:
-        return 2.0 if a < 0 else 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        p = polevl(x, _P)
-        q = p1evl(x, _Q)
-    else:
-        p = polevl(x, _R)
-        q = p1evl(x, _S)
-    y = (z * p) / q
-    if a < 0:
-        y = 2.0 - y
-    if y != 0.0:
-        return y
-    return 2.0 if a < 0 else 0.0
-
-
-def erf(x: float) -> float:
-    """Error function."""
-    if math.isnan(x):
-        return math.nan
-    if x < 0.0:
-        return -erf(-x)
-    if x > 1.0:
-        return 1.0 - erfc(x)
-    z = x * x
-    return x * polevl(z, _T) / p1evl(z, _U)

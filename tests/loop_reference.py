@@ -196,10 +196,10 @@ def stamp(acc: np.ndarray, x: float, y: float, mass: float, cfg: SmoothingConfig
     radius = int(math.ceil(cfg.truncation_radius * cfg.sigma_px))
     x0, x1 = max(0, ix - radius), min(w - 1, ix + radius)
     y0, y1 = max(0, iy - radius), min(h - 1, iy + radius)
-    dx = np.arange(x0, x1 + 1) - ix
-    dy = np.arange(y0, y1 + 1) - iy
     inv = 1.0 / (2.0 * cfg.sigma_px * cfg.sigma_px)
-    kernel = np.outer(np.exp(-dy * dy * inv), np.exp(-dx * dx * inv))
+    ys = [math.exp(-(y - iy) * (y - iy) * inv) for y in range(y0, y1 + 1)]
+    xs = [math.exp(-(x - ix) * (x - ix) * inv) for x in range(x0, x1 + 1)]
+    kernel = np.outer(ys, xs)
     kernel /= kernel.sum()
     acc[y0 : y1 + 1, x0 : x1 + 1] += mass * kernel
 

@@ -243,16 +243,54 @@ def test_label_stdout_digests(tmp_path, capsys):
     assert label_digests(tmp_path, capsys) == LABEL_DIGESTS
 
 
+# sha256 of `stats` stdout on 400 samples (seed 4) with the shipped model.cfg
+# as target: samples of the shipped model, and samples of a gender_mix=0.25
+# model with the first file as --before. Recorded where every KL term comes
+# from libm's `log` and `erfc` and is summed by `math.fsum`; each KL value
+# was within 1e-14 relative of the numpy and Cephes sums before it.
+STATS_DIGESTS = {
+    "shipped": "5863af953d8cd57fc967b213d78d57cec1b4ce4479fe6ca0aa919a274eafb76b",
+    "gender-mix-0.25": "05cdb72296ab1d1d2e8895157a56a28be7c2738b303d027c0775a01b54a124f9",
+}
+
+
+def stats_digests(root: Path, capsys) -> dict[str, str]:
+    import hashlib
+
+    model = str(Path(anthro.__file__).parent / "configs" / "model.cfg")
+    shipped, mixed = root / "shipped.csv", root / "mixed.csv"
+    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 400, seed=4), shipped)
+    mixed_model = anthro.model_from_config({"gender_mix": "0.25"})
+    anthro.write_samples_csv(anthro.sample_population(mixed_model, 400, seed=4), mixed)
+    digests = {}
+    for name, argv in (
+        ("shipped", [str(shipped), "--target-config", model]),
+        ("gender-mix-0.25", [str(mixed), "--target-config", model, "--before", str(shipped)]),
+    ):
+        capsys.readouterr()
+        assert run("stats", *argv) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_stats_stdout_digests(tmp_path, capsys):
+    assert stats_digests(tmp_path, capsys) == STATS_DIGESTS
+
+
 # sha256 of the outputs of a small gen -> maps -> eval chain at data version
 # 0.3.0: the annotations, the manifest, all per-part maps in name order, and
 # the stdout of maps and of two eval protocols. A change that keeps the data
 # version keeps them; a data-version bump records them anew and says so in
-# CHANGES.md.
+# CHANGES.md. `maps.stdout` was recorded anew at 0.3.0, without a bump: it
+# prints each map's mass, which summed kernels from numpy's `exp` and so
+# moved with numpy's AVX-512 loops; the kernels now come from libm's `exp`,
+# and the digest is the one the old code printed without AVX-512. No data
+# byte moved.
 CHAIN_DIGESTS = {
     "test.jsonl": "1e161c52d1e7b0b1ae8c6244cc29644d32835427c0c7604116fa6391016b6873",
     "manifest.txt": "4910d83433e3d5687db4495407ec003c747dee50ee4410384e9e57c37b0cbf11",
     "maps/*.vdm": "203e9ccfb18cc8671c3a9eaba2abec278fce8abd3aabda20e7d4f8d51cc12a62",
-    "maps.stdout": "0c3025e6d8f323e015ae06f46e07207bdbbce546302e37eaa946d78f42d653fa",
+    "maps.stdout": "159991eef07aea08e01b6940ea469d24e85709b81ff1c428f86adc5c2ec7be0d",
     "eval-full.stdout": "52f3f877e5c8c6097b4d0f08b3a6cc134fa50a17661f9d357e82f7f867f12c99",
     "eval-decoupling.stdout": "c4acb283c119ee2d8d67c2ef03bcec55ddc72f7d6491516fc6eb9e1c6683778e",
 }
@@ -709,6 +747,11 @@ def bad_inputs(tmp_path_factory):
     write_vertex_labels(np.where(pinch.vertices[:, 2] < 0, 8, 0), root / "pinch.labels")
     (root / "twice.cfg").write_text("image_w=640\nimage_w=800\n")
     anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 40, seed=3), root / "samples.csv")
+    rows = (root / "samples.csv").read_text().splitlines()
+    for name, (column, text, _) in SAMPLE_FIELDS.items():
+        bad = rows[2].split(",")
+        bad[rows[0].split(",").index(column)] = text
+        (root / f"{name}.csv").write_text("\n".join([*rows[:2], ",".join(bad), *rows[3:]]) + "\n")
     model, taxonomy = default_config("model"), default_config("taxonomy")
     for name, pairs in {
         "model": model,
@@ -788,6 +831,24 @@ STRICT_FIELDS = {
 STRICT_CASES = {
     name: (f"stats {{root}}/{name}.jsonl", None, 2, f"{{root}}/{name}.jsonl: malformed annotation on line 1: {msg}")
     for name, (_, _, _, msg) in STRICT_FIELDS.items()
+}
+
+# Sample-file fields that read_samples_csv rejects, each on line 3 of a copy
+# of a valid file: (column, text, further stats flags). Each used to be read
+# and then counted, averaged or binned.
+SAMPLE_FIELDS = {
+    "samples-volume-nan": ("volume_dm3", "nan", ""),
+    "samples-gender-alien": ("gender", "alien", ""),
+    "samples-height-inf": ("height_m", "inf", " --target-config {root}/model.cfg"),
+    "samples-height-nan": ("height_m", "nan", " --target-config {root}/model.cfg"),
+    "samples-mass-zero": ("mass_kg", "0", ""),
+    "samples-bmi-negative": ("bmi", "-24.5", ""),
+}
+SAMPLE_CASES = {
+    name: (f"stats {{root}}/{name}.csv{flags}", None, 2, f"{{root}}/{name}.csv: line 3: " + (
+        f"gender must be female or male, got {text!r}" if column == "gender"
+        else f"{column} must be a finite number > 0, got {text!r}"))
+    for name, (column, text, flags) in SAMPLE_FIELDS.items()
 }
 
 GEN = "gen --out {root}/g --config {cfg}"
@@ -881,6 +942,7 @@ ERROR_CASES = {
     "tol-inf": (LABEL_PINCH + " --tol inf", None, 2, "plane tolerance must be positive and finite, got inf"),
     **KEYPOINT_CASES,
     **STRICT_CASES,
+    **SAMPLE_CASES,
 }
 
 

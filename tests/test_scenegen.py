@@ -301,6 +301,21 @@ def test_splitmix_normals_match():
     assert a.normal() == b.normal()
 
 
+def test_splitmix_uniform_stays_below_one():
+    """At this seed the first output has its top 53 bits set, where
+    (2**53 - 0.5) * 2**-53 rounds to 1.0 and its normal to inf; that draw
+    takes the largest double below 1, and no other draw moves."""
+    seed = 0x31628AF67B2131AB
+    below_one = math.nextafter(1.0, 0.0)
+    z = SplitMix64(seed).next_u64s(1000)
+    unclamped = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert unclamped[0] == 1.0
+    draws = SplitMix64(seed).uniforms(1000)
+    assert draws[0] == below_one and draws[1:].tolist() == unclamped[1:].tolist()
+    assert SplitMix64(seed).uniform() == below_one
+    assert math.isfinite(SplitMix64(seed).normal())
+
+
 def test_splitmix_randints_continue_the_scalar_stream():
     a = SplitMix64(13)
     scalars = [a.randint(-2, 40) for _ in range(50)]

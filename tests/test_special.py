@@ -1,13 +1,17 @@
-"""The Cephes ports in crowdvol.special equal scipy.special bit for bit."""
+"""The Cephes `ndtri` port in crowdvol.special equals scipy.special's bit
+for bit; `LogNormalParams.cdf`, from libm's `erfc`, is accurate against
+scipy.stats."""
 import math
 
 import numpy as np
 import pytest
 
 from crowdvol import special
+from crowdvol.anthro import LogNormalParams, default_model
 from crowdvol.rng import SplitMix64
 
 scipy_special = pytest.importorskip("scipy.special")
+lognorm = pytest.importorskip("scipy.stats").lognorm
 
 
 def assert_bit_equal(port, reference, xs):
@@ -58,24 +62,17 @@ def test_ndtri_outside_the_open_interval():
     assert math.isnan(special.ndtri(-1.0)) and math.isnan(special.ndtri(math.inf))
 
 
-def test_ndtr_on_a_dense_grid():
-    grid = np.concatenate([np.linspace(-40.0, 40.0, 200_001), np.linspace(-1.5, 1.5, 100_001)])
-    assert_bit_equal(special.ndtr, scipy_special.ndtr, grid)
-
-
-def test_ndtr_on_normal_draws():
-    assert_bit_equal(special.ndtr, scipy_special.ndtr, np.random.default_rng(13).standard_normal(100_000))
-
-
-def test_ndtr_branch_points():
-    # |a| = 1: erf/erfc switch; sqrt(2): erfc falls back to 1 - erf below it;
-    # 8 sqrt(2): erfc's x < 8 coefficient switch.
-    points = [s * b for b in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)) for s in (1.0, -1.0)]
-    assert_bit_equal(special.ndtr, scipy_special.ndtr, ulp_neighbours(points))
-
-
-def test_ndtr_far_tails_and_specials():
-    xs = [40.0, -40.0, 1e3, -1e3, math.inf, -math.inf, math.nan, 0.0, -0.0]
-    assert_bit_equal(special.ndtr, scipy_special.ndtr, xs)
-    assert special.ndtr(-math.inf) == 0.0 and special.ndtr(math.inf) == 1.0
-
+def test_lognormal_cdf_against_scipy():
+    """Within 1e-13 relative of scipy for |z| <= 8, on the shipped model's
+    log-normals; 0 at and below x = 0, and positive deep in the lower tail."""
+    model = default_model()
+    z = np.concatenate([np.linspace(-8.0, 8.0, 20_001), SplitMix64(3).uniforms(10_000) * 16.0 - 8.0])
+    for gender in (model.female, model.male):
+        for params in (gender.mass, gender.height):
+            xs = np.exp(params.mu + params.sigma * z)
+            got = np.array([params.cdf(x) for x in xs.tolist()])
+            want = lognorm.cdf(xs, s=params.sigma, scale=math.exp(params.mu))
+            assert (np.abs(got - want) <= 1e-13 * want).all()
+    params = LogNormalParams(mu=0.0, sigma=1.0)
+    assert params.cdf(0.0) == params.cdf(-1.0) == 0.0 and params.cdf(math.inf) == 1.0
+    assert params.cdf(math.exp(-38.0)) > 0.0  # subnormal, about 2.9e-316
