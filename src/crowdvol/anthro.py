@@ -7,14 +7,14 @@ volume convert through a configurable average body density (default
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
-from .datamodel import ParseError, ValidationError, config_getter, default_config, open_text
+from .datamodel import ParseError, ValidationError, config_getter, csv_text, default_config, read_csv
 from .rng import SplitMix64, mix_seed
 
 DEFAULT_BODY_DENSITY = 1000.0  # kg/m^3
@@ -274,14 +274,6 @@ def alignment_report(before, after, target: LogNormalParams, bins: int = 50) -> 
     )
 
 
-def write_alignment_csv(reports: dict[str, AlignmentReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "before", "after", "pct_change"])
-        for name, rep in reports.items():
-            writer.writerow([name, repr(rep.kl_before), repr(rep.kl_after), repr(rep.pct_change)])
-
-
 # ---------------------------------------------------------------------------
 # Config and sample-file I/O
 # ---------------------------------------------------------------------------
@@ -338,15 +330,12 @@ def scaling_from_config(pairs: dict[str, str], source: str = "<config>") -> Scal
     return ScalingConfig(x=axis("x"), y=axis("y"), z=axis("z"))
 
 
-def write_samples_csv(samples: list[PersonSample], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gender", "height_m", "mass_kg", "bmi", "volume_dm3"])
-        for s in samples:
-            writer.writerow([s.gender, repr(s.height_m), repr(s.mass_kg), repr(s.bmi), repr(s.volume_dm3)])
-
-
 _SAMPLE_COLUMNS = ("gender", "height_m", "mass_kg", "bmi", "volume_dm3")
+
+
+def write_samples_csv(samples: list[PersonSample], path) -> None:
+    rows = [(s.gender, s.height_m, s.mass_kg, s.bmi, s.volume_dm3) for s in samples]
+    Path(path).write_text(csv_text([_SAMPLE_COLUMNS] + rows), encoding="utf-8")
 
 
 def read_samples_csv(path) -> list[PersonSample]:
@@ -355,21 +344,15 @@ def read_samples_csv(path) -> list[PersonSample]:
     BMI or volume that is not a finite number > 0 raises ParseError naming
     the file and line."""
     out: list[PersonSample] = []
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [col for col in _SAMPLE_COLUMNS if col not in (reader.fieldnames or ())]
-        if missing:
-            raise ParseError(f"{path}: missing column {', '.join(missing)}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            try:
-                values = [float(row[col]) for col in _SAMPLE_COLUMNS[1:]]
-            except (TypeError, ValueError):
-                raise ParseError(f"{where}: bad or missing value") from None
-            for col, value in zip(_SAMPLE_COLUMNS[1:], values):
-                if not 0 < value < math.inf:
-                    raise ParseError(f"{where}: {col} must be a finite number > 0, got {row[col]!r}")
-            if row["gender"] not in ("female", "male"):
-                raise ParseError(f"{where}: gender must be female or male, got {row['gender']!r}")
-            out.append(PersonSample(row["gender"], *values))
+    for where, row in read_csv(path, _SAMPLE_COLUMNS):
+        try:
+            values = [float(row[col]) for col in _SAMPLE_COLUMNS[1:]]
+        except ValueError:
+            raise ParseError(f"{where}: bad or missing value") from None
+        for col, value in zip(_SAMPLE_COLUMNS[1:], values):
+            if not 0 < value < math.inf:
+                raise ParseError(f"{where}: {col} must be a finite number > 0, got {row[col]!r}")
+        if row["gender"] not in ("female", "male"):
+            raise ParseError(f"{where}: gender must be female or male, got {row['gender']!r}")
+        out.append(PersonSample(row["gender"], *values))
     return out

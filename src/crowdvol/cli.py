@@ -92,19 +92,19 @@ def cmd_label(args) -> int:
     mesh = datamodel.TriMesh(vertices=mesh.vertices, faces=mesh.faces, vertex_labels=labels)
     tol = meshvol.DEFAULT_PLANE_TOL if args.tol is None else args.tol
     parts = meshvol.split_parts(mesh, taxonomy, tol=tol)
-    print("part_id,name,volume_dm3")
-    for pid in sorted(parts.volumes):
-        print(f"{pid},{taxonomy.name_of(pid)},{parts.volumes[pid]!r}")
-    print(f"total,,{parts.total_dm3!r}")
+    rows = [("part_id", "name", "volume_dm3")]
+    rows += [(pid, taxonomy.name_of(pid), parts.volumes[pid]) for pid in sorted(parts.volumes)]
+    rows.append(("total", "", parts.total_dm3))
+    print(datamodel.csv_text(rows), end="")
     return EXIT_OK
 
 
-def _write_map(per_part, taxonomy, cfg, out_dir: Path, frame) -> float:
+def _write_map(per_part, cfg, out_dir: Path, frame) -> float:
     """Render one frame's map, write its .vdm file and return its mass."""
     from . import datamodel, densitymap
 
     if per_part:
-        dmap = densitymap.render_ppvdm(frame, taxonomy, cfg)
+        dmap = densitymap.render_ppvdm(frame, datamodel.default_taxonomy(), cfg)
     else:
         dmap = densitymap.render_vdm(frame, cfg)
     datamodel.write_vdm(dmap, out_dir / f"{frame.frame_id}.vdm")
@@ -115,12 +115,11 @@ def cmd_maps(args) -> int:
     from . import datamodel, densitymap
     from .parallel import parallel_map
 
-    taxonomy = datamodel.load_taxonomy(args.taxonomy) if args.taxonomy else datamodel.default_taxonomy()
-    frames = datamodel.read_annotations(args.annotations, taxonomy)
+    frames = datamodel.read_annotations(args.annotations)
     cfg = densitymap.SmoothingConfig(sigma_px=args.sigma, truncation_radius=args.truncation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    masses = parallel_map(_write_map, (args.per_part, taxonomy, cfg, out), frames, args.workers)
+    masses = parallel_map(_write_map, (args.per_part, cfg, out), frames, args.workers)
     failed = False
     for frame, got in zip(frames, masses):
         expected = frame.total_volume_dm3
@@ -144,100 +143,85 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.protocol == "full":
-        text = evalharness.full_report_to_csv(evalharness.evaluate_full(frames, preds))
-        (out / "report.csv").write_text(text, encoding="utf-8")
-        print(text, end="")
+        name, text = "report.csv", evalharness.full_report_to_csv(evalharness.evaluate_full(frames, preds))
     elif args.protocol == "decoupling":
         report = evalharness.decoupling_eval(
             frames, preds, min_volume_dm3=args.min_volume, iou_threshold=args.iou_threshold
         )
-        text = evalharness.decoupling_to_csv(report)
-        (out / "report.csv").write_text(text, encoding="utf-8")
-        print(text, end="")
+        name, text = "report.csv", evalharness.decoupling_to_csv(report)
     elif args.protocol == "bins":
         from . import plots
 
         bins = evalharness.crowd_size_bins(frames, preds, args.bin_edges)
-        text = evalharness.bins_to_csv(bins)
-        (out / "bins.csv").write_text(text, encoding="utf-8")
         plots.write_bins_svg(bins, out / "bins.svg")
-        print(text, end="")
+        name, text = "bins.csv", evalharness.bins_to_csv(bins)
     else:  # scatter
         from . import metrics, plots
 
         records = evalharness.build_records(frames, preds)
         points = metrics.mae_ppmae_scatter([r for r in records if r.n_persons >= 1])
-        (out / "scatter.csv").write_text(metrics.scatter_to_csv(points), encoding="utf-8")
         plots.write_scatter_svg(points, out / "scatter.svg")
-        print(f"scatter: {len(points)} points -> {out / 'scatter.svg'}")
+        name, text = "scatter.csv", metrics.scatter_to_csv(points)
+    (out / name).write_text(text, encoding="utf-8")
+    print(text, end="")
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
+    from . import datamodel
+
     path = Path(args.input)
     samples_input = path.suffix == ".csv"
     what = "a samples .csv without --target-config" if samples_input else "annotations"
     for flag, value, used in (
         ("--target-config", args.target_config, samples_input),
         ("--before", args.before, samples_input and args.target_config),
-        ("--out", args.out, not samples_input or args.target_config),
     ):
         if value and not used:
             raise ValueError(f"stats: {flag} is not used with {what}")
-    out = Path(args.out) if args.out else None
     if samples_input:
-        from . import anthro, datamodel
+        from . import anthro
 
         samples = anthro.read_samples_csv(path)
         if not samples:
             raise datamodel.ParseError(f"{path}: empty sample file")
         before = anthro.read_samples_csv(args.before) if args.before else samples
-        reports = {}
+        rows = [("key", "value"), ("n_samples", len(samples)),
+                ("mean_volume_dm3", math.fsum(s.volume_dm3 for s in samples) / len(samples))]
         if args.target_config:
             model = anthro.model_from_config(datamodel.read_keyvalues(args.target_config), args.target_config)
-            reports = _alignment_reports(samples, before, model)
-        if out:
-            out.mkdir(parents=True, exist_ok=True)
-        print("key,value")
-        print(f"n_samples,{len(samples)}")
-        print(f"mean_volume_dm3,{math.fsum(s.volume_dm3 for s in samples) / len(samples)!r}")
-        for name, rep in reports.items():
-            print(f"kl_{name}_before,{rep.kl_before!r}")
-            print(f"kl_{name}_after,{rep.kl_after!r}")
-            print(f"kl_{name}_pct_change,{rep.pct_change!r}")
-        if out:
-            anthro.write_alignment_csv(reports, out / "alignment.csv")
+            rows += _alignment_rows(samples, before, model)
+        text = datamodel.csv_text(rows)
     else:
-        from . import datamodel, evalharness
+        from . import evalharness
 
         text = evalharness.stats_to_csv(evalharness.dataset_stats(datamodel.read_annotations(path)))
-        if out:
-            out.mkdir(parents=True, exist_ok=True)
-        print(text, end="")
-        if out:
-            (out / "stats.csv").write_text(text, encoding="utf-8")
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "stats.csv").write_text(text, encoding="utf-8")
+    print(text, end="")
     return EXIT_OK
 
 
-def _alignment_reports(samples, before, model):
-    """KL per feature; a gender-mixed population is compared against the
-    mixture's dominant component per gender, so features are reported
+def _alignment_rows(samples, before, model) -> list[tuple]:
+    """KL rows per feature; a gender-mixed population is compared against
+    the mixture's dominant component per gender, so features are reported
     per gender."""
     from . import anthro
 
-    reports = {}
+    rows = []
     for gender in ("female", "male"):
         params = model.params_for(gender)
         aft, bef = ([s for s in group if s.gender == gender] for group in (samples, before))
         if len(aft) < 2 or len(bef) < 2:
             continue
-        reports[f"height_{gender}"] = anthro.alignment_report(
-            [s.height_m for s in bef], [s.height_m for s in aft], params.height
-        )
-        reports[f"mass_{gender}"] = anthro.alignment_report(
-            [s.mass_kg for s in bef], [s.mass_kg for s in aft], params.mass
-        )
-    return reports
+        for feature, attr, target in (("height", "height_m", params.height), ("mass", "mass_kg", params.mass)):
+            rep = anthro.alignment_report([getattr(s, attr) for s in bef], [getattr(s, attr) for s in aft], target)
+            name = f"kl_{feature}_{gender}"
+            rows += [(f"{name}_before", rep.kl_before), (f"{name}_after", rep.kl_after),
+                     (f"{name}_pct_change", rep.pct_change)]
+    return rows
 
 
 def _workers(text: str) -> int:
@@ -284,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_maps.add_argument("--per-part", action="store_true")
     p_maps.add_argument("--sigma", type=float, default=4.0)
     p_maps.add_argument("--truncation", type=float, default=4.0)
-    p_maps.add_argument("--taxonomy")
     p_maps.add_argument("--workers", type=_workers, default=os.environ.get("CVE_WORKERS", "1"))
     p_maps.set_defaults(func=cmd_maps)
 

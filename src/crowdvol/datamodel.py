@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -249,13 +250,12 @@ def validate_person(person: PersonAnnotation, taxonomy: PartTaxonomy, frame_id: 
         raise ValidationError(f"{ctx}: keypoint references unknown part id {first}")
 
 
-def validate_frame(frame: FrameAnnotation, taxonomy: PartTaxonomy | None = None) -> None:
+def validate_frame(frame: FrameAnnotation) -> None:
     """Check every invariant; raise ValidationError naming frame and field."""
-    tax = taxonomy if taxonomy is not None else default_taxonomy()
     if frame.image_w <= 0 or frame.image_h <= 0:
         raise ValidationError(f"frame {frame.frame_id!r}: image_w and image_h must be positive")
     for person in frame.persons:
-        validate_person(person, tax, frame.frame_id)
+        validate_person(person, default_taxonomy(), frame.frame_id)
         hx, hy = person.head_px
         if not (0 <= hx < frame.image_w and 0 <= hy < frame.image_h):
             raise ValidationError(
@@ -265,7 +265,7 @@ def validate_frame(frame: FrameAnnotation, taxonomy: PartTaxonomy | None = None)
 
 
 # ---------------------------------------------------------------------------
-# Text input
+# Text input and CSV
 # ---------------------------------------------------------------------------
 
 @contextmanager
@@ -279,6 +279,32 @@ def open_text(path, newline: str | None = None):
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
             raise ParseError(f"{path}: {exc}") from None
+
+
+def read_csv(path, columns: tuple[str, ...]):
+    """Yield ("FILE: line N", {column: field}) for each non-blank row of a
+    CSV file whose header names every one of `columns`. A missing column, or
+    a row with more or fewer fields than the header, raises ParseError."""
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if missing := [col for col in columns if col not in header]:
+            raise ParseError(f"{path}: missing column {', '.join(missing)}")
+        for row in filter(None, reader):
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ParseError(f"{where}: {len(row)} fields where the header has {len(header)}")
+            yield where, dict(zip(header, row))
+
+
+def csv_text(rows) -> str:
+    """Rows of str, int and float as CSV text with LF line ends: a float is
+    its repr, and a field is quoted (RFC 4180) only if it holds a comma, a
+    quote, a CR or an LF. Python 3.11's writer quotes only the line breaks in
+    its terminator, so it writes CRLF, and each row's CRLF becomes LF."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +425,10 @@ def frame_to_json_line(frame: FrameAnnotation) -> str:
     return json.dumps(frame_to_dict(frame), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def write_annotations(frames, path, taxonomy: PartTaxonomy | None = None) -> None:
+def write_annotations(frames, path) -> None:
     frames = list(frames)
     for frame in frames:
-        validate_frame(frame, taxonomy)
+        validate_frame(frame)
     Path(path).write_bytes("".join(frame_to_json_line(f) + "\n" for f in frames).encode("utf-8"))
 
 
@@ -414,7 +440,7 @@ def _not_a_number(name: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_not_a_number)
 
 
-def read_annotations(path, taxonomy: PartTaxonomy | None = None) -> list[FrameAnnotation]:
+def read_annotations(path) -> list[FrameAnnotation]:
     frames: list[FrameAnnotation] = []
     with open_text(path) as fh:
         text = fh.read()
@@ -426,7 +452,7 @@ def read_annotations(path, taxonomy: PartTaxonomy | None = None) -> list[FrameAn
         except (KeyError, TypeError, IndexError, AttributeError, OverflowError, ValueError) as exc:
             raise ParseError(f"{path}: malformed annotation on line {lineno}: {exc}") from exc
         try:
-            validate_frame(frame, taxonomy)
+            validate_frame(frame)
         except ValidationError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
         frames.append(frame)

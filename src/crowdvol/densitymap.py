@@ -24,7 +24,6 @@ from .datamodel import (
     FrameAnnotation,
     PartTaxonomy,
     ValidationError,
-    default_taxonomy,
 )
 
 
@@ -109,12 +108,11 @@ def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig = SmoothingConfig())
 
 def render_ppvdm(
     frame: FrameAnnotation,
-    taxonomy: PartTaxonomy | None = None,
+    taxonomy: PartTaxonomy,
     cfg: SmoothingConfig = SmoothingConfig(),
 ) -> DensityMap:
     """Distribute each part's volume equally over that part's visible
     in-image keypoints; parts with none fall back to the head pixel."""
-    tax = taxonomy if taxonomy is not None else default_taxonomy()
     stamps = []
     for person in frame.persons:
         hx, hy = person.head_px
@@ -123,7 +121,7 @@ def render_ppvdm(
         for x, y, part_id, visible in person.keypoints:
             if visible and 0 <= x < frame.image_w and 0 <= y < frame.image_h:
                 anchors_by_part.setdefault(part_id, []).append((x, y))
-        for part_id in tax.part_ids:
+        for part_id in taxonomy.part_ids:
             v_part = person.part_volumes_dm3.get(part_id, 0.0)
             if v_part == 0.0:
                 continue

@@ -7,16 +7,14 @@ reference estimator.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
-from .datamodel import DensityMap, FrameAnnotation, ParseError, open_text, read_vdm
+from .datamodel import DensityMap, FrameAnnotation, ParseError, csv_text, read_csv, read_vdm
 from .densitymap import integrate
 from .metrics import EvalRecord, MetricsReport, compute_report
 
@@ -57,23 +55,17 @@ def load_predictions_csv(path) -> PredictionSet:
     """CSV with header frame_id,V_pred_dm3: one row per frame, each value a
     finite number >= 0. Anything else raises ParseError naming the line."""
     values: dict[str, float] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [col for col in ("frame_id", "V_pred_dm3") if col not in (reader.fieldnames or ())]
-        if missing:
-            raise ParseError(f"{path}: missing column {', '.join(missing)}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            frame_id, text = row["frame_id"], row["V_pred_dm3"]
-            try:
-                value = float(text)
-            except (TypeError, ValueError):
-                raise ParseError(f"{where}: V_pred_dm3 {text!r} is not a number") from None
-            if not (value >= 0 and math.isfinite(value)):
-                raise ParseError(f"{where}: V_pred_dm3 must be finite and >= 0, got {text!r}")
-            if frame_id in values:
-                raise ParseError(f"{where}: duplicate frame_id {frame_id!r}")
-            values[frame_id] = value
+    for where, row in read_csv(path, ("frame_id", "V_pred_dm3")):
+        frame_id, text = row["frame_id"], row["V_pred_dm3"]
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(f"{where}: V_pred_dm3 {text!r} is not a number") from None
+        if not (value >= 0 and math.isfinite(value)):
+            raise ParseError(f"{where}: V_pred_dm3 must be finite and >= 0, got {text!r}")
+        if frame_id in values:
+            raise ParseError(f"{where}: duplicate frame_id {frame_id!r}")
+        values[frame_id] = value
     return PredictionSet(values)
 
 
@@ -327,50 +319,42 @@ def apply_subset_preset(frames: list[FrameAnnotation], name: str) -> list[FrameA
 # ---------------------------------------------------------------------------
 
 def full_report_to_csv(report: FullReport) -> str:
-    out = StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["subset", "metric", "value", "k"])
-    rows = [("overall", report.overall)] + sorted(report.per_tag.items())
-    for name, rep in rows:
-        writer.writerow([name, "mae", repr(rep.mae), rep.k])
-        writer.writerow([name, "ppmae", repr(rep.ppmae), rep.ppmae_k])
-        writer.writerow([name, "rmse", repr(rep.rmse), rep.k])
-    return out.getvalue()
+    rows = [("subset", "metric", "value", "k")]
+    for name, rep in [("overall", report.overall)] + sorted(report.per_tag.items()):
+        rows.append((name, "mae", rep.mae, rep.k))
+        rows.append((name, "ppmae", rep.ppmae, rep.ppmae_k))
+        rows.append((name, "rmse", rep.rmse, rep.k))
+    return csv_text(rows)
 
 
 def decoupling_to_csv(report: DecouplingReport) -> str:
-    out = StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["metric", "value"])
-    writer.writerow(["ppmae", repr(report.ppmae)])
-    writer.writerow(["misses", report.misses])
-    writer.writerow(["kept", report.kept])
-    writer.writerow(["dropped_overlap", report.dropped_overlap])
-    writer.writerow(["total_persons", report.total_persons])
-    return out.getvalue()
+    return csv_text([
+        ("metric", "value"),
+        ("ppmae", report.ppmae),
+        ("misses", report.misses),
+        ("kept", report.kept),
+        ("dropped_overlap", report.dropped_overlap),
+        ("total_persons", report.total_persons),
+    ])
 
 
 def bins_to_csv(bins: list[CrowdBin]) -> str:
-    out = StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["lo", "hi", "n_frames", "mae", "ppmae", "rmse"])
+    rows = [("lo", "hi", "n_frames", "mae", "ppmae", "rmse")]
     for b in bins:
         if b.report is None:
-            writer.writerow([b.lo, b.hi, 0, "", "", ""])
+            rows.append((b.lo, b.hi, 0, "", "", ""))
         else:
-            writer.writerow([b.lo, b.hi, b.n_frames, repr(b.report.mae), repr(b.report.ppmae), repr(b.report.rmse)])
-    return out.getvalue()
+            rows.append((b.lo, b.hi, b.n_frames, b.report.mae, b.report.ppmae, b.report.rmse))
+    return csv_text(rows)
 
 
 def stats_to_csv(stats: DatasetStats) -> str:
-    out = StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["key", "value"])
-    writer.writerow(["mean_person_volume_dm3", repr(stats.mean_person_volume_dm3)])
-    writer.writerow(["n_frames", stats.n_frames])
-    writer.writerow(["n_persons", stats.n_persons])
-    for n, count in stats.count_histogram.items():
-        writer.writerow([f"frames_with_{n}_persons", count])
-    for tag, count in stats.tag_counts.items():
-        writer.writerow([f"frames_tagged_{tag}", count])
-    return out.getvalue()
+    rows = [
+        ("key", "value"),
+        ("mean_person_volume_dm3", stats.mean_person_volume_dm3),
+        ("n_frames", stats.n_frames),
+        ("n_persons", stats.n_persons),
+    ]
+    rows += [(f"frames_with_{n}_persons", count) for n, count in stats.count_histogram.items()]
+    rows += [(f"frames_tagged_{tag}", count) for tag, count in stats.tag_counts.items()]
+    return csv_text(rows)

@@ -6,10 +6,10 @@ bit-stable across runs and invariant under record permutation.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from io import StringIO
+
+from .datamodel import csv_text
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,5 @@ def mae_ppmae_scatter(records: list[EvalRecord]) -> list[ScatterPoint]:
 
 
 def scatter_to_csv(points: list[ScatterPoint]) -> str:
-    out = StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["frame_id", "ae_dm3", "ppae_dm3", "n_persons"])
-    for p in points:
-        writer.writerow([p.frame_id, repr(p.ae), repr(p.ppae), p.n_persons])
-    return out.getvalue()
+    header = ("frame_id", "ae_dm3", "ppae_dm3", "n_persons")
+    return csv_text([header] + [(p.frame_id, p.ae, p.ppae, p.n_persons) for p in points])

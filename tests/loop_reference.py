@@ -34,7 +34,6 @@ from crowdvol.datamodel import (
     PersonAnnotation,
     TriMesh,
     ValidationError,
-    default_taxonomy,
     open_text,
 )
 from crowdvol.densitymap import DensityMapError, SmoothingConfig, integrate, nearest_pixel
@@ -212,13 +211,12 @@ def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig = SmoothingConfig())
     return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
 
 
-def render_ppvdm(frame: FrameAnnotation, taxonomy=None, cfg: SmoothingConfig = SmoothingConfig()) -> DensityMap:
-    tax = taxonomy if taxonomy is not None else default_taxonomy()
+def render_ppvdm(frame: FrameAnnotation, taxonomy, cfg: SmoothingConfig = SmoothingConfig()) -> DensityMap:
     acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
     for person in frame.persons:
         hx, hy = person.head_px
         head_ok = 0 <= hx < frame.image_w and 0 <= hy < frame.image_h
-        for part_id in tax.part_ids:
+        for part_id in taxonomy.part_ids:
             v_part = person.part_volumes_dm3.get(part_id, 0.0)
             if v_part == 0.0:
                 continue

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -285,14 +287,16 @@ def test_stats_stdout_digests(tmp_path, capsys):
 # prints each map's mass, which summed kernels from numpy's `exp` and so
 # moved with numpy's AVX-512 loops; the kernels now come from libm's `exp`,
 # and the digest is the one the old code printed without AVX-512. No data
-# byte moved.
+# byte moved. `eval-full.stdout` and `eval-decoupling.stdout` were recorded
+# anew when every CSV report came to end its lines in LF rather than CRLF;
+# each is the old stdout with every CRLF replaced by LF.
 CHAIN_DIGESTS = {
     "test.jsonl": "1e161c52d1e7b0b1ae8c6244cc29644d32835427c0c7604116fa6391016b6873",
     "manifest.txt": "4910d83433e3d5687db4495407ec003c747dee50ee4410384e9e57c37b0cbf11",
     "maps/*.vdm": "203e9ccfb18cc8671c3a9eaba2abec278fce8abd3aabda20e7d4f8d51cc12a62",
     "maps.stdout": "159991eef07aea08e01b6940ea469d24e85709b81ff1c428f86adc5c2ec7be0d",
-    "eval-full.stdout": "52f3f877e5c8c6097b4d0f08b3a6cc134fa50a17661f9d357e82f7f867f12c99",
-    "eval-decoupling.stdout": "c4acb283c119ee2d8d67c2ef03bcec55ddc72f7d6491516fc6eb9e1c6683778e",
+    "eval-full.stdout": "f980fd872b9e84b8e6b7a61ffb10d260c77492b51437e4a8133e4b2d990e4c9d",
+    "eval-decoupling.stdout": "f81aad9ac36dd054a68458e8aa9c0ea47128e356d923dd1cd3e6af16c9995a5a",
 }
 
 
@@ -335,6 +339,21 @@ def test_label_missing_taxonomy_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "missing.cfg" in err
+
+
+def test_label_quotes_part_names(tmp_path, capsys):
+    names = {0: "head, neck", 8: 'the "calves"'}
+    taxonomy = default_config("taxonomy")
+    taxonomy.update({f"part.{pid}.name": name for pid, name in names.items()})
+    write_keyvalues(taxonomy, tmp_path / "taxonomy.cfg")
+    mesh = make_pinched_octahedra()
+    write_obj(mesh, tmp_path / "pinch.obj")
+    write_vertex_labels(np.where(mesh.vertices[:, 2] < 0, 8, 0), tmp_path / "pinch.labels")
+    argv = [str(tmp_path / "pinch.obj"), str(tmp_path / "pinch.labels"), "--taxonomy", str(tmp_path / "taxonomy.cfg")]
+    assert run("label", *argv) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert [len(row) for row in rows] == [3, 3, 3, 3]
+    assert [row[1] for row in rows] == ["name", names[0], names[8], ""]
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +590,47 @@ def test_eval_subset_s2(dataset, tmp_path):
         assert code == 2  # empty subset cannot be scored
 
 
+def test_eval_scatter_prints_its_csv_whatever_the_out_path(dataset, tmp_path, capsys):
+    maps_dir = tmp_path / "maps"
+    assert run("maps", str(dataset / "test.jsonl"), "--out", str(maps_dir), "--sigma", "0") == 0
+    printed = []
+    for out in (tmp_path / "a", tmp_path / "b" / "c"):
+        capsys.readouterr()
+        assert run("eval", "--gt", str(dataset / "test.jsonl"), "--preds", str(maps_dir),
+                   "--protocol", "scatter", "--out", str(out)) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert printed[0].startswith("frame_id,ae_dm3,ppae_dm3,n_persons\n")
+
+
+# Each eval protocol and each stats input: argv before --out, and the file it saves there.
+REPORTS = {
+    "eval-full": ("eval --gt {gt} --preds {maps} --protocol full", "report.csv"),
+    "eval-decoupling": ("eval --gt {gt} --preds {maps} --protocol decoupling", "report.csv"),
+    "eval-bins": ("eval --gt {gt} --preds {maps} --protocol bins", "bins.csv"),
+    "eval-scatter": ("eval --gt {gt} --preds {maps} --protocol scatter", "scatter.csv"),
+    "stats-annotations": ("stats {gt}", "stats.csv"),
+    "stats-samples": ("stats {samples}", "stats.csv"),
+    "stats-samples-target": ("stats {samples} --target-config {model}", "stats.csv"),
+    "stats-samples-before": ("stats {samples} --target-config {model} --before {samples}", "stats.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORTS))
+def test_stdout_is_the_saved_report(dataset, tmp_path, capsys, case):
+    paths = {"gt": dataset / "train.jsonl", "maps": tmp_path / "maps", "samples": tmp_path / "samples.csv",
+             "model": Path(anthro.__file__).parent / "configs" / "model.cfg"}
+    assert run("maps", str(paths["gt"]), "--out", str(paths["maps"]), "--sigma", "0") == 0
+    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 40, seed=4), paths["samples"])
+    argv, saved = REPORTS[case]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv.format(**paths).split(), "--out", str(out)) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert printed == (out / saved).read_bytes()
+    assert printed.count(b"\n") >= 2 and b"\r" not in printed
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
@@ -628,7 +688,7 @@ def test_stats_out_creates_its_directory(tmp_path, capsys):
     out = tmp_path / "new" / "dir"
     assert run("stats", str(samples), "--target-config", model, "--out", str(out)) == 0
     assert capsys.readouterr().out == printed
-    assert (out / "alignment.csv").read_text().startswith("metric,before,after,pct_change\n")
+    assert (out / "stats.csv").read_text(encoding="utf-8") == printed
 
 
 def test_stats_alignment_direction(tmp_path, capsys):
@@ -772,6 +832,10 @@ def bad_inputs(tmp_path_factory):
         (root / name).write_bytes(b"\xff" + source.read_bytes())
     (root / "nonutf8_preds.csv").write_bytes(b"frame_id,V_pred_dm3\nf\xff,1.0\n")
     (root / "nonutf8_samples.csv").write_bytes(b"gender,height_m,mass_kg,bmi,volume_dm3\n\xff\n")
+    ids = [json.loads(line)["frame_id"] for line in (data / "test.jsonl").read_text().splitlines()]
+    (root / "extra_preds.csv").write_text("frame_id,V_pred_dm3\n" + "".join(f"{i},100.0,999\n" for i in ids))
+    (root / "short_preds.csv").write_text(f"frame_id,V_pred_dm3\n{ids[0]},100.0\n{ids[1]}\n")
+    (root / "extra_samples.csv").write_text("\n".join([rows[0], *(row + ",extra" for row in rows[1:])]) + "\n")
     return {"root": str(root), "gt": str(data / "test.jsonl"), "maps": str(maps),
             "cube": str(cube), "labels": str(labels)}
 
@@ -903,6 +967,12 @@ ERROR_CASES = {
     "preds-not-utf8": ("eval --gt {gt} --preds {root}/nonutf8_preds.csv --out {root}/e", None, 2,
                        "{root}/nonutf8_preds.csv: not UTF-8 text"),
     "samples-not-utf8": ("stats {root}/nonutf8_samples.csv", None, 2, "{root}/nonutf8_samples.csv: not UTF-8 text"),
+    "preds-extra-field": ("eval --gt {gt} --preds {root}/extra_preds.csv --out {root}/e", None, 2,
+                          "{root}/extra_preds.csv: line 2: 3 fields where the header has 2"),
+    "preds-short-row": ("eval --gt {gt} --preds {root}/short_preds.csv --out {root}/e", None, 2,
+                        "{root}/short_preds.csv: line 3: 1 fields where the header has 2"),
+    "samples-extra-field": ("stats {root}/extra_samples.csv", None, 2,
+                            "{root}/extra_samples.csv: line 2: 6 fields where the header has 5"),
     "bbox-3": ("maps {root}/bbox3.jsonl --out {root}/m", None, 2,
                "{root}/bbox3.jsonl: malformed annotation on line 1: not enough values to unpack"),
     "empty-samples": ("stats {root}/empty_samples.csv", None, 2, "{root}/empty_samples.csv: empty sample file"),
@@ -926,8 +996,6 @@ ERROR_CASES = {
                                         None, 2, "stats: --target-config is not used with annotations"),
     "stats-annotations-before": ("stats {gt} --before {root}/samples.csv", None, 2,
                                  "stats: --before is not used with annotations"),
-    "stats-samples-out": ("stats {root}/samples.csv --out {root}/s", None, 2,
-                          "stats: --out is not used with a samples .csv without --target-config"),
     "stats-samples-before": ("stats {root}/samples.csv --before {root}/samples.csv", None, 2,
                              "stats: --before is not used with a samples .csv without --target-config"),
     "scene-tag-range": (GEN, {"tag.birds_eye": "1.5"}, 2, "{cfg}: tag.birds_eye must be a probability in [0, 1]"),

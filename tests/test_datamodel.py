@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -233,6 +235,38 @@ def test_vdm_write_holds_one_float32_copy(tmp_path):
     assert peak < 1.5 * payload
     expected = b"VDM1" + struct.pack("<II", 640, 480) + dmap.values.astype("<f4").tobytes()
     assert path.read_bytes() == expected
+
+
+# ---------------------------------------------------------------------------
+# CSV
+# ---------------------------------------------------------------------------
+
+CSV_FIELDS = ("a,b", 'say "hi"', "lone\rCR", "line\nbreak", "CR\r\nLF", "", "plain")
+
+
+def test_csv_text_quotes_only_where_needed_and_ends_lines_in_lf():
+    text = dm.csv_text([("key", "value"), ("n", 3), ("x", 0.1 + 0.2), ("inf", math.inf)])
+    assert text == "key,value\nn,3\nx,0.30000000000000004\ninf,inf\n"
+
+
+def test_csv_text_reads_back_field_for_field(tmp_path):
+    path = tmp_path / "fields.csv"
+    header = [f"c{i}" for i in range(len(CSV_FIELDS))]
+    path.write_bytes(dm.csv_text([header, CSV_FIELDS]).encode("utf-8"))
+    assert list(csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))) == [header, list(CSV_FIELDS)]
+    assert list(dm.read_csv(path, ("c0", "c6"))) == [
+        (f"{path}: line 5", {f"c{i}": field for i, field in enumerate(CSV_FIELDS)})]
+
+
+def test_read_csv_skips_blank_lines_and_names_the_line_of_a_bad_row(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b\r\n1,2\r\n\r\n3\r\n", encoding="utf-8", newline="")
+    rows = dm.read_csv(path, ("a",))
+    assert next(rows) == (f"{path}: line 2", {"a": "1", "b": "2"})
+    with pytest.raises(dm.ParseError, match=re.escape(f"{path}: line 4: 1 fields where the header has 2")):
+        next(rows)
+    with pytest.raises(dm.ParseError, match=re.escape(f"{path}: missing column c")):
+        list(dm.read_csv(path, ("a", "c")))
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_ppvdm_torso_fifths():
         parts={1: 30.0},
         keypoints=torso_keypoints([True] * 5),
     )
-    dmap = render_ppvdm(make_frame([person]), None, SIGMA0)
+    dmap = render_ppvdm(make_frame([person]), default_taxonomy(), SIGMA0)
     nonzero = np.nonzero(dmap.values)
     assert len(nonzero[0]) == 5
     assert np.allclose(dmap.values[nonzero], 6.0)
@@ -149,7 +149,7 @@ def test_ppvdm_redistributes_to_remaining_keypoints():
         parts={1: 30.0},
         keypoints=torso_keypoints([True, False, True, False, True]),
     )
-    dmap = render_ppvdm(make_frame([person]), None, SIGMA0)
+    dmap = render_ppvdm(make_frame([person]), default_taxonomy(), SIGMA0)
     nonzero = np.nonzero(dmap.values)
     assert len(nonzero[0]) == 3
     assert np.allclose(dmap.values[nonzero], 10.0)
@@ -158,7 +158,7 @@ def test_ppvdm_redistributes_to_remaining_keypoints():
 def test_ppvdm_out_of_image_keypoint_redistributes():
     kps = torso_keypoints([True] * 5, xs=[10.0, 15.0, 20.0, 25.0, 300.0])  # last outside
     person = make_person(volume=30.0, parts={1: 30.0}, keypoints=kps)
-    dmap = render_ppvdm(make_frame([person]), None, SIGMA0)
+    dmap = render_ppvdm(make_frame([person]), default_taxonomy(), SIGMA0)
     assert np.count_nonzero(dmap.values) == 4
     assert dmap.values[40, 10] == 7.5
 
@@ -170,7 +170,7 @@ def test_ppvdm_falls_back_to_head():
         parts={1: 30.0},
         keypoints=torso_keypoints([False] * 5),
     )
-    dmap = render_ppvdm(make_frame([person]), None, SIGMA0)
+    dmap = render_ppvdm(make_frame([person]), default_taxonomy(), SIGMA0)
     assert dmap.values[32, 32] == 30.0
     assert np.count_nonzero(dmap.values) == 1
 
@@ -183,7 +183,7 @@ def test_ppvdm_no_keypoints_no_head_is_error():
         keypoints=torso_keypoints([False] * 5),
     )
     with pytest.raises(dmod.DensityMapError, match="no visible"):
-        render_ppvdm(make_frame([person]), None, SIGMA0)
+        render_ppvdm(make_frame([person]), default_taxonomy(), SIGMA0)
 
 
 def test_ppvdm_total_equals_vdm_total():
@@ -205,7 +205,7 @@ def test_ppvdm_total_equals_vdm_total():
             )
         frame = make_frame(persons)
         v = render_vdm(frame, cfg).total()
-        pp = render_ppvdm(frame, None, cfg).total()
+        pp = render_ppvdm(frame, default_taxonomy(), cfg).total()
         assert abs(pp - v) <= 1e-6 * v
 
 

@@ -14,7 +14,7 @@ import loop_reference as ref
 from conftest import DENSE_PAIRS, make_frame, make_person
 from crowdvol import evalharness as eh
 from crowdvol import scenegen
-from crowdvol.datamodel import Keypoint, frame_to_json_line, identity_camera
+from crowdvol.datamodel import Keypoint, default_taxonomy, frame_to_json_line, identity_camera
 from crowdvol.densitymap import SmoothingConfig, render_ppvdm, render_vdm
 
 SIGMAS = (0.0, 1.5, 4.0)
@@ -213,14 +213,14 @@ def test_maps_at_edges_and_corners_match_per_stamp_kernels(sigma, size):
     frame = _edge_frame(*size)
     cfg = SmoothingConfig(sigma_px=sigma)
     assert np.array_equal(render_vdm(frame, cfg).values, ref.render_vdm(frame, cfg).values)
-    assert np.array_equal(render_ppvdm(frame, None, cfg).values, ref.render_ppvdm(frame, None, cfg).values)
+    assert np.array_equal(render_ppvdm(frame, default_taxonomy(), cfg).values, ref.render_ppvdm(frame, default_taxonomy(), cfg).values)
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_dense_maps_match_per_stamp_kernels(dense_frames, sigma):
     frame = dense_frames[0][0]
     cfg = SmoothingConfig(sigma_px=sigma)
-    assert np.array_equal(render_ppvdm(frame, None, cfg).values, ref.render_ppvdm(frame, None, cfg).values)
+    assert np.array_equal(render_ppvdm(frame, default_taxonomy(), cfg).values, ref.render_ppvdm(frame, default_taxonomy(), cfg).values)
     assert np.array_equal(render_vdm(frame, cfg).values, ref.render_vdm(frame, cfg).values)
 
 
