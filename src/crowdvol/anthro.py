@@ -2,23 +2,18 @@
 sampling, truncated-normal mesh scaling, and KL-divergence alignment reports.
 
 Masses are in kg, heights in meters, volumes in dm^3 unless noted. Mass and
-volume convert through a configurable average body density (default
-1000 kg/m^3).
+volume convert through the model's average body density (kg/m^3).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .datamodel import ParseError, ValidationError, config_getter, csv_text, default_config, read_csv
 from .rng import SplitMix64, mix_seed
-
-DEFAULT_BODY_DENSITY = 1000.0  # kg/m^3
-DEFAULT_BMI_RANGE = (10.0, 50.0)  # kg/m^2
 
 
 class SamplingError(RuntimeError):
@@ -55,11 +50,13 @@ class GenderParams:
 
 @dataclass(frozen=True)
 class AnthropometricModel:
+    """A population model; `model_from_config({})` is the shipped model.cfg."""
+
     female: GenderParams
     male: GenderParams
-    gender_mix: float = 0.5  # probability of sampling a female
-    bmi_range: tuple[float, float] = DEFAULT_BMI_RANGE
-    body_density: float = DEFAULT_BODY_DENSITY
+    gender_mix: float  # probability of sampling a female
+    bmi_range: tuple[float, float]  # kg/m^2
+    body_density: float  # kg/m^3
 
     def __post_init__(self):
         lo, hi = self.bmi_range
@@ -72,13 +69,6 @@ class AnthropometricModel:
 
     def params_for(self, gender: str) -> GenderParams:
         return self.female if gender == "female" else self.male
-
-
-@lru_cache(maxsize=1)
-def default_model() -> AnthropometricModel:
-    """Shipped defaults (configs/model.cfg); order-of-magnitude realistic,
-    fully overridable through the same key=value format."""
-    return model_from_config({})
 
 
 @dataclass(frozen=True)
@@ -106,12 +96,6 @@ class ScalingConfig:
     z: TruncatedNormal
 
 
-@lru_cache(maxsize=1)
-def default_scaling() -> ScalingConfig:
-    """Shipped defaults (configs/scaling.cfg)."""
-    return scaling_from_config({})
-
-
 @dataclass(frozen=True)
 class PersonSample:
     gender: str
@@ -125,7 +109,7 @@ class PersonSample:
 # Unit conversions
 # ---------------------------------------------------------------------------
 
-def volume_from_mass(mass_kg: float, density: float = DEFAULT_BODY_DENSITY) -> float:
+def volume_from_mass(mass_kg: float, density: float) -> float:
     if not (mass_kg > 0 and density > 0):
         raise ValueError("mass and density must be positive")
     return mass_kg / density

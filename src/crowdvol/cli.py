@@ -54,8 +54,8 @@ def _config_hash(pairs: dict[str, str], seed: int) -> str:
 def cmd_gen(args) -> int:
     from . import datamodel, scenegen
 
-    cfg = (scenegen.scene_config_from_pairs(datamodel.read_keyvalues(args.config), args.config)
-           if args.config else scenegen.SceneConfig())
+    pairs = datamodel.read_keyvalues(args.config) if args.config else {}
+    cfg = scenegen.scene_config_from_pairs(pairs, args.config or "scene.cfg")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pools = scenegen.build_identity_pools(cfg, args.seed, args.dump_meshes)

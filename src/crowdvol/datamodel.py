@@ -64,22 +64,21 @@ class PersonAnnotation:
 
 @dataclass(frozen=True)
 class CameraParams:
-    """Pinhole intrinsics plus a rigid world-to-camera transform (meters)."""
+    """Pinhole intrinsics plus a rigid world-to-camera transform (meters),
+    stored as float tuples whatever sequences or arrays it is given."""
 
     fx: float
     fy: float
     cx: float
     cy: float
-    rotation: np.ndarray  # 3x3, row-major, world -> camera
-    translation: np.ndarray  # 3,
+    rotation: tuple[tuple[float, float, float], ...]  # 3 rows, world -> camera
+    translation: tuple[float, float, float]
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        tr = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        rot.flags.writeable = False
-        tr.flags.writeable = False
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tr)
+        object.__setattr__(self, "rotation", tuple(tuple(map(float, row)) for row in self.rotation))
+        object.__setattr__(self, "translation", tuple(map(float, self.translation)))
+        if list(map(len, self.rotation)) != [3, 3, 3] or len(self.translation) != 3:
+            raise ValidationError("camera rotation must be 3 rows of 3 numbers and its translation 3 numbers")
         if not (self.fx > 0 and self.fy > 0):
             raise ValidationError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
@@ -227,8 +226,10 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
-def validate_person(person: PersonAnnotation, taxonomy: PartTaxonomy, frame_id: str = "?") -> None:
+def validate_person(person: PersonAnnotation, frame_id: str = "?") -> None:
+    """Check a person against the shipped taxonomy."""
     ctx = f"frame {frame_id!r}, person {person.person_id!r}"
+    taxonomy = default_taxonomy()
     if not _finite(person.volume_dm3) or person.volume_dm3 <= 0:
         raise ValidationError(f"{ctx}: volume_dm3 must be a positive finite number")
     for pid, v in person.part_volumes_dm3.items():
@@ -255,7 +256,7 @@ def validate_frame(frame: FrameAnnotation) -> None:
     if frame.image_w <= 0 or frame.image_h <= 0:
         raise ValidationError(f"frame {frame.frame_id!r}: image_w and image_h must be positive")
     for person in frame.persons:
-        validate_person(person, default_taxonomy(), frame.frame_id)
+        validate_person(person, frame.frame_id)
         hx, hy = person.head_px
         if not (0 <= hx < frame.image_w and 0 <= hy < frame.image_h):
             raise ValidationError(
@@ -283,11 +284,14 @@ def open_text(path, newline: str | None = None):
 
 def read_csv(path, columns: tuple[str, ...]):
     """Yield ("FILE: line N", {column: field}) for each non-blank row of a
-    CSV file whose header names every one of `columns`. A missing column, or
-    a row with more or fewer fields than the header, raises ParseError."""
+    CSV file whose header names every one of `columns`. A header that names
+    a column twice, a missing column, or a row with more or fewer fields than
+    the header, raises ParseError."""
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
+        if twice := next((col for i, col in enumerate(header) if col in header[:i]), None):
+            raise ParseError(f"{path}: header names column {twice} twice")
         if missing := [col for col in columns if col not in header]:
             raise ParseError(f"{path}: missing column {', '.join(missing)}")
         for row in filter(None, reader):
@@ -391,8 +395,8 @@ def frame_to_dict(frame: FrameAnnotation) -> dict:
         "scene_tags": sorted(frame.scene_tags),
         "camera": {
             **{key: float(getattr(frame.camera, key)) for key in _INTRINSICS},
-            "rotation": frame.camera.rotation.reshape(-1).tolist(),
-            "translation": frame.camera.translation.tolist(),
+            "rotation": [v for row in frame.camera.rotation for v in row],
+            "translation": list(frame.camera.translation),
         },
         "persons": [_person_to_dict(p) for p in frame.persons],
     }
@@ -403,6 +407,9 @@ def frame_from_dict(d: dict) -> FrameAnnotation:
     intrinsics = _finite_numbers(tuple(cam[key] for key in _INTRINSICS), "camera intrinsics")
     rotation = _finite_numbers(tuple(cam["rotation"]), "camera rotation entries")
     translation = _finite_numbers(tuple(cam["translation"]), "camera translation entries")
+    if len(rotation) != 9 or len(translation) != 3:
+        raise ValueError(f"camera rotation and translation need 9 and 3 entries, "
+                         f"got {len(rotation)} and {len(translation)}")
     tags = d.get("scene_tags", [])
     if type(tags) is not list or not all(type(t) is str for t in tags):
         raise ValueError(f"scene_tags must be a list of strings, got {tags!r}")
@@ -414,8 +421,8 @@ def frame_from_dict(d: dict) -> FrameAnnotation:
         scene_tags=frozenset(tags),
         camera=CameraParams(
             **{key: float(v) for key, v in zip(_INTRINSICS, intrinsics)},
-            rotation=np.array(rotation, dtype=np.float64).reshape(3, 3),
-            translation=np.array(translation, dtype=np.float64).reshape(3),
+            rotation=(rotation[0:3], rotation[3:6], rotation[6:9]),
+            translation=translation,
         ),
     )
 

@@ -146,7 +146,6 @@ def build_records(frames: list[FrameAnnotation], preds: PredictionSet) -> list[E
 class FullReport:
     overall: MetricsReport
     per_tag: dict[str, MetricsReport]
-    records: list[EvalRecord]
 
 
 def evaluate_full(frames: list[FrameAnnotation], preds: PredictionSet) -> FullReport:
@@ -158,7 +157,7 @@ def evaluate_full(frames: list[FrameAnnotation], preds: PredictionSet) -> FullRe
         tagged = [r for r, f in zip(records, frames) if tag in f.scene_tags]
         if tagged:
             per_tag[tag] = compute_report(tagged)
-    return FullReport(overall=compute_report(records), per_tag=per_tag, records=records)
+    return FullReport(overall=compute_report(records), per_tag=per_tag)
 
 
 # Elements per block of pairwise box arrays: 64 KB of float64 at most.

@@ -13,12 +13,12 @@ parallel without changing a single output byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 import numpy as np
 
-from .anthro import AnthropometricModel, PersonSample, build_model, default_model, model_to_config
+from .anthro import AnthropometricModel, PersonSample, build_model, model_to_config
 from .datamodel import (
     CameraParams,
     FrameAnnotation,
@@ -27,6 +27,7 @@ from .datamodel import (
     TriMesh,
     ValidationError,
     config_getter,
+    default_config,
     default_taxonomy,
 )
 from .densitymap import nearest_pixel
@@ -69,15 +70,14 @@ def _pinhole(camera: CameraParams, x, y, z) -> tuple:
     return camera.fx * x / z + camera.cx, camera.fy * y / z + camera.cy
 
 
-def _body_pose(camera_rows, camera_shift, x: float, y: float, yaw: float) -> tuple[tuple, list]:
+def _body_pose(camera: CameraParams, x: float, y: float, yaw: float) -> tuple[tuple, list]:
     """Rotation rows and translation taking the body frame of a person
     standing at ground point (x, y), turned by `yaw` about the vertical, into
-    the camera frame, whose rotation rows and translation are given: the
-    camera rotation times the yaw rotation, and the camera pose applied to
-    the ground point."""
+    the camera frame: the camera rotation times the yaw rotation, and the
+    camera pose applied to the ground point."""
     c, s = math.cos(yaw), math.sin(yaw)
-    rotation = tuple((r0 * c + r1 * s, r1 * c - r0 * s, r2) for r0, r1, r2 in camera_rows)
-    return rotation, _rigid(camera_rows, (x, y, 0.0), camera_shift)
+    rotation = tuple((r0 * c + r1 * s, r1 * c - r0 * s, r2) for r0, r1, r2 in camera.rotation)
+    return rotation, _rigid(camera.rotation, (x, y, 0.0), camera.translation)
 
 
 def _unit(v) -> tuple[float, float, float]:
@@ -99,7 +99,7 @@ def look_at_camera(eye, target, fx: float, fy: float, cx: float, cy: float) -> C
     rotation = (right, _cross(forward, right), forward)
     return CameraParams(
         fx=fx, fy=fy, cx=cx, cy=cy,
-        rotation=np.array(rotation), translation=np.negative(_rigid(rotation, eye, _ORIGIN)),
+        rotation=rotation, translation=[-v for v in _rigid(rotation, eye, _ORIGIN)],
     )
 
 
@@ -270,22 +270,19 @@ def _mesh_from_profile(profile: list[tuple[float, float, int]]) -> TriMesh:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    image_w: int = 640
-    image_h: int = 480
-    focal_range: tuple[float, float] = (520.0, 760.0)
-    persons_range: tuple[int, int] = (1, 8)
-    area_w: float = 4.0  # ground rectangle width, meters (x axis)
-    area_d: float = 8.0  # ground rectangle depth, meters (y axis)
-    area_y0: float = 5.0  # near edge of the rectangle in front of the camera
-    tag_probs: tuple[tuple[str, float], ...] = (
-        ("birds_eye", 0.2),
-        ("night", 0.2),
-        ("rain", 0.15),
-        ("heavy_occlusion", 0.1),
-    )
-    frames_per_split: tuple[tuple[str, int], ...] = (("train", 30), ("val", 10), ("test", 10))
-    pool_sizes: tuple[tuple[str, int], ...] = (("train", 50), ("val", 8), ("test", 16))
-    model: AnthropometricModel = field(default_factory=default_model)
+    """A scene; `scene_config_from_pairs({})` is the shipped one."""
+
+    image_w: int
+    image_h: int
+    focal_range: tuple[float, float]
+    persons_range: tuple[int, int]
+    area_w: float  # ground rectangle width, meters (x axis)
+    area_d: float  # ground rectangle depth, meters (y axis)
+    area_y0: float  # near edge of the rectangle in front of the camera
+    tag_probs: tuple[tuple[str, float], ...]
+    frames_per_split: tuple[tuple[str, int], ...]
+    pool_sizes: tuple[tuple[str, int], ...]
+    model: AnthropometricModel
 
     def __post_init__(self):
         if not (self.image_w > 0 and self.image_h > 0):
@@ -338,13 +335,12 @@ def scene_config_to_pairs(cfg: SceneConfig) -> dict[str, str]:
 
 
 def scene_config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> SceneConfig:
-    """Scene config from key=value pairs; an absent key keeps its default.
-
-    The keys are those of `scene_config_to_pairs`, model.cfg's among them;
-    any other key, a value that does not parse or one out of range raises
-    ValueError naming `source`."""
-    base = SceneConfig()
-    get = config_getter(pairs, scene_config_to_pairs(base), "scene", source)
+    """The shipped scene.cfg and model.cfg with `pairs` overriding any of
+    their keys; the scene's tags are scene.cfg's `tag.*` keys. Any other
+    key, a value that does not parse or one out of range raises ValueError
+    naming `source`."""
+    defaults = {**default_config("scene"), **default_config("model")}
+    get = config_getter(pairs, defaults, "scene", source)
     try:
         return SceneConfig(
             image_w=get("image_w", int),
@@ -354,7 +350,7 @@ def scene_config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> 
             area_w=get("area.w", float),
             area_d=get("area.d", float),
             area_y0=get("area.y0", float),
-            tag_probs=tuple((tag, get(f"tag.{tag}", float)) for tag, _ in base.tag_probs),
+            tag_probs=tuple((key.removeprefix("tag."), get(key, float)) for key in defaults if key.startswith("tag.")),
             frames_per_split=tuple((split, get(f"frames.{split}", int)) for split in SPLIT_NAMES),
             pool_sizes=tuple((split, get(f"pool.{split}", int)) for split in SPLIT_NAMES),
             model=build_model(get),
@@ -485,7 +481,6 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
     camera = _draw_camera(cfg, rng, "birds_eye" in tags)
     n = rng.randint(cfg.persons_range[0], cfg.persons_range[1])
 
-    camera_rows, camera_shift = camera.rotation.tolist(), camera.translation.tolist()
     placed: list[tuple[int, tuple, tuple]] = []  # (character index, body-to-camera rotation, translation)
     discs = _DiscGrid(max(c.body.disc_radius_m for c in pool.characters))
     head_pixels: set[tuple[int, int]] = set()
@@ -500,7 +495,7 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
             yaw = 2.0 * math.pi * rng.uniform()
             if discs.overlaps(x, y, r):
                 continue
-            rot, shift = _body_pose(camera_rows, camera_shift, x, y, yaw)
+            rot, shift = _body_pose(camera, x, y, yaw)
             hx, hy, hz = _rigid(rot, body.head_anchor, shift)
             if hz <= 0:  # behind the camera
                 continue

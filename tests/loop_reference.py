@@ -65,14 +65,14 @@ def body_pose(camera, x: float, y: float, yaw: float) -> tuple[list, list[float]
     the yaw about the vertical, and the camera pose applied to the ground
     point, as float matrix products."""
     c, s = math.cos(yaw), math.sin(yaw)
-    cam = camera.rotation.tolist()
+    cam = camera.rotation
     yaw_rotation = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
     rotation = [
         [(cam[i][0] * yaw_rotation[0][j] + cam[i][1] * yaw_rotation[1][j]) + cam[i][2] * yaw_rotation[2][j]
          for j in range(3)]
         for i in range(3)
     ]
-    return rotation, rigid(cam, [x, y, 0.0], camera.translation.tolist())
+    return rotation, rigid(cam, [x, y, 0.0], camera.translation)
 
 
 def pixel(cam_pt, camera) -> tuple[float, float]:

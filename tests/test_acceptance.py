@@ -3,6 +3,7 @@ enforcing its runtime budget. Run with `pytest tests/test_acceptance.py -s`
 to see the per-criterion lines."""
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def test_criterion_2_part_splitting():
             assert abs(meshvol.signed_volume(neg) + meshvol.signed_volume(pos) - parent) <= 1e-9 * parent
 
         taxonomy = default_taxonomy()
-        samples = anthro.sample_population(anthro.default_model(), 100, seed=201)
+        samples = anthro.sample_population(anthro.model_from_config({}), 100, seed=201)
         for i, sample in enumerate(samples):
             body = scenegen.build_humanoid(sample, seed=202 + i)
             parts = meshvol.split_parts(body.mesh, taxonomy)
@@ -165,7 +166,8 @@ def test_criterion_4_metrics():
 
 
 def _generated(n_frames, seed, persons=(1, 6)):
-    cfg = scenegen.SceneConfig(
+    cfg = replace(
+        scenegen.scene_config_from_pairs({}),
         frames_per_split=(("train", n_frames), ("val", 1), ("test", 1)),
         pool_sizes=(("train", 10), ("val", 2), ("test", 2)),
         persons_range=persons,
@@ -212,12 +214,12 @@ def test_criterion_6_decoupling_protocol():
 
 def test_criterion_7_alignment_direction():
     with _Budget(7, "alignment direction", 30.0):
-        model = anthro.default_model()
+        model = anthro.model_from_config({})
         narrow_of = lambda gp: anthro.GenderParams(
             mass=anthro.LogNormalParams(gp.mass.mu, gp.mass.sigma / 5.0),
             height=anthro.LogNormalParams(gp.height.mu, gp.height.sigma / 5.0),
         )
-        narrow = anthro.AnthropometricModel(female=narrow_of(model.female), male=narrow_of(model.male))
+        narrow = replace(model, female=narrow_of(model.female), male=narrow_of(model.male))
         before = anthro.sample_population(narrow, 20_000, seed=700)
         tn = anthro.TruncatedNormal(mean=1.0, std=0.05, lower=0.84, upper=1.19)
         after = anthro.scale_samples(before, anthro.ScalingConfig(x=tn, y=tn, z=tn), seed=701)
@@ -233,7 +235,7 @@ def test_criterion_7_alignment_direction():
 
 def test_criterion_8_population_statistics():
     with _Budget(8, "population statistics", 60.0):
-        model = anthro.default_model()
+        model = anthro.model_from_config({})
         samples = anthro.sample_population(model, 100_000, seed=800)
         lo, hi = model.bmi_range
         assert all(lo <= s.bmi <= hi for s in samples)
@@ -245,7 +247,8 @@ def test_criterion_8_population_statistics():
         again = anthro.sample_population(model, 100_000, seed=800)
         assert again == samples
 
-        cfg = scenegen.SceneConfig(
+        cfg = replace(
+            scenegen.scene_config_from_pairs({}),
             frames_per_split=(("train", 6), ("val", 2), ("test", 2)),
             pool_sizes=(("train", 6), ("val", 2), ("test", 2)),
         )

@@ -17,21 +17,21 @@ from conftest import make_random_convex
 # ---------------------------------------------------------------------------
 
 def test_sample_population_empty():
-    assert anthro.sample_population(anthro.default_model(), 0, seed=1) == []
+    assert anthro.sample_population(anthro.model_from_config({}), 0, seed=1) == []
 
 
 def test_population_median_height():
     # median of a log-normal is exp(mu)
     params = anthro.LogNormalParams(mu=math.log(1.70), sigma=0.04)
     gender = anthro.GenderParams(mass=anthro.LogNormalParams(math.log(70.0), 0.15), height=params)
-    model = anthro.AnthropometricModel(female=gender, male=gender)
+    model = replace(anthro.model_from_config({}), female=gender, male=gender)
     samples = anthro.sample_population(model, 100_000, seed=7)
     median = float(np.median([s.height_m for s in samples]))
     assert 1.695 <= median <= 1.705
 
 
 def test_population_respects_bmi_range():
-    model = anthro.default_model()
+    model = anthro.model_from_config({})
     lo, hi = model.bmi_range
     for s in anthro.sample_population(model, 20_000, seed=3):
         assert lo <= s.bmi <= hi
@@ -40,13 +40,13 @@ def test_population_respects_bmi_range():
 
 
 def test_population_determinism():
-    model = anthro.default_model()
+    model = anthro.model_from_config({})
     assert anthro.sample_population(model, 500, seed=9) == anthro.sample_population(model, 500, seed=9)
     assert anthro.sample_population(model, 500, seed=9) != anthro.sample_population(model, 500, seed=10)
 
 
 def test_gender_mix():
-    model = anthro.default_model()
+    model = anthro.model_from_config({})
     samples = anthro.sample_population(model, 100_000, seed=5)
     female = sum(1 for s in samples if s.gender == "female") / len(samples)
     assert abs(female - model.gender_mix) <= 0.01
@@ -58,7 +58,7 @@ def test_infeasible_model_raises():
         mass=anthro.LogNormalParams(math.log(78.0), 0.01),
         height=anthro.LogNormalParams(math.log(1.76), 0.01),
     )
-    model = anthro.AnthropometricModel(female=gender, male=gender, bmi_range=(49.0, 50.0))
+    model = replace(anthro.model_from_config({}), female=gender, male=gender, bmi_range=(49.0, 50.0))
     with pytest.raises(anthro.InfeasibleModelError):
         anthro.sample_population(model, 10, seed=0)
 
@@ -74,14 +74,14 @@ def test_mass_volume_paper_density():
 
 def test_mass_volume_roundtrip():
     """Each sampled person's volume is its mass over the model's body density."""
-    model = replace(anthro.default_model(), body_density=985.0)
+    model = replace(anthro.model_from_config({}), body_density=985.0)
     for s in anthro.sample_population(model, 1000, seed=2):
         assert abs(s.volume_dm3 / 1000.0 * 985.0 - s.mass_kg) <= 1e-15 * s.mass_kg
 
 
 def test_conversion_rejects_nonpositive():
     with pytest.raises(ValueError):
-        anthro.volume_from_mass(0.0)
+        anthro.volume_from_mass(0.0, 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_conversion_rejects_nonpositive():
 # ---------------------------------------------------------------------------
 
 def test_scaling_stays_in_bounds():
-    cfg = anthro.default_scaling()
+    cfg = anthro.scaling_from_config({})
     for seed in range(2000):
         for f, tn in zip(anthro.sample_scaling(cfg, seed), (cfg.x, cfg.y, cfg.z)):
             assert tn.lower <= f <= tn.upper
@@ -113,7 +113,7 @@ def test_scaling_mean_matches_truncnorm_oracle():
 
 
 def test_scaling_determinism():
-    cfg = anthro.default_scaling()
+    cfg = anthro.scaling_from_config({})
     assert anthro.sample_scaling(cfg, 123) == anthro.sample_scaling(cfg, 123)
 
 
@@ -127,13 +127,13 @@ def _pinned(value):
 
 
 def test_apply_scaling_identity():
-    samples = anthro.sample_population(anthro.default_model(), 50, seed=4)
+    samples = anthro.sample_population(anthro.model_from_config({}), 50, seed=4)
     unit = anthro.ScalingConfig(x=_pinned(1.0), y=_pinned(1.0), z=_pinned(1.0))
     assert anthro.scale_samples(samples, unit, seed=5) == samples
 
 
 def test_apply_scaling_doubles_cube():
-    samples = anthro.sample_population(anthro.default_model(), 50, seed=6)
+    samples = anthro.sample_population(anthro.model_from_config({}), 50, seed=6)
     wide = anthro.ScalingConfig(x=_pinned(2.0), y=_pinned(1.0), z=_pinned(1.0))
     for s, t in zip(samples, anthro.scale_samples(samples, wide, seed=7)):
         assert t.height_m == s.height_m
@@ -161,13 +161,13 @@ def test_apply_scaling_volume_ratio():
 
 
 def test_scale_samples_keeps_the_body_density():
-    model = replace(anthro.default_model(), body_density=985.0)
+    model = replace(anthro.model_from_config({}), body_density=985.0)
     samples = anthro.sample_population(model, 200, seed=9)
     unit = anthro.TruncatedNormal(mean=1.0, std=1e-300, lower=0.5, upper=1.5)
     same = anthro.scale_samples(samples, anthro.ScalingConfig(x=unit, y=unit, z=unit), seed=10)
     for s, t in zip(samples, same):
         assert abs(t.volume_dm3 - s.volume_dm3) <= 1e-12 * s.volume_dm3
-    scaled = anthro.scale_samples(samples, anthro.default_scaling(), seed=11)
+    scaled = anthro.scale_samples(samples, anthro.scaling_from_config({}), seed=11)
     assert any(t.mass_kg != s.mass_kg for s, t in zip(samples, scaled))
     for s, t in zip(samples, scaled):
         density = s.mass_kg / s.volume_dm3
@@ -270,14 +270,14 @@ def test_narrow_population_scaling_decreases_kl():
 # ---------------------------------------------------------------------------
 
 def test_model_config_roundtrip():
-    model = anthro.default_model()
+    model = anthro.model_from_config({})
     back = anthro.model_from_config(anthro.model_to_config(model))
     assert back == model
 
 
 def test_partial_model_config_overrides_the_shipped_model():
     model = anthro.model_from_config({"gender_mix": "0.25", "male.mass.sigma": "0.2"})
-    default = anthro.default_model()
+    default = anthro.model_from_config({})
     assert model.gender_mix == 0.25 and model.male.mass.sigma == 0.2
     assert (model.female, model.male.height, model.bmi_range) == (default.female, default.male.height, default.bmi_range)
     assert anthro.scaling_from_config({"scale.z.std": "0.1"}).z.std == 0.1
@@ -306,11 +306,11 @@ def test_lognormal_needs_finite_parameters(mu, sigma):
 
 
 def test_scaling_config_roundtrip():
-    assert anthro.scaling_from_config(default_config("scaling")) == anthro.default_scaling()
+    assert anthro.scaling_from_config(default_config("scaling")) == anthro.scaling_from_config({})
 
 
 def test_samples_csv_roundtrip(tmp_path):
-    samples = anthro.sample_population(anthro.default_model(), 50, seed=77)
+    samples = anthro.sample_population(anthro.model_from_config({}), 50, seed=77)
     path = tmp_path / "samples.csv"
     anthro.write_samples_csv(samples, path)
     assert anthro.read_samples_csv(path) == samples

@@ -69,7 +69,7 @@ def outputs(out: Path, env: dict[str, str]) -> dict[str, bytes]:
     """Every output file and stdout of the commands, by name."""
     out.mkdir()
     write_keyvalues(DENSE_PAIRS, out / "dense.cfg")
-    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 400, seed=4), out / "samples.csv")
+    anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 400, seed=4), out / "samples.csv")
 
     def cli(name: str, *argv) -> None:
         proc = subprocess.run([sys.executable, "-m", "crowdvol.cli", *map(str, argv)],

@@ -85,7 +85,7 @@ def test_large_body_matches_record_readers(body, monkeypatch):
 
 
 def test_bulk_parse_spans_many_chunks(body, monkeypatch, tmp_path):
-    mesh = scenegen.build_humanoid(anthro.sample_population(anthro.default_model(), 1, 3)[0], 3).mesh
+    mesh = scenegen.build_humanoid(anthro.sample_population(anthro.model_from_config({}), 1, 3)[0], 3).mesh
     dm.write_obj(mesh, tmp_path / "h.obj")
     dm.write_vertex_labels(mesh.vertex_labels, tmp_path / "h.labels")
     monkeypatch.setattr(dm, "_CHUNK_CHARS", 300)
@@ -240,7 +240,7 @@ def test_humanoid_meshes_match_per_vertex_builder(monkeypatch):
     build = scenegen._mesh_from_profile
     monkeypatch.setattr(scenegen, "_mesh_from_profile", lambda profile: profiles.append(profile) or build(profile))
     for seed in range(10):
-        sample = anthro.sample_population(anthro.default_model(), 1, seed)[0]
+        sample = anthro.sample_population(anthro.model_from_config({}), 1, seed)[0]
         mesh = scenegen.build_humanoid(sample, seed).mesh
         want = ref.mesh_from_profile(profiles[-1])
         assert_same_mesh(mesh, want)
@@ -254,7 +254,7 @@ def test_humanoid_meshes_match_per_vertex_builder(monkeypatch):
 
 @pytest.fixture(scope="module")
 def frame_dicts():
-    cfg = scenegen.SceneConfig()
+    cfg = scenegen.scene_config_from_pairs({})
     pool = scenegen.build_identity_pools(cfg, 2)["test"]
     return [json.loads(dm.frame_to_json_line(scenegen.generate_frame(cfg, pool, 2, i))) for i in range(10)]
 
@@ -298,4 +298,4 @@ def test_unknown_keypoint_part_names_the_first_in_order():
     kps = tuple(dm.Keypoint(1.0, 1.0, pid, True) for pid in (0, 91, 1, 77, 91))
     person = dm.PersonAnnotation("p", "c", (1.0, 1.0), (0.0, 0.0, 2.0, 2.0), 10.0, {0: 10.0}, kps)
     with pytest.raises(dm.ValidationError, match="unknown part id 91$"):
-        dm.validate_person(person, dm.default_taxonomy())
+        dm.validate_person(person)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +172,7 @@ def test_label_unit_cube_total(tmp_path, capsys):
 
 
 def test_label_humanoid_matches_analytic(tmp_path, capsys):
-    sample = anthro.sample_population(anthro.default_model(), 1, seed=1)[0]
+    sample = anthro.sample_population(anthro.model_from_config({}), 1, seed=1)[0]
     body = scenegen.build_humanoid(sample, seed=1)
     write_obj(body.mesh, tmp_path / "h.obj")
     write_vertex_labels(body.mesh.vertex_labels, tmp_path / "h.labels")
@@ -261,7 +262,7 @@ def stats_digests(root: Path, capsys) -> dict[str, str]:
 
     model = str(Path(anthro.__file__).parent / "configs" / "model.cfg")
     shipped, mixed = root / "shipped.csv", root / "mixed.csv"
-    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 400, seed=4), shipped)
+    anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 400, seed=4), shipped)
     mixed_model = anthro.model_from_config({"gender_mix": "0.25"})
     anthro.write_samples_csv(anthro.sample_population(mixed_model, 400, seed=4), mixed)
     digests = {}
@@ -621,7 +622,7 @@ def test_stdout_is_the_saved_report(dataset, tmp_path, capsys, case):
     paths = {"gt": dataset / "train.jsonl", "maps": tmp_path / "maps", "samples": tmp_path / "samples.csv",
              "model": Path(anthro.__file__).parent / "configs" / "model.cfg"}
     assert run("maps", str(paths["gt"]), "--out", str(paths["maps"]), "--sigma", "0") == 0
-    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 40, seed=4), paths["samples"])
+    anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 40, seed=4), paths["samples"])
     argv, saved = REPORTS[case]
     out = tmp_path / "out"
     capsys.readouterr()
@@ -665,7 +666,7 @@ def test_stats_csv_bad_value_exit_2(tmp_path, capsys):
 
 def test_stats_partial_model_overrides_the_shipped_one(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
-    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 400, seed=4), samples)
+    anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 400, seed=4), samples)
     partial, full = tmp_path / "partial.cfg", tmp_path / "full.cfg"
     partial.write_text("gender_mix=0.25\n")
     shipped = (Path(anthro.__file__).parent / "configs" / "model.cfg").read_text(encoding="utf-8")
@@ -681,7 +682,7 @@ def test_stats_partial_model_overrides_the_shipped_one(tmp_path, capsys):
 
 def test_stats_out_creates_its_directory(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
-    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 40, seed=4), samples)
+    anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 40, seed=4), samples)
     model = str(Path(anthro.__file__).parent / "configs" / "model.cfg")
     assert run("stats", str(samples), "--target-config", model) == 0
     printed = capsys.readouterr().out
@@ -692,7 +693,7 @@ def test_stats_out_creates_its_directory(tmp_path, capsys):
 
 
 def test_stats_alignment_direction(tmp_path, capsys):
-    model = anthro.default_model()
+    model = anthro.model_from_config({})
     target_cfg = tmp_path / "target.cfg"
     write_keyvalues(anthro.model_to_config(model), target_cfg)
 
@@ -704,7 +705,7 @@ def test_stats_alignment_direction(tmp_path, capsys):
         mass=anthro.LogNormalParams(model.male.mass.mu, model.male.mass.sigma / 5.0),
         height=anthro.LogNormalParams(model.male.height.mu, model.male.height.sigma / 5.0),
     )
-    narrow = anthro.AnthropometricModel(female=narrow_female, male=narrow_male)
+    narrow = replace(model, female=narrow_female, male=narrow_male)
     before = anthro.sample_population(narrow, 8000, seed=5)
     tn_h = anthro.TruncatedNormal(mean=1.0, std=0.04, lower=0.86, upper=1.16)
     scaled = anthro.scale_samples(before, anthro.ScalingConfig(x=tn_h, y=tn_h, z=tn_h), seed=6)
@@ -806,7 +807,7 @@ def bad_inputs(tmp_path_factory):
     write_obj(pinch, root / "pinch.obj")
     write_vertex_labels(np.where(pinch.vertices[:, 2] < 0, 8, 0), root / "pinch.labels")
     (root / "twice.cfg").write_text("image_w=640\nimage_w=800\n")
-    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 40, seed=3), root / "samples.csv")
+    anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 40, seed=3), root / "samples.csv")
     rows = (root / "samples.csv").read_text().splitlines()
     for name, (column, text, _) in SAMPLE_FIELDS.items():
         bad = rows[2].split(",")
@@ -836,6 +837,9 @@ def bad_inputs(tmp_path_factory):
     (root / "extra_preds.csv").write_text("frame_id,V_pred_dm3\n" + "".join(f"{i},100.0,999\n" for i in ids))
     (root / "short_preds.csv").write_text(f"frame_id,V_pred_dm3\n{ids[0]},100.0\n{ids[1]}\n")
     (root / "extra_samples.csv").write_text("\n".join([rows[0], *(row + ",extra" for row in rows[1:])]) + "\n")
+    (root / "twice_preds.csv").write_text("frame_id,V_pred_dm3,V_pred_dm3\n" + "".join(f"{i},1.0,1000.0\n" for i in ids))
+    (root / "twice_samples.csv").write_text(
+        "\n".join([rows[0] + ",volume_dm3", *(row + ",1000.0" for row in rows[1:])]) + "\n")
     return {"root": str(root), "gt": str(data / "test.jsonl"), "maps": str(maps),
             "cube": str(cube), "labels": str(labels)}
 
@@ -877,7 +881,8 @@ KEYPOINT_CASES = {
 # Annotation fields given a JSON type other than their own, or a number that
 # is not finite, each in a copy of a valid frame: (the frame, its first person
 # or its camera, key, new value from the old one, message fragment). Each used
-# to be coerced or read without an error.
+# to be coerced or read without an error, but for the short rotation, which
+# numpy's reshape rejected.
 NUMBERS_MESSAGE = "head_px, bbox_px and volumes must be finite numbers, got "
 STRICT_FIELDS = {
     "image-w-float": ("frame", "image_w", lambda w: w + 0.9, "image_w must be an integer, got 640.9"),
@@ -889,6 +894,8 @@ STRICT_FIELDS = {
     "camera-fx-string": ("camera", "fx", lambda _: "700", "camera intrinsics must be finite numbers, got '700'"),
     "rotation-string": ("camera", "rotation", lambda rot: ["0.5", *rot[1:]],
                         "camera rotation entries must be finite numbers, got '0.5'"),
+    "rotation-8-entries": ("camera", "rotation", lambda rot: rot[:8],
+                           "camera rotation and translation need 9 and 3 entries, got 8 and 3"),
     "translation-nan": ("camera", "translation", lambda t: [math.nan, *t[1:]], "NaN is not a finite JSON number"),
     "tags-integers": ("frame", "scene_tags", lambda _: [1, 2], "scene_tags must be a list of strings, got [1, 2]"),
 }
@@ -973,6 +980,10 @@ ERROR_CASES = {
                         "{root}/short_preds.csv: line 3: 1 fields where the header has 2"),
     "samples-extra-field": ("stats {root}/extra_samples.csv", None, 2,
                             "{root}/extra_samples.csv: line 2: 6 fields where the header has 5"),
+    "preds-column-twice": ("eval --gt {gt} --preds {root}/twice_preds.csv --out {root}/e", None, 2,
+                           "{root}/twice_preds.csv: header names column V_pred_dm3 twice"),
+    "samples-column-twice": ("stats {root}/twice_samples.csv", None, 2,
+                             "{root}/twice_samples.csv: header names column volume_dm3 twice"),
     "bbox-3": ("maps {root}/bbox3.jsonl --out {root}/m", None, 2,
                "{root}/bbox3.jsonl: malformed annotation on line 1: not enough values to unpack"),
     "empty-samples": ("stats {root}/empty_samples.csv", None, 2, "{root}/empty_samples.csv: empty sample file"),

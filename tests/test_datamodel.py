@@ -5,17 +5,29 @@ import math
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crowdvol import datamodel as dm
+from crowdvol import scenegen
 from conftest import make_box, make_frame, make_person
 
 
 # ---------------------------------------------------------------------------
 # Annotation JSONL
 # ---------------------------------------------------------------------------
+
+def test_generated_frames_equal_themselves_read_back(tmp_path):
+    """Every field, the camera's float tuples among them, reads back equal."""
+    cfg = replace(scenegen.scene_config_from_pairs({}), frames_per_split=(("train", 0), ("val", 0), ("test", 4)))
+    frames = scenegen.generate_dataset(cfg, seed=3)["test"]
+    path = tmp_path / "test.jsonl"
+    dm.write_annotations(frames, path)
+    assert dm.read_annotations(path) == frames
+    assert type(frames[0].camera.rotation[0][0]) is float
+
 
 def test_read_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
@@ -35,8 +47,7 @@ def test_annotation_roundtrip_field_for_field(tmp_path):
     assert got.frame_id == frame.frame_id
     assert got.image_w == frame.image_w and got.image_h == frame.image_h
     assert got.scene_tags == frame.scene_tags
-    assert np.array_equal(got.camera.rotation, frame.camera.rotation)
-    assert np.array_equal(got.camera.translation, frame.camera.translation)
+    assert got.camera == frame.camera
     p0, p1 = got.persons[0], frame.persons[0]
     assert p0.person_id == p1.person_id
     assert p0.character_id == p1.character_id

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ SIGMA0 = SmoothingConfig(sigma_px=0.0)
 
 
 def generated_frames(n_frames=12, seed=21, persons=(1, 6)):
-    cfg = scenegen.SceneConfig(
+    cfg = replace(
+        scenegen.scene_config_from_pairs({}),
         frames_per_split=(("train", n_frames), ("val", 1), ("test", 1)),
         pool_sizes=(("train", 8), ("val", 2), ("test", 2)),
         persons_range=persons,

@@ -57,7 +57,7 @@ def test_dense_frames_match_loop_reference(dense_frames):
 
 
 def test_default_scene_frames_match_loop_reference():
-    cfg = scenegen.SceneConfig()
+    cfg = scenegen.scene_config_from_pairs({})
     tags: set[str] = set()
     for seed in range(10):
         pools = scenegen.build_identity_pools(cfg, seed)

@@ -438,7 +438,7 @@ def _assert_same_adjacency(mesh):
 
 
 def test_part_adjacency_matches_loop_reference():
-    pools = scenegen.build_identity_pools(scenegen.SceneConfig(), 3)
+    pools = scenegen.build_identity_pools(scenegen.scene_config_from_pairs({}), 3)
     bodies = [char.body.mesh for pool in pools.values() for char in pool.characters]
     assert len(bodies) > 50
     for mesh in bodies + [make_stacked_cubes()]:

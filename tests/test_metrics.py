@@ -131,7 +131,7 @@ def test_report_excludes_empty_frames_from_ppmae():
 
 def test_report_csv_shape():
     records = [rec("a", 10.0, 10.0)]
-    csv_text = full_report_to_csv(FullReport(overall=compute_report(records), per_tag={}, records=records))
+    csv_text = full_report_to_csv(FullReport(overall=compute_report(records), per_tag={}))
     lines = csv_text.strip().splitlines()
     assert lines[0] == "subset,metric,value,k"
     assert lines[1].startswith("overall,mae,")

@@ -26,7 +26,7 @@ ALLOWED = {
     # the scatter-slope identity: ae / ppae recovers the person count
     "metrics.ScatterPoint.ratio",
     # mesh scaling and the samples file, waiting for a `stats` flow to call them
-    "anthro.default_scaling",
+    "anthro.scaling_from_config",
     "anthro.scale_samples",
     "anthro.write_samples_csv",
 }

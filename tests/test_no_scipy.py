@@ -71,6 +71,6 @@ def test_label(pipeline):
 
 def test_stats_target_config(pipeline):
     samples = pipeline / "samples.csv"
-    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 400, seed=4), samples)
+    anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 400, seed=4), samples)
     out = crowdvol("stats", samples, "--target-config", MODEL_CFG).stdout
     assert "kl_height_female_after," in out

@@ -22,7 +22,7 @@ def _annotations(path):
 
 
 def _samples(path):
-    anthro.write_samples_csv(anthro.sample_population(anthro.default_model(), 4, seed=2), path)
+    anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 4, seed=2), path)
 
 
 def _vdm(path):

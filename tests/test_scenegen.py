@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crowdvol import anthro, meshvol, scenegen
 from crowdvol.datamodel import (
-    default_config,
     default_taxonomy,
     frame_to_json_line,
     identity_camera,
@@ -22,7 +22,7 @@ def small_cfg(**overrides):
         persons_range=(1, 5),
     )
     defaults.update(overrides)
-    return scenegen.SceneConfig(**defaults)
+    return replace(scenegen.scene_config_from_pairs({}), **defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_humanoid_hits_target_volume():
 
 
 def test_humanoid_torso_anchor_count():
-    sample = anthro.sample_population(anthro.default_model(), 1, seed=5)[0]
+    sample = anthro.sample_population(anthro.model_from_config({}), 1, seed=5)[0]
     body = scenegen.build_humanoid(sample, seed=2)
     tax = default_taxonomy()
     torso_kps = tax.keypoint_map[tax.id_of("torso")]
@@ -94,7 +94,7 @@ def test_humanoid_torso_anchor_count():
 
 
 def test_humanoid_deterministic():
-    sample = anthro.sample_population(anthro.default_model(), 1, seed=6)[0]
+    sample = anthro.sample_population(anthro.model_from_config({}), 1, seed=6)[0]
     a = scenegen.build_humanoid(sample, seed=3)
     b = scenegen.build_humanoid(sample, seed=3)
     assert np.array_equal(a.mesh.vertices, b.mesh.vertices)
@@ -106,7 +106,7 @@ def test_humanoid_deterministic():
 
 def test_humanoid_part_volumes_match_mesh_split():
     for i in range(10):
-        sample = anthro.sample_population(anthro.default_model(), 1, seed=40 + i)[0]
+        sample = anthro.sample_population(anthro.model_from_config({}), 1, seed=40 + i)[0]
         body = scenegen.build_humanoid(sample, seed=i)
         parts = meshvol.split_parts(body.mesh, default_taxonomy())
         for pid, analytic in body.part_volumes_dm3.items():
@@ -114,7 +114,7 @@ def test_humanoid_part_volumes_match_mesh_split():
 
 
 def test_humanoid_annotation_closure():
-    sample = anthro.sample_population(anthro.default_model(), 1, seed=50)[0]
+    sample = anthro.sample_population(anthro.model_from_config({}), 1, seed=50)[0]
     body = scenegen.build_humanoid(sample, seed=0)
     total = math.fsum(body.part_volumes_dm3.values())
     assert abs(total - body.total_volume_dm3) <= 1e-6 * body.total_volume_dm3
@@ -122,7 +122,7 @@ def test_humanoid_annotation_closure():
 
 
 def test_humanoid_solids_are_the_closed_forms():
-    sample = anthro.sample_population(anthro.default_model(), 1, seed=51)[0]
+    sample = anthro.sample_population(anthro.model_from_config({}), 1, seed=51)[0]
     body = scenegen.build_humanoid(sample, seed=5)
     assert set(body.solids) == set(body.part_volumes_dm3)
     for pid, solids in body.solids.items():
@@ -267,17 +267,10 @@ def test_scene_config_roundtrip():
     assert back == cfg
 
 
-def test_shipped_scene_cfg_lists_the_scene_defaults():
-    cfg = scenegen.SceneConfig()
-    model_keys = set(anthro.model_to_config(cfg.model))
-    shipped = default_config("scene")
-    assert shipped == {k: v for k, v in scenegen.scene_config_to_pairs(cfg).items() if k not in model_keys}
-
-
 def test_scene_config_keeps_partial_model_overrides():
     cfg = scenegen.scene_config_from_pairs({"gender_mix": "0.25"})
     assert cfg.model.gender_mix == 0.25
-    assert cfg.model.male == scenegen.SceneConfig().model.male
+    assert cfg.model.male == scenegen.scene_config_from_pairs({}).model.male
 
 
 # ---------------------------------------------------------------------------

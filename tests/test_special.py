@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crowdvol import special
-from crowdvol.anthro import LogNormalParams, default_model
+from crowdvol.anthro import LogNormalParams, model_from_config
 from crowdvol.rng import SplitMix64
 
 scipy_special = pytest.importorskip("scipy.special")
@@ -65,7 +65,7 @@ def test_ndtri_outside_the_open_interval():
 def test_lognormal_cdf_against_scipy():
     """Within 1e-13 relative of scipy for |z| <= 8, on the shipped model's
     log-normals; 0 at and below x = 0, and positive deep in the lower tail."""
-    model = default_model()
+    model = model_from_config({})
     z = np.concatenate([np.linspace(-8.0, 8.0, 20_001), SplitMix64(3).uniforms(10_000) * 16.0 - 8.0])
     for gender in (model.female, model.male):
         for params in (gender.mass, gender.height):
