@@ -176,16 +176,22 @@ def signed_volume(mesh: TriMesh) -> float:
         raise NonWatertightError(bad_edges)
     center = mesh.vertices.mean(axis=0)
     v = mesh.vertices - center
-    a = v[mesh.faces[:, 0]]
-    b = v[mesh.faces[:, 1]]
-    c = v[mesh.faces[:, 2]]
-    terms = np.einsum("ij,ij->i", a, np.cross(b, c))
+    x, y, z = v.T.copy()
+    i, j, k = mesh.faces.T.copy()
+    ax, ay, az = x[i], y[i], z[i]
+    bx, by, bz = x[j], y[j], z[j]
+    cx, cy, cz = x[k], y[k], z[k]
+    # a . (b x c) as (p0 + p2) + p1 with p_k = a_k * (b x c)_k: the order in
+    # which numpy's einsum("ij,ij->i") summed it, fixed here by elementwise ops.
+    terms = ax * (by * cz - bz * cy)
+    terms += az * (bx * cy - by * cx)
+    terms += ay * (bz * cx - bx * cz)
     terms /= 6.0
     vol = math.fsum(terms.tolist())
     # A flat surface (a zero-volume leaf of split_parts) sums to rounding
     # noise of either sign. Its tetra terms are noise-sized too, so the noise
     # floor is scaled by the bounding-box diagonal cubed instead.
-    diagonal = float(np.linalg.norm(np.ptp(v, axis=0)))
+    diagonal = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
     if abs(vol) <= _ZERO_VOLUME_ULPS * np.finfo(np.float64).eps * diagonal**3:
         return 0.0
     if vol < 0:

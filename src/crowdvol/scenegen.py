@@ -405,15 +405,12 @@ def build_identity_pools(cfg: SceneConfig, seed: int, all_bodies: bool = False) 
 # ---------------------------------------------------------------------------
 
 def _draw_tags(cfg: SceneConfig, rng: SplitMix64) -> frozenset[str]:
+    """`birds_eye` first; a frame without it draws every other tag of
+    `cfg.tag_probs` in order. One uniform per tag drawn."""
     probs = dict(cfg.tag_probs)
-    tags: set[str] = set()
-    if rng.uniform() < probs.get("birds_eye", 0.0):
-        tags.add("birds_eye")
-    else:
-        for tag in ("night", "rain", "heavy_occlusion"):
-            if rng.uniform() < probs.get(tag, 0.0):
-                tags.add(tag)
-    return frozenset(tags)
+    if rng.uniform() < probs.pop("birds_eye", 0.0):
+        return frozenset({"birds_eye"})
+    return frozenset(tag for tag, p in probs.items() if rng.uniform() < p)
 
 
 def _draw_camera(cfg: SceneConfig, rng: SplitMix64, birds_eye: bool) -> CameraParams:

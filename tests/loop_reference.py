@@ -3,8 +3,8 @@
 These are the per-pair, per-stamp and per-record versions that
 `scenegen.generate_frame`, `densitymap._stamp_all` / `render_vdm` /
 `render_ppvdm`, `evalharness.decoupling_eval`, `datamodel.read_obj` /
-`read_vertex_labels` / `_person_from_dict` and `scenegen._mesh_from_profile`
-replaced:
+`read_vertex_labels` / `_person_from_dict`, `scenegen._mesh_from_profile`
+and `meshvol.signed_volume` replaced:
 
 - placement tests a new ground disc against every placed person;
 - each mesh vertex, keypoint anchor and body centre goes through the
@@ -14,7 +14,8 @@ replaced:
 - every pair of boxes in a frame goes through `bbox_iou`;
 - OBJ and labels files are parsed one record at a time;
 - each stored keypoint becomes its own object;
-- the humanoid mesh is built one vertex and one face at a time.
+- the humanoid mesh is built one vertex and one face at a time;
+- each face's tetrahedron term is one triple product in Python floats.
 
 The array versions must reproduce their outputs bit for bit, and the
 readers their error messages. The keypoint part mapping is the hand-written
@@ -401,3 +402,19 @@ def mesh_from_profile(profile: list[tuple[float, float, int]]) -> TriMesh:
         faces=np.asarray(faces, dtype=np.int64),
         vertex_labels=np.asarray(labels, dtype=np.int64),
     )
+
+
+def signed_volume(mesh: TriMesh) -> float:
+    """Sum over faces of a . (b x c) / 6 about the vertex mean, in Python
+    floats: each cross component is one difference of two products, as
+    np.cross rounds it, and the triple product is (p0 + p2) + p1 with
+    p_k = a_k * (b x c)_k, the order of numpy's einsum("ij,ij->i")."""
+    v = (mesh.vertices - mesh.vertices.mean(axis=0)).tolist()
+    terms = []
+    for i, j, k in mesh.faces.tolist():
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = v[i], v[j], v[k]
+        p0 = ax * (by * cz - bz * cy)
+        p1 = ay * (bz * cx - bx * cz)
+        p2 = az * (bx * cy - by * cx)
+        terms.append(((p0 + p2) + p1) / 6.0)
+    return math.fsum(terms)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -770,6 +771,21 @@ def test_process_exit_freezes_objects_and_keeps_exit_handlers_and_output(tmp_pat
     assert len(reports) == 1 and int(reports[0].split("=")[1]) > 0
     assert (tmp_path / "stdout.txt").read_text() == want
     assert tree_bytes(tmp_path / "g") == tree_bytes(tmp_path / "in_process")
+
+
+def test_run_turns_the_collector_off_and_main_leaves_it_on(tmp_path):
+    write_obj(make_box(), tmp_path / "box.obj")
+    write_vertex_labels(np.zeros(8, dtype=np.int64), tmp_path / "box.labels")
+    argv = ["crowdvol", "label", str(tmp_path / "box.obj"), str(tmp_path / "box.labels")]
+    probe = ("import gc, sys; from crowdvol import cli; assert gc.isenabled(); "
+             f"sys.argv = {argv!r}; cli.run(); print(gc.isenabled(), gc.get_freeze_count() > 0)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False True"
+    assert run(*argv[1:]) == 0
+    assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The array code of the dense path against the loop versions it replaced.
 
 `loop_reference` keeps the per-pair placement and occlusion loops, the
-per-point projection in Python floats, the per-stamp kernel and the pairwise
-box-overlap loop. Frames, maps and decoupling reports must equal theirs
-exactly.
+per-point projection in Python floats, the per-stamp kernel, the pairwise
+box-overlap loop and the per-face volume term. Frames, maps, decoupling
+reports and mesh volumes must equal theirs exactly.
 """
 import math
 
@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import DENSE_PAIRS, make_frame, make_person
+from conftest import DENSE_PAIRS, make_frame, make_frusta_body, make_person, make_random_convex
 from crowdvol import evalharness as eh
-from crowdvol import scenegen
-from crowdvol.datamodel import Keypoint, default_taxonomy, frame_to_json_line, identity_camera
+from crowdvol import meshvol, scenegen
+from crowdvol.datamodel import Keypoint, TriMesh, default_taxonomy, frame_to_json_line, identity_camera
 from crowdvol.densitymap import SmoothingConfig, render_ppvdm, render_vdm
 
 SIGMAS = (0.0, 1.5, 4.0)
@@ -275,3 +275,21 @@ def test_overlap_flags_flip_exactly_at_the_reference_iou():
         assert eh._overlapping([a, b], iou) == [False, False]
         checked += 1
     assert checked > 250
+
+
+def _shell(mesh, thickness: float):
+    """`mesh` plus a copy shrunk by `thickness` about the vertex mean and
+    turned inside out: a closed mesh whose volume is a small difference of
+    large tetrahedron terms, so a term rounded another way moves its bits."""
+    center = mesh.vertices.mean(axis=0)
+    inner = center + (mesh.vertices - center) * (1.0 - thickness)
+    return TriMesh(vertices=np.concatenate([mesh.vertices, inner]),
+                   faces=np.concatenate([mesh.faces, mesh.faces[:, ::-1] + mesh.n_vertices]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_signed_volume_equals_per_face_float_loop(seed):
+    convex, _ = make_random_convex(seed, n_points=300)
+    for mesh in (convex, make_frusta_body(24 + seed, 3)):
+        assert meshvol.signed_volume(mesh) == ref.signed_volume(mesh)
+        assert meshvol.signed_volume(_shell(mesh, 1e-6)) == ref.signed_volume(_shell(mesh, 1e-6))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crowdvol import anthro, meshvol, scenegen
+from crowdvol import anthro, evalharness, meshvol, scenegen
 from crowdvol.datamodel import (
     default_taxonomy,
     frame_to_json_line,
@@ -217,6 +217,24 @@ def test_birds_eye_frames_use_top_down_camera():
     # camera z axis (third row) points straight down in world coordinates
     forward_world = frame.camera.rotation[2]
     assert forward_world[2] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_every_tag_of_scene_cfg_is_drawn(monkeypatch):
+    shipped = scenegen.default_config
+    monkeypatch.setattr(scenegen, "default_config",
+                        lambda name: {**shipped(name), "tag.crowded": "1.0"} if name == "scene" else shipped(name))
+    for birds_eye in (0.2, 0.0):
+        cfg = small_cfg(tag_probs=tuple((tag, birds_eye if tag == "birds_eye" else p)
+                                        for tag, p in small_cfg().tag_probs))
+        frames = [f for split in scenegen.generate_dataset(cfg, seed=3).values() for f in split]
+        # A bird's-eye frame draws no other tag.
+        assert all(("crowded" in f.scene_tags) != ("birds_eye" in f.scene_tags) for f in frames)
+        assert any("birds_eye" in f.scene_tags for f in frames) == (birds_eye > 0)
+
+
+def test_subset_presets_name_tags_of_scene_cfg():
+    tags = {key.removeprefix("tag.") for key in scenegen.default_config("scene") if key.startswith("tag.")}
+    assert evalharness.S1_EXCLUDE_TAGS | evalharness.S2_INCLUDE_TAGS <= tags
 
 
 # ---------------------------------------------------------------------------
