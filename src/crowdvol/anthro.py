@@ -262,21 +262,6 @@ def alignment_report(before, after, target: LogNormalParams, bins: int = 50) -> 
 # Config and sample-file I/O
 # ---------------------------------------------------------------------------
 
-def model_to_config(model: AnthropometricModel) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for gender in ("female", "male"):
-        gp = model.params_for(gender)
-        pairs[f"{gender}.mass.mu"] = repr(gp.mass.mu)
-        pairs[f"{gender}.mass.sigma"] = repr(gp.mass.sigma)
-        pairs[f"{gender}.height.mu"] = repr(gp.height.mu)
-        pairs[f"{gender}.height.sigma"] = repr(gp.height.sigma)
-    pairs["gender_mix"] = repr(model.gender_mix)
-    pairs["bmi.lo"] = repr(model.bmi_range[0])
-    pairs["bmi.hi"] = repr(model.bmi_range[1])
-    pairs["body_density"] = repr(model.body_density)
-    return pairs
-
-
 def build_model(get) -> AnthropometricModel:
     """The model a config_getter's `get` describes, by model.cfg's keys."""
     def lognormal(prefix: str) -> LogNormalParams:

@@ -45,6 +45,7 @@ EXIT_CONSERVATION = 5
 
 
 def _config_hash(pairs: dict[str, str], seed: int) -> str:
+    """sha256 of the sorted `key=value` lines of `pairs`, then `seed=N`."""
     import hashlib
 
     text = "\n".join(f"{k}={pairs[k]}" for k in sorted(pairs)) + f"\nseed={seed}"
@@ -55,7 +56,8 @@ def cmd_gen(args) -> int:
     from . import datamodel, scenegen
 
     pairs = datamodel.read_keyvalues(args.config) if args.config else {}
-    cfg = scenegen.scene_config_from_pairs(pairs, args.config or "scene.cfg")
+    read: dict[str, str] = {}  # every scene and model key as parsed: what config_hash covers
+    cfg = scenegen.scene_config_from_pairs(pairs, args.config or "scene.cfg", read)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pools = scenegen.build_identity_pools(cfg, args.seed, args.dump_meshes)
@@ -76,7 +78,7 @@ def cmd_gen(args) -> int:
         "tool": "crowdvol",
         "version": __version__,
         "seed": str(args.seed),
-        "config_hash": _config_hash(scenegen.scene_config_to_pairs(cfg), args.seed),
+        "config_hash": _config_hash(read, args.seed),
         "splits": ",".join(f"{split}:{len(frames)}" for split, frames in dataset.items()),
     }
     datamodel.write_keyvalues(manifest, out / "manifest.txt")
@@ -190,7 +192,7 @@ def cmd_stats(args) -> int:
                 ("mean_volume_dm3", math.fsum(s.volume_dm3 for s in samples) / len(samples))]
         if args.target_config:
             model = anthro.model_from_config(datamodel.read_keyvalues(args.target_config), args.target_config)
-            rows += _alignment_rows(samples, before, model)
+            rows += _alignment_rows(samples, before, model) + _target_rows(samples, model)
         text = datamodel.csv_text(rows)
     else:
         from . import evalharness
@@ -222,6 +224,20 @@ def _alignment_rows(samples, before, model) -> list[tuple]:
             rows += [(f"{name}_before", rep.kl_before), (f"{name}_after", rep.kl_after),
                      (f"{name}_pct_change", rep.pct_change)]
     return rows
+
+
+def _target_rows(samples, model) -> list[tuple]:
+    """The samples against the model keys that the KL rows leave out:
+    gender_mix, bmi.lo and bmi.hi, and body_density."""
+    n = len(samples)
+    lo, hi = model.bmi_range
+    return [
+        ("female_share", sum(s.gender == "female" for s in samples) / n),
+        ("female_share_target", model.gender_mix),
+        ("bmi_outside_target_range_share", sum(not lo <= s.bmi <= hi for s in samples) / n),
+        ("mean_body_density_kg_m3", math.fsum(1000.0 * s.mass_kg / s.volume_dm3 for s in samples) / n),
+        ("body_density_target_kg_m3", model.body_density),
+    ]
 
 
 def _workers(text: str) -> int:

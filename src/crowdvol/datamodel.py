@@ -83,11 +83,6 @@ class CameraParams:
             raise ValidationError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
 
-def identity_camera(fx: float = 1000.0, fy: float = 1000.0, cx: float = 0.0, cy: float = 0.0) -> CameraParams:
-    """Camera at the world origin looking down +z, handy for tests."""
-    return CameraParams(fx=fx, fy=fy, cx=cx, cy=cy, rotation=np.eye(3), translation=np.zeros(3))
-
-
 @dataclass(frozen=True)
 class FrameAnnotation:
     frame_id: str
@@ -137,9 +132,6 @@ class PartTaxonomy:
 
     def name_of(self, part_id: int) -> str:
         return dict(self.parts)[part_id]
-
-    def id_of(self, name: str) -> int:
-        return {pname: pid for pid, pname in self.parts}[name]
 
 
 def default_config(name: str) -> dict[str, str]:
@@ -657,10 +649,13 @@ def write_keyvalues(pairs: dict[str, str], path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def config_getter(pairs: dict[str, str], defaults: dict[str, str], kind: str, source: str = "<config>"):
+def config_getter(pairs: dict[str, str], defaults: dict[str, str], kind: str, source: str = "<config>",
+                  read: dict[str, str] | None = None):
     """Typed lookup over {**defaults, **pairs}, the one reader of every config
     kind: `get(key, int)` parses a value. A key that `defaults` lacks, or a
-    value its type does not parse, raises ParseError naming the source."""
+    value its type does not parse, raises ParseError naming the source.
+    Given a `read` dict, `get` records in it the `repr` of each value it
+    returns, so `0640` and `5e1` are recorded as `640` and `50.0`."""
     for key in pairs:
         if key not in defaults:
             close = difflib.get_close_matches(key, defaults, n=1)
@@ -670,10 +665,13 @@ def config_getter(pairs: dict[str, str], defaults: dict[str, str], kind: str, so
 
     def get(key: str, type_):
         try:
-            return type_(merged[key])
+            value = type_(merged[key])
         except ValueError:
             name = type_.__name__.replace("_", " ")  # int_list reads "int list"
             raise ParseError(f"{source}: {key}={merged[key]!r} is not a valid {name}") from None
+        if read is not None:
+            read[key] = repr(value)
+        return value
 
     return get
 

@@ -34,10 +34,11 @@ class DensityMapError(ValueError):
 @dataclass(frozen=True)
 class SmoothingConfig:
     """Gaussian smoothing: std in pixels and kernel truncation radius in
-    multiples of sigma. sigma_px = 0 keeps pure impulses."""
+    multiples of sigma. sigma_px = 0 keeps pure impulses. The only defaults
+    are those of the `maps` flags --sigma and --truncation."""
 
-    sigma_px: float = 4.0
-    truncation_radius: float = 4.0
+    sigma_px: float
+    truncation_radius: float
 
     def __post_init__(self):
         if not 0 <= self.sigma_px < math.inf:
@@ -91,7 +92,7 @@ def _stamp_all(acc: np.ndarray, stamps: list[tuple[float, float, float]], cfg: S
             acc[iy - up : iy + down + 1, ix - left : ix + right + 1] += mass * kernel
 
 
-def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig = SmoothingConfig()) -> DensityMap:
+def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig) -> DensityMap:
     """One impulse of each person's total volume at their head pixel."""
     stamps = []
     for person in frame.persons:
@@ -106,11 +107,7 @@ def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig = SmoothingConfig())
     return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
 
 
-def render_ppvdm(
-    frame: FrameAnnotation,
-    taxonomy: PartTaxonomy,
-    cfg: SmoothingConfig = SmoothingConfig(),
-) -> DensityMap:
+def render_ppvdm(frame: FrameAnnotation, taxonomy: PartTaxonomy, cfg: SmoothingConfig) -> DensityMap:
     """Distribute each part's volume equally over that part's visible
     in-image keypoints; parts with none fall back to the head pixel."""
     stamps = []

@@ -107,12 +107,6 @@ def dataset_stats(frames: list[FrameAnnotation]) -> DatasetStats:
     )
 
 
-def oracular_count_estimator(frames: list[FrameAnnotation], mean_volume_dm3: float) -> PredictionSet:
-    """Counting-based reference fed with ground-truth person counts:
-    V_hat = count * dataset mean person volume."""
-    return PredictionSet({f.frame_id: f.n_persons * mean_volume_dm3 for f in frames})
-
-
 # ---------------------------------------------------------------------------
 # Protocols
 # ---------------------------------------------------------------------------

@@ -534,6 +534,7 @@ def split_parts(mesh: TriMesh, taxonomy: PartTaxonomy, tol: float = DEFAULT_PLAN
     volumes: dict[int, float] = {}
     remaining = bare
     live = set(parts)
+    pending = np.ones(len(labels), dtype=bool)  # vertices of the parts not yet measured
     while len(live) > 1:
         leaf = min(p for p in live if len(adj[p]) == 1)
         nbr = next(iter(adj[leaf]))
@@ -543,9 +544,19 @@ def split_parts(mesh: TriMesh, taxonomy: PartTaxonomy, tol: float = DEFAULT_PLAN
             fit = fit_boundary_plane(pts, tol)
         except MeshError as exc:
             raise PlaneFitError(f"plane fit failed between parts {leaf} and {nbr}: {exc}") from exc
-        side = float(np.mean(fit.plane.signed_distance(mesh.vertices[labels == leaf])))
+        dist = fit.plane.signed_distance(mesh.vertices)
+        is_leaf = labels == leaf
+        side = float(np.mean(dist[is_leaf]))
         if side == 0.0:
             raise PlaneFitError(f"cannot orient boundary plane between parts {leaf} and {nbr}")
+        # The plane cuts the whole remaining mesh: a vertex of a part not yet
+        # measured that lies beyond tol on the leaf's side would go to the leaf.
+        pending &= ~is_leaf
+        reach = np.where(pending, dist if side > 0 else -dist, -np.inf)
+        worst = int(np.argmax(reach))
+        if reach[worst] > tol:
+            raise PlaneFitError(f"boundary plane between parts {leaf} and {nbr} cuts part {labels[worst]}: one of its "
+                                f"vertices lies {float(reach[worst])!r} m on part {leaf}'s side, beyond tol {tol!r}")
         neg, pos = split_by_plane(remaining, fit.plane)
         part_mesh, remaining = (neg, pos) if side < 0 else (pos, neg)
         volumes[leaf] = signed_volume(part_mesh) * M3_TO_DM3

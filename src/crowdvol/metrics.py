@@ -86,13 +86,6 @@ class ScatterPoint:
     ppae: float  # ae / n
     n_persons: int
 
-    @property
-    def ratio(self) -> float | None:
-        """ae / ppae; None (flagged undefined) when ae == 0."""
-        if self.ae == 0.0:
-            return None
-        return self.ae / self.ppae
-
 
 def mae_ppmae_scatter(records: list[EvalRecord]) -> list[ScatterPoint]:
     points = []

@@ -71,10 +71,6 @@ class SplitMix64:
         self._index += n
         return _outputs_for_counters(self.seed, counters)
 
-    def uniforms(self, n: int) -> np.ndarray:
-        z = self.next_u64s(n)
-        return np.minimum(((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53, _BELOW_ONE)
-
     def normal(self) -> float:
         """Standard normal via the inverse CDF of one uniform draw."""
         return ndtri(self.uniform())

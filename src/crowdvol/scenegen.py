@@ -18,7 +18,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .anthro import AnthropometricModel, PersonSample, build_model, model_to_config
+from .anthro import AnthropometricModel, PersonSample, build_model
 from .datamodel import (
     CameraParams,
     FrameAnnotation,
@@ -312,35 +312,15 @@ class SceneConfig:
         return dict(self.pool_sizes)[split]
 
 
-def scene_config_to_pairs(cfg: SceneConfig) -> dict[str, str]:
-    pairs = {
-        "image_w": str(cfg.image_w),
-        "image_h": str(cfg.image_h),
-        "focal.lo": repr(cfg.focal_range[0]),
-        "focal.hi": repr(cfg.focal_range[1]),
-        "persons.min": str(cfg.persons_range[0]),
-        "persons.max": str(cfg.persons_range[1]),
-        "area.w": repr(cfg.area_w),
-        "area.d": repr(cfg.area_d),
-        "area.y0": repr(cfg.area_y0),
-    }
-    for tag, p in cfg.tag_probs:
-        pairs[f"tag.{tag}"] = repr(p)
-    for split, count in cfg.frames_per_split:
-        pairs[f"frames.{split}"] = str(count)
-    for split, count in cfg.pool_sizes:
-        pairs[f"pool.{split}"] = str(count)
-    pairs.update(model_to_config(cfg.model))
-    return pairs
-
-
-def scene_config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> SceneConfig:
+def scene_config_from_pairs(pairs: dict[str, str], source: str = "<config>",
+                            read: dict[str, str] | None = None) -> SceneConfig:
     """The shipped scene.cfg and model.cfg with `pairs` overriding any of
     their keys; the scene's tags are scene.cfg's `tag.*` keys. Any other
     key, a value that does not parse or one out of range raises ValueError
-    naming `source`."""
+    naming `source`. A `read` dict receives every key's parsed value, as
+    `config_getter` records it."""
     defaults = {**default_config("scene"), **default_config("model")}
-    get = config_getter(pairs, defaults, "scene", source)
+    get = config_getter(pairs, defaults, "scene", source, read)
     try:
         return SceneConfig(
             image_w=get("image_w", int),
@@ -651,9 +631,3 @@ def _occluded(boxes: np.ndarray, depths: np.ndarray, kx, ky, kz, owner, image_w:
 
 def generate_split(cfg: SceneConfig, pool: IdentityPool, seed: int, workers: int = 1) -> list[FrameAnnotation]:
     return parallel_map(generate_frame, (cfg, pool, seed), range(cfg.frames_for(pool.split)), workers)
-
-
-def generate_dataset(cfg: SceneConfig, seed: int, workers: int = 1) -> dict[str, list[FrameAnnotation]]:
-    """Generate all splits with pairwise-disjoint character identities."""
-    pools = build_identity_pools(cfg, seed)
-    return {split: generate_split(cfg, pools[split], seed, workers) for split in SPLIT_NAMES}

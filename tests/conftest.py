@@ -1,18 +1,27 @@
-"""Shared geometry builders and annotation factories for the test suite."""
+"""Shared geometry builders, annotation factories and library shorthands
+for the test suite."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from crowdvol import scenegen
+from crowdvol.cli import build_parser
 from crowdvol.datamodel import (
     CameraParams,
     FrameAnnotation,
     Keypoint,
+    PartTaxonomy,
     PersonAnnotation,
     TriMesh,
-    identity_camera,
 )
+from crowdvol.densitymap import SmoothingConfig
+from crowdvol.evalharness import PredictionSet
+from crowdvol.metrics import ScatterPoint
+from crowdvol.rng import SplitMix64
 
 # A dense crowd at 1920x1080, as in the benchmark's dense workload, with two
 # test frames.
@@ -31,6 +40,45 @@ DENSE_PAIRS = {
     "frames.val": "0",
     "frames.test": "2",
 }
+
+
+def identity_camera(fx: float = 1000.0, fy: float = 1000.0, cx: float = 0.0, cy: float = 0.0) -> CameraParams:
+    """Camera at the world origin looking down +z."""
+    return CameraParams(fx=fx, fy=fy, cx=cx, cy=cy, rotation=np.eye(3), translation=np.zeros(3))
+
+
+def part_id(taxonomy: PartTaxonomy, name: str) -> int:
+    return {pname: pid for pid, pname in taxonomy.parts}[name]
+
+
+def smoothing(**fields) -> SmoothingConfig:
+    """The smoothing `crowdvol maps` runs without flags, with `fields`
+    replacing any of its values."""
+    args = build_parser().parse_args(["maps", "annotations.jsonl", "--out", "maps"])
+    return SmoothingConfig(**{"sigma_px": args.sigma, "truncation_radius": args.truncation, **fields})
+
+
+def uniforms(rng: SplitMix64, n: int) -> np.ndarray:
+    """The next n `rng.uniform()` draws as one array, through `next_u64s`."""
+    z = rng.next_u64s(n)
+    return np.minimum(((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53, math.nextafter(1.0, 0.0))
+
+
+def generate_dataset(cfg: scenegen.SceneConfig, seed: int, workers: int = 1) -> dict[str, list[FrameAnnotation]]:
+    """Every split of the scene, as `crowdvol gen` generates them."""
+    pools = scenegen.build_identity_pools(cfg, seed)
+    return {split: scenegen.generate_split(cfg, pools[split], seed, workers) for split in scenegen.SPLIT_NAMES}
+
+
+def oracular_count_estimator(frames: list[FrameAnnotation], mean_volume_dm3: float) -> PredictionSet:
+    """Counting-based reference fed with ground-truth person counts:
+    V_hat = count * dataset mean person volume."""
+    return PredictionSet({f.frame_id: f.n_persons * mean_volume_dm3 for f in frames})
+
+
+def scatter_ratio(point: ScatterPoint) -> float | None:
+    """ae / ppae, which recovers the person count; None when ae == 0."""
+    return None if point.ae == 0.0 else point.ae / point.ppae
 
 
 def make_box(sx=1.0, sy=1.0, sz=1.0, origin=(0.0, 0.0, 0.0), flip=False) -> TriMesh:
@@ -198,6 +246,50 @@ def make_frusta_body(sides: int, rings_per_part: int) -> TriMesh:
     faces.append(np.column_stack([np.full(sides, bottom), k, np.arange(sides)]))
     faces.append(np.column_stack([np.full(sides, top), last + np.arange(sides), last + k]))
     return TriMesh(vertices=vertices, faces=np.concatenate(faces), vertex_labels=labels)
+
+
+def make_voxel_body(voxels: dict[tuple[int, int, int], int]) -> TriMesh:
+    """Unit cubes, one per (x, y, z) key and labeled with its part id, meshed
+    face by face over shared corners: each face between a voxel and empty
+    space becomes two outward triangles. A vertex takes the smallest part id
+    among the voxels it touches, as build_humanoid labels its boundary rings.
+    When every part boundary is a face between two voxels, each part's
+    volume is its voxel count in m^3."""
+    index: dict[tuple[int, int, int], int] = {}
+    faces = []
+    for (x, y, z) in voxels:
+        for axis in range(3):
+            u, v = (axis + 1) % 3, (axis + 2) % 3  # the face's quad turns from u to v: normal +axis
+            for step in (0, 1):
+                near = [x, y, z]
+                near[axis] += 2 * step - 1
+                if tuple(near) in voxels:
+                    continue
+                quad = []
+                for du, dv in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                    corner = [x, y, z]
+                    corner[axis] += step
+                    corner[u] += du
+                    corner[v] += dv
+                    quad.append(index.setdefault(tuple(corner), len(index)))
+                if not step:
+                    quad.reverse()
+                faces += [quad[:3], [quad[0], quad[2], quad[3]]]
+    corners = list(index)
+    labels = [min(voxels.get((cx - dx, cy - dy, cz - dz), math.inf)
+                  for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)) for cx, cy, cz in corners]
+    return TriMesh(vertices=np.asarray(corners, dtype=np.float64), faces=np.asarray(faces, dtype=np.int64),
+                   vertex_labels=np.asarray(labels, dtype=np.int64))
+
+
+# Part 0 is one voxel on the +x face of part 1 (2 x 1 x 2), at its top;
+# part 2 is a 4 x 1 x 2 base under part 1. The plane x = 2 that peels part 0
+# also passes through part 2, whose half at x > 2 lies on part 0's side.
+PLANE_CROSSES_PART = {
+    (2, 0, 3): 0,
+    **{(x, 0, z): 1 for x in (0, 1) for z in (2, 3)},
+    **{(x, 0, z): 2 for x in range(4) for z in (0, 1)},
+}
 
 
 def make_person(

@@ -204,7 +204,7 @@ def stamp(acc: np.ndarray, x: float, y: float, mass: float, cfg: SmoothingConfig
     acc[y0 : y1 + 1, x0 : x1 + 1] += mass * kernel
 
 
-def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig = SmoothingConfig()) -> DensityMap:
+def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig) -> DensityMap:
     acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
     for person in frame.persons:
         hx, hy = person.head_px
@@ -212,7 +212,7 @@ def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig = SmoothingConfig())
     return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
 
 
-def render_ppvdm(frame: FrameAnnotation, taxonomy, cfg: SmoothingConfig = SmoothingConfig()) -> DensityMap:
+def render_ppvdm(frame: FrameAnnotation, taxonomy, cfg: SmoothingConfig) -> DensityMap:
     acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
     for person in frame.persons:
         hx, hy = person.head_px

@@ -11,8 +11,19 @@ import pytest
 from crowdvol import anthro, evalharness, meshvol, metrics, scenegen
 from crowdvol.cli import main as cli_main
 from crowdvol.datamodel import TriMesh, default_taxonomy, read_annotations
-from crowdvol.densitymap import SmoothingConfig, render_ppvdm, render_vdm
-from conftest import make_frame, make_icosphere, make_person, make_random_convex, make_tetrahedron
+from crowdvol.densitymap import render_ppvdm, render_vdm
+from conftest import (
+    generate_dataset,
+    make_frame,
+    make_icosphere,
+    make_person,
+    make_random_convex,
+    make_tetrahedron,
+    oracular_count_estimator,
+    part_id,
+    scatter_ratio,
+    smoothing,
+)
 
 from crowdvol.datamodel import Keypoint
 
@@ -85,7 +96,7 @@ def test_criterion_3_density_maps():
         rng = np.random.default_rng(300)
         w, h = 96, 72
         tax = default_taxonomy()
-        torso_ids = tax.keypoint_map[tax.id_of("torso")]
+        torso_ids = tax.keypoint_map[part_id(tax, "torso")]
         for trial in range(1000):
             n = int(rng.integers(1, 7))
             persons = []
@@ -113,7 +124,7 @@ def test_criterion_3_density_maps():
             frame = make_frame(persons, w=w, h=h)
             total = frame.total_volume_dm3
             sigma = (0.0, 2.0, 4.0, 8.0)[trial % 4]
-            cfg = SmoothingConfig(sigma_px=sigma)
+            cfg = smoothing(sigma_px=sigma)
             vdm = render_vdm(frame, cfg)
             assert abs(vdm.total() - total) <= 1e-6 * total
             ppvdm = render_ppvdm(frame, tax, cfg)
@@ -124,7 +135,7 @@ def test_criterion_3_density_maps():
         torso_v = 31.25
         kps = tuple(Keypoint(x=10.0 + 7 * i, y=40.0, part_id=1, visible=True) for i in range(5))
         person = make_person(volume=torso_v, parts={1: torso_v}, keypoints=kps)
-        dmap = render_ppvdm(make_frame([person]), tax, SmoothingConfig(sigma_px=0.0))
+        dmap = render_ppvdm(make_frame([person]), tax, smoothing(sigma_px=0.0))
         for i in range(5):
             assert dmap.values[40, 10 + 7 * i] == torso_v / 5.0
 
@@ -162,7 +173,7 @@ def test_criterion_4_metrics():
         for p in metrics.mae_ppmae_scatter(fixed_n):
             assert p.ppae == p.ae / p.n_persons
             if p.ae > 0:
-                assert p.ratio == pytest.approx(7.0, rel=1e-12)
+                assert scatter_ratio(p) == pytest.approx(7.0, rel=1e-12)
 
 
 def _generated(n_frames, seed, persons=(1, 6)):
@@ -180,7 +191,7 @@ def test_criterion_5_oracular_baseline_identity():
     with _Budget(5, "oracular baseline identity", 10.0):
         frames = [f for f in _generated(40, seed=500) if f.n_persons >= 1]
         vbar = evalharness.dataset_stats(frames).mean_person_volume_dm3
-        preds = evalharness.oracular_count_estimator(frames, vbar)
+        preds = oracular_count_estimator(frames, vbar)
         report = evalharness.evaluate_full(frames, preds)
         brute = math.fsum(abs(vbar - f.total_volume_dm3 / f.n_persons) for f in frames) / len(frames)
         assert abs(report.overall.ppmae - brute) <= 1e-9 * max(brute, 1.0)
@@ -189,7 +200,7 @@ def test_criterion_5_oracular_baseline_identity():
 def test_criterion_6_decoupling_protocol():
     with _Budget(6, "decoupling protocol", 10.0):
         frames = _generated(25, seed=600)
-        sigma0 = SmoothingConfig(sigma_px=0.0)
+        sigma0 = smoothing(sigma_px=0.0)
         maps = evalharness.PredictionSet({f.frame_id: render_vdm(f, sigma0) for f in frames})
         report = evalharness.decoupling_eval(frames, maps)
         assert report.kept > 0
@@ -254,8 +265,8 @@ def test_criterion_8_population_statistics():
         )
         from crowdvol.datamodel import frame_to_json_line
 
-        serial = scenegen.generate_dataset(cfg, seed=801, workers=1)
-        parallel = scenegen.generate_dataset(cfg, seed=801, workers=4)
+        serial = generate_dataset(cfg, seed=801, workers=1)
+        parallel = generate_dataset(cfg, seed=801, workers=4)
         for split in serial:
             assert [frame_to_json_line(f) for f in serial[split]] == [
                 frame_to_json_line(f) for f in parallel[split]

@@ -266,14 +266,8 @@ def test_narrow_population_scaling_decreases_kl():
 
 
 # ---------------------------------------------------------------------------
-# Config round trips
+# Model configs
 # ---------------------------------------------------------------------------
-
-def test_model_config_roundtrip():
-    model = anthro.model_from_config({})
-    back = anthro.model_from_config(anthro.model_to_config(model))
-    assert back == model
-
 
 def test_partial_model_config_overrides_the_shipped_model():
     model = anthro.model_from_config({"gender_mix": "0.25", "male.mass.sigma": "0.2"})

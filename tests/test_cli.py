@@ -23,7 +23,7 @@ from crowdvol.datamodel import (
     write_obj,
     write_vertex_labels,
 )
-from conftest import make_box, make_frusta_body, make_pinched_octahedra
+from conftest import PLANE_CROSSES_PART, make_box, make_frusta_body, make_pinched_octahedra, make_voxel_body
 
 
 SMALL_CFG = {
@@ -157,6 +157,62 @@ def test_gen_builds_only_the_bodies_its_frames_use(tmp_path, monkeypatch, capsys
     assert files == {name: data for name, data in all_files.items() if not name.startswith("meshes")}
 
 
+# sha256 of `gen --seed 3`'s manifest.txt, recorded when config_hash was
+# taken over pairs written back from the built SceneConfig; it is now taken
+# over the values as the config reader parsed them. "noncanonical" spells
+# the shipped values otherwise, so its manifest is the default one.
+MANIFEST_CONFIGS = {
+    "none": None,
+    "shipped": str(Path(scenegen.__file__).parent / "configs" / "scene.cfg"),
+    "partial-model": "frames.train=1\nframes.val=0\nframes.test=1\ngender_mix=0.25\nbmi.hi=45.0\nbody_density=985.0\n",
+    "noncanonical": "focal.lo=520\narea.w=4\npersons.max=08\nbmi.hi=5e1\nfemale.mass.sigma=.17\nimage_w=0640\n",
+    "noncanonical-changed": "focal.hi=7.7e2\npersons.max=09\ntag.rain=.25\nmale.height.sigma=0.0380\n"
+                            "frames.train=0\nframes.val=0\nframes.test=1\n",
+}
+MANIFEST_DIGESTS = {
+    "none": "d74676cda5991267a85a75356c1fb64862413ecf8645a116b5a091af49d468dc",
+    "shipped": "d74676cda5991267a85a75356c1fb64862413ecf8645a116b5a091af49d468dc",
+    "partial-model": "9514377fe92e209a1d052381af8b8f83ae55ccad69b02ef8fd3c84bbd41dce26",
+    "noncanonical": "d74676cda5991267a85a75356c1fb64862413ecf8645a116b5a091af49d468dc",
+    "noncanonical-changed": "45013f8757a6125ca70aa445769b9fb6373df31ffe5a065868b62cfd9996ea0f",
+}
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_CONFIGS))
+def test_gen_manifest_digests(tmp_path, capsys, case):
+    import hashlib
+
+    config = MANIFEST_CONFIGS[case]
+    if config is not None and "=" in config:
+        (tmp_path / "scene.cfg").write_text(config, encoding="utf-8")
+        config = str(tmp_path / "scene.cfg")
+    flags = ("--config", config) if config else ()
+    assert run("gen", *flags, "--seed", "3", "--out", str(tmp_path / "g")) == 0
+    assert hashlib.sha256((tmp_path / "g" / "manifest.txt").read_bytes()).hexdigest() == MANIFEST_DIGESTS[case]
+
+
+def config_hash(pairs: dict[str, str]) -> str:
+    from crowdvol.cli import _config_hash
+
+    read: dict[str, str] = {}
+    scenegen.scene_config_from_pairs(pairs, read=read)
+    return _config_hash(read, 3)
+
+
+def test_config_hash_covers_every_scene_and_model_key_as_shipped():
+    read: dict[str, str] = {}
+    scenegen.scene_config_from_pairs({}, read=read)
+    assert read == {**default_config("scene"), **default_config("model")}  # the shipped values are canonical
+
+
+@pytest.mark.parametrize("key", [*default_config("scene"), *default_config("model")])
+def test_config_hash_changes_with_each_key(key):
+    value = {**default_config("scene"), **default_config("model")}[key]
+    changed = str(int(value) + 1) if value.isdecimal() else repr(float(value) * 1.01)
+    assert config_hash({key: changed}) != config_hash({})
+    assert config_hash({key: value}) == config_hash({})
+
+
 # ---------------------------------------------------------------------------
 # label
 # ---------------------------------------------------------------------------
@@ -210,6 +266,17 @@ def test_label_open_mesh_exit_4(tmp_path, capsys):
     assert "edges" in capsys.readouterr().err
 
 
+def test_label_exit_2_when_a_boundary_plane_cuts_another_part(tmp_path, capsys):
+    mesh = make_voxel_body(PLANE_CROSSES_PART)
+    write_obj(mesh, tmp_path / "body.obj")
+    write_vertex_labels(mesh.vertex_labels, tmp_path / "body.labels")
+    assert run("label", str(tmp_path / "body.obj"), str(tmp_path / "body.labels")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: boundary plane between parts 0 and 1 cuts part 2: one of its vertices "
+                            "lies 2.0 m on part 0's side, beyond tol 0.005\n")
+
+
 # sha256 of `label` stdout, recorded from the meshvol code that took a
 # binary search per edge, a Python loop per mixed-label edge and the RMS of
 # every candidate plane. A rewrite that promises the same bits keeps them; a
@@ -249,16 +316,26 @@ def test_label_stdout_digests(tmp_path, capsys):
 
 # sha256 of `stats` stdout on 400 samples (seed 4) with the shipped model.cfg
 # as target: samples of the shipped model, and samples of a gender_mix=0.25
-# model with the first file as --before. Recorded where every KL term comes
+# model with the first file as --before. STATS_KL_DIGESTS covers the first
+# 15 lines, up to the last KL row. It was recorded where every KL term comes
 # from libm's `log` and `erfc` and is summed by `math.fsum`; each KL value
 # was within 1e-14 relative of the numpy and Cephes sums before it.
-STATS_DIGESTS = {
+# STATS_DIGESTS covers the whole stdout. It was recorded anew when five rows
+# were appended after the KL rows, comparing the samples with the target's
+# gender_mix, bmi.lo/bmi.hi and body_density; the first 15 lines kept
+# their bytes.
+STATS_KL_DIGESTS = {
     "shipped": "5863af953d8cd57fc967b213d78d57cec1b4ce4479fe6ca0aa919a274eafb76b",
     "gender-mix-0.25": "05cdb72296ab1d1d2e8895157a56a28be7c2738b303d027c0775a01b54a124f9",
 }
+STATS_DIGESTS = {
+    "shipped": "8ef0f3135ef423e713bce9006e69250ab9f159680580f5e8b3b2ad412072b4a3",
+    "gender-mix-0.25": "e8f7a6136338976f1810bc3b885ff25de0279d2c41cfa8fe218a6c95a77bd6a2",
+}
 
 
-def stats_digests(root: Path, capsys) -> dict[str, str]:
+def stats_digests(root: Path, capsys, lines: int | None = None) -> dict[str, str]:
+    """The digests of each case's stdout, or of its first `lines` lines."""
     import hashlib
 
     model = str(Path(anthro.__file__).parent / "configs" / "model.cfg")
@@ -273,12 +350,14 @@ def stats_digests(root: Path, capsys) -> dict[str, str]:
     ):
         capsys.readouterr()
         assert run("stats", *argv) == 0
-        digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        out = "".join(capsys.readouterr().out.splitlines(keepends=True)[:lines])
+        digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
     return digests
 
 
 def test_stats_stdout_digests(tmp_path, capsys):
     assert stats_digests(tmp_path, capsys) == STATS_DIGESTS
+    assert stats_digests(tmp_path, capsys, lines=15) == STATS_KL_DIGESTS
 
 
 # sha256 of the outputs of a small gen -> maps -> eval chain at data version
@@ -678,7 +757,19 @@ def test_stats_partial_model_overrides_the_shipped_one(tmp_path, capsys):
         assert run("stats", str(samples), "--target-config", str(cfg)) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 15
+    assert len(outputs[0].splitlines()) == 20
+
+
+def test_stats_reads_the_target_gender_mix(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 400, seed=4), samples)
+    outputs = []
+    for mix in ("0.5", "0.25"):
+        (tmp_path / "model.cfg").write_text(f"gender_mix={mix}\n")
+        assert run("stats", str(samples), "--target-config", str(tmp_path / "model.cfg")) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+    assert outputs[0].replace("female_share_target,0.5\n", "female_share_target,0.25\n") == outputs[1]
 
 
 def test_stats_out_creates_its_directory(tmp_path, capsys):
@@ -696,7 +787,7 @@ def test_stats_out_creates_its_directory(tmp_path, capsys):
 def test_stats_alignment_direction(tmp_path, capsys):
     model = anthro.model_from_config({})
     target_cfg = tmp_path / "target.cfg"
-    write_keyvalues(anthro.model_to_config(model), target_cfg)
+    write_keyvalues(default_config("model"), target_cfg)
 
     narrow_female = anthro.GenderParams(
         mass=anthro.LogNormalParams(model.female.mass.mu, model.female.mass.sigma / 5.0),

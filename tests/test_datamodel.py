@@ -12,7 +12,7 @@ import pytest
 
 from crowdvol import datamodel as dm
 from crowdvol import scenegen
-from conftest import make_box, make_frame, make_person
+from conftest import generate_dataset, make_box, make_frame, make_person, part_id
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +22,7 @@ from conftest import make_box, make_frame, make_person
 def test_generated_frames_equal_themselves_read_back(tmp_path):
     """Every field, the camera's float tuples among them, reads back equal."""
     cfg = replace(scenegen.scene_config_from_pairs({}), frames_per_split=(("train", 0), ("val", 0), ("test", 4)))
-    frames = scenegen.generate_dataset(cfg, seed=3)["test"]
+    frames = generate_dataset(cfg, seed=3)["test"]
     path = tmp_path / "test.jsonl"
     dm.write_annotations(frames, path)
     assert dm.read_annotations(path) == frames
@@ -287,7 +287,7 @@ def test_read_csv_skips_blank_lines_and_names_the_line_of_a_bad_row(tmp_path):
 def test_default_taxonomy_shape():
     tax = dm.default_taxonomy()
     assert len(tax.parts) == 9
-    torso = tax.id_of("torso")
+    torso = part_id(tax, "torso")
     assert len(tax.keypoint_map[torso]) == 5
     assert sorted(pid for pid, _ in tax.parts) == list(range(9))
 

@@ -6,15 +6,15 @@ import pytest
 from crowdvol import densitymap as dmod
 from crowdvol.datamodel import DensityMap, Keypoint, default_taxonomy
 from crowdvol.densitymap import SmoothingConfig, integrate, nearest_pixel, render_ppvdm, render_vdm
-from conftest import make_frame, make_person
+from conftest import make_frame, make_person, part_id, smoothing
 
-SIGMA0 = SmoothingConfig(sigma_px=0.0)
+SIGMA0 = smoothing(sigma_px=0.0)
 
 
 def torso_keypoints(visible_flags, xs=None):
     """Five torso keypoints (part 1 owns five ids in the default taxonomy)."""
     tax = default_taxonomy()
-    kp_ids = tax.keypoint_map[tax.id_of("torso")]
+    kp_ids = tax.keypoint_map[part_id(tax, "torso")]
     assert len(kp_ids) == 5
     xs = xs if xs is not None else [10.0, 15.0, 20.0, 25.0, 30.0]
     return tuple(
@@ -88,7 +88,7 @@ def test_vdm_head_outside_image_is_error():
 def test_vdm_mass_conservation_across_sigmas():
     rng = np.random.default_rng(5)
     for sigma in (0.0, 2.0, 4.0, 8.0):
-        cfg = SmoothingConfig(sigma_px=sigma)
+        cfg = smoothing(sigma_px=sigma)
         for trial in range(20):
             persons = [
                 make_person(
@@ -107,7 +107,7 @@ def test_vdm_peak_nonincreasing_in_sigma():
     peaks = []
     for sigma in (0.0, 1.0, 2.0, 4.0, 8.0):
         frame = make_frame([make_person(head=(32.0, 32.0), volume=70.0)])
-        dmap = render_vdm(frame, SmoothingConfig(sigma_px=sigma))
+        dmap = render_vdm(frame, smoothing(sigma_px=sigma))
         peaks.append(dmap.values.max())
     assert all(a >= b for a, b in zip(peaks[:-1], peaks[1:]))
 
@@ -118,7 +118,7 @@ def test_vdm_linearity_exact():
         make_person(person_id="b", head=(12.0, 11.0), volume=60.0),
         make_person(person_id="c", head=(50.0, 50.0), volume=70.0),
     ]
-    cfg = SmoothingConfig(sigma_px=3.0)
+    cfg = smoothing(sigma_px=3.0)
     joint = render_vdm(make_frame(persons), cfg)
     acc = np.zeros_like(joint.values)
     for p in persons:
@@ -189,7 +189,7 @@ def test_ppvdm_no_keypoints_no_head_is_error():
 def test_ppvdm_total_equals_vdm_total():
     rng = np.random.default_rng(6)
     for sigma in (0.0, 4.0):
-        cfg = SmoothingConfig(sigma_px=sigma)
+        cfg = smoothing(sigma_px=sigma)
         persons = []
         for i in range(6):
             torso = float(rng.uniform(20, 40))
@@ -215,7 +215,7 @@ def test_ppvdm_total_equals_vdm_total():
 
 def test_integrate_full_image():
     frame = make_frame([make_person(head=(32.0, 32.0), volume=70.0)])
-    dmap = render_vdm(frame, SmoothingConfig(sigma_px=4.0))
+    dmap = render_vdm(frame, smoothing(sigma_px=4.0))
     assert integrate(dmap, (0, 0, 64, 64)) == dmap.total()
 
 

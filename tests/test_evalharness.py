@@ -8,10 +8,10 @@ import pytest
 from crowdvol import evalharness as eh
 from crowdvol import scenegen
 from crowdvol.datamodel import write_vdm
-from crowdvol.densitymap import SmoothingConfig, render_vdm
-from conftest import make_frame, make_person
+from crowdvol.densitymap import render_vdm
+from conftest import make_frame, make_person, oracular_count_estimator, smoothing
 
-SIGMA0 = SmoothingConfig(sigma_px=0.0)
+SIGMA0 = smoothing(sigma_px=0.0)
 
 
 def generated_frames(n_frames=12, seed=21, persons=(1, 6)):
@@ -64,12 +64,12 @@ def test_dataset_stats_no_persons_error():
 
 def test_mean_volume_estimator_hand_case():
     frame = make_frame([make_person(person_id=f"p{i}", head=(float(1 + 2 * i), 5.0)) for i in range(30)], frame_id="f")
-    preds = eh.oracular_count_estimator([frame], 65.2)
+    preds = oracular_count_estimator([frame], 65.2)
     assert preds.by_frame == {"f": 30 * 65.2} and 30 * 65.2 == 1956.0
 
 
 def test_mean_volume_estimator_zero_count():
-    preds = eh.oracular_count_estimator([make_frame([], frame_id="f")], 65.2)
+    preds = oracular_count_estimator([make_frame([], frame_id="f")], 65.2)
     assert preds.by_frame == {"f": 0.0}
 
 
@@ -78,7 +78,7 @@ def test_oracular_estimator_ppmae_identity():
     # estimator equals the mean absolute deviation of per-frame mean volumes
     frames = [f for f in generated_frames() if f.n_persons >= 1]
     vbar = eh.dataset_stats(frames).mean_person_volume_dm3
-    preds = eh.oracular_count_estimator(frames, vbar)
+    preds = oracular_count_estimator(frames, vbar)
     report = eh.evaluate_full(frames, preds)
     brute = math.fsum(
         abs(vbar - f.total_volume_dm3 / f.n_persons) for f in frames
@@ -102,7 +102,7 @@ def test_full_eval_gt_predictions_zero():
 def test_full_eval_rendered_maps_conserve():
     frames = generated_frames()
     for sigma in (0.0, 4.0):
-        maps = {f.frame_id: render_vdm(f, SmoothingConfig(sigma_px=sigma)) for f in frames}
+        maps = {f.frame_id: render_vdm(f, smoothing(sigma_px=sigma)) for f in frames}
         report = eh.evaluate_full(frames, eh.PredictionSet(maps))
         mean_v = eh.dataset_stats(frames).mean_person_volume_dm3
         assert report.overall.mae <= 1e-6 * mean_v

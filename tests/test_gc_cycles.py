@@ -17,7 +17,7 @@ import pytest
 
 import crowdvol
 from crowdvol import anthro, cli
-from crowdvol.datamodel import write_keyvalues
+from crowdvol.datamodel import default_config, write_keyvalues
 
 SCENE = {"frames.train": "0", "frames.val": "0", "pool.train": "0", "pool.val": "0", "pool.test": "4",
          "persons.min": "3", "persons.max": "9"}
@@ -50,7 +50,7 @@ def root(tmp_path_factory):
         (root / f"body.{suffix}").write_bytes(body.with_suffix(f".{suffix}").read_bytes())
     model = anthro.model_from_config({})
     anthro.write_samples_csv(anthro.sample_population(model, 200, seed=4), root / "samples.csv")
-    write_keyvalues(anthro.model_to_config(model), root / "model.cfg")
+    write_keyvalues(default_config("model"), root / "model.cfg")
     return root
 
 

@@ -11,11 +11,19 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import DENSE_PAIRS, make_frame, make_frusta_body, make_person, make_random_convex
+from conftest import (
+    DENSE_PAIRS,
+    identity_camera,
+    make_frame,
+    make_frusta_body,
+    make_person,
+    make_random_convex,
+    smoothing,
+)
 from crowdvol import evalharness as eh
 from crowdvol import meshvol, scenegen
-from crowdvol.datamodel import Keypoint, TriMesh, default_taxonomy, frame_to_json_line, identity_camera
-from crowdvol.densitymap import SmoothingConfig, render_ppvdm, render_vdm
+from crowdvol.datamodel import Keypoint, TriMesh, default_taxonomy, frame_to_json_line
+from crowdvol.densitymap import render_ppvdm, render_vdm
 
 SIGMAS = (0.0, 1.5, 4.0)
 
@@ -211,7 +219,7 @@ def _edge_frame(w: int, h: int):
 @pytest.mark.parametrize("size", [(64, 48), (20, 10), (7, 41)])
 def test_maps_at_edges_and_corners_match_per_stamp_kernels(sigma, size):
     frame = _edge_frame(*size)
-    cfg = SmoothingConfig(sigma_px=sigma)
+    cfg = smoothing(sigma_px=sigma)
     assert np.array_equal(render_vdm(frame, cfg).values, ref.render_vdm(frame, cfg).values)
     assert np.array_equal(render_ppvdm(frame, default_taxonomy(), cfg).values, ref.render_ppvdm(frame, default_taxonomy(), cfg).values)
 
@@ -219,7 +227,7 @@ def test_maps_at_edges_and_corners_match_per_stamp_kernels(sigma, size):
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_dense_maps_match_per_stamp_kernels(dense_frames, sigma):
     frame = dense_frames[0][0]
-    cfg = SmoothingConfig(sigma_px=sigma)
+    cfg = smoothing(sigma_px=sigma)
     assert np.array_equal(render_ppvdm(frame, default_taxonomy(), cfg).values, ref.render_ppvdm(frame, default_taxonomy(), cfg).values)
     assert np.array_equal(render_vdm(frame, cfg).values, ref.render_vdm(frame, cfg).values)
 
@@ -251,7 +259,7 @@ def test_decoupling_matches_pairwise_loop(dense_frames, threshold):
         _grid_box_frame(300, 1),
         _grid_box_frame(40, 2),
     ]
-    maps = eh.PredictionSet({f.frame_id: render_vdm(f, SmoothingConfig(sigma_px=0.0)) for f in frames})
+    maps = eh.PredictionSet({f.frame_id: render_vdm(f, smoothing(sigma_px=0.0)) for f in frames})
     got = eh.decoupling_eval(frames, maps, iou_threshold=threshold)
     want = ref.decoupling_eval(frames, maps, iou_threshold=threshold)
     assert got == want

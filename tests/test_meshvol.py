@@ -13,12 +13,14 @@ from crowdvol import meshvol, scenegen
 from crowdvol.datamodel import TriMesh, default_taxonomy
 from crowdvol.rng import SplitMix64
 from conftest import (
+    PLANE_CROSSES_PART,
     make_box,
     make_icosphere,
     make_pinched_octahedra,
     make_random_convex,
     make_stacked_cubes,
     make_tetrahedron,
+    make_voxel_body,
     make_w_notch_prism,
 )
 
@@ -422,6 +424,24 @@ def test_two_stacked_cubes_split_at_shared_ring():
     assert parts.volumes[0] == pytest.approx(1000.0, rel=1e-9)
     assert parts.volumes[1] == pytest.approx(1000.0, rel=1e-9)
     assert parts.total_dm3 == pytest.approx(2000.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("voxels, counts", [
+    # a column with one arm to each side: part 0 on +x of its top, part 2 on -x of its middle
+    ({(2, 0, 2): 0, (3, 0, 2): 0, (1, 0, 0): 1, (1, 0, 1): 1, (1, 0, 2): 1, (-1, 0, 1): 2, (0, 0, 1): 2},
+     {0: 2, 1: 3, 2: 2}),
+    # a 2 x 2 x 1 slab under a 1 x 1 x 3 post; the plane z = 1 between them touches nothing else
+    ({**{(x, y, 0): 8 for x in (0, 1) for y in (0, 1)}, **{(0, 0, z): 6 for z in (1, 2, 3)}}, {8: 4, 6: 3}),
+], ids=["tee", "slab-and-post"])
+def test_voxel_body_parts_are_voxel_counts(voxels, counts):
+    parts = meshvol.split_parts(make_voxel_body(voxels), default_taxonomy())
+    assert parts.volumes == pytest.approx({pid: 1000.0 * n for pid, n in counts.items()}, rel=1e-12)
+
+
+def test_boundary_plane_through_another_part_fails():
+    # Cut there, part 0 would get 5000 dm^3 and part 2 4000 against 1000 and 8000.
+    with pytest.raises(meshvol.PlaneFitError, match=r"between parts 0 and 1 cuts part 2: .* lies 2\.0 m on part 0's"):
+        meshvol.split_parts(make_voxel_body(PLANE_CROSSES_PART), default_taxonomy())
 
 
 def test_split_parts_requires_labels(unit_cube):

@@ -14,17 +14,6 @@ import crowdvol
 
 # Definitions no command reaches that stay on purpose.
 ALLOWED = {
-    # test conveniences, shorter here than repeated in each test
-    "datamodel.identity_camera",
-    "datamodel.PartTaxonomy.id_of",
-    # the one-call library entry that the determinism acceptance test uses
-    "scenegen.generate_dataset",
-    # generates the inputs of the bit-equality oracle in test_special
-    "rng.SplitMix64.uniforms",
-    # the oracular-count baseline of the PP-MAE identity acceptance test
-    "evalharness.oracular_count_estimator",
-    # the scatter-slope identity: ae / ppae recovers the person count
-    "metrics.ScatterPoint.ratio",
     # mesh scaling and the samples file, waiting for a `stats` flow to call them
     "anthro.scaling_from_config",
     "anthro.scale_samples",

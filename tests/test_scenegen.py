@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 
 from crowdvol import anthro, evalharness, meshvol, scenegen
-from crowdvol.datamodel import (
-    default_taxonomy,
-    frame_to_json_line,
-    identity_camera,
-    validate_frame,
-)
+from crowdvol.datamodel import default_taxonomy, frame_to_json_line, validate_frame
 from crowdvol.rng import SplitMix64, mix_seed
 from crowdvol.special import ndtri
+from conftest import generate_dataset, identity_camera, part_id, uniforms
 
 
 def small_cfg(**overrides):
@@ -88,7 +84,7 @@ def test_humanoid_torso_anchor_count():
     sample = anthro.sample_population(anthro.model_from_config({}), 1, seed=5)[0]
     body = scenegen.build_humanoid(sample, seed=2)
     tax = default_taxonomy()
-    torso_kps = tax.keypoint_map[tax.id_of("torso")]
+    torso_kps = tax.keypoint_map[part_id(tax, "torso")]
     assert body.anchors.shape == (17, 3)
     assert sum(1 for kp in range(len(body.anchors)) if kp in torso_kps) == 5
 
@@ -226,7 +222,7 @@ def test_every_tag_of_scene_cfg_is_drawn(monkeypatch):
     for birds_eye in (0.2, 0.0):
         cfg = small_cfg(tag_probs=tuple((tag, birds_eye if tag == "birds_eye" else p)
                                         for tag, p in small_cfg().tag_probs))
-        frames = [f for split in scenegen.generate_dataset(cfg, seed=3).values() for f in split]
+        frames = [f for split in generate_dataset(cfg, seed=3).values() for f in split]
         # A bird's-eye frame draws no other tag.
         assert all(("crowded" in f.scene_tags) != ("birds_eye" in f.scene_tags) for f in frames)
         assert any("birds_eye" in f.scene_tags for f in frames) == (birds_eye > 0)
@@ -243,7 +239,7 @@ def test_subset_presets_name_tags_of_scene_cfg():
 
 def test_dataset_split_identities_disjoint():
     cfg = small_cfg()
-    data = scenegen.generate_dataset(cfg, seed=11)
+    data = generate_dataset(cfg, seed=11)
     ids = {
         split: {p.character_id for f in frames for p in f.persons}
         for split, frames in data.items()
@@ -255,7 +251,7 @@ def test_dataset_split_identities_disjoint():
 
 def test_dataset_frame_counts():
     cfg = small_cfg()
-    data = scenegen.generate_dataset(cfg, seed=12)
+    data = generate_dataset(cfg, seed=12)
     assert len(data["train"]) == 4
     assert len(data["val"]) == 2
     assert len(data["test"]) == 3
@@ -263,26 +259,20 @@ def test_dataset_frame_counts():
 
 def test_dataset_regeneration_identical():
     cfg = small_cfg()
-    a = scenegen.generate_dataset(cfg, seed=13)
-    b = scenegen.generate_dataset(cfg, seed=13)
+    a = generate_dataset(cfg, seed=13)
+    b = generate_dataset(cfg, seed=13)
     for split in a:
         assert [frame_to_json_line(f) for f in a[split]] == [frame_to_json_line(f) for f in b[split]]
 
 
 def test_workers_do_not_change_output():
     cfg = small_cfg()
-    serial = scenegen.generate_dataset(cfg, seed=14, workers=1)
-    parallel = scenegen.generate_dataset(cfg, seed=14, workers=3)
+    serial = generate_dataset(cfg, seed=14, workers=1)
+    parallel = generate_dataset(cfg, seed=14, workers=3)
     for split in serial:
         assert [frame_to_json_line(f) for f in serial[split]] == [
             frame_to_json_line(f) for f in parallel[split]
         ]
-
-
-def test_scene_config_roundtrip():
-    cfg = small_cfg(area_y0=2.5, area_w=6.0)
-    back = scenegen.scene_config_from_pairs(scenegen.scene_config_to_pairs(cfg))
-    assert back == cfg
 
 
 def test_scene_config_keeps_partial_model_overrides():
@@ -299,7 +289,7 @@ def test_splitmix_scalar_matches_batch():
     a = SplitMix64(99)
     scalars = [a.uniform() for _ in range(64)]
     b = SplitMix64(99)
-    assert np.array_equal(np.array(scalars), b.uniforms(64))
+    assert np.array_equal(np.array(scalars), uniforms(b, 64))
 
 
 def test_splitmix_normals_match():
@@ -308,7 +298,7 @@ def test_splitmix_normals_match():
     a = SplitMix64(7)
     scalars = [a.normal() for _ in range(5_000)]
     b = SplitMix64(7)
-    assert scalars == [ndtri(u) for u in b.uniforms(5_000).tolist()]
+    assert scalars == [ndtri(u) for u in uniforms(b, 5_000).tolist()]
     assert a.normal() == b.normal()
 
 
@@ -321,9 +311,10 @@ def test_splitmix_uniform_stays_below_one():
     z = SplitMix64(seed).next_u64s(1000)
     unclamped = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     assert unclamped[0] == 1.0
-    draws = SplitMix64(seed).uniforms(1000)
-    assert draws[0] == below_one and draws[1:].tolist() == unclamped[1:].tolist()
-    assert SplitMix64(seed).uniform() == below_one
+    rng = SplitMix64(seed)
+    draws = [rng.uniform() for _ in range(1000)]
+    assert draws[0] == below_one and draws[1:] == unclamped[1:].tolist()
+    assert uniforms(SplitMix64(seed), 1000).tolist() == draws
     assert math.isfinite(SplitMix64(seed).normal())
 
 

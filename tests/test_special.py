@@ -9,6 +9,7 @@ import pytest
 from crowdvol import special
 from crowdvol.anthro import LogNormalParams, model_from_config
 from crowdvol.rng import SplitMix64
+from conftest import uniforms
 
 scipy_special = pytest.importorskip("scipy.special")
 lognorm = pytest.importorskip("scipy.stats").lognorm
@@ -35,7 +36,7 @@ def ulp_neighbours(points, steps=1):
 
 
 def test_ndtri_on_splitmix_uniforms():
-    assert_bit_equal(special.ndtri, scipy_special.ndtri, SplitMix64(7).uniforms(1_000_000))
+    assert_bit_equal(special.ndtri, scipy_special.ndtri, uniforms(SplitMix64(7), 1_000_000))
 
 
 def test_ndtri_lower_tail_down_to_smallest_subnormal():
@@ -66,7 +67,7 @@ def test_lognormal_cdf_against_scipy():
     """Within 1e-13 relative of scipy for |z| <= 8, on the shipped model's
     log-normals; 0 at and below x = 0, and positive deep in the lower tail."""
     model = model_from_config({})
-    z = np.concatenate([np.linspace(-8.0, 8.0, 20_001), SplitMix64(3).uniforms(10_000) * 16.0 - 8.0])
+    z = np.concatenate([np.linspace(-8.0, 8.0, 20_001), uniforms(SplitMix64(3), 10_000) * 16.0 - 8.0])
     for gender in (model.female, model.male):
         for params in (gender.mass, gender.height):
             xs = np.exp(params.mu + params.sigma * z)
