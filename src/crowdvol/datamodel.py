@@ -421,7 +421,7 @@ def frame_from_dict(d: dict) -> FrameAnnotation:
 
 def frame_to_json_line(frame: FrameAnnotation) -> str:
     """Canonical serialization: sorted keys, shortest-roundtrip floats."""
-    return json.dumps(frame_to_dict(frame), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(frame_to_dict(frame))
 
 
 def write_annotations(frames, path) -> None:
@@ -437,6 +437,8 @@ def _not_a_number(name: str) -> float:
 
 # Python's json reads NaN, Infinity and -Infinity unless told otherwise.
 _DECODER = json.JSONDecoder(parse_constant=_not_a_number)
+# The canonical writer; frame_to_dict builds a fresh tree, which holds no cycle to check for.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False)
 
 
 def read_annotations(path) -> list[FrameAnnotation]:

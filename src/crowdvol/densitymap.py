@@ -1,4 +1,4 @@
-"""Rasterization of volume density maps.
+"""Rasterization of volume density maps, and the box grid of pairwise box tests.
 
 A map carries one impulse per person (or per keypoint for the per-part
 variant), optionally smoothed by a truncated Gaussian kernel that is
@@ -43,6 +43,8 @@ class SmoothingConfig:
     def __post_init__(self):
         if not 0 <= self.sigma_px < math.inf:
             raise ValidationError(f"sigma_px must be >= 0 and finite, got {self.sigma_px}")
+        if self.sigma_px and not 1.0 / max(2.0 * self.sigma_px * self.sigma_px, math.ulp(0.0)) < math.inf:
+            raise ValidationError(f"sigma_px must be 0 or make 1/(2 sigma^2) finite, got {self.sigma_px}")
         if not 0 < self.truncation_radius < math.inf:
             raise ValidationError(f"truncation_radius must be positive and finite, got {self.truncation_radius}")
 
@@ -78,8 +80,8 @@ def _stamp_all(acc: np.ndarray, stamps: list[tuple[float, float, float]], cfg: S
         for x, y, mass in stamps:
             acc[min(max(ceil(y - 0.5), 0), h - 1), min(max(ceil(x - 0.5), 0), w - 1)] += mass
         return
-    radius = int(ceil(cfg.truncation_radius * cfg.sigma_px))
-    full = _kernel(cfg.sigma_px, radius, radius, radius, radius)
+    radius = int(ceil(min(cfg.truncation_radius * cfg.sigma_px, max(h, w))))  # a wider one clips alike
+    full = _kernel(cfg.sigma_px, radius, radius, radius, radius) if 2 * radius < min(h, w) else None  # else unused
     for x, y, mass in stamps:
         ix = min(max(ceil(x - 0.5), 0), w - 1)  # nearest_pixel, inlined
         iy = min(max(ceil(y - 0.5), 0), h - 1)
@@ -136,6 +138,69 @@ def render_ppvdm(frame: FrameAnnotation, taxonomy: PartTaxonomy, cfg: SmoothingC
     acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
     _stamp_all(acc, stamps, cfg)
     return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
+
+
+_CLIP = 2.0**20  # px; a BoxGrid clips coordinates to +-_CLIP, so rows and columns lie within +-2**15
+_ROW = 1 << 17  # a cell's key is row * _ROW + column; group g's rows are offset by g * _ROW
+_PAIR_BLOCK = 1 << 15  # candidate pairs yielded at once: bounds the memory
+
+
+class BoxGrid:
+    """Boxes (x0, y0, x1, y1), the rows of an (n, 4) array, entered once in
+    the grid cells that each spans, so exact tests run on candidate pairs
+    only; boxes of different groups (`group`: an int, or one per box, below
+    2**29) share no cell. A cell index is floor(c / cell) for a coordinate
+    c clipped to +-_CLIP, monotone in c. So a box that holds a point spans
+    the point's cell, and two boxes whose intersection has a positive area
+    both span the cell of its top-left corner."""
+
+    def __init__(self, boxes: np.ndarray, group=0):
+        clipped = np.clip(boxes, -_CLIP, _CLIP)
+        cell = 32.0  # px, doubled while the boxes span more than 64 cells each on average
+        while True:
+            c0, r0, c1, r1 = np.floor(clipped / cell).astype(np.int64).T
+            w = np.maximum(c1 - c0 + 1, 0)
+            cells = w * np.maximum(r1 - r0 + 1, 0)
+            if cells.sum() <= 64 * len(boxes):
+                break
+            cell *= 2.0
+        box = np.repeat(np.arange(len(boxes)), cells)
+        k = np.arange(len(box)) - np.repeat(np.cumsum(cells) - cells, cells)  # the entry's place in its box
+        self.row0, self.c0 = r0 + group * _ROW, c0  # each box's first cell
+        key = (self.row0 * _ROW + c0)[box] + (k // w[box]) * _ROW + k % w[box]
+        order = np.argsort(key, kind="stable")
+        self.cell, self.key, self.box = cell, key[order], box[order]
+
+    def point_pairs(self, px: np.ndarray, py: np.ndarray):
+        """Blocks of (point, box) index arrays: each point of the flat
+        arrays with every box of group 0 entered in its cell."""
+        col, row = (np.floor(np.clip(v, -_CLIP, _CLIP) / self.cell).astype(np.int64) for v in (px, py))
+        key = row * _ROW + col
+        first = np.searchsorted(self.key, key, "left")
+        for q, e in _blocks(first, np.searchsorted(self.key, key, "right") - first):
+            yield q, self.box[e]
+
+    def box_pairs(self):
+        """Blocks of (i, j) box index arrays: every pair of boxes that share
+        a cell, once, in the top-left cell that both span."""
+        first = np.arange(1, len(self.key) + 1)
+        for q, e in _blocks(first, np.searchsorted(self.key, self.key, "right") - first):
+            i, j = self.box[q], self.box[e]
+            keep = self.key[q] == np.maximum(self.row0[i], self.row0[j]) * _ROW + np.maximum(self.c0[i], self.c0[j])
+            yield i[keep], j[keep]
+
+
+def _blocks(first: np.ndarray, count: np.ndarray):
+    """(query, entry) index arrays in which query q meets the entries
+    first[q] to first[q] + count[q] - 1, about _PAIR_BLOCK pairs a block."""
+    ends = np.cumsum(count)
+    offset = first - (ends - count)  # query q's pair p meets entry p + offset[q]
+    bounds = [0, *np.searchsorted(ends, np.arange(_PAIR_BLOCK, count.sum(), _PAIR_BLOCK)).tolist(), len(count)]
+    for start, stop in zip(bounds, bounds[1:]):
+        if start < stop:
+            counts = count[start:stop]
+            q = np.repeat(np.arange(start, stop), counts)
+            yield q, np.arange(ends[start] - counts[0], ends[stop - 1]) + np.repeat(offset[start:stop], counts)
 
 
 def integrate(dmap: DensityMap, bbox_px) -> float:

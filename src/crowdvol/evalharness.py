@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .datamodel import DensityMap, FrameAnnotation, ParseError, csv_text, read_csv, read_vdm
-from .densitymap import integrate
+from .densitymap import BoxGrid, integrate
 from .metrics import EvalRecord, MetricsReport, compute_report
 
 
@@ -154,37 +154,24 @@ def evaluate_full(frames: list[FrameAnnotation], preds: PredictionSet) -> FullRe
     return FullReport(overall=compute_report(records), per_tag=per_tag)
 
 
-# Elements per block of pairwise box arrays: 64 KB of float64 at most.
-_PAIR_BLOCK = 8192
-
-
-def _overlapping(boxes, iou_threshold: float) -> list[bool]:
+def _overlapping(boxes, iou_threshold: float, group=0) -> list[bool]:
     """For each (x0, y0, x1, y1) box, whether its IoU with some other box of
-    the list is strictly above the threshold.
+    the list and of its `BoxGrid` group is strictly above the threshold >= 0.
 
-    IoU is intersection over union, 0 for boxes that do not intersect. Rows
-    of the pair matrix are taken in blocks so the temporaries stay small,
-    and each IoU uses the same IEEE operations in the same order as the
-    scalar formula, so the flags are exact."""
-    n = len(boxes)
-    if n < 2:
-        return [False] * n
-    b = np.asarray(boxes, dtype=np.float64)
-    x0, y0, x1, y1 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    IoU is intersection over union, 0 for boxes that do not intersect, so
+    only the grid's candidate pairs can pass. Each IoU uses the same IEEE
+    operations in the same order as the scalar formula: the flags are exact."""
+    b = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    x0, y0, x1, y1 = b.T
     area = (x1 - x0) * (y1 - y0)
-    hit = np.zeros(n, dtype=bool)
-    rows = max(1, _PAIR_BLOCK // n)
-    for s in range(0, n, rows):
-        e = min(n, s + rows)
-        ix = np.maximum(np.minimum(x1[s:e, None], x1) - np.maximum(x0[s:e, None], x0), 0.0)
-        iy = np.maximum(np.minimum(y1[s:e, None], y1) - np.maximum(y0[s:e, None], y0), 0.0)
+    hit = np.zeros(len(b), dtype=bool)
+    for i, j in BoxGrid(b, group).box_pairs():
+        ix = np.maximum(np.minimum(x1[i], x1[j]) - np.maximum(x0[i], x0[j]), 0.0)
+        iy = np.maximum(np.minimum(y1[i], y1[j]) - np.maximum(y0[i], y0[j]), 0.0)
         inter = ix * iy
-        i, j = np.nonzero(inter > 0)
-        iou = np.zeros_like(inter)
-        iou[i, j] = inter[i, j] / (area[s + i] + area[j] - inter[i, j])
-        over = iou > iou_threshold
-        over[np.arange(e - s), np.arange(s, e)] = False
-        hit[s:e] = over.any(axis=1)
+        i, j, inter = i[inter > 0], j[inter > 0], inter[inter > 0]
+        over = inter / (area[i] + area[j] - inter) > iou_threshold
+        hit[i[over]] = hit[j[over]] = True
     return hit.tolist()
 
 
@@ -218,15 +205,14 @@ def decoupling_eval(
         raise EvalError(f"min_volume_dm3 must be finite and >= 0, got {min_volume_dm3}")
     errors: list[float] = []
     misses = 0
-    dropped = 0
-    total = 0
+    # One grid for all frames, each its own group: a frame of few boxes costs no numpy call.
+    frame_of = np.repeat(np.arange(len(frames)), [f.n_persons for f in frames])
+    flags = _overlapping([p.bbox_px for f in frames for p in f.persons], iou_threshold, frame_of)
+    overlapping = iter(flags)  # each frame's zip below takes the flags of its persons
     for frame in frames:
         dmap = _frame_map(pred_maps, frame)
-        overlapping = _overlapping([p.bbox_px for p in frame.persons], iou_threshold)
         for person, overlaps in zip(frame.persons, overlapping):
-            total += 1
             if overlaps:
-                dropped += 1
                 continue
             v_hat = integrate(dmap, person.bbox_px)
             if v_hat < min_volume_dm3:
@@ -238,8 +224,8 @@ def decoupling_eval(
         ppmae=math.fsum(errors) / len(errors) if errors else math.nan,
         misses=misses,
         kept=kept,
-        dropped_overlap=dropped,
-        total_persons=total,
+        dropped_overlap=sum(flags),
+        total_persons=len(flags),
     )
 
 
@@ -258,21 +244,11 @@ def crowd_size_bins(
     if len(bin_edges) < 2 or not all(a < b for a, b in zip(bin_edges[:-1], bin_edges[1:])):
         raise EvalError(f"bin edges must be strictly increasing, got {bin_edges}")
     records = build_records(frames, preds)
-    bins: list[list[EvalRecord]] = [[] for _ in range(len(bin_edges) - 1)]
-    for record in records:
-        for i, (lo, hi) in enumerate(zip(bin_edges[:-1], bin_edges[1:])):
-            if lo <= record.n_persons < hi:
-                bins[i].append(record)
-                break
-    return [
-        CrowdBin(
-            lo=bin_edges[i],
-            hi=bin_edges[i + 1],
-            n_frames=len(bins[i]),
-            report=compute_report(bins[i]) if bins[i] else None,
-        )
-        for i in range(len(bins))
-    ]
+    bins = []
+    for lo, hi in zip(bin_edges[:-1], bin_edges[1:]):  # disjoint, since the edges increase
+        held = [r for r in records if lo <= r.n_persons < hi]
+        bins.append(CrowdBin(lo=lo, hi=hi, n_frames=len(held), report=compute_report(held) if held else None))
+    return bins
 
 
 S1_EXCLUDE_TAGS = frozenset({"night", "rain", "heavy_occlusion"})

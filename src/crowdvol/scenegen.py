@@ -30,7 +30,7 @@ from .datamodel import (
     default_config,
     default_taxonomy,
 )
-from .densitymap import nearest_pixel
+from .densitymap import BoxGrid, nearest_pixel
 from .parallel import parallel_map
 from .rng import SplitMix64, mix_seed
 
@@ -500,7 +500,7 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
     visible = (0 <= kx) & (kx < cfg.image_w) & (0 <= ky) & (ky < cfg.image_h)
     inside = np.flatnonzero(visible)
     hidden = _occluded(boxes, depths, kx.reshape(-1)[inside], ky.reshape(-1)[inside], kz.reshape(-1)[inside],
-                       inside // len(_ANCHORS), cfg.image_w)
+                       inside // len(_ANCHORS))
     visible.reshape(-1)[inside[hidden]] = False
 
     kp_part = {kp: pid for pid, kps in default_taxonomy().keypoint_map.items() for kp in kps}
@@ -571,58 +571,15 @@ def _project_bodies(cfg: SceneConfig, pool: IdentityPool, camera: CameraParams, 
     return boxes, depths, kx, ky, kz
 
 
-_OCCLUSION_CELL = 32.0  # px, the grid cell of the occlusion test; doubled while boxes span too many
-_CELLS_PER_BOX = 64  # most grid cells a box spans on average
-_PAIR_BLOCK = 1 << 15  # keypoint-box pairs compared at once: bounds the memory
-
-
-def _occluded(boxes: np.ndarray, depths: np.ndarray, kx, ky, kz, owner, image_w: int) -> np.ndarray:
+def _occluded(boxes: np.ndarray, depths: np.ndarray, kx, ky, kz, owner) -> np.ndarray:
     """Flags of the keypoints, given as flat arrays of in-image pixels with
     their depth and their person's index `owner`, that fall inside the bbox
     of another person nearer to the camera: `depths[j] < z`, four `<=`, and
-    j not the owner.
-
-    The comparisons run on candidate pairs only: each box is entered in the
-    cells of a uniform grid that it spans, and a keypoint meets the boxes of
-    its own cell. A cell index is floor(coordinate / cell), monotone in the
-    coordinate, so a box that holds a keypoint spans its cell, and the flags
-    are those of all pairs."""
+    j not the owner. Only a `BoxGrid`'s candidate pairs are compared; they
+    hold each keypoint with every box that holds it."""
     hidden = np.zeros(len(kx), dtype=bool)
-    if not (len(kx) and len(boxes)):
-        return hidden
     x0, y0, x1, y1 = boxes.T
-    cell = _OCCLUSION_CELL
-    while True:
-        c0, r0 = np.floor(x0 / cell), np.floor(y0 / cell)
-        w = np.maximum(np.floor(x1 / cell) - c0 + 1.0, 0.0)
-        h = np.maximum(np.floor(y1 / cell) - r0 + 1.0, 0.0)
-        if (w * h).sum() <= _CELLS_PER_BOX * len(boxes):
-            break
-        cell *= 2.0
-    spanning = np.flatnonzero(w * h)
-    w, h = w[spanning].astype(np.int64), h[spanning].astype(np.int64)
-    count = w * h
-    box = np.repeat(spanning, count)
-    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    w = np.repeat(w, count)
-    stride = math.floor(image_w / cell) + 1
-    key = (np.repeat(r0[spanning].astype(np.int64), count) + k // w) * stride
-    key += np.repeat(c0[spanning].astype(np.int64), count) + k % w
-    order = np.argsort(key, kind="stable")
-    key, box = key[order], box[order]
-
-    kp_key = np.floor(ky / cell).astype(np.int64) * stride + np.floor(kx / cell).astype(np.int64)
-    first = np.searchsorted(key, kp_key, "left")
-    n_boxes = np.searchsorted(key, kp_key, "right") - first
-    ends = np.cumsum(n_boxes)
-    offset = first - (ends - n_boxes)  # a keypoint's pair q meets box entry q + offset
-    bounds = [0, *np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1], _PAIR_BLOCK)).tolist(), len(kx)]
-    for start, stop in zip(bounds, bounds[1:]):
-        if start == stop:
-            continue
-        counts = n_boxes[start:stop]
-        kp = np.repeat(np.arange(start, stop), counts)
-        j = box[np.arange(ends[start] - counts[0], ends[stop - 1]) + np.repeat(offset[start:stop], counts)]
+    for kp, j in BoxGrid(boxes).point_pairs(kx, ky):
         x, y = kx[kp], ky[kp]
         hit = (depths[j] < kz[kp]) & (x0[j] <= x) & (x <= x1[j]) & (y0[j] <= y) & (y <= y1[j]) & (j != owner[kp])
         hidden[kp[hit]] = True

@@ -3,8 +3,9 @@ CPU, nor on the SIMD loops that numpy dispatches to.
 
 The commands run in subprocesses and must write the same bytes and stdout:
 `gen` on the shipped scene and on a two-frame dense scene, `maps --per-part`
-on the dense frames, `maps` on the shipped scene, `stats` on a samples file
-with `--target-config`, and `label` on a dumped body. They run under the
+on the dense frames, `eval --protocol decoupling` and `--protocol full` on
+those maps, `maps` on the shipped scene, `stats` on a samples file with
+`--target-config`, and `label` on a dumped body. They run under the
 default environment, under OPENBLAS_CORETYPE=Prescott, which runs on any
 x86-64 CPU, and with NPY_DISABLE_CPU_FEATURES naming every AVX-512 target of
 numpy's dispatch that the CPU has. The kernel test is skipped when numpy's BLAS is not OpenBLAS, or
@@ -79,6 +80,9 @@ def outputs(out: Path, env: dict[str, str]) -> dict[str, bytes]:
     cli("gen", "gen", "--seed", "5", "--out", out / "scene", "--dump-meshes")
     cli("gen-dense", "gen", "--config", out / "dense.cfg", "--seed", "2", "--out", out / "dense")
     cli("maps", "maps", out / "dense" / "test.jsonl", "--out", out / "maps", "--per-part")
+    for protocol in ("decoupling", "full"):
+        cli(f"eval-{protocol}", "eval", "--gt", out / "dense" / "test.jsonl", "--preds", out / "maps",
+            "--protocol", protocol, "--out", out / f"eval-{protocol}")
     cli("maps-scene", "maps", out / "scene" / "test.jsonl", "--out", out / "maps-scene")
     cli("stats", "stats", out / "samples.csv", "--target-config", MODEL)
     mesh = min((out / "scene" / "meshes").glob("*.obj"))

@@ -1047,6 +1047,10 @@ ERROR_CASES = {
     "sigma-negative": ("maps {gt} --out {root}/m --sigma -1", None, 2, "sigma_px must be >= 0 and finite, got -1.0"),
     "sigma-nan": ("maps {gt} --out {root}/m --sigma nan", None, 2, "sigma_px must be >= 0 and finite, got nan"),
     "sigma-inf": ("maps {gt} --out {root}/m --sigma inf", None, 2, "sigma_px must be >= 0 and finite, got inf"),
+    "sigma-tiny": ("maps {gt} --out {root}/m --sigma 1e-300", None, 2,
+                   "sigma_px must be 0 or make 1/(2 sigma^2) finite, got 1e-300"),
+    "sigma-subnormal-variance": ("maps {gt} --out {root}/m --sigma 1e-160", None, 2,
+                                 "sigma_px must be 0 or make 1/(2 sigma^2) finite, got 1e-160"),
     "truncation-zero": ("maps {gt} --out {root}/m --truncation 0", None, 2,
                         "truncation_radius must be positive and finite, got 0.0"),
     "truncation-inf": ("maps {gt} --out {root}/m --truncation inf", None, 2,

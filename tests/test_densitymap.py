@@ -6,6 +6,7 @@ import pytest
 from crowdvol import densitymap as dmod
 from crowdvol.datamodel import DensityMap, Keypoint, default_taxonomy
 from crowdvol.densitymap import SmoothingConfig, integrate, nearest_pixel, render_ppvdm, render_vdm
+import loop_reference as ref
 from conftest import make_frame, make_person, part_id, smoothing
 
 SIGMA0 = smoothing(sigma_px=0.0)
@@ -101,6 +102,31 @@ def test_vdm_mass_conservation_across_sigmas():
             frame = make_frame(persons)
             total = sum(p.volume_dm3 for p in persons)
             assert abs(render_vdm(frame, cfg).total() - total) <= 1e-6 * total
+
+
+@pytest.mark.parametrize("sigma, truncation", [(2000.0, 4.0), (1e6, 4.0), (4.0, 1e300), (1e10, 1e300), (1e300, 4.0)])
+def test_huge_kernels_conserve_mass_and_stay_within_the_image(monkeypatch, sigma, truncation):
+    # No stamp fits a full kernel this wide, so none is built: every kernel
+    # is clipped to the image.
+    shapes = []
+
+    def recording(*args):
+        shapes.append(kernel(*args).shape)
+        return kernel(*args)
+
+    kernel = dmod._kernel
+    monkeypatch.setattr(dmod, "_kernel", recording)
+    heads = [(0.0, 0.0), (31.5, 20.2), (63.9, 47.9), (10.0, 40.0)]
+    persons = [make_person(person_id=f"p{i}", head=head, volume=50.0 + i) for i, head in enumerate(heads)]
+    frame = make_frame(persons, w=64, h=48)
+    cfg = smoothing(sigma_px=sigma, truncation_radius=truncation)
+    dmap = render_vdm(frame, cfg)
+    total = sum(p.volume_dm3 for p in persons)
+    assert abs(dmap.total() - total) <= 1e-6 * total
+    assert len(shapes) == len(persons)
+    assert all(h <= frame.image_h and w <= frame.image_w for h, w in shapes)
+    if math.isfinite(sigma * truncation):  # the per-stamp loop's radius
+        assert np.array_equal(dmap.values, ref.render_vdm(frame, cfg).values)
 
 
 def test_vdm_peak_nonincreasing_in_sigma():

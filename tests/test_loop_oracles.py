@@ -5,6 +5,7 @@ per-point projection in Python floats, the per-stamp kernel, the pairwise
 box-overlap loop and the per-face volume term. Frames, maps, decoupling
 reports and mesh volumes must equal theirs exactly.
 """
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from conftest import (
 from crowdvol import evalharness as eh
 from crowdvol import meshvol, scenegen
 from crowdvol.datamodel import Keypoint, TriMesh, default_taxonomy, frame_to_json_line
-from crowdvol.densitymap import render_ppvdm, render_vdm
+from crowdvol.densitymap import BoxGrid, render_ppvdm, render_vdm
 
 SIGMAS = (0.0, 1.5, 4.0)
 
@@ -118,13 +119,20 @@ CROWD_PAIRS = {
 }
 
 
-def test_occlusion_grid_matches_all_pairs_on_a_crowd():
+@pytest.fixture(scope="module")
+def crowd_frame():
+    """The one test frame of 1,000 persons of the CROWD_PAIRS scene, seed 1."""
     cfg = scenegen.scene_config_from_pairs(CROWD_PAIRS)
     frame = scenegen.generate_frame(cfg, scenegen.build_identity_pools(cfg, 1)["test"], 1, 0)
     assert frame.n_persons == 1000
+    return frame
+
+
+def test_occlusion_grid_matches_all_pairs_on_a_crowd(crowd_frame):
+    frame = crowd_frame
     boxes = np.array([p.bbox_px for p in frame.persons])
     kps = np.array([(kp.x, kp.y, i) for i, p in enumerate(frame.persons) for kp in p.keypoints
-                    if 0 <= kp.x < cfg.image_w and 0 <= kp.y < cfg.image_h])
+                    if 0 <= kp.x < frame.image_w and 0 <= kp.y < frame.image_h])
     # Keypoints on box corners and edges and on grid-cell edges, with
     # depths drawn so that many pairs tie on depth too.
     rng = np.random.default_rng(2)
@@ -135,11 +143,11 @@ def test_occlusion_grid_matches_all_pairs_on_a_crowd():
     cells = np.column_stack([rng.integers(0, 60, size=1000) * 32.0, rng.uniform(0, 1080, size=1000),
                              rng.integers(0, len(boxes), size=1000)])
     kps = np.concatenate([kps, corners, cells])
-    kps = kps[(kps[:, 0] < cfg.image_w) & (kps[:, 1] < cfg.image_h)]
+    kps = kps[(kps[:, 0] < frame.image_w) & (kps[:, 1] < frame.image_h)]
     depths = rng.integers(10, 60, size=len(boxes)).astype(float)
     kz = rng.integers(10, 60, size=len(kps)).astype(float)
     kx, ky, owner = kps[:, 0], kps[:, 1], kps[:, 2].astype(np.int64)
-    got = scenegen._occluded(boxes, depths, kx, ky, kz, owner, cfg.image_w)
+    got = scenegen._occluded(boxes, depths, kx, ky, kz, owner)
     want = all_pairs_hidden(boxes, depths, kx, ky, kz, owner)
     assert np.array_equal(got, want)
     assert 0.1 < want.mean() < 0.9
@@ -155,8 +163,31 @@ def test_occlusion_grid_matches_all_pairs_on_image_wide_boxes():
     kx, ky = rng.uniform(0, w, size=5000), rng.uniform(0, h, size=5000)
     kz, depths = rng.uniform(1, 9, size=5000), rng.uniform(1, 9, size=300)
     owner = rng.integers(0, 300, size=5000)
-    got = scenegen._occluded(boxes, depths, kx, ky, kz, owner, w)
+    got = scenegen._occluded(boxes, depths, kx, ky, kz, owner)
     assert np.array_equal(got, all_pairs_hidden(boxes, depths, kx, ky, kz, owner))
+
+
+def far_boxes(rng, n: int) -> np.ndarray:
+    """Boxes around and past +-2**20 px, where BoxGrid clips coordinates,
+    some reaching 1e9 px."""
+    anchors = np.array([-3e6, -2.0**20, 0.0, 2.0**20 - 50.0, 2.0**20, 5e6])
+    lo = anchors[rng.integers(0, len(anchors), size=(n, 2))] + rng.uniform(-100, 100, size=(n, 2))
+    boxes = np.concatenate([lo, lo + rng.uniform(1, 200, size=(n, 2))], axis=1)
+    boxes[::25, 2:] = 1e9
+    return boxes
+
+
+def test_occlusion_grid_matches_all_pairs_beyond_the_clipped_coordinates():
+    rng = np.random.default_rng(6)
+    boxes = far_boxes(rng, 300)
+    of = rng.integers(0, 300, size=4000)
+    kx = boxes[of, 2 * rng.integers(0, 2, size=4000)] + rng.choice([0.0, -1.0, 1.0], size=4000)
+    ky = boxes[of, 1 + 2 * rng.integers(0, 2, size=4000)] + rng.choice([0.0, -1.0, 1.0], size=4000)
+    kz, depths = rng.uniform(1, 9, size=4000), rng.uniform(1, 9, size=300)
+    owner = rng.integers(0, 300, size=4000)
+    want = all_pairs_hidden(boxes, depths, kx, ky, kz, owner)
+    assert np.array_equal(scenegen._occluded(boxes, depths, kx, ky, kz, owner), want)
+    assert 0.1 < want.mean() < 0.9
 
 
 def test_disc_grid_matches_all_pairs_near_cell_edges():
@@ -283,6 +314,91 @@ def test_overlap_flags_flip_exactly_at_the_reference_iou():
         assert eh._overlapping([a, b], iou) == [False, False]
         checked += 1
     assert checked > 250
+
+
+def pair_ious(boxes) -> list[list[float]]:
+    """Each box's positive `bbox_iou` values with the other boxes, from the
+    scalar loop on every pair."""
+    boxes = [tuple(map(float, b)) for b in boxes]
+    ious: list[list[float]] = [[] for _ in boxes]
+    for i, j in itertools.combinations(range(len(boxes)), 2):
+        iou = ref.bbox_iou(boxes[i], boxes[j])
+        if iou > 0:
+            ious[i].append(iou)
+            ious[j].append(iou)
+    return ious
+
+
+def loop_overlapping(ious, threshold: float) -> list[bool]:
+    """The overlap flags of the pairwise loop at `threshold` >= 0."""
+    return [any(iou > threshold for iou in row) for row in ious]
+
+
+def test_overlap_grid_matches_all_pairs_on_a_crowd(crowd_frame):
+    boxes = [p.bbox_px for p in crowd_frame.persons]
+    ious = pair_ious(boxes)
+    # One ulp below a box's largest IoU flags it, and that IoU does not.
+    largest = sorted(max(row) for row in ious if row)
+    median = largest[len(largest) // 2]
+    thresholds = (0.0, 0.3, float(np.nextafter(median, 0.0)), median)
+    for threshold in thresholds:
+        assert eh._overlapping(boxes, threshold) == loop_overlapping(ious, threshold)
+    flags = [loop_overlapping(ious, threshold) for threshold in thresholds]
+    assert 0 < sum(flags[1]) < sum(flags[0]) < len(boxes)
+    assert flags[2] != flags[3]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.3, 0.9])
+def test_overlap_grid_matches_all_pairs_on_image_wide_boxes(threshold):
+    # Boxes that span most of the image make the grid coarsen its cells.
+    rng = np.random.default_rng(4)
+    w, h = 4000.0, 3000.0
+    corners = np.sort(rng.uniform(0, [w, h], size=(2, 300, 2)), axis=0)
+    boxes = np.concatenate([corners[0], corners[1]], axis=1)
+    boxes[::3, :2] = rng.uniform(0, 50, size=(100, 2))
+    boxes[::3, 2:] = [w, h] - rng.uniform(0, 50, size=(100, 2))
+    assert BoxGrid(boxes).cell > 32.0
+    assert eh._overlapping(boxes.tolist(), threshold) == loop_overlapping(pair_ious(boxes), threshold)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.3])
+def test_overlap_grid_matches_all_pairs_beyond_the_clipped_coordinates(threshold):
+    boxes = far_boxes(np.random.default_rng(7), 300)
+    want = loop_overlapping(pair_ious(boxes), threshold)
+    assert eh._overlapping(boxes.tolist(), threshold) == want
+    assert 0 < sum(want) < len(want)
+
+
+def test_boxes_touching_on_cell_lines_do_not_overlap():
+    # A 2x2 block of cells with a fifth box at its corner: boxes share edges
+    # and corners on the lines between the grid's 32 px cells, so each
+    # intersection has zero area.
+    c = 32.0
+    boxes = [(0.0, 0.0, c, c), (c, 0.0, 2 * c, c), (c, c, 2 * c, 2 * c), (0.0, c, c, 2 * c),
+             (2 * c, 2 * c, 3 * c, 3 * c)]
+    assert BoxGrid(np.array(boxes)).cell == c
+    assert eh._overlapping(boxes, 0.0) == loop_overlapping(pair_ious(boxes), 0.0) == [False] * 5
+    # One ulp across the line x = 32 is a positive intersection.
+    below = float(np.nextafter(c, 0.0))
+    nudged = [boxes[0], (below, 2 * c, 2 * c, 3 * c), (below, 0.0, 2 * c, c)]
+    assert eh._overlapping(nudged, 0.0) == loop_overlapping(pair_ious(nudged), 0.0) == [True, False, True]
+
+
+def test_duplicate_boxes_overlap_with_iou_one():
+    boxes = [(10.0, 20.0, 50.0, 120.0), (200.0, 20.0, 240.0, 120.0), (10.0, 20.0, 50.0, 120.0)]
+    for threshold, want in ((0.0, [True, False, True]), (float(np.nextafter(1.0, 0.0)), [True, False, True]),
+                            (1.0, [False, False, False])):
+        assert eh._overlapping(boxes, threshold) == loop_overlapping(pair_ious(boxes), threshold) == want
+
+
+def test_overlap_groups_pair_only_within_a_group(crowd_frame):
+    # Frames in one grid, each a group: the flags are each frame's own, and
+    # the same box in two frames is no overlap.
+    frames = [[p.bbox_px for p in crowd_frame.persons[:400]], [p.bbox_px for p in crowd_frame.persons[300:700]],
+              [crowd_frame.persons[0].bbox_px], [], [crowd_frame.persons[1].bbox_px] * 2]
+    group = np.repeat(np.arange(len(frames)), [len(f) for f in frames])
+    want = [flag for boxes in frames for flag in loop_overlapping(pair_ious(boxes), 0.0)]
+    assert eh._overlapping([b for boxes in frames for b in boxes], 0.0, group) == want
 
 
 def _shell(mesh, thickness: float):
