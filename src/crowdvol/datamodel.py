@@ -255,6 +255,12 @@ def validate_frame(frame: FrameAnnotation) -> None:
                 f"frame {frame.frame_id!r}, person {person.person_id!r}: "
                 f"head_px {person.head_px} outside [0,{frame.image_w})x[0,{frame.image_h})"
             )
+        x0, y0, x1, y1 = person.bbox_px
+        if not (0 <= x0 and x1 <= frame.image_w and 0 <= y0 and y1 <= frame.image_h):
+            raise ValidationError(
+                f"frame {frame.frame_id!r}, person {person.person_id!r}: "
+                f"bbox_px {person.bbox_px} outside [0,{frame.image_w}]x[0,{frame.image_h}]"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,15 @@ renormalized over its in-image support, so the total map mass always equals
 the total annotated volume. Accumulation order is fixed (person order, then
 row-major) to keep outputs bit-stable.
 
-Each normalized kernel depends only on sigma and on how far the stamp's
-support is clipped by the image border, so kernels are built once and kept
-in a small LRU cache. A cached kernel is computed by the same code as a
-fresh one, so the map bytes are the same as when every stamp built its own.
+Each map builds one list of 1-D Gaussian factors and, when a full-radius
+stamp fits the image, one full kernel; a stamp near the border builds its
+own clipped kernel from two slices of that list. Nothing is kept between
+maps, so memory stays at a few image-sized arrays however wide the kernel.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,42 +55,37 @@ def nearest_pixel(coord: float, size: int) -> int:
     return min(max(idx, 0), size - 1)
 
 
-@lru_cache(maxsize=16)
-def _kernel(sigma_px: float, left: int, right: int, up: int, down: int) -> np.ndarray:
-    """Truncated Gaussian over offsets [-left, right] x [-up, down] around
-    the center pixel, normalized to sum 1; read-only, since it is shared.
-    Its factors come from libm's `exp`, not from numpy's CPU-dispatched one."""
-    inv = 1.0 / (2.0 * sigma_px * sigma_px)
-    ys = [math.exp(-d * d * inv) for d in range(-up, down + 1)]
-    xs = [math.exp(-d * d * inv) for d in range(-left, right + 1)]
-    kernel = np.outer(ys, xs)
+def _kernel(factors: list[float], radius: int, left: int, right: int, up: int, down: int) -> np.ndarray:
+    """Truncated Gaussian over offsets [-left, right] x [-up, down], normalized to sum 1:
+    the outer product of two slices of `factors`, the weights of offsets -radius..radius."""
+    kernel = np.outer(factors[radius - up : radius + down + 1], factors[radius - left : radius + right + 1])
     kernel /= kernel.sum()
-    kernel.flags.writeable = False
     return kernel
 
 
-def _stamp_all(acc: np.ndarray, stamps: list[tuple[float, float, float]], cfg: SmoothingConfig) -> None:
-    """Add each (x, y, mass) stamp to `acc` in order: at its nearest pixel,
-    spread over the truncated kernel renormalized to its in-image support.
-    A stamp a full radius from every border takes the one full kernel."""
-    h, w = acc.shape
-    ceil = math.ceil
-    if cfg.sigma_px == 0:
-        for x, y, mass in stamps:
-            acc[min(max(ceil(y - 0.5), 0), h - 1), min(max(ceil(x - 0.5), 0), w - 1)] += mass
-        return
-    radius = int(ceil(min(cfg.truncation_radius * cfg.sigma_px, max(h, w))))  # a wider one clips alike
-    full = _kernel(cfg.sigma_px, radius, radius, radius, radius) if 2 * radius < min(h, w) else None  # else unused
+def _stamp_all(frame: FrameAnnotation, stamps: list[tuple[float, float, float]], cfg: SmoothingConfig) -> DensityMap:
+    """The frame's map: each (x, y, mass) stamp added in order at its nearest pixel,
+    over the full kernel a full radius from every border (at sigma 0, radius 0 and
+    [[1.0]]), else over the truncated kernel renormalized to its in-image support."""
+    w, h = frame.image_w, frame.image_h
+    try:
+        acc = np.zeros((h, w), dtype=np.float64)
+    except MemoryError:
+        raise DensityMapError(f"frame {frame.frame_id!r}: no memory for a {w}x{h} density map") from None
+    radius = int(math.ceil(min(cfg.truncation_radius * cfg.sigma_px, max(h, w))))  # a wider one clips alike
+    inv = 1.0 / (2.0 * cfg.sigma_px * cfg.sigma_px) if cfg.sigma_px else 0.0
+    factors = [math.exp(-d * d * inv) for d in range(-radius, radius + 1)]  # libm's exp, not numpy's dispatched one
+    full = _kernel(factors, radius, radius, radius, radius, radius) if 2 * radius < min(h, w) else None  # else unused
     for x, y, mass in stamps:
-        ix = min(max(ceil(x - 0.5), 0), w - 1)  # nearest_pixel, inlined
-        iy = min(max(ceil(y - 0.5), 0), h - 1)
+        ix, iy = nearest_pixel(x, w), nearest_pixel(y, h)
         if radius <= ix < w - radius and radius <= iy < h - radius:
             acc[iy - radius : iy + radius + 1, ix - radius : ix + radius + 1] += mass * full
         else:
             left, right = min(ix, radius), min(w - 1 - ix, radius)
             up, down = min(iy, radius), min(h - 1 - iy, radius)
-            kernel = _kernel(cfg.sigma_px, left, right, up, down)
+            kernel = _kernel(factors, radius, left, right, up, down)
             acc[iy - up : iy + down + 1, ix - left : ix + right + 1] += mass * kernel
+    return DensityMap(width=w, height=h, values=acc)
 
 
 def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig) -> DensityMap:
@@ -104,9 +98,7 @@ def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig) -> DensityMap:
                 f"person {person.person_id!r} has head_px {person.head_px} outside the image"
             )
         stamps.append((hx, hy, person.volume_dm3))
-    acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
-    _stamp_all(acc, stamps, cfg)
-    return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
+    return _stamp_all(frame, stamps, cfg)
 
 
 def render_ppvdm(frame: FrameAnnotation, taxonomy: PartTaxonomy, cfg: SmoothingConfig) -> DensityMap:
@@ -135,9 +127,7 @@ def render_ppvdm(frame: FrameAnnotation, taxonomy: PartTaxonomy, cfg: SmoothingC
                     f"person {person.person_id!r}: part {part_id} has no visible "
                     f"in-image keypoints and head_px {person.head_px} is invalid"
                 )
-    acc = np.zeros((frame.image_h, frame.image_w), dtype=np.float64)
-    _stamp_all(acc, stamps, cfg)
-    return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
+    return _stamp_all(frame, stamps, cfg)
 
 
 _CLIP = 2.0**20  # px; a BoxGrid clips coordinates to +-_CLIP, so rows and columns lie within +-2**15

@@ -907,6 +907,9 @@ def bad_inputs(tmp_path_factory):
         record = {"frame": bad, "person": bad["persons"][0], "camera": bad["camera"]}[where]
         record[key] = retype(record[key])
         (root / f"{name}.jsonl").write_text(json_text(bad) + "\n")
+    for name, bbox in BBOX_PAST_IMAGE.items():
+        frame["persons"][0]["bbox_px"] = bbox
+        (root / f"{name}.jsonl").write_text(json.dumps(frame) + "\n")
     frame["persons"][0]["bbox_px"] = [1.0, 2.0, 3.0]
     (root / "bbox3.jsonl").write_text(json.dumps(frame) + "\n")
     (root / "twice.labels").write_text("0 0\n1 0\n2 0\n1 3\n")
@@ -1031,6 +1034,16 @@ SAMPLE_CASES = {
 
 GEN = "gen --out {root}/g --config {cfg}"
 EVAL = "eval --gt {gt} --preds {maps} --out {root}/e"
+
+# First bboxes past the 640x480 image. The reader rejects each with its file
+# and line, whether or not decoupling's overlap filter would keep the person.
+BBOX_PAST_IMAGE = {"bbox-700": [0, 0, 700, 480], "bbox-1e300": [0, 0, 1e300, 1e300]}
+BBOX_CASES = {
+    name: (EVAL.replace("{gt}", f"{{root}}/{name}.jsonl") + " --protocol decoupling", None, 2,
+           f"{{root}}/{name}.jsonl: line 1: frame 'test_00000', person 'test_00000_p000': "
+           f"bbox_px {tuple(map(float, bbox))} outside [0,640]x[0,480]")
+    for name, bbox in BBOX_PAST_IMAGE.items()
+}
 BODY_BUILD = {"male.mass.mu": "6.5", "female.mass.mu": "6.5", "bmi.hi": "500"}
 STATS = "stats {root}/samples.csv --target-config {root}/"
 LABEL_PINCH = "label {root}/pinch.obj {root}/pinch.labels"
@@ -1133,6 +1146,7 @@ ERROR_CASES = {
     **KEYPOINT_CASES,
     **STRICT_CASES,
     **SAMPLE_CASES,
+    **BBOX_CASES,
 }
 
 
@@ -1158,6 +1172,25 @@ def test_error_is_one_line_with_its_exit_code(bad_inputs, tmp_path, capsys, monk
     assert len(error_lines) == 1 and fragment.format(**paths) in error_lines[0]
     if not fragment.startswith("argument "):
         assert err == error_lines[0] + "\n"
+
+
+def test_map_that_cannot_be_allocated_is_one_line(bad_inputs, tmp_path, capsys, monkeypatch):
+    # The allocation is refused rather than tried: a machine that overcommits
+    # memory could grant the 1.16 TiB.
+    frame = json.loads(Path(bad_inputs["gt"]).read_text().splitlines()[0])
+    frame.update(image_w=400000, image_h=400000)
+    (tmp_path / "huge.jsonl").write_text(json.dumps(frame) + "\n")
+    zeros = np.zeros
+
+    def refusing(shape, *args, **kwargs):
+        if shape == (400000, 400000):
+            raise MemoryError("Unable to allocate 1.16 TiB")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refusing)
+    capsys.readouterr()
+    assert main(["maps", str(tmp_path / "huge.jsonl"), "--out", str(tmp_path / "m"), "--workers", "1"]) == 2
+    assert capsys.readouterr().err == f"error: frame {frame['frame_id']!r}: no memory for a 400000x400000 density map\n"
 
 
 def test_warning_is_one_line(bad_inputs):

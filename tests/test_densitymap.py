@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,20 @@ def test_huge_kernels_conserve_mass_and_stay_within_the_image(monkeypatch, sigma
     assert all(h <= frame.image_h and w <= frame.image_w for h, w in shapes)
     if math.isfinite(sigma * truncation):  # the per-stamp loop's radius
         assert np.array_equal(dmap.values, ref.render_vdm(frame, cfg).values)
+
+
+def test_wide_kernels_keep_memory_at_a_few_maps():
+    # Every stamp is clipped at sigma 1000; no kernel outlives its stamp.
+    persons = [make_person(person_id=f"p{i}", head=(10.0 * i + 3.0, 7.0 * i + 2.0), volume=60.0) for i in range(20)]
+    frame = make_frame(persons, w=200, h=150)
+    cfg = smoothing(sigma_px=1000.0)
+    tracemalloc.start()
+    try:
+        render_vdm(frame, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * frame.image_w * frame.image_h * 8
 
 
 def test_vdm_peak_nonincreasing_in_sigma():
