@@ -240,12 +240,19 @@ def _target_rows(samples, model) -> list[tuple]:
     ]
 
 
-def _workers(text: str) -> int:
-    """argparse type of --workers: an integer >= 1."""
-    n = int(text) if text.strip().isdecimal() else 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return n
+def _integer(lo: int, stop: float, expected: str):
+    """argparse type of an integer flag in [lo, stop), `expected` naming that range."""
+    def parse(text: str) -> int:
+        n = int(text) if text.strip().isdecimal() else lo - 1
+        if not lo <= n < stop:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return n
+    return parse
+
+
+# --seed: the seeds that the random streams tell apart, which reduce integers modulo 2**64
+_seed = _integer(0, 2**64, "an integer in [0, 2**64)")
+_workers = _integer(1, math.inf, "an integer >= 1")
 
 
 def _bin_edges(text: str) -> list[float]:
@@ -265,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate an annotated synthetic dataset")
     p_gen.add_argument("--config", help="key=value scene config file")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--workers", type=_workers, default=os.environ.get("CVE_WORKERS", "1"))
     p_gen.add_argument("--dump-meshes", action="store_true", help="also write per-character OBJ meshes")

@@ -126,7 +126,8 @@ def build_records(frames: list[FrameAnnotation], preds: PredictionSet) -> list[E
     against the image size and reduced to its total before the next."""
     missing = [f.frame_id for f in frames if not preds.has(f.frame_id)]
     if missing:
-        raise EvalError(f"missing predictions for frames: {', '.join(missing)}")
+        more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
+        raise EvalError(f"missing predictions for frames: {', '.join(missing[:8])}{more}")
     records = []
     for f in frames:
         v_pred = _frame_map(preds, f).total() if preds.is_map(f.frame_id) else preds.by_frame[f.frame_id]
@@ -145,12 +146,8 @@ class FullReport:
 def evaluate_full(frames: list[FrameAnnotation], preds: PredictionSet) -> FullReport:
     """Frame-level metric suite, plus the same metrics stratified per tag."""
     records = build_records(frames, preds)
-    per_tag: dict[str, MetricsReport] = {}
-    all_tags = sorted({t for f in frames for t in f.scene_tags})
-    for tag in all_tags:
-        tagged = [r for r, f in zip(records, frames) if tag in f.scene_tags]
-        if tagged:
-            per_tag[tag] = compute_report(tagged)
+    per_tag = {tag: compute_report([r for r, f in zip(records, frames) if tag in f.scene_tags])
+               for tag in sorted({t for f in frames for t in f.scene_tags})}
     return FullReport(overall=compute_report(records), per_tag=per_tag)
 
 
@@ -251,7 +248,7 @@ def crowd_size_bins(
     return bins
 
 
-S1_EXCLUDE_TAGS = frozenset({"night", "rain", "heavy_occlusion"})
+S1_EXCLUDE_TAGS = frozenset({"heavy_occlusion"})
 S2_INCLUDE_TAGS = frozenset({"birds_eye"})
 
 
@@ -266,11 +263,7 @@ def filter_subset(
     known = {t for f in frames for t in f.scene_tags}
     for tag in sorted((include | exclude) - known):
         warnings.warn(f"tag {tag!r} does not occur in the dataset", stacklevel=2)
-    return [
-        f
-        for f in frames
-        if include <= f.scene_tags and not (exclude & f.scene_tags)
-    ]
+    return [f for f in frames if include <= f.scene_tags and not exclude & f.scene_tags]
 
 
 def apply_subset_preset(frames: list[FrameAnnotation], name: str) -> list[FrameAnnotation]:

@@ -44,9 +44,9 @@ from crowdvol.scenegen import (
     _AREA_FIX,
     _MAX_PLACE_ATTEMPTS,
     _RING_SIDES,
+    HEAVY_OCCLUSION_SHARE,
     PlacementError,
     _draw_camera,
-    _draw_tags,
 )
 
 KEYPOINT_PART = {kp: pid for pid, kps in {
@@ -94,8 +94,8 @@ def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
         raise ValueError(f"identity pool for split {pool.split!r} is empty")
     rng = SplitMix64(mix_seed(seed, 0xF0 + pool.split_index, frame_idx))
     frame_id = f"{pool.split}_{frame_idx:05d}"
-    tags = _draw_tags(cfg, rng)
-    camera = _draw_camera(cfg, rng, "birds_eye" in tags)
+    birds_eye = rng.uniform() < cfg.birds_eye_prob
+    camera = _draw_camera(cfg, rng, birds_eye)
     n = rng.randint(cfg.persons_range[0], cfg.persons_range[1])
 
     placed = []  # (char, ground x, ground y, body-to-camera rotation, translation)
@@ -150,6 +150,7 @@ def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
         kp_cam.append([rigid(rot, anchor, shift) for anchor in char.body.anchors.tolist()])
 
     persons = []
+    in_image = hidden = 0
     for i, (char, _, _, _, _) in enumerate(placed):
         keypoints = []
         for kp_id, cam_pt in enumerate(kp_cam[i]):
@@ -159,10 +160,12 @@ def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
             x, y = pixel(cam_pt, camera)
             visible = 0 <= x < cfg.image_w and 0 <= y < cfg.image_h
             if visible:
+                in_image += 1
                 depth = cam_pt[2]
                 for j, (bx0, by0, bx1, by1) in enumerate(bboxes):
                     if j != i and depths[j] < depth and bx0 <= x <= bx1 and by0 <= y <= by1:
                         visible = False
+                        hidden += 1
                         break
             keypoints.append(Keypoint(x=x, y=y, part_id=KEYPOINT_PART[kp_id], visible=visible))
         persons.append(
@@ -176,12 +179,15 @@ def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
                 keypoints=tuple(keypoints),
             )
         )
+    tags = {"birds_eye"} if birds_eye else set()
+    if in_image and hidden / in_image >= HEAVY_OCCLUSION_SHARE:
+        tags.add("heavy_occlusion")
     return FrameAnnotation(
         frame_id=frame_id,
         image_w=cfg.image_w,
         image_h=cfg.image_h,
         persons=tuple(persons),
-        scene_tags=tags,
+        scene_tags=frozenset(tags),
         camera=camera,
     )
 

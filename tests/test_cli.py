@@ -157,24 +157,25 @@ def test_gen_builds_only_the_bodies_its_frames_use(tmp_path, monkeypatch, capsys
     assert files == {name: data for name, data in all_files.items() if not name.startswith("meshes")}
 
 
-# sha256 of `gen --seed 3`'s manifest.txt, recorded when config_hash was
-# taken over pairs written back from the built SceneConfig; it is now taken
-# over the values as the config reader parsed them. "noncanonical" spells
-# the shipped values otherwise, so its manifest is the default one.
+# sha256 of `gen --seed 3`'s manifest.txt, recorded anew at data version
+# 0.4.0: the version line moved, and config_hash no longer covers the
+# dropped tag.night, tag.rain and tag.heavy_occlusion keys. config_hash is
+# taken over the values as the config reader parsed them. "noncanonical"
+# spells the shipped values otherwise, so its manifest is the default one.
 MANIFEST_CONFIGS = {
     "none": None,
     "shipped": str(Path(scenegen.__file__).parent / "configs" / "scene.cfg"),
     "partial-model": "frames.train=1\nframes.val=0\nframes.test=1\ngender_mix=0.25\nbmi.hi=45.0\nbody_density=985.0\n",
     "noncanonical": "focal.lo=520\narea.w=4\npersons.max=08\nbmi.hi=5e1\nfemale.mass.sigma=.17\nimage_w=0640\n",
-    "noncanonical-changed": "focal.hi=7.7e2\npersons.max=09\ntag.rain=.25\nmale.height.sigma=0.0380\n"
+    "noncanonical-changed": "focal.hi=7.7e2\npersons.max=09\ntag.birds_eye=.25\nmale.height.sigma=0.0380\n"
                             "frames.train=0\nframes.val=0\nframes.test=1\n",
 }
 MANIFEST_DIGESTS = {
-    "none": "d74676cda5991267a85a75356c1fb64862413ecf8645a116b5a091af49d468dc",
-    "shipped": "d74676cda5991267a85a75356c1fb64862413ecf8645a116b5a091af49d468dc",
-    "partial-model": "9514377fe92e209a1d052381af8b8f83ae55ccad69b02ef8fd3c84bbd41dce26",
-    "noncanonical": "d74676cda5991267a85a75356c1fb64862413ecf8645a116b5a091af49d468dc",
-    "noncanonical-changed": "45013f8757a6125ca70aa445769b9fb6373df31ffe5a065868b62cfd9996ea0f",
+    "none": "9c4597927065f3a7265a26b020305f87ecd382e0b48faafb67820d11ace7e020",
+    "shipped": "9c4597927065f3a7265a26b020305f87ecd382e0b48faafb67820d11ace7e020",
+    "partial-model": "0eb93708c893f9a18b65d2075a1e247367fc8df3832908375b706d565bfe286e",
+    "noncanonical": "9c4597927065f3a7265a26b020305f87ecd382e0b48faafb67820d11ace7e020",
+    "noncanonical-changed": "d5f7acc768c1e7ffaed0ae01eebac8c7ea7409b9620e2e6ff7fe9963339de951",
 }
 
 
@@ -361,7 +362,7 @@ def test_stats_stdout_digests(tmp_path, capsys):
 
 
 # sha256 of the outputs of a small gen -> maps -> eval chain at data version
-# 0.3.0: the annotations, the manifest, all per-part maps in name order, and
+# 0.4.0: the annotations, the manifest, all per-part maps in name order, and
 # the stdout of maps and of two eval protocols. A change that keeps the data
 # version keeps them; a data-version bump records them anew and says so in
 # CHANGES.md. `maps.stdout` was recorded anew at 0.3.0, without a bump: it
@@ -370,14 +371,18 @@ def test_stats_stdout_digests(tmp_path, capsys):
 # and the digest is the one the old code printed without AVX-512. No data
 # byte moved. `eval-full.stdout` and `eval-decoupling.stdout` were recorded
 # anew when every CSV report came to end its lines in LF rather than CRLF;
-# each is the old stdout with every CRLF replaced by LF.
+# each is the old stdout with every CRLF replaced by LF. All six were
+# recorded anew at 0.4.0: a frame that is not bird's-eye no longer draws the
+# night, rain and heavy_occlusion coin flips, so its camera, persons and
+# maps moved, heavy_occlusion is measured from the hidden keypoints, and the
+# manifest's version and config_hash changed.
 CHAIN_DIGESTS = {
-    "test.jsonl": "1e161c52d1e7b0b1ae8c6244cc29644d32835427c0c7604116fa6391016b6873",
-    "manifest.txt": "4910d83433e3d5687db4495407ec003c747dee50ee4410384e9e57c37b0cbf11",
-    "maps/*.vdm": "203e9ccfb18cc8671c3a9eaba2abec278fce8abd3aabda20e7d4f8d51cc12a62",
-    "maps.stdout": "159991eef07aea08e01b6940ea469d24e85709b81ff1c428f86adc5c2ec7be0d",
-    "eval-full.stdout": "f980fd872b9e84b8e6b7a61ffb10d260c77492b51437e4a8133e4b2d990e4c9d",
-    "eval-decoupling.stdout": "f81aad9ac36dd054a68458e8aa9c0ea47128e356d923dd1cd3e6af16c9995a5a",
+    "test.jsonl": "513b00d67b7784c68d9684610eb142a0e32e6e091c269bb4a8027647c66d15eb",
+    "manifest.txt": "ce2273f487dee52d4d3c6ff86722ff8440591cb53cf9b704cc3551677c55aa58",
+    "maps/*.vdm": "6e9ce98058b4973689d32699f6a8d4941e691a1aa0f19dfc8a0b563537de831a",
+    "maps.stdout": "ee44c5cfbd568d5310a667f63e0e26e464f83e166024e0a4e9ac9a8fb06229ad",
+    "eval-full.stdout": "c7b0eacf774c47f14ff270d286216a22b6f0bf40e40512e1eab66d5ae4b24424",
+    "eval-decoupling.stdout": "850cf45aa5c4328fc931ae652782cd8dc50485ca0afcc8badee7d63637f91d1d",
 }
 
 
@@ -917,6 +922,8 @@ def bad_inputs(tmp_path_factory):
     write_obj(pinch, root / "pinch.obj")
     write_vertex_labels(np.where(pinch.vertices[:, 2] < 0, 8, 0), root / "pinch.labels")
     (root / "twice.cfg").write_text("image_w=640\nimage_w=800\n")
+    (root / "all.jsonl").write_text("".join((data / f"{split}.jsonl").read_text() for split in ("train", "val", "test")))
+    (root / "no_maps").mkdir()
     anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 40, seed=3), root / "samples.csv")
     rows = (root / "samples.csv").read_text().splitlines()
     for name, (column, text, _) in SAMPLE_FIELDS.items():
@@ -1134,6 +1141,13 @@ ERROR_CASES = {
     "stats-samples-before": ("stats {root}/samples.csv --before {root}/samples.csv", None, 2,
                              "stats: --before is not used with a samples .csv without --target-config"),
     "scene-tag-range": (GEN, {"tag.birds_eye": "1.5"}, 2, "{cfg}: tag.birds_eye must be a probability in [0, 1]"),
+    "scene-tag-of-0.3.0": (GEN, {"tag.night": "0.2"}, 2, "{cfg}: unknown scene config key 'tag.night'"),
+    "seed-2**64": (GEN + " --seed 18446744073709551616", {}, 2,
+                   "argument --seed: expected an integer in [0, 2**64), got '18446744073709551616'"),
+    "seed-negative": (GEN + " --seed -1", {}, 2, "argument --seed: expected an integer in [0, 2**64), got '-1'"),
+    "preds-missing": ("eval --gt {root}/all.jsonl --preds {root}/no_maps --out {root}/e", None, 2,
+                      "missing predictions for frames: train_00000, train_00001, train_00002, train_00003, "
+                      "val_00000, val_00001, test_00000, test_00001 (+1 more)"),
     "scene-lognormal-range": (GEN, {"female.mass.mu": "nan"}, 2,
                               "{cfg}: female.mass: need a finite mu and 0 < sigma < inf, got mu=nan"),
     "taxonomy-typo": (LABEL_TAXONOMY + "taxonomy-typo.cfg", None, 2,

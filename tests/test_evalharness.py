@@ -240,7 +240,7 @@ def test_s2_preset_keeps_only_birds_eye():
 
 
 def test_s1_contains_s2_on_generated_data():
-    # generated birds_eye frames never carry night/rain/heavy_occlusion
+    # generated birds_eye frames hide too few keypoints to be heavy_occlusion
     frames = generated_frames(n_frames=60, seed=11)
     s1 = {f.frame_id for f in eh.apply_subset_preset(frames, "S1")}
     s2 = {f.frame_id for f in eh.apply_subset_preset(frames, "S2")}

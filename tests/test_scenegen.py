@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from crowdvol import anthro, evalharness, meshvol, scenegen
+from crowdvol.cli import main
 from crowdvol.datamodel import default_taxonomy, frame_to_json_line, validate_frame
 from crowdvol.rng import SplitMix64, mix_seed
 from crowdvol.special import ndtri
@@ -206,7 +208,7 @@ def test_placement_failure_suggests_fix():
 
 
 def test_birds_eye_frames_use_top_down_camera():
-    cfg = small_cfg(tag_probs=(("birds_eye", 1.0), ("night", 0.0), ("rain", 0.0), ("heavy_occlusion", 0.0)))
+    cfg = small_cfg(birds_eye_prob=1.0)
     pools = scenegen.build_identity_pools(cfg, seed=1)
     frame = scenegen.generate_frame(cfg, pools["train"], seed=1, frame_idx=0)
     assert "birds_eye" in frame.scene_tags
@@ -215,22 +217,41 @@ def test_birds_eye_frames_use_top_down_camera():
     assert forward_world[2] == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_every_tag_of_scene_cfg_is_drawn(monkeypatch):
-    shipped = scenegen.default_config
-    monkeypatch.setattr(scenegen, "default_config",
-                        lambda name: {**shipped(name), "tag.crowded": "1.0"} if name == "scene" else shipped(name))
-    for birds_eye in (0.2, 0.0):
-        cfg = small_cfg(tag_probs=tuple((tag, birds_eye if tag == "birds_eye" else p)
-                                        for tag, p in small_cfg().tag_probs))
-        frames = [f for split in generate_dataset(cfg, seed=3).values() for f in split]
-        # A bird's-eye frame draws no other tag.
-        assert all(("crowded" in f.scene_tags) != ("birds_eye" in f.scene_tags) for f in frames)
+def test_birds_eye_is_the_one_drawn_tag_and_the_first_uniform_of_a_frame():
+    assert [key for key in scenegen.default_config("scene") if key.startswith("tag.")] == ["tag.birds_eye"]
+    for birds_eye in (0.2, 0.0, 1.0):
+        cfg = small_cfg(birds_eye_prob=birds_eye)
+        data = generate_dataset(cfg, seed=3)
+        for split_index, split in enumerate(scenegen.SPLIT_NAMES):
+            for idx, frame in enumerate(data[split]):
+                first = SplitMix64(mix_seed(3, 0xF0 + split_index, idx)).uniform()
+                assert ("birds_eye" in frame.scene_tags) == (first < birds_eye)
+                assert frame.scene_tags <= {"birds_eye", "heavy_occlusion"}
+        frames = [f for split in data.values() for f in split]
         assert any("birds_eye" in f.scene_tags for f in frames) == (birds_eye > 0)
+        assert all("birds_eye" in f.scene_tags for f in frames) == (birds_eye == 1.0)
 
 
-def test_subset_presets_name_tags_of_scene_cfg():
-    tags = {key.removeprefix("tag.") for key in scenegen.default_config("scene") if key.startswith("tag.")}
-    assert evalharness.S1_EXCLUDE_TAGS | evalharness.S2_INCLUDE_TAGS <= tags
+def test_subset_presets_name_the_two_scene_tags():
+    assert evalharness.S1_EXCLUDE_TAGS == {"heavy_occlusion"}
+    assert evalharness.S2_INCLUDE_TAGS == {"birds_eye"}
+
+
+def test_heavy_occlusion_tags_the_frames_whose_hidden_share_reaches_the_threshold(tmp_path):
+    # The share is recomputed from the written JSONL: the in-image keypoints
+    # with visible 0 over all in-image keypoints.
+    outcomes = set()
+    for seed in (1, 2):
+        assert main(["gen", "--seed", str(seed), "--out", str(tmp_path / str(seed))]) == 0
+        for split in scenegen.SPLIT_NAMES:
+            for line in (tmp_path / str(seed) / f"{split}.jsonl").read_text().splitlines():
+                frame = json.loads(line)
+                flags = [visible for person in frame["persons"] for x, y, _, visible in person["keypoints"]
+                         if 0 <= x < frame["image_w"] and 0 <= y < frame["image_h"]]
+                heavy = bool(flags) and flags.count(0) / len(flags) >= scenegen.HEAVY_OCCLUSION_SHARE
+                assert ("heavy_occlusion" in frame["scene_tags"]) == heavy, frame["frame_id"]
+                outcomes.add(heavy)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
