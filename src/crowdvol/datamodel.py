@@ -3,7 +3,9 @@
 Conventions fixed across the toolkit: 3D coordinates in meters, volumes in
 dm^3 (1 m^3 = 1000 dm^3), image coordinates in pixels with the origin at the
 top-left corner and y pointing down. All types are treated as immutable after
-construction; arrays are marked read-only.
+construction; arrays are marked read-only. Every type checks its invariants
+when built, and raises ValidationError: a person and its keypoints are
+checked by the frame that holds them, which alone knows the image size.
 """
 from __future__ import annotations
 
@@ -85,12 +87,47 @@ class CameraParams:
 
 @dataclass(frozen=True)
 class FrameAnnotation:
+    """A frame of persons, checked when built against its image and the
+    shipped taxonomy: a ValidationError names the frame and the person."""
+
     frame_id: str
     image_w: int
     image_h: int
     persons: tuple[PersonAnnotation, ...]
     scene_tags: frozenset[str]
     camera: CameraParams
+
+    def __post_init__(self):
+        w, h = self.image_w, self.image_h
+        if w <= 0 or h <= 0:
+            raise ValidationError(f"frame {self.frame_id!r}: image_w and image_h must be positive")
+        part_ids = default_taxonomy().part_id_set
+        for person in self.persons:
+            ctx = f"frame {self.frame_id!r}, person {person.person_id!r}"
+            if not 0 < person.volume_dm3 < math.inf:
+                raise ValidationError(f"{ctx}: volume_dm3 must be a positive finite number")
+            for pid, v in person.part_volumes_dm3.items():
+                if pid not in part_ids:
+                    raise ValidationError(f"{ctx}: part_volumes_dm3 has unknown part id {pid}")
+                if not 0 <= v < math.inf:
+                    raise ValidationError(f"{ctx}: part_volumes_dm3[{pid}] must be >= 0 and finite")
+            total = math.fsum(person.part_volumes_dm3.values())
+            if abs(total - person.volume_dm3) > PART_CLOSURE_REL_TOL * person.volume_dm3:
+                raise ValidationError(
+                    f"{ctx}: part_volumes_dm3 sum {total!r} does not close to volume_dm3 "
+                    f"{person.volume_dm3!r} within {PART_CLOSURE_REL_TOL:g} relative"
+                )
+            x0, y0, x1, y1 = person.bbox_px
+            if not (x0 < x1 and y0 < y1):
+                raise ValidationError(f"{ctx}: bbox_px must satisfy x_min < x_max and y_min < y_max")
+            if unknown := {kp.part_id for kp in person.keypoints} - part_ids:
+                first = next(kp.part_id for kp in person.keypoints if kp.part_id in unknown)
+                raise ValidationError(f"{ctx}: keypoint references unknown part id {first}")
+            hx, hy = person.head_px
+            if not (0 <= hx < w and 0 <= hy < h):
+                raise ValidationError(f"{ctx}: head_px {person.head_px} outside [0,{w})x[0,{h})")
+            if not (0 <= x0 and x1 <= w and 0 <= y0 and y1 <= h):
+                raise ValidationError(f"{ctx}: bbox_px {person.bbox_px} outside [0,{w}]x[0,{h}]")
 
     @property
     def n_persons(self) -> int:
@@ -208,59 +245,6 @@ class TriMesh:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
-def validate_person(person: PersonAnnotation, frame_id: str = "?") -> None:
-    """Check a person against the shipped taxonomy."""
-    ctx = f"frame {frame_id!r}, person {person.person_id!r}"
-    taxonomy = default_taxonomy()
-    if not _finite(person.volume_dm3) or person.volume_dm3 <= 0:
-        raise ValidationError(f"{ctx}: volume_dm3 must be a positive finite number")
-    for pid, v in person.part_volumes_dm3.items():
-        if pid not in taxonomy.part_id_set:
-            raise ValidationError(f"{ctx}: part_volumes_dm3 has unknown part id {pid}")
-        if not _finite(v) or v < 0:
-            raise ValidationError(f"{ctx}: part_volumes_dm3[{pid}] must be >= 0 and finite")
-    total = math.fsum(person.part_volumes_dm3.values())
-    if abs(total - person.volume_dm3) > PART_CLOSURE_REL_TOL * person.volume_dm3:
-        raise ValidationError(
-            f"{ctx}: part_volumes_dm3 sum {total!r} does not close to volume_dm3 "
-            f"{person.volume_dm3!r} within {PART_CLOSURE_REL_TOL:g} relative"
-        )
-    x0, y0, x1, y1 = person.bbox_px
-    if not (x0 < x1 and y0 < y1):
-        raise ValidationError(f"{ctx}: bbox_px must satisfy x_min < x_max and y_min < y_max")
-    if unknown := {kp.part_id for kp in person.keypoints} - taxonomy.part_id_set:
-        first = next(kp.part_id for kp in person.keypoints if kp.part_id in unknown)
-        raise ValidationError(f"{ctx}: keypoint references unknown part id {first}")
-
-
-def validate_frame(frame: FrameAnnotation) -> None:
-    """Check every invariant; raise ValidationError naming frame and field."""
-    if frame.image_w <= 0 or frame.image_h <= 0:
-        raise ValidationError(f"frame {frame.frame_id!r}: image_w and image_h must be positive")
-    for person in frame.persons:
-        validate_person(person, frame.frame_id)
-        hx, hy = person.head_px
-        if not (0 <= hx < frame.image_w and 0 <= hy < frame.image_h):
-            raise ValidationError(
-                f"frame {frame.frame_id!r}, person {person.person_id!r}: "
-                f"head_px {person.head_px} outside [0,{frame.image_w})x[0,{frame.image_h})"
-            )
-        x0, y0, x1, y1 = person.bbox_px
-        if not (0 <= x0 and x1 <= frame.image_w and 0 <= y0 and y1 <= frame.image_h):
-            raise ValidationError(
-                f"frame {frame.frame_id!r}, person {person.person_id!r}: "
-                f"bbox_px {person.bbox_px} outside [0,{frame.image_w}]x[0,{frame.image_h}]"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +384,9 @@ def frame_to_dict(frame: FrameAnnotation) -> dict:
     }
 
 
-def frame_from_dict(d: dict) -> FrameAnnotation:
+def _frame_fields(d: dict) -> dict:
+    """The FrameAnnotation fields of a decoded line, each of its JSON type;
+    building the frame then checks its invariants."""
     cam = d["camera"]
     intrinsics = _finite_numbers(tuple(cam[key] for key in _INTRINSICS), "camera intrinsics")
     rotation = _finite_numbers(tuple(cam["rotation"]), "camera rotation entries")
@@ -411,7 +397,7 @@ def frame_from_dict(d: dict) -> FrameAnnotation:
     tags = d.get("scene_tags", [])
     if type(tags) is not list or not all(type(t) is str for t in tags):
         raise ValueError(f"scene_tags must be a list of strings, got {tags!r}")
-    return FrameAnnotation(
+    return dict(
         frame_id=_json_string(d["frame_id"], "frame_id"),
         image_w=_json_integer(d["image_w"], "image_w"),
         image_h=_json_integer(d["image_h"], "image_h"),
@@ -431,9 +417,6 @@ def frame_to_json_line(frame: FrameAnnotation) -> str:
 
 
 def write_annotations(frames, path) -> None:
-    frames = list(frames)
-    for frame in frames:
-        validate_frame(frame)
     Path(path).write_bytes("".join(frame_to_json_line(f) + "\n" for f in frames).encode("utf-8"))
 
 
@@ -455,14 +438,13 @@ def read_annotations(path) -> list[FrameAnnotation]:
         if not line.strip():
             continue
         try:
-            frame = frame_from_dict(_DECODER.decode(line))
+            fields = _frame_fields(_DECODER.decode(line))
         except (KeyError, TypeError, IndexError, AttributeError, OverflowError, ValueError) as exc:
             raise ParseError(f"{path}: malformed annotation on line {lineno}: {exc}") from exc
         try:
-            validate_frame(frame)
+            frames.append(FrameAnnotation(**fields))
         except ValidationError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-        frames.append(frame)
     return frames
 
 
@@ -661,12 +643,15 @@ def config_getter(pairs: dict[str, str], defaults: dict[str, str], kind: str, so
                   read: dict[str, str] | None = None):
     """Typed lookup over {**defaults, **pairs}, the one reader of every config
     kind: `get(key, int)` parses a value. A key that `defaults` lacks, or a
-    value its type does not parse, raises ParseError naming the source.
+    value its type does not parse, raises ParseError naming the source; an
+    unknown key's hint is the closest key with the same text before the
+    first ".", or the closest undotted key if it has none.
     Given a `read` dict, `get` records in it the `repr` of each value it
     returns, so `0640` and `5e1` are recorded as `640` and `50.0`."""
     for key in pairs:
         if key not in defaults:
-            close = difflib.get_close_matches(key, defaults, n=1)
+            family = key[: key.find(".") + 1]  # the text up to the first ".", empty for an undotted key
+            close = difflib.get_close_matches(key, [k for k in defaults if k[: k.find(".") + 1] == family], n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ParseError(f"{source}: unknown {kind} config key {key!r}{hint}")
     merged = {**defaults, **pairs}

@@ -90,15 +90,7 @@ def _stamp_all(frame: FrameAnnotation, stamps: list[tuple[float, float, float]],
 
 def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig) -> DensityMap:
     """One impulse of each person's total volume at their head pixel."""
-    stamps = []
-    for person in frame.persons:
-        hx, hy = person.head_px
-        if not (0 <= hx < frame.image_w and 0 <= hy < frame.image_h):
-            raise DensityMapError(
-                f"person {person.person_id!r} has head_px {person.head_px} outside the image"
-            )
-        stamps.append((hx, hy, person.volume_dm3))
-    return _stamp_all(frame, stamps, cfg)
+    return _stamp_all(frame, [(*person.head_px, person.volume_dm3) for person in frame.persons], cfg)
 
 
 def render_ppvdm(frame: FrameAnnotation, taxonomy: PartTaxonomy, cfg: SmoothingConfig) -> DensityMap:
@@ -106,8 +98,6 @@ def render_ppvdm(frame: FrameAnnotation, taxonomy: PartTaxonomy, cfg: SmoothingC
     in-image keypoints; parts with none fall back to the head pixel."""
     stamps = []
     for person in frame.persons:
-        hx, hy = person.head_px
-        head_ok = 0 <= hx < frame.image_w and 0 <= hy < frame.image_h
         anchors_by_part: dict[int, list[tuple[float, float]]] = {}
         for x, y, part_id, visible in person.keypoints:
             if visible and 0 <= x < frame.image_w and 0 <= y < frame.image_h:
@@ -116,17 +106,9 @@ def render_ppvdm(frame: FrameAnnotation, taxonomy: PartTaxonomy, cfg: SmoothingC
             v_part = person.part_volumes_dm3.get(part_id, 0.0)
             if v_part == 0.0:
                 continue
-            anchors = anchors_by_part.get(part_id)
-            if anchors:
-                share = v_part / len(anchors)
-                stamps += [(x, y, share) for x, y in anchors]
-            elif head_ok:
-                stamps.append((hx, hy, v_part))
-            else:
-                raise DensityMapError(
-                    f"person {person.person_id!r}: part {part_id} has no visible "
-                    f"in-image keypoints and head_px {person.head_px} is invalid"
-                )
+            anchors = anchors_by_part.get(part_id) or [person.head_px]
+            share = v_part / len(anchors)
+            stamps += [(x, y, share) for x, y in anchors]
     return _stamp_all(frame, stamps, cfg)
 
 

@@ -8,7 +8,6 @@ reference estimator.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -260,9 +259,6 @@ def filter_subset(
     """Keep frames carrying every include tag and none of the exclude tags."""
     include = frozenset(include_tags)
     exclude = frozenset(exclude_tags)
-    known = {t for f in frames for t in f.scene_tags}
-    for tag in sorted((include | exclude) - known):
-        warnings.warn(f"tag {tag!r} does not occur in the dataset", stacklevel=2)
     return [f for f in frames if include <= f.scene_tags and not exclude & f.scene_tags]
 
 

@@ -15,6 +15,7 @@ import pytest
 import loop_reference as ref
 from crowdvol import anthro, scenegen
 from crowdvol import datamodel as dm
+from conftest import make_frame
 
 CHUNKS = (dm._CHUNK_CHARS, 40)
 
@@ -298,4 +299,4 @@ def test_unknown_keypoint_part_names_the_first_in_order():
     kps = tuple(dm.Keypoint(1.0, 1.0, pid, True) for pid in (0, 91, 1, 77, 91))
     person = dm.PersonAnnotation("p", "c", (1.0, 1.0), (0.0, 0.0, 2.0, 2.0), 10.0, {0: 10.0}, kps)
     with pytest.raises(dm.ValidationError, match="unknown part id 91$"):
-        dm.validate_person(person)
+        make_frame([person])

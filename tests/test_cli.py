@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -1142,6 +1143,9 @@ ERROR_CASES = {
                              "stats: --before is not used with a samples .csv without --target-config"),
     "scene-tag-range": (GEN, {"tag.birds_eye": "1.5"}, 2, "{cfg}: tag.birds_eye must be a probability in [0, 1]"),
     "scene-tag-of-0.3.0": (GEN, {"tag.night": "0.2"}, 2, "{cfg}: unknown scene config key 'tag.night'"),
+    # a hint names a key of the same family: the text before the first ".", or none for an undotted key
+    "scene-tag-rain": (GEN, {"tag.rain": "0.2"}, 2, "{cfg}: unknown scene config key 'tag.rain'\n"),
+    "scene-key-typo": (GEN, {"imag_w": "640"}, 2, "{cfg}: unknown scene config key 'imag_w'; did you mean 'image_w'?"),
     "seed-2**64": (GEN + " --seed 18446744073709551616", {}, 2,
                    "argument --seed: expected an integer in [0, 2**64), got '18446744073709551616'"),
     "seed-negative": (GEN + " --seed -1", {}, 2, "argument --seed: expected an integer in [0, 2**64), got '-1'"),
@@ -1164,7 +1168,6 @@ ERROR_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:tag 'birds_eye' does not occur")
 @pytest.mark.parametrize("case", list(ERROR_CASES))
 def test_error_is_one_line_with_its_exit_code(bad_inputs, tmp_path, capsys, monkeypatch, case):
     argv, pairs, code, fragment = ERROR_CASES[case]
@@ -1183,7 +1186,7 @@ def test_error_is_one_line_with_its_exit_code(bad_inputs, tmp_path, capsys, monk
         assert out == ""
     assert "Traceback" not in err
     error_lines = [line for line in err.splitlines() if "error:" in line]
-    assert len(error_lines) == 1 and fragment.format(**paths) in error_lines[0]
+    assert len(error_lines) == 1 and fragment.format(**paths) in error_lines[0] + "\n"  # a final "\n" ends the line
     if not fragment.startswith("argument "):
         assert err == error_lines[0] + "\n"
 
@@ -1207,16 +1210,25 @@ def test_map_that_cannot_be_allocated_is_one_line(bad_inputs, tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: frame {frame['frame_id']!r}: no memory for a 400000x400000 density map\n"
 
 
-def test_warning_is_one_line(bad_inputs):
+def test_warning_is_one_line(bad_inputs, monkeypatch, capsys):
     """A library UserWarning reaches a CLI user as one `warning:` line."""
-    argv = EVAL.format(**bad_inputs).split() + ["--subset", "S2"]
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "crowdvol.cli", *argv], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [
-        "warning: tag 'birds_eye' does not occur in the dataset",
+    def warning_preset(frames, name):
+        warnings.warn("a library warning", stacklevel=2)
+        return []
+
+    monkeypatch.setattr(evalharness, "apply_subset_preset", warning_preset)
+    capsys.readouterr()
+    assert main(EVAL.format(**bad_inputs).split() + ["--subset", "S2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: a library warning",
         "error: subset 'S2' selects no frames",
     ]
+
+
+def test_s1_on_frames_without_heavy_occlusion_prints_nothing_on_stderr(bad_inputs, capsys):
+    """S1 excludes heavy_occlusion, so a set with no such frame is S1 whole."""
+    assert not any("heavy_occlusion" in f.scene_tags for f in read_annotations(bad_inputs["gt"]))
+    capsys.readouterr()
+    assert main(EVAL.format(**bad_inputs).split() + ["--subset", "S1"]) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""

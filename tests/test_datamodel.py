@@ -58,11 +58,10 @@ def test_annotation_roundtrip_field_for_field(tmp_path):
     assert p0.keypoints == p1.keypoints
 
 
-def test_part_sum_mismatch_rejected(tmp_path):
+def test_part_sum_mismatch_rejected():
     person = make_person(volume=70.0, parts={0: 30.0, 1: 38.9})  # sums to 68.9
-    frame = make_frame([person])
     with pytest.raises(dm.ValidationError, match="close"):
-        dm.write_annotations([frame], tmp_path / "bad.jsonl")
+        make_frame([person])
 
 
 def test_write_is_byte_deterministic(tmp_path):
@@ -81,11 +80,10 @@ def test_write_read_write_identical_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_nan_volume_rejected(tmp_path):
+def test_nan_volume_rejected():
     person = make_person(volume=math.nan, parts={0: math.nan})
-    frame = make_frame([person])
     with pytest.raises(dm.ValidationError):
-        dm.write_annotations([frame], tmp_path / "nan.jsonl")
+        make_frame([person])
 
 
 def test_zero_person_frame_single_line(tmp_path):
@@ -107,28 +105,65 @@ def test_malformed_line_reports_line_number(tmp_path):
 def test_validation_error_names_frame_and_field(tmp_path):
     person = make_person(bbox=(50.0, 10.0, 20.0, 60.0))  # x_min > x_max
     with pytest.raises(dm.ValidationError, match=r"f0.*bbox"):
-        dm.validate_frame(make_frame([person]))
+        make_frame([person])
 
 
 def test_head_outside_image_rejected():
     person = make_person(head=(64.0, 10.0))  # w = 64, valid range [0, 64)
     with pytest.raises(dm.ValidationError, match="head_px"):
-        dm.validate_frame(make_frame([person]))
+        make_frame([person])
 
 
 def test_unknown_keypoint_part_rejected():
     kp = dm.Keypoint(x=1.0, y=1.0, part_id=77, visible=True)
     person = make_person(keypoints=(kp,))
     with pytest.raises(dm.ValidationError, match="part id 77"):
-        dm.validate_frame(make_frame([person]))
+        make_frame([person])
 
 
 def test_part_closure_accepts_1e6_relative():
     person = make_person(volume=70.0, parts={0: 70.0 * (1 + 9e-7)})
-    dm.validate_frame(make_frame([person]))  # within tolerance
+    make_frame([person])  # within tolerance
     person = make_person(volume=70.0, parts={0: 70.0 * (1 + 2e-6)})
     with pytest.raises(dm.ValidationError):
-        dm.validate_frame(make_frame([person]))
+        make_frame([person])
+
+
+# One case per invariant that a frame checks when built, in the order it
+# checks them: (make_person arguments, image size, message after "frame 'f0'").
+INVALID_FRAMES = {
+    "image-size": ({}, (0, 64), ": image_w and image_h must be positive"),
+    "volume": ({"volume": 0.0, "parts": {0: 0.0}}, (64, 64),
+               ", person 'p0': volume_dm3 must be a positive finite number"),
+    "part-unknown": ({"parts": {0: 60.0, 77: 10.0}}, (64, 64),
+                     ", person 'p0': part_volumes_dm3 has unknown part id 77"),
+    "part-negative": ({"parts": {0: 80.0, 1: -10.0}}, (64, 64),
+                      ", person 'p0': part_volumes_dm3[1] must be >= 0 and finite"),
+    "part-closure": ({"parts": {0: 30.0, 1: 38.5}}, (64, 64),
+                     ", person 'p0': part_volumes_dm3 sum 68.5 does not close to volume_dm3 70.0 within 1e-06 relative"),
+    "bbox-order": ({"bbox": (50.0, 10.0, 20.0, 60.0)}, (64, 64),
+                   ", person 'p0': bbox_px must satisfy x_min < x_max and y_min < y_max"),
+    "keypoint-part": ({"keypoints": (dm.Keypoint(1.0, 1.0, 77, True),)}, (64, 64),
+                      ", person 'p0': keypoint references unknown part id 77"),
+    "head-past-width": ({"head": (64.0, 10.0)}, (64, 64), ", person 'p0': head_px (64.0, 10.0) outside [0,64)x[0,64)"),
+    "head-negative": ({"head": (-5.0, -5.0)}, (64, 64), ", person 'p0': head_px (-5.0, -5.0) outside [0,64)x[0,64)"),
+    "bbox-outside": ({}, (64, 48), ", person 'p0': bbox_px (10.0, 10.0, 54.0, 60.0) outside [0,64]x[0,48]"),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_FRAMES))
+def test_frame_checks_itself_when_built_and_the_reader_names_its_line(tmp_path, case):
+    kwargs, (w, h), message = INVALID_FRAMES[case]
+    person = make_person(**kwargs)
+    with pytest.raises(dm.ValidationError) as built:
+        make_frame([person], w=w, h=h)
+    assert str(built.value) == f"frame 'f0'{message}"
+    line = {**dm.frame_to_dict(make_frame([])), "image_w": w, "image_h": h, "persons": [dm._person_to_dict(person)]}
+    path = tmp_path / "frames.jsonl"
+    path.write_text(dm.frame_to_json_line(make_frame([], frame_id="ok")) + "\n" + json.dumps(line) + "\n")
+    with pytest.raises(dm.ValidationError) as read:
+        dm.read_annotations(path)
+    assert str(read.value) == f"{path}: line 2: frame 'f0'{message}"
 
 
 # ---------------------------------------------------------------------------

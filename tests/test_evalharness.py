@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -175,7 +176,7 @@ def test_decoupling_iou_threshold_keeps_light_overlap():
 
 def test_decoupling_map_size_mismatch():
     frame = make_frame([make_person()])
-    wrong = render_vdm(make_frame([make_person(head=(5.0, 5.0))], w=32, h=32), SIGMA0)
+    wrong = render_vdm(make_frame([make_person(head=(5.0, 5.0), bbox=(0.0, 0.0, 10.0, 10.0))], w=32, h=32), SIGMA0)
     with pytest.raises(eh.EvalError, match="size"):
         eh.decoupling_eval([frame], eh.PredictionSet({frame.frame_id: wrong}))
     with pytest.raises(eh.EvalError, match="size"):
@@ -247,9 +248,10 @@ def test_s1_contains_s2_on_generated_data():
     assert s2 and s2 <= s1
 
 
-def test_unknown_tag_warns_not_errors():
+def test_absent_exclude_tag_keeps_every_frame_without_a_warning():
     frames = generated_frames(n_frames=4, seed=12)
-    with pytest.warns(UserWarning, match="nonexistent"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = eh.filter_subset(frames, exclude_tags={"nonexistent"})
     assert out == frames
 

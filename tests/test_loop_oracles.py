@@ -240,7 +240,7 @@ def _edge_frame(w: int, h: int):
             Keypoint(x=-1.0, y=-1.0, part_id=2, visible=False),
         )
         persons.append(make_person(
-            person_id=f"p{k}", head=(x, y), volume=60.0 + k,
+            person_id=f"p{k}", head=(x, y), volume=60.0 + k, bbox=(0.0, 0.0, float(w), float(h)),
             parts={0: 10.0, 1: 30.0 + k, 2: 20.0, 3: 0.0}, keypoints=keypoints,
         ))
     return make_frame(persons, w=w, h=h)
