@@ -34,8 +34,7 @@ class MetricsReport:
     ppmae: float  # over frames with n_persons >= 1
     rmse: float
     k: int  # total frame count
-    ppmae_k: int  # frames contributing to ppmae
-    empty_frames: int  # frames excluded from ppmae because n_persons == 0
+    ppmae_k: int  # frames contributing to ppmae; the k - ppmae_k others have n_persons == 0
 
 
 def mae(records: list[EvalRecord]) -> float:
@@ -69,7 +68,6 @@ def compute_report(records: list[EvalRecord]) -> MetricsReport:
         rmse=rmse(records),
         k=len(records),
         ppmae_k=len(crowd),
-        empty_frames=len(records) - len(crowd),
     )
 
 

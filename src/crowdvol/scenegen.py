@@ -4,8 +4,9 @@ Bodies are stylized humanoids built from a vertical stack of solids of
 revolution, one per body part. The stack gives every part a closed-form
 volume, a strictly planar boundary ring toward each neighbor, and a
 path-shaped part adjacency, so mesh-derived part volumes can be checked
-against the closed forms exactly. Keypoint anchors stay at anatomically
-plausible positions independent of the stack layout.
+against the closed forms exactly. The same stack places the keypoints: each
+lies on the body axis inside its own part's height band, so it projects
+inside its person's bbox.
 
 Everything is a pure function of (config, seed): frames may be generated in
 parallel without changing a single output byte.
@@ -129,27 +130,6 @@ _RING_SIDES = 24
 _AREA_FIX = math.sqrt((2.0 * math.pi / _RING_SIDES) / math.sin(2.0 * math.pi / _RING_SIDES))
 _BOUNDARY_BAND = 1e-3  # meters between a boundary ring and the next part's first ring
 
-# Keypoint anchors as (x, z) fractions of body height in the body frame
-# (x lateral, y forward, z up, feet at the origin), in keypoint id order.
-_ANCHORS = (
-    (0.0, 0.99),     # 0 head_top
-    (0.0, 0.89),     # 1 chin
-    (0.0, 0.855),    # 2 neck
-    (0.0, 0.78),     # 3 spine_top
-    (0.0, 0.70),     # 4 spine_mid
-    (0.0, 0.62),     # 5 spine_low
-    (0.0, 0.53),     # 6 pelvis
-    (-0.11, 0.82),   # 7 l_shoulder
-    (-0.14, 0.63),   # 8 l_elbow
-    (0.11, 0.82),    # 9 r_shoulder
-    (0.14, 0.63),    # 10 r_elbow
-    (-0.15, 0.44),   # 11 l_wrist
-    (0.15, 0.44),    # 12 r_wrist
-    (-0.06, 0.50),   # 13 l_hip
-    (0.06, 0.50),    # 14 r_hip
-    (-0.055, 0.27),  # 15 l_knee
-    (0.055, 0.27),   # 16 r_knee
-)
 _HEAD_CENTER_FRAC = 0.95
 
 def _frustum_volume(r0: float, r1: float, h: float) -> float:
@@ -163,7 +143,7 @@ class Humanoid:
 
     `solids` holds each part's frusta as (z0, z1, r0, r1) tuples in meters;
     their closed forms are what part_volumes_dm3 is computed from. `anchors`
-    is a (17, 3) array, row k the anchor of keypoint k."""
+    is a (keypoints, 3) array, row k the anchor of keypoint k."""
 
     mesh: TriMesh
     solids: dict[int, tuple[tuple[float, float, float, float], ...]]
@@ -180,7 +160,9 @@ def build_humanoid(sample: PersonSample, seed: int) -> Humanoid:
 
     The per-part radii get a seeded jitter so bodies of equal mass still
     differ; a common factor then scales all radii so the closed-form total
-    equals the target volume.
+    equals the target volume. The keypoints of each part of the taxonomy
+    sit on the body axis, spread evenly over the part's height band from the
+    top down in id order.
     """
     stream = SplitMix64(seed)
     height = sample.height_m
@@ -197,11 +179,16 @@ def build_humanoid(sample: PersonSample, seed: int) -> Humanoid:
     # rings belongs to the larger part id of the pair, exactly as the
     # per-interval closed forms assume.
     rings: list[tuple[float, float, int]] = []
+    keypoint_map = default_taxonomy().keypoint_map
+    anchors = np.zeros((sum(map(len, keypoint_map.values())), 3))
     for idx, (pid, _) in enumerate(_STACK):
         z0, z1 = bounds[idx - 1] if idx else 0.0, bounds[idx]
         lo = z0 if idx == 0 or pid < _STACK[idx - 1][0] else z0 + _BOUNDARY_BAND
         hi = z1 if idx == len(_STACK) - 1 or pid < _STACK[idx + 1][0] else z1 - _BOUNDARY_BAND
         rings += [(lo, radii[pid], pid), (hi, radii[pid], pid)]
+        kps = sorted(keypoint_map.get(pid, ()))
+        for i, kp in enumerate(kps):
+            anchors[kp, 2] = z1 - (i + 1) / (len(kps) + 1) * (z1 - z0)
     unit_solids: dict[int, list[tuple[float, float, float, float]]] = {pid: [] for pid, _ in _STACK}
     for (z0, r0, p0), (z1, r1, p1) in zip(rings[:-1], rings[1:]):
         unit_solids[max(p0, p1)].append((z0, z1, r0, r1))
@@ -225,11 +212,6 @@ def build_humanoid(sample: PersonSample, seed: int) -> Humanoid:
     total_dm3 = float(np.float32(raw_total_dm3))
     fix = total_dm3 / raw_total_dm3
 
-    anchors = []
-    for fx, fz in _ANCHORS:
-        jx = 0.01 * height * (stream.uniform() - 0.5)
-        jy = 0.01 * height * (stream.uniform() - 0.5)
-        anchors.append((fx * height + jx, jy, fz * height))
     return Humanoid(
         mesh=_mesh_from_profile([(z, r * scale, pid) for z, r, pid in rings]),
         solids={
@@ -238,7 +220,7 @@ def build_humanoid(sample: PersonSample, seed: int) -> Humanoid:
         },
         part_volumes_dm3={pid: v * fix for pid, v in parts_dm3.items()},
         total_volume_dm3=total_dm3,
-        anchors=np.array(anchors),
+        anchors=anchors,
         head_anchor=(0.0, 0.0, _HEAD_CENTER_FRAC * height),
         disc_radius_m=max(radii.values()) * scale * _AREA_FIX + 0.06,
         height_m=height,
@@ -407,8 +389,9 @@ def _draw_camera(cfg: SceneConfig, rng: SplitMix64, birds_eye: bool) -> CameraPa
 _MAX_PLACE_ATTEMPTS = 200
 
 # A frame is tagged heavy_occlusion when at least this share of its in-image
-# keypoints is hidden. On the default scene at seeds 1-10 it tags 52 of 500
-# frames (0.3 would tag 28); no bird's-eye frame there hides over 0.02.
+# keypoints is hidden. On the default scene at seeds 1-10 it tags 60 of 500
+# frames (0.3 would tag 30); no bird's-eye frame there hides over 0.01. A
+# dense crowd hides more: perfbench's dense scene tags every frame.
 HEAVY_OCCLUSION_SHARE = 0.25
 
 
@@ -488,20 +471,20 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
             )
 
     boxes, depths, kx, ky, kz = _project_bodies(cfg, pool, camera, placed, frame_id)
+    kp_part = {kp: pid for pid, kps in default_taxonomy().keypoint_map.items() for kp in kps}
+    kp_parts = [kp_part[kp] for kp in range(len(kp_part))]
 
     # A keypoint is hidden when it leaves the image or falls inside the bbox
     # of another person nearer to the camera.
     visible = (0 <= kx) & (kx < cfg.image_w) & (0 <= ky) & (ky < cfg.image_h)
     inside = np.flatnonzero(visible)
     hidden = _occluded(boxes, depths, kx.reshape(-1)[inside], ky.reshape(-1)[inside], kz.reshape(-1)[inside],
-                       inside // len(_ANCHORS))
+                       inside // len(kp_parts))
     visible.reshape(-1)[inside[hidden]] = False
     tags = {"birds_eye"} if birds_eye else set()
     if len(inside) and np.count_nonzero(hidden) / len(inside) >= HEAVY_OCCLUSION_SHARE:
         tags.add("heavy_occlusion")
 
-    kp_part = {kp: pid for pid, kps in default_taxonomy().keypoint_map.items() for kp in kps}
-    kp_parts = [kp_part[kp] for kp in range(len(_ANCHORS))]
     persons = []
     rows = zip(placed, boxes.tolist(), kx.tolist(), ky.tolist(), visible.tolist())
     for i, ((index, _, _), bbox, xs, ys, flags) in enumerate(rows):
@@ -528,15 +511,17 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
 
 
 def _project_bodies(cfg: SceneConfig, pool: IdentityPool, camera: CameraParams, placed, frame_id: str):
-    """Bboxes (n, 4), depths (n,) and keypoint pixel x, y and depth (n, 17)
-    of the placed persons; a keypoint behind the camera gets pixel (-1, -1).
+    """Bboxes (n, 4), depths (n,) and keypoint pixel x, y and depth
+    (n, keypoints) of the placed persons.
 
     Each character's persons go through `_rigid` and `_pinhole` together, as
     (persons, points) arrays, so temporaries grow with one body and not with
     the frame. The points are the mesh vertices (the bbox is their extrema,
     clipped to the image), the keypoint anchors and the body centre (the
-    person's depth)."""
-    n, n_kp = len(placed), len(_ANCHORS)
+    person's depth). The anchors and the centre lie on the body axis between
+    the two cap centres, and `_rigid`'s depth is monotone along that axis,
+    so none of them is behind the camera when no mesh vertex is."""
+    n, n_kp = len(placed), len(pool.characters[0].body.anchors)
     boxes, depths = np.empty((n, 4)), np.empty(n)
     kx, ky, kz = np.empty((n, n_kp)), np.empty((n, n_kp)), np.empty((n, n_kp))
     members: dict[int, list[int]] = {}
@@ -553,10 +538,7 @@ def _project_bodies(cfg: SceneConfig, pool: IdentityPool, camera: CameraParams, 
             raise PlacementError(
                 f"frame {frame_id}: a body extends behind the camera; move the placement area away from the camera"
             )
-        front = z > 0
-        x, y = _pinhole(camera, x, y, np.where(front, z, 1.0))
-        x[~front] = -1.0
-        y[~front] = -1.0
+        x, y = _pinhole(camera, x, y, z)
         boxes[rows] = np.column_stack([
             np.maximum(0.0, x[:, :nv].min(axis=1)),
             np.maximum(0.0, y[:, :nv].min(axis=1)),

@@ -154,9 +154,6 @@ def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
     for i, (char, _, _, _, _) in enumerate(placed):
         keypoints = []
         for kp_id, cam_pt in enumerate(kp_cam[i]):
-            if cam_pt[2] <= 0:
-                keypoints.append(Keypoint(x=-1.0, y=-1.0, part_id=KEYPOINT_PART[kp_id], visible=False))
-                continue
             x, y = pixel(cam_pt, camera)
             visible = 0 <= x < cfg.image_w and 0 <= y < cfg.image_h
             if visible:

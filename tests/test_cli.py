@@ -160,7 +160,9 @@ def test_gen_builds_only_the_bodies_its_frames_use(tmp_path, monkeypatch, capsys
 
 # sha256 of `gen --seed 3`'s manifest.txt, recorded anew at data version
 # 0.4.0: the version line moved, and config_hash no longer covers the
-# dropped tag.night, tag.rain and tag.heavy_occlusion keys. config_hash is
+# dropped tag.night, tag.rain and tag.heavy_occlusion keys. Recorded anew at
+# 0.5.0, when the keypoints moved onto the body axis: only the version line
+# moved. config_hash is
 # taken over the values as the config reader parsed them. "noncanonical"
 # spells the shipped values otherwise, so its manifest is the default one.
 MANIFEST_CONFIGS = {
@@ -172,11 +174,11 @@ MANIFEST_CONFIGS = {
                             "frames.train=0\nframes.val=0\nframes.test=1\n",
 }
 MANIFEST_DIGESTS = {
-    "none": "9c4597927065f3a7265a26b020305f87ecd382e0b48faafb67820d11ace7e020",
-    "shipped": "9c4597927065f3a7265a26b020305f87ecd382e0b48faafb67820d11ace7e020",
-    "partial-model": "0eb93708c893f9a18b65d2075a1e247367fc8df3832908375b706d565bfe286e",
-    "noncanonical": "9c4597927065f3a7265a26b020305f87ecd382e0b48faafb67820d11ace7e020",
-    "noncanonical-changed": "d5f7acc768c1e7ffaed0ae01eebac8c7ea7409b9620e2e6ff7fe9963339de951",
+    "none": "dd933ac787050ebc320cbf87ad8773708c8e6619ce6f23eec67743c5bf8f3827",
+    "shipped": "dd933ac787050ebc320cbf87ad8773708c8e6619ce6f23eec67743c5bf8f3827",
+    "partial-model": "7d852457fc3033b96d59f589c7c8c398f4aae64efc5f39ad3f5fa162f9c41628",
+    "noncanonical": "dd933ac787050ebc320cbf87ad8773708c8e6619ce6f23eec67743c5bf8f3827",
+    "noncanonical-changed": "af59a756f419ae24b6e75bc21721b14064a6f3b3a191b083cf1b9625e114a623",
 }
 
 
@@ -376,22 +378,28 @@ def test_stats_stdout_digests(tmp_path, capsys):
 # recorded anew at 0.4.0: a frame that is not bird's-eye no longer draws the
 # night, rain and heavy_occlusion coin flips, so its camera, persons and
 # maps moved, heavy_occlusion is measured from the hidden keypoints, and the
-# manifest's version and config_hash changed.
+# manifest's version and config_hash changed. All six were recorded anew at
+# 0.5.0: the keypoint anchors moved onto the body axis inside their own
+# part's height band, so the keypoints, the heavy_occlusion tags, the
+# per-part maps and what is printed from them moved, and the manifest's
+# version line changed (decoupling PP-MAE 5.8038 -> 2.6283 dm3 at sigma 4).
 CHAIN_DIGESTS = {
-    "test.jsonl": "513b00d67b7784c68d9684610eb142a0e32e6e091c269bb4a8027647c66d15eb",
-    "manifest.txt": "ce2273f487dee52d4d3c6ff86722ff8440591cb53cf9b704cc3551677c55aa58",
-    "maps/*.vdm": "6e9ce98058b4973689d32699f6a8d4941e691a1aa0f19dfc8a0b563537de831a",
-    "maps.stdout": "ee44c5cfbd568d5310a667f63e0e26e464f83e166024e0a4e9ac9a8fb06229ad",
-    "eval-full.stdout": "c7b0eacf774c47f14ff270d286216a22b6f0bf40e40512e1eab66d5ae4b24424",
-    "eval-decoupling.stdout": "850cf45aa5c4328fc931ae652782cd8dc50485ca0afcc8badee7d63637f91d1d",
+    "test.jsonl": "8653050e22e9d703672b9a0c9f4867085361557c80dea7882a7444ebf668ca09",
+    "manifest.txt": "e29a4eda81ae81b0e8dd68da41e754bf6f20153d40b44e35ffe380d8fd65c180",
+    "maps/*.vdm": "f279e692e2dc073c688a9ebbce8ef5506b2086c2258e1fe7fc2961a11a3fc174",
+    "maps.stdout": "154cd7fa2fceb6acf2fe6e831c69be4e3d149d76d8b13b40c62767b95e2e0cf9",
+    "eval-full.stdout": "4937008bf2c7d7e540137925acc80752292e9a80ecb4655a57b5b083cc095665",
+    "eval-decoupling.stdout": "d39e8a70a47fb6b0e110c522782fd8b59a2f38928676527fcaf01c5c8eaaee97",
 }
+
+
+CHAIN_PAIRS = {"frames.train": "0", "frames.val": "0", "frames.test": "6", "persons.min": "10", "persons.max": "20"}
 
 
 def chain_digests(root: Path, capsys) -> dict[str, str]:
     import hashlib
 
-    cfg = write_cfg(root, {"frames.train": "0", "frames.val": "0", "frames.test": "6",
-                           "persons.min": "10", "persons.max": "20"})
+    cfg = write_cfg(root, CHAIN_PAIRS)
     outputs = {}
     for name, argv in (
         ("gen", ["gen", "--config", cfg, "--seed", "3", "--out", str(root / "g")]),
@@ -412,6 +420,37 @@ def chain_digests(root: Path, capsys) -> dict[str, str]:
 
 def test_chain_output_digests(tmp_path, capsys):
     assert chain_digests(tmp_path, capsys) == CHAIN_DIGESTS
+
+
+# sha256 of the chain's outputs that no keypoint reaches: its JSONL with each
+# person's keypoints and the heavy_occlusion tag dropped, plain maps at sigma
+# 0 and 4, and the dumped meshes. Recorded at data version 0.4.0; they held
+# at 0.5.0, when the keypoint anchors moved onto the body axis.
+BODY_DIGESTS = {
+    "test.jsonl without keypoints": "252909de23f12b23b707dfa02c9fc4fd6e6e0190f7edbb258ebeb48cdd19cf34",
+    "maps-sigma0/*.vdm": "6813861c172776d70fbf571629f16b3641247f32b9418653ed9b5978fc3ddfa6",
+    "maps-sigma4/*.vdm": "15f7729917caeae7ed8e9fe7ec9a63b7874acdff4bf8a6c08a65c00661538b29",
+    "g/meshes/*": "30364762006c2987dc378996ee943e2aee2398dabb0f020d0e84c367f5ae690b",
+}
+
+
+def test_keypoints_move_no_body_camera_or_plain_map_byte(tmp_path):
+    import hashlib
+
+    cfg = write_cfg(tmp_path, CHAIN_PAIRS)
+    assert run("gen", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "g"), "--dump-meshes") == 0
+    for sigma in ("0", "4"):
+        assert run("maps", str(tmp_path / "g" / "test.jsonl"), "--out", str(tmp_path / f"maps-sigma{sigma}"),
+                   "--sigma", sigma) == 0
+    frames = [json.loads(line) for line in (tmp_path / "g" / "test.jsonl").read_text().splitlines()]
+    for frame in frames:
+        frame["scene_tags"] = [tag for tag in frame["scene_tags"] if tag != "heavy_occlusion"]
+        for person in frame["persons"]:
+            del person["keypoints"]
+    outputs = {"test.jsonl without keypoints": json.dumps(frames, sort_keys=True).encode("utf-8")}
+    for pattern in list(BODY_DIGESTS)[1:]:
+        outputs[pattern] = b"".join(p.read_bytes() for p in sorted(tmp_path.glob(pattern)))
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == BODY_DIGESTS
 
 
 def test_label_missing_file_exit_2(tmp_path):
@@ -560,6 +599,20 @@ def test_eval_decoupling_protocol(dataset, tmp_path):
     text = (out / "report.csv").read_text()
     assert "ppmae,0.0" in text
     assert "misses,0" in text
+
+
+def test_eval_decoupling_scores_sigma0_part_maps_as_their_own_ground_truth(tmp_path, capsys):
+    # Each keypoint lies in its own person's bbox, so the per-part map puts
+    # every kept person's volume inside their bbox; only float32 storage is left.
+    assert run("gen", "--seed", "3", "--out", str(tmp_path / "g")) == 0
+    assert run("maps", str(tmp_path / "g" / "test.jsonl"), "--out", str(tmp_path / "maps"),
+               "--sigma", "0", "--per-part") == 0
+    capsys.readouterr()
+    assert run("eval", "--gt", str(tmp_path / "g" / "test.jsonl"), "--preds", str(tmp_path / "maps"),
+               "--protocol", "decoupling", "--out", str(tmp_path / "e")) == 0
+    report = dict(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert int(report["kept"]) > 0
+    assert float(report["ppmae"]) <= 1e-5
 
 
 def test_eval_bins_outputs(dataset, tmp_path):

@@ -125,7 +125,7 @@ def test_report_excludes_empty_frames_from_ppmae():
     report = compute_report(records)
     assert report.k == 2
     assert report.ppmae_k == 1
-    assert report.empty_frames == 1
+    assert report.k - report.ppmae_k == 1  # the empty frame
     assert report.ppmae == 5.0
     assert report.mae == 10.0
 

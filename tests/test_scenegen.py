@@ -8,9 +8,10 @@ import pytest
 from crowdvol import anthro, evalharness, meshvol, scenegen
 from crowdvol.cli import main
 from crowdvol.datamodel import default_taxonomy, frame_to_json_line
+from crowdvol.densitymap import integrate, render_ppvdm
 from crowdvol.rng import SplitMix64, mix_seed
 from crowdvol.special import ndtri
-from conftest import generate_dataset, identity_camera, part_id, uniforms
+from conftest import DENSE_PAIRS, generate_dataset, identity_camera, part_id, smoothing, uniforms
 
 
 def small_cfg(**overrides):
@@ -44,23 +45,6 @@ def test_project_hand_arithmetic():
     assert y == 540.0 + 900.0 * 0.25 / 2.0
 
 
-def test_keypoint_behind_camera_is_off_image():
-    # The body's lateral axis points along the camera's, and the body stands
-    # just far enough away that its mesh is in front of the camera while the
-    # right-hand keypoints are behind it.
-    cfg = small_cfg()
-    pool = scenegen.build_identity_pools(cfg, 0)["test"]
-    body = pool.characters[0].body
-    rot = ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0))
-    shift = (0.0, 0.0, float(body.mesh.vertices[:, 0].max()) + 0.01)
-    boxes, depths, kx, ky, kz = scenegen._project_bodies(cfg, pool, identity_camera(), [(0, rot, shift)], "f")
-    behind = kz[0] <= 0
-    assert 0 < behind.sum() < len(behind)
-    assert kx[0][behind].tolist() == ky[0][behind].tolist() == [-1.0] * int(behind.sum())
-    assert depths[0] == shift[2]
-    assert boxes.shape == (1, 4)
-
-
 def test_look_at_camera_centers_target():
     cam = scenegen.look_at_camera((0.0, -2.0, 1.5), (0.0, 5.0, 1.0), 600.0, 600.0, 320.0, 240.0)
     x, y = project(cam, (0.0, 5.0, 1.0))
@@ -89,6 +73,17 @@ def test_humanoid_torso_anchor_count():
     torso_kps = tax.keypoint_map[part_id(tax, "torso")]
     assert body.anchors.shape == (17, 3)
     assert sum(1 for kp in range(len(body.anchors)) if kp in torso_kps) == 5
+
+
+def test_humanoid_anchors_lie_on_the_axis_inside_their_parts_band():
+    sample = anthro.sample_population(anthro.model_from_config({}), 1, seed=5)[0]
+    body = scenegen.build_humanoid(sample, seed=2)
+    assert not body.anchors[:, :2].any()
+    for pid, kps in default_taxonomy().keypoint_map.items():
+        z = body.mesh.vertices[body.mesh.vertex_labels == pid, 2]
+        heights = body.anchors[sorted(kps), 2]
+        assert np.all((z.min() < heights) & (heights < z.max())), pid
+        assert np.all(np.diff(heights) < 0), pid  # from the top down in id order
 
 
 def test_humanoid_deterministic():
@@ -250,6 +245,46 @@ def test_heavy_occlusion_tags_the_frames_whose_hidden_share_reaches_the_threshol
                 assert ("heavy_occlusion" in frame["scene_tags"]) == heavy, frame["frame_id"]
                 outcomes.add(heavy)
     assert outcomes == {True, False}
+
+
+@pytest.fixture(scope="module")
+def default_scenes():
+    """Every frame of the default scene at seeds 1-3."""
+    cfg = scenegen.scene_config_from_pairs({})
+    return [f for seed in (1, 2, 3) for frames in generate_dataset(cfg, seed).values() for f in frames]
+
+
+def in_image_keypoints_outside_their_bbox(frames) -> list[str]:
+    return [
+        f"{person.person_id} keypoint {kp}"
+        for frame in frames
+        for person in frame.persons
+        for kp, (x, y, _, _) in enumerate(person.keypoints)
+        if 0 <= x < frame.image_w and 0 <= y < frame.image_h
+        and not (person.bbox_px[0] <= x <= person.bbox_px[2] and person.bbox_px[1] <= y <= person.bbox_px[3])
+    ]
+
+
+def test_every_in_image_keypoint_lies_in_its_own_bbox(default_scenes):
+    assert in_image_keypoints_outside_their_bbox(default_scenes) == []
+    dense = generate_dataset(scenegen.scene_config_from_pairs(DENSE_PAIRS), seed=1)["test"]
+    assert len(dense) == 2
+    assert in_image_keypoints_outside_their_bbox(dense) == []
+
+
+def test_sigma0_part_map_holds_each_kept_persons_volume_in_their_bbox(default_scenes):
+    # A map's mass over a region is the volume in it: each person that
+    # decoupling keeps (no other bbox overlaps theirs) finds exactly their
+    # own volume inside their bbox.
+    kept = 0
+    for frame in default_scenes:
+        dmap = render_ppvdm(frame, default_taxonomy(), smoothing(sigma_px=0.0))
+        overlapping = evalharness._overlapping([p.bbox_px for p in frame.persons], 0.0)
+        for person, overlaps in zip(frame.persons, overlapping):
+            if not overlaps:
+                kept += 1
+                assert integrate(dmap, person.bbox_px) == pytest.approx(person.volume_dm3, rel=1e-12, abs=0)
+    assert kept > 100
 
 
 # ---------------------------------------------------------------------------
