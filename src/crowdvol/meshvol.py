@@ -42,19 +42,7 @@ class NonWatertightError(MeshError):
         super().__init__(f"mesh is not watertight; offending edges: {preview}{more}")
 
 
-class InvertedOrientationError(MeshError):
-    pass
-
-
-class CollinearPointsError(MeshError):
-    pass
-
-
 class PlaneFitError(MeshError):
-    pass
-
-
-class NonTreeAdjacencyError(MeshError):
     pass
 
 
@@ -195,9 +183,7 @@ def signed_volume(mesh: TriMesh) -> float:
     if abs(vol) <= _ZERO_VOLUME_ULPS * np.finfo(np.float64).eps * diagonal**3:
         return 0.0
     if vol < 0:
-        raise InvertedOrientationError(
-            f"mesh encloses negative volume {vol}; orientation is inverted"
-        )
+        raise MeshError(f"mesh encloses negative volume {vol}; orientation is inverted")
     return vol
 
 
@@ -262,13 +248,13 @@ def fit_boundary_plane(points, tol: float = DEFAULT_PLANE_TOL) -> PlaneFit:
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n_pts = len(pts)
     if n_pts < 3:
-        raise CollinearPointsError(f"need at least 3 points, got {n_pts}")
+        raise PlaneFitError(f"need at least 3 points, got {n_pts}")
     lsq = _least_squares_plane(pts)
     if lsq is None:
-        raise CollinearPointsError("all points are collinear")
+        raise PlaneFitError("all points are collinear")
     normals, offsets = _candidate_planes(pts, lsq)
     if len(normals) == 0:
-        raise CollinearPointsError("no valid candidate planes; points are collinear")
+        raise PlaneFitError("no valid candidate planes; points are collinear")
 
     dists = pts @ normals.T  # (n_pts, n_candidates)
     dists -= offsets
@@ -285,11 +271,10 @@ def fit_boundary_plane(points, tol: float = DEFAULT_PLANE_TOL) -> PlaneFit:
         sq = dists[:, tied]
         sq *= sq
         sq[inside[:, tied]] = 0.0
-        # The bits must match a sum over all candidates. numpy sums an
-        # (n, k) array over axis 0 row by row when k > 1 but pairwise when
-        # k == 1, so cumsum, always row by row, stands in for the sum unless
-        # there is one candidate only.
-        sq_outside = np.cumsum(sq, axis=0)[-1] if len(normals) > 1 else sq.sum(axis=0)
+        # The bits must match numpy's sum over all candidates, taken row by
+        # row, as cumsum is, when there are two or more. A single candidate
+        # comes from three points, and its plane traverses all of them.
+        sq_outside = np.cumsum(sq, axis=0)[-1]
         rms = np.sqrt(sq_outside / n_outside)
     # lexsort is stable and keyed from the last array backwards; the first
     # row after sorting realizes the total tie-break order.
@@ -491,9 +476,7 @@ def part_adjacency(mesh: TriMesh) -> tuple[list[int], dict[tuple[int, int], np.n
 def _tree_adjacency(parts: list[int], pairs: list[tuple[int, int]]) -> dict[int, set[int]]:
     """Neighbors of each part; raises unless the pairs form a spanning tree."""
     if len(pairs) != len(parts) - 1:
-        raise NonTreeAdjacencyError(
-            f"part adjacency is not a tree: {len(parts)} parts, {len(pairs)} boundaries"
-        )
+        raise MeshError(f"part adjacency is not a tree: {len(parts)} parts, {len(pairs)} boundaries")
     adj: dict[int, set[int]] = {p: set() for p in parts}
     for a, b in pairs:
         adj[a].add(b)
@@ -506,7 +489,7 @@ def _tree_adjacency(parts: list[int], pairs: list[tuple[int, int]]) -> dict[int,
                 seen.add(nbr)
                 stack.append(nbr)
     if len(seen) != len(parts):
-        raise NonTreeAdjacencyError("part adjacency graph is disconnected")
+        raise MeshError("part adjacency graph is disconnected")
     return adj
 
 
@@ -518,9 +501,6 @@ def split_parts(mesh: TriMesh, taxonomy: PartTaxonomy, tol: float = DEFAULT_PLAN
     the leaf's side is measured. Splits are exactly volume-additive, so the
     parts close to the whole-mesh volume.
     """
-    labels = mesh.vertex_labels
-    if labels is None:
-        raise ValidationError("split_parts requires per-vertex part labels")
     parts, boundaries = part_adjacency(mesh)
     unknown = set(parts) - set(taxonomy.part_ids)
     if unknown:
@@ -530,9 +510,9 @@ def split_parts(mesh: TriMesh, taxonomy: PartTaxonomy, tol: float = DEFAULT_PLAN
         return PartVolumes(volumes={parts[0]: total_dm3}, total_dm3=total_dm3)
     adj = _tree_adjacency(parts, list(boundaries))
 
-    bare = TriMesh(vertices=mesh.vertices, faces=mesh.faces)
+    labels = mesh.vertex_labels
     volumes: dict[int, float] = {}
-    remaining = bare
+    remaining = mesh
     live = set(parts)
     pending = np.ones(len(labels), dtype=bool)  # vertices of the parts not yet measured
     while len(live) > 1:

@@ -975,6 +975,17 @@ def bad_inputs(tmp_path_factory):
     pinch = make_pinched_octahedra()
     write_obj(pinch, root / "pinch.obj")
     write_vertex_labels(np.where(pinch.vertices[:, 2] < 0, 8, 0), root / "pinch.labels")
+    write_obj(make_box(flip=True), root / "flipped.obj")
+    slab = {(0, 0, 0): 0, (1, 0, 0): 1, (0, 1, 0): 2, (1, 1, 0): 2}  # parts 0, 1 and 2 pairwise adjacent
+    for name, voxels in {"cycle": slab, "disconnected": {**slab, (4, 0, 0): 3}}.items():
+        body = make_voxel_body(voxels)
+        write_obj(body, root / f"{name}.obj")
+        write_vertex_labels(body.vertex_labels, root / f"{name}.labels")
+    bar = make_voxel_body({(0, 0, 0): 1, (1, 0, 0): 1})
+    write_obj(bar, root / "bar.obj")
+    on_line = (bar.vertices[:, 1] == 0) & (bar.vertices[:, 2] == 0)  # x = 0, 1 and 2 on the line y = z = 0
+    write_vertex_labels(np.where(on_line, 0, 1), root / "collinear.labels")
+    write_vertex_labels(np.where(on_line & (bar.vertices[:, 0] < 2), 0, 1), root / "two-points.labels")
     (root / "twice.cfg").write_text("image_w=640\nimage_w=800\n")
     (root / "all.jsonl").write_text("".join((data / f"{split}.jsonl").read_text() for split in ("train", "val", "test")))
     (root / "no_maps").mkdir()
@@ -1176,6 +1187,16 @@ ERROR_CASES = {
     "placement": (GEN, {"persons.min": "40", "persons.max": "40", "area.w": "0.5", "area.d": "0.5"}, 3,
                   "could not place"),
     "not-watertight": ("label {root}/open.obj {labels}", None, 4, "mesh is not watertight"),
+    "inverted-orientation": ("label {root}/flipped.obj {labels}", None, 2,
+                             "mesh encloses negative volume -1.0; orientation is inverted\n"),
+    "part-cycle": ("label {root}/cycle.obj {root}/cycle.labels", None, 2,
+                   "part adjacency is not a tree: 3 parts, 3 boundaries\n"),
+    "parts-disconnected": ("label {root}/disconnected.obj {root}/disconnected.labels", None, 2,
+                           "part adjacency graph is disconnected\n"),
+    "frontier-collinear": ("label {root}/bar.obj {root}/collinear.labels", None, 2,
+                           "plane fit failed between parts 0 and 1: all points are collinear\n"),
+    "frontier-two-points": ("label {root}/bar.obj {root}/two-points.labels", None, 2,
+                            "plane fit failed between parts 0 and 1: need at least 3 points, got 2\n"),
     "labels-vertex-twice": ("label {cube} {root}/twice.labels", None, 2,
                             "{root}/twice.labels: vertex 1 labeled again at line 4"),
     "config-key-twice": ("gen --out {root}/g --config {root}/twice.cfg", None, 2,

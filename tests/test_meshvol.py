@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from crowdvol.rng import SplitMix64
 from conftest import (
     PLANE_CROSSES_PART,
     make_box,
+    make_frusta_body,
     make_icosphere,
     make_pinched_octahedra,
     make_random_convex,
@@ -47,7 +49,7 @@ def test_icosphere_close_to_and_below_ball():
 
 
 def test_inverted_orientation_is_an_error():
-    with pytest.raises(meshvol.InvertedOrientationError):
+    with pytest.raises(meshvol.MeshError):
         meshvol.signed_volume(make_box(flip=True))
 
 
@@ -220,9 +222,19 @@ def test_three_points_unique_plane():
     assert np.allclose(np.abs(pts @ fit.plane.normal - fit.plane.offset), 0.0, atol=1e-12)
 
 
+def test_three_point_fit_has_one_candidate_that_traverses_every_point():
+    # the only fit with a single candidate, so its RMS is never summed
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1]], dtype=float)
+    normals, _ = meshvol._candidate_planes(pts, meshvol._least_squares_plane(pts))
+    assert len(normals) == 1
+    fit = meshvol.fit_boundary_plane(pts, tol=1e-6)
+    assert fit.traversed.tolist() == [0, 1, 2]
+    assert fit.rms_distance == 0.0
+
+
 def test_collinear_points_error():
     pts = np.array([[float(i), 2.0 * i, 0.0] for i in range(6)])
-    with pytest.raises(meshvol.CollinearPointsError):
+    with pytest.raises(meshvol.PlaneFitError):
         meshvol.fit_boundary_plane(pts)
 
 
@@ -473,7 +485,7 @@ def test_non_tree_adjacency_rejected():
     cube = make_box()
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1], dtype=np.int64)
     mesh = TriMesh(vertices=cube.vertices, faces=cube.faces, vertex_labels=labels)
-    with pytest.raises(meshvol.NonTreeAdjacencyError):
+    with pytest.raises(meshvol.MeshError):
         meshvol.split_parts(mesh, default_taxonomy())
 
 
@@ -495,6 +507,52 @@ def test_single_face_parts_split_or_fail_plane_fit():
             split += 1
             assert abs(sum(parts.volumes.values()) - hull_volume * 1000.0) <= 1e-9 * hull_volume * 1000.0
     assert split > 0
+
+
+# sha256 over (normal, offset, rms_distance) as float64 bytes, in call order,
+# of every fit_boundary_plane call that split_parts makes, and the number of
+# calls: on the two frusta bodies of test_cli.LABEL_DIGESTS, and on
+# make_random_convex hulls (seeds 0-9) labeled part 0 above their median
+# height and part 1 at or below it. Recorded from the plane fit that summed
+# the squares of a single candidate pairwise, before that branch went.
+PLANE_FIT_DIGESTS = {
+    "frusta": (6, "70c3d5464f181723571f0ed6b4be336bafa7c9dd873eb800b87d6de455705269"),
+    "hulls": (10, "2e9811cb0c908ad22bfbf4c1ac5b82f610967fa33629547dc3d8f5c9d065f724"),
+}
+
+
+def _plane_fit_digest(meshes, monkeypatch) -> tuple[int, str]:
+    fits = []
+    fit_boundary_plane = meshvol.fit_boundary_plane
+
+    def recording(*args, **kwargs):
+        fits.append(fit_boundary_plane(*args, **kwargs))
+        return fits[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(meshvol, "fit_boundary_plane", recording)
+        for mesh in meshes:
+            try:
+                meshvol.split_parts(mesh, default_taxonomy())
+            except meshvol.PlaneFitError:  # raised after the fit it checks
+                pass
+    assert any(fit.rms_distance > 0.0 for fit in fits)
+    digest = hashlib.sha256()
+    for fit in fits:
+        digest.update(np.concatenate([fit.plane.normal, [fit.plane.offset, fit.rms_distance]]).tobytes())
+    return len(fits), digest.hexdigest()
+
+
+def test_split_parts_plane_fits_keep_their_bits(monkeypatch):
+    hulls = []
+    for seed in range(10):
+        hull, _ = make_random_convex(seed)
+        z = hull.vertices[:, 2]
+        hulls.append(TriMesh(vertices=hull.vertices, faces=hull.faces,
+                             vertex_labels=np.where(z > np.median(z), 0, 1)))
+    frusta = [make_frusta_body(12, 3), make_frusta_body(48, 5)]
+    assert {"frusta": _plane_fit_digest(frusta, monkeypatch),
+            "hulls": _plane_fit_digest(hulls, monkeypatch)} == PLANE_FIT_DIGESTS
 
 
 def test_part_volumes_closure_validator():
