@@ -8,7 +8,8 @@ Exit codes:
   0  success
   2  a bad flag, config, input file or output path: a missing or unreadable
      file, a file that does not parse or breaks an invariant, a value out
-     of range, a scene whose bodies cannot be built or sampled
+     of range, input values whose sum overflows, a scene whose bodies
+     cannot be built or sampled
   3  persons could not be placed in a frame
   4  a mesh is not watertight
   5  a map's mass does not match its frame's annotated volume (`maps`)
@@ -322,16 +323,18 @@ def main(argv=None) -> int:
     """Run one subcommand. This is the one place where an error becomes an
     exit code: PlacementError, NonWatertightError and SamplingError carry
     theirs as `exit_code`, any other OSError or ValueError (ParseError,
-    ValidationError, EvalError, MeshError, BodyBuildError) gives 2, and any
+    ValidationError, EvalError, MeshError, BodyBuildError) gives 2, and so
+    does an OverflowError, a sum of input values past the float range. Any
     other RuntimeError is a bug and propagates. A maps conservation failure
     is a result, returned as 5."""
     args = build_parser().parse_args(argv)
+    bad_input = (OSError, ValueError, OverflowError)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warn
             return args.func(args)
-    except (OSError, ValueError, RuntimeError) as exc:
-        code = getattr(exc, "exit_code", EXIT_CONFIG if isinstance(exc, (OSError, ValueError)) else None)
+    except (*bad_input, RuntimeError) as exc:
+        code = getattr(exc, "exit_code", EXIT_CONFIG if isinstance(exc, bad_input) else None)
         if code is None:
             raise
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ import numpy as np
 PART_CLOSURE_REL_TOL = 1e-6
 
 VDM_MAGIC = b"VDM1"
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest value a VDM1 file holds
 
 
 class ValidationError(ValueError):
@@ -111,7 +112,10 @@ class FrameAnnotation:
                     raise ValidationError(f"{ctx}: part_volumes_dm3 has unknown part id {pid}")
                 if not 0 <= v < math.inf:
                     raise ValidationError(f"{ctx}: part_volumes_dm3[{pid}] must be >= 0 and finite")
-            total = math.fsum(person.part_volumes_dm3.values())
+            try:
+                total = math.fsum(person.part_volumes_dm3.values())
+            except OverflowError:
+                raise ValidationError(f"{ctx}: part_volumes_dm3 sum overflows") from None
             if abs(total - person.volume_dm3) > PART_CLOSURE_REL_TOL * person.volume_dm3:
                 raise ValidationError(
                     f"{ctx}: part_volumes_dm3 sum {total!r} does not close to volume_dm3 "
@@ -128,6 +132,15 @@ class FrameAnnotation:
                 raise ValidationError(f"{ctx}: head_px {person.head_px} outside [0,{w})x[0,{h})")
             if not (0 <= x0 and x1 <= w and 0 <= y0 and y1 <= h):
                 raise ValidationError(f"{ctx}: bbox_px {person.bbox_px} outside [0,{w}]x[0,{h}]")
+        try:
+            self.total_volume_dm3
+        except OverflowError:  # name the person whose volume takes the running total past the float range
+            for k, person in enumerate(self.persons):
+                try:
+                    math.fsum(p.volume_dm3 for p in self.persons[: k + 1])
+                except OverflowError:
+                    raise ValidationError(f"frame {self.frame_id!r}, person {person.person_id!r}: "
+                                          "the frame's total volume_dm3 overflows here") from None
 
     @property
     def n_persons(self) -> int:
@@ -189,7 +202,8 @@ def default_taxonomy() -> PartTaxonomy:
 
 @dataclass(frozen=True)
 class DensityMap:
-    """Single-channel raster in dm^3 per pixel, row-major from the top-left."""
+    """Single-channel raster in dm^3 per pixel, row-major from the top-left;
+    each value lies in [0, FLOAT32_MAX], so a VDM1 file can hold it."""
 
     width: int
     height: int
@@ -201,8 +215,9 @@ class DensityMap:
             raise ValidationError(
                 f"density map shape {vals.shape} does not match {self.height}x{self.width}"
             )
-        if vals.size and not (vals.min() >= 0 and vals.max() < math.inf):
-            raise ValidationError("density map values must be finite and non-negative")
+        if vals.size and not (vals.min() >= 0 and vals.max() <= FLOAT32_MAX):
+            raise ValidationError(f"density map values must be finite and non-negative, "
+                                  f"at most float32's largest {FLOAT32_MAX!r}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

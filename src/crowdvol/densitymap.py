@@ -85,7 +85,10 @@ def _stamp_all(frame: FrameAnnotation, stamps: list[tuple[float, float, float]],
             up, down = min(iy, radius), min(h - 1 - iy, radius)
             kernel = _kernel(factors, radius, left, right, up, down)
             acc[iy - up : iy + down + 1, ix - left : ix + right + 1] += mass * kernel
-    return DensityMap(width=w, height=h, values=acc)
+    try:
+        return DensityMap(width=w, height=h, values=acc)
+    except ValidationError as exc:  # a pixel past what float32 holds
+        raise ValidationError(f"frame {frame.frame_id!r}: {exc}") from None
 
 
 def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig) -> DensityMap:

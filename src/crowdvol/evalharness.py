@@ -1,9 +1,9 @@
 """Evaluation protocols over ground-truth annotations and predictions.
 
-Predictions are either per-frame scalars (dm^3) or density maps; protocols
-cover full-set metrics, per-person decoupling with a detection threshold,
-crowd-size binning, tag-based subset filtering, and the mean-volume
-reference estimator.
+Predictions map each frame id to a scalar total (dm^3), an in-memory
+density map, or the path of a .vdm map that is read only when a protocol
+reaches its frame. Protocols cover full-set metrics, per-person decoupling
+with a detection threshold, crowd-size binning and tag-based subset presets.
 """
 from __future__ import annotations
 
@@ -26,31 +26,9 @@ class EvalError(ValueError):
 # Predictions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PredictionSet:
-    """Per-frame predictions by frame id: a scalar total (dm^3), an
-    in-memory density map, or the path of a .vdm map that is read only when
-    a protocol reaches its frame."""
+Predictions = dict[str, float | DensityMap | Path]  # by frame id
 
-    by_frame: dict[str, float | DensityMap | Path]
-
-    def has(self, frame_id: str) -> bool:
-        return frame_id in self.by_frame
-
-    def is_map(self, frame_id: str) -> bool:
-        return isinstance(self.by_frame.get(frame_id), (DensityMap, Path))
-
-    def map_for(self, frame_id: str) -> DensityMap:
-        """The frame's map; a map on disk is read anew on every call."""
-        pred = self.by_frame.get(frame_id)
-        if isinstance(pred, Path):
-            return read_vdm(pred)
-        if isinstance(pred, DensityMap):
-            return pred
-        raise EvalError(f"no density-map prediction for frame {frame_id!r}")
-
-
-def load_predictions_csv(path) -> PredictionSet:
+def load_predictions_csv(path) -> dict[str, float]:
     """CSV with header frame_id,V_pred_dm3: one row per frame, each value a
     finite number >= 0. Anything else raises ParseError naming the line."""
     values: dict[str, float] = {}
@@ -65,17 +43,17 @@ def load_predictions_csv(path) -> PredictionSet:
         if frame_id in values:
             raise ParseError(f"{where}: duplicate frame_id {frame_id!r}")
         values[frame_id] = value
-    return PredictionSet(values)
+    return values
 
 
-def load_prediction_maps(directory) -> PredictionSet:
+def load_prediction_maps(directory) -> dict[str, Path]:
     """Directory of <frame_id>.vdm files, indexed by frame id; no map is read
     here."""
-    return PredictionSet({p.stem: p for p in sorted(Path(directory).glob("*.vdm"))})
+    return {p.stem: p for p in sorted(Path(directory).glob("*.vdm"))}
 
 
 # ---------------------------------------------------------------------------
-# Dataset statistics and reference estimators
+# Dataset statistics
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -110,8 +88,14 @@ def dataset_stats(frames: list[FrameAnnotation]) -> DatasetStats:
 # Protocols
 # ---------------------------------------------------------------------------
 
-def _frame_map(preds: PredictionSet, frame: FrameAnnotation) -> DensityMap:
-    dmap = preds.map_for(frame.frame_id)
+def _frame_map(preds: Predictions, frame: FrameAnnotation) -> DensityMap:
+    """The frame's map, checked against its image size; a map on disk is
+    read anew on every call."""
+    dmap = preds.get(frame.frame_id)
+    if isinstance(dmap, Path):
+        dmap = read_vdm(dmap)
+    elif not isinstance(dmap, DensityMap):
+        raise EvalError(f"no density-map prediction for frame {frame.frame_id!r}")
     if dmap.width != frame.image_w or dmap.height != frame.image_h:
         raise EvalError(
             f"frame {frame.frame_id!r}: map size {dmap.width}x{dmap.height} "
@@ -120,16 +104,18 @@ def _frame_map(preds: PredictionSet, frame: FrameAnnotation) -> DensityMap:
     return dmap
 
 
-def build_records(frames: list[FrameAnnotation], preds: PredictionSet) -> list[EvalRecord]:
+def build_records(frames: list[FrameAnnotation], preds: Predictions) -> list[EvalRecord]:
     """One record per frame; each map prediction is fetched once, checked
     against the image size and reduced to its total before the next."""
-    missing = [f.frame_id for f in frames if not preds.has(f.frame_id)]
+    missing = [f.frame_id for f in frames if f.frame_id not in preds]
     if missing:
         more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
         raise EvalError(f"missing predictions for frames: {', '.join(missing[:8])}{more}")
     records = []
     for f in frames:
-        v_pred = _frame_map(preds, f).total() if preds.is_map(f.frame_id) else preds.by_frame[f.frame_id]
+        v_pred = preds[f.frame_id]
+        if isinstance(v_pred, (DensityMap, Path)):
+            v_pred = _frame_map(preds, f).total()
         records.append(
             EvalRecord(frame_id=f.frame_id, v_true=f.total_volume_dm3, v_pred=v_pred, n_persons=f.n_persons)
         )
@@ -142,7 +128,7 @@ class FullReport:
     per_tag: dict[str, MetricsReport]
 
 
-def evaluate_full(frames: list[FrameAnnotation], preds: PredictionSet) -> FullReport:
+def evaluate_full(frames: list[FrameAnnotation], preds: Predictions) -> FullReport:
     """Frame-level metric suite, plus the same metrics stratified per tag."""
     records = build_records(frames, preds)
     per_tag = {tag: compute_report([r for r, f in zip(records, frames) if tag in f.scene_tags])
@@ -184,7 +170,7 @@ class DecouplingReport:
 
 def decoupling_eval(
     frames: list[FrameAnnotation],
-    pred_maps: PredictionSet,
+    pred_maps: Predictions,
     min_volume_dm3: float = 10.0,
     iou_threshold: float = 0.0,
 ) -> DecouplingReport:
@@ -234,7 +220,7 @@ class CrowdBin:
 
 
 def crowd_size_bins(
-    frames: list[FrameAnnotation], preds: PredictionSet, bin_edges: list[float]
+    frames: list[FrameAnnotation], preds: Predictions, bin_edges: list[float]
 ) -> list[CrowdBin]:
     """Partition frames by person count into [e_i, e_{i+1}) and report per bin."""
     if len(bin_edges) < 2 or not all(a < b for a, b in zip(bin_edges[:-1], bin_edges[1:])):
@@ -247,29 +233,19 @@ def crowd_size_bins(
     return bins
 
 
-S1_EXCLUDE_TAGS = frozenset({"heavy_occlusion"})
-S2_INCLUDE_TAGS = frozenset({"birds_eye"})
-
-
-def filter_subset(
-    frames: list[FrameAnnotation],
-    include_tags=(),
-    exclude_tags=(),
-) -> list[FrameAnnotation]:
-    """Keep frames carrying every include tag and none of the exclude tags."""
-    include = frozenset(include_tags)
-    exclude = frozenset(exclude_tags)
-    return [f for f in frames if include <= f.scene_tags and not exclude & f.scene_tags]
+# Subset presets: (tags a frame must carry, tags it must not carry).
+SUBSETS = {
+    "all": (frozenset(), frozenset()),
+    "S1": (frozenset(), frozenset({"heavy_occlusion"})),
+    "S2": (frozenset({"birds_eye"}), frozenset()),
+}
 
 
 def apply_subset_preset(frames: list[FrameAnnotation], name: str) -> list[FrameAnnotation]:
-    if name == "all":
-        return list(frames)
-    if name == "S1":
-        return filter_subset(frames, exclude_tags=S1_EXCLUDE_TAGS)
-    if name == "S2":
-        return filter_subset(frames, include_tags=S2_INCLUDE_TAGS)
-    raise EvalError(f"unknown subset preset {name!r}; expected all, S1, or S2")
+    if name not in SUBSETS:
+        raise EvalError(f"unknown subset preset {name!r}; expected {', '.join(SUBSETS)}")
+    include, exclude = SUBSETS[name]
+    return [f for f in frames if include <= f.scene_tags and not exclude & f.scene_tags]
 
 
 # ---------------------------------------------------------------------------

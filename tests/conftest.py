@@ -19,7 +19,6 @@ from crowdvol.datamodel import (
     TriMesh,
 )
 from crowdvol.densitymap import SmoothingConfig
-from crowdvol.evalharness import PredictionSet
 from crowdvol.metrics import ScatterPoint
 from crowdvol.rng import SplitMix64
 
@@ -70,10 +69,10 @@ def generate_dataset(cfg: scenegen.SceneConfig, seed: int, workers: int = 1) -> 
     return {split: scenegen.generate_split(cfg, pools[split], seed, workers) for split in scenegen.SPLIT_NAMES}
 
 
-def oracular_count_estimator(frames: list[FrameAnnotation], mean_volume_dm3: float) -> PredictionSet:
+def oracular_count_estimator(frames: list[FrameAnnotation], mean_volume_dm3: float) -> dict[str, float]:
     """Counting-based reference fed with ground-truth person counts:
     V_hat = count * dataset mean person volume."""
-    return PredictionSet({f.frame_id: f.n_persons * mean_volume_dm3 for f in frames})
+    return {f.frame_id: f.n_persons * mean_volume_dm3 for f in frames}
 
 
 def scatter_ratio(point: ScatterPoint) -> float | None:

@@ -201,7 +201,7 @@ def test_criterion_6_decoupling_protocol():
     with _Budget(6, "decoupling protocol", 10.0):
         frames = _generated(25, seed=600)
         sigma0 = smoothing(sigma_px=0.0)
-        maps = evalharness.PredictionSet({f.frame_id: render_vdm(f, sigma0) for f in frames})
+        maps = {f.frame_id: render_vdm(f, sigma0) for f in frames}
         report = evalharness.decoupling_eval(frames, maps)
         assert report.kept > 0
         assert report.misses == 0
@@ -210,14 +210,14 @@ def test_criterion_6_decoupling_protocol():
         small = make_person(person_id="tiny", head=(10.0, 10.0), volume=8.0, parts={0: 8.0}, bbox=(5.0, 5.0, 15.0, 15.0))
         lone = make_person(person_id="big", head=(50.0, 50.0), volume=70.0, parts={0: 70.0}, bbox=(45.0, 45.0, 55.0, 55.0))
         injected = make_frame([small, lone], frame_id="inject")
-        imap = evalharness.PredictionSet({"inject": render_vdm(injected, sigma0)})
+        imap = {"inject": render_vdm(injected, sigma0)}
         rep = evalharness.decoupling_eval([injected], imap, min_volume_dm3=10.0)
         assert rep.misses == 1  # the 8 dm3 person is a detection miss
 
         a = make_person(person_id="a", head=(10.0, 10.0), volume=70.0, parts={0: 70.0}, bbox=(5.0, 5.0, 20.0, 20.0))
         b = make_person(person_id="b", head=(18.0, 12.0), volume=60.0, parts={0: 60.0}, bbox=(15.0, 5.0, 30.0, 20.0))
         overlap = make_frame([a, b], frame_id="overlap")
-        omap = evalharness.PredictionSet({"overlap": render_vdm(overlap, sigma0)})
+        omap = {"overlap": render_vdm(overlap, sigma0)}
         rep = evalharness.decoupling_eval([overlap], omap)
         assert rep.dropped_overlap == 2
         assert rep.kept == 0

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from crowdvol import anthro, evalharness, scenegen
-from crowdvol.cli import main
+from crowdvol.cli import build_parser, main
 from crowdvol.datamodel import (
     default_config,
     read_annotations,
@@ -957,6 +957,13 @@ def bad_inputs(tmp_path_factory):
     write_vertex_labels(np.zeros(8, dtype=np.int64), labels)
     write_obj(type(box)(vertices=box.vertices, faces=box.faces[:-1]), root / "open.obj")
     frame = json.loads((data / "test.jsonl").read_text().splitlines()[0])
+    for name, volumes in OVERFLOW_VOLUMES.items():
+        bad = json.loads(json.dumps(frame))
+        person = bad["persons"][0]
+        bad["persons"] = [dict(person, person_id=f"p{k}", volume_dm3=volume,
+                               part_volumes_dm3=parts or {part: volume for part in person["part_volumes_dm3"]})
+                          for k, (volume, parts) in enumerate(volumes)]
+        (root / f"{name}.jsonl").write_text(json.dumps(bad) + "\n")
     for name, record in KEYPOINT_RECORDS.items():
         bad = json.loads(json.dumps(frame))
         bad["persons"][0]["keypoints"][0] = record
@@ -1019,6 +1026,7 @@ def bad_inputs(tmp_path_factory):
     (root / "extra_preds.csv").write_text("frame_id,V_pred_dm3\n" + "".join(f"{i},100.0,999\n" for i in ids))
     (root / "short_preds.csv").write_text(f"frame_id,V_pred_dm3\n{ids[0]},100.0\n{ids[1]}\n")
     (root / "extra_samples.csv").write_text("\n".join([rows[0], *(row + ",extra" for row in rows[1:])]) + "\n")
+    (root / "overflow_preds.csv").write_text("frame_id,V_pred_dm3\n" + "".join(f"{i},1e308\n" for i in ids))
     (root / "twice_preds.csv").write_text("frame_id,V_pred_dm3,V_pred_dm3\n" + "".join(f"{i},1.0,1000.0\n" for i in ids))
     (root / "twice_samples.csv").write_text(
         "\n".join([rows[0] + ",volume_dm3", *(row + ",1000.0" for row in rows[1:])]) + "\n")
@@ -1106,6 +1114,29 @@ SAMPLE_CASES = {
 
 GEN = "gen --out {root}/g --config {cfg}"
 EVAL = "eval --gt {gt} --preds {maps} --out {root}/e"
+
+# Persons of a copy of a valid frame, each (volume_dm3, part_volumes_dm3 or
+# None for that volume in every part of the original), whose volumes pass
+# each check alone: a map past float32, a part sum and a frame total past
+# float64. Each used to end in a traceback, or in a map `eval` rejects.
+OVERFLOW_VOLUMES = {
+    "map-past-float32": [(1e39, {"0": 1e39})],
+    "part-sum-overflow": [(1e308, None)],
+    "frame-total-overflow": [(1e308, {"0": 1e308}), (1e308, {"0": 1e308})],
+}
+OVERFLOW_CASES = {
+    "map-past-float32": ("maps {root}/map-past-float32.jsonl --out {root}/m --sigma 0", None, 2,
+                         "error: frame 'test_00000': density map values must be finite and non-negative, "
+                         "at most float32's largest 3.4028234663852886e+38\n"),
+    "part-sum-overflow": ("stats {root}/part-sum-overflow.jsonl", None, 2,
+                          "{root}/part-sum-overflow.jsonl: line 1: frame 'test_00000', person 'p0': "
+                          "part_volumes_dm3 sum overflows\n"),
+    "frame-total-overflow": ("maps {root}/frame-total-overflow.jsonl --out {root}/m", None, 2,
+                             "{root}/frame-total-overflow.jsonl: line 1: frame 'test_00000', person 'p1': "
+                             "the frame's total volume_dm3 overflows here\n"),
+    "preds-sum-overflow": ("eval --gt {gt} --preds {root}/overflow_preds.csv --out {root}/e", None, 2,
+                           "error: intermediate overflow in fsum\n"),
+}
 
 # First bboxes past the 640x480 image. The reader rejects each with its file
 # and line, whether or not decoupling's overlap filter would keep the person.
@@ -1239,6 +1270,7 @@ ERROR_CASES = {
     **STRICT_CASES,
     **SAMPLE_CASES,
     **BBOX_CASES,
+    **OVERFLOW_CASES,
 }
 
 
@@ -1297,6 +1329,12 @@ def test_warning_is_one_line(bad_inputs, monkeypatch, capsys):
         "warning: a library warning",
         "error: subset 'S2' selects no frames",
     ]
+
+
+def test_subset_choices_are_the_presets():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    subset = next(a for a in commands.choices["eval"]._actions if a.dest == "subset")
+    assert list(subset.choices) == list(evalharness.SUBSETS)
 
 
 def test_s1_on_frames_without_heavy_occlusion_prints_nothing_on_stderr(bad_inputs, capsys):

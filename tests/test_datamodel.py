@@ -415,6 +415,14 @@ def test_density_map_check_matches_full_array_oracle(bad):
     assert rejected == (bad in (math.inf, -math.inf, -1e-300) or bad != bad)
 
 
+def test_density_map_values_are_bounded_by_what_a_vdm_file_holds(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    dm.write_vdm(dm.DensityMap(width=1, height=1, values=np.array([[top]])), tmp_path / "top.vdm")
+    assert dm.read_vdm(tmp_path / "top.vdm").values[0, 0] == top
+    with pytest.raises(dm.ValidationError, match="at most float32's largest"):
+        dm.DensityMap(width=1, height=1, values=np.array([[math.nextafter(top, math.inf)]]))
+
+
 def test_frame_total_volume_is_derived():
     frame = make_frame([make_person(volume=70.0), make_person(person_id="p1", head=(5, 5), volume=60.0)])
     assert frame.total_volume_dm3 == 130.0

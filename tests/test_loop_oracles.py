@@ -290,7 +290,7 @@ def test_decoupling_matches_pairwise_loop(dense_frames, threshold):
         _grid_box_frame(300, 1),
         _grid_box_frame(40, 2),
     ]
-    maps = eh.PredictionSet({f.frame_id: render_vdm(f, smoothing(sigma_px=0.0)) for f in frames})
+    maps = {f.frame_id: render_vdm(f, smoothing(sigma_px=0.0)) for f in frames}
     got = eh.decoupling_eval(frames, maps, iou_threshold=threshold)
     want = ref.decoupling_eval(frames, maps, iou_threshold=threshold)
     assert got == want

@@ -226,8 +226,11 @@ def test_birds_eye_is_the_one_drawn_tag_and_the_first_uniform_of_a_frame():
 
 
 def test_subset_presets_name_the_two_scene_tags():
-    assert evalharness.S1_EXCLUDE_TAGS == {"heavy_occlusion"}
-    assert evalharness.S2_INCLUDE_TAGS == {"birds_eye"}
+    assert evalharness.SUBSETS == {
+        "all": (set(), set()),
+        "S1": (set(), {"heavy_occlusion"}),
+        "S2": ({"birds_eye"}, set()),
+    }
 
 
 def test_heavy_occlusion_tags_the_frames_whose_hidden_share_reaches_the_threshold(tmp_path):
