@@ -39,6 +39,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # and a usage error load no numpy, and a subcommand loads only its own
 # modules. Modules are imported whole and their functions called as
 # attributes, so a wrapper or fake set on a module attribute takes effect.
+# The library returns reports as values: every report's CSV rows (`label`,
+# `eval`, `stats`) are laid out here, where the command saves and prints them.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,6 +135,52 @@ def cmd_maps(args) -> int:
     return EXIT_CONSERVATION if failed else EXIT_OK
 
 
+def _full_rows(frames, preds, args, out) -> tuple[str, list[tuple]]:
+    from . import evalharness
+
+    report = evalharness.evaluate_full(frames, preds)
+    rows = [("subset", "metric", "value", "k")]
+    for name, rep in [("overall", report.overall), *report.per_tag.items()]:
+        rows += [(name, "mae", rep.mae, rep.k), (name, "ppmae", rep.ppmae, rep.ppmae_k),
+                 (name, "rmse", rep.rmse, rep.k)]
+    return "report.csv", rows
+
+
+def _decoupling_rows(frames, preds, args, out) -> tuple[str, list[tuple]]:
+    from . import evalharness
+
+    report = evalharness.decoupling_eval(frames, preds, args.min_volume, args.iou_threshold)
+    names = ("ppmae", "misses", "kept", "dropped_overlap", "total_persons")
+    return "report.csv", [("metric", "value")] + [(name, getattr(report, name)) for name in names]
+
+
+def _bins_rows(frames, preds, args, out) -> tuple[str, list[tuple]]:
+    from . import evalharness, plots
+
+    bins = evalharness.crowd_size_bins(frames, preds, args.bin_edges)
+    plots.write_bins_svg(bins, out / "bins.svg")
+    rows = [("lo", "hi", "n_frames", "mae", "ppmae", "rmse")]
+    for b in bins:
+        values = ("", "", "") if b.report is None else (b.report.mae, b.report.ppmae, b.report.rmse)
+        rows.append((b.lo, b.hi, b.n_frames, *values))
+    return "bins.csv", rows
+
+
+def _scatter_rows(frames, preds, args, out) -> tuple[str, list[tuple]]:
+    from . import evalharness, metrics, plots
+
+    records = evalharness.build_records(frames, preds)
+    points = metrics.mae_ppmae_scatter([r for r in records if r.n_persons >= 1])
+    plots.write_scatter_svg(points, out / "scatter.svg")
+    rows = [("frame_id", "ae_dm3", "ppae_dm3", "n_persons")]
+    return "scatter.csv", rows + [(p.frame_id, p.ae, p.ppae, p.n_persons) for p in points]
+
+
+# `eval --protocol NAME`: each runs on (frames, preds, args, out), draws its
+# figure into `out` if it has one, and returns its CSV's file name and rows.
+PROTOCOLS = {"full": _full_rows, "decoupling": _decoupling_rows, "bins": _bins_rows, "scatter": _scatter_rows}
+
+
 def cmd_eval(args) -> int:
     from . import datamodel, evalharness
 
@@ -145,26 +193,11 @@ def cmd_eval(args) -> int:
         raise evalharness.EvalError(f"subset {args.subset!r} selects no frames")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.protocol == "full":
-        name, text = "report.csv", evalharness.full_report_to_csv(evalharness.evaluate_full(frames, preds))
-    elif args.protocol == "decoupling":
-        report = evalharness.decoupling_eval(
-            frames, preds, min_volume_dm3=args.min_volume, iou_threshold=args.iou_threshold
-        )
-        name, text = "report.csv", evalharness.decoupling_to_csv(report)
-    elif args.protocol == "bins":
-        from . import plots
-
-        bins = evalharness.crowd_size_bins(frames, preds, args.bin_edges)
-        plots.write_bins_svg(bins, out / "bins.svg")
-        name, text = "bins.csv", evalharness.bins_to_csv(bins)
-    else:  # scatter
-        from . import metrics, plots
-
-        records = evalharness.build_records(frames, preds)
-        points = metrics.mae_ppmae_scatter([r for r in records if r.n_persons >= 1])
-        plots.write_scatter_svg(points, out / "scatter.svg")
-        name, text = "scatter.csv", metrics.scatter_to_csv(points)
+    try:
+        name, rows = PROTOCOLS[args.protocol](frames, preds, args, out)
+    except OverflowError as exc:
+        raise OverflowError(f"{args.preds}: {exc}") from None
+    text = datamodel.csv_text(rows)
     (out / name).write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
@@ -194,11 +227,18 @@ def cmd_stats(args) -> int:
         if args.target_config:
             model = anthro.model_from_config(datamodel.read_keyvalues(args.target_config), args.target_config)
             rows += _alignment_rows(samples, before, model) + _target_rows(samples, model)
-        text = datamodel.csv_text(rows)
     else:
         from . import evalharness
 
-        text = evalharness.stats_to_csv(evalharness.dataset_stats(datamodel.read_annotations(path)))
+        try:
+            stats = evalharness.dataset_stats(datamodel.read_annotations(path))
+        except OverflowError:  # the reader checks every frame's own sum; this is the sum over all persons
+            raise OverflowError(f"{path}: mean_person_volume_dm3 overflows the float range") from None
+        names = ("mean_person_volume_dm3", "n_frames", "n_persons")
+        rows = [("key", "value")] + [(name, getattr(stats, name)) for name in names]
+        rows += [(f"frames_with_{n}_persons", count) for n, count in stats.count_histogram.items()]
+        rows += [(f"frames_tagged_{tag}", count) for tag, count in stats.tag_counts.items()]
+    text = datamodel.csv_text(rows)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -298,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate predictions against ground truth")
     p_eval.add_argument("--gt", required=True)
     p_eval.add_argument("--preds", required=True, help="CSV of frame_id,V_pred_dm3 or a directory of .vdm maps")
-    p_eval.add_argument("--protocol", choices=("full", "decoupling", "bins", "scatter"), default="full")
+    p_eval.add_argument("--protocol", choices=PROTOCOLS, default="full")
     p_eval.add_argument("--subset", choices=("all", "S1", "S2"), default="all")
     p_eval.add_argument("--out", default=".")
     p_eval.add_argument("--min-volume", type=float, default=10.0)

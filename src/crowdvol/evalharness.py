@@ -4,6 +4,7 @@ Predictions map each frame id to a scalar total (dm^3), an in-memory
 density map, or the path of a .vdm map that is read only when a protocol
 reaches its frame. Protocols cover full-set metrics, per-person decoupling
 with a detection threshold, crowd-size binning and tag-based subset presets.
+Each protocol returns its report as a value; `cli` lays out its CSV rows.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import DensityMap, FrameAnnotation, ParseError, csv_text, read_csv, read_vdm
+from .datamodel import DensityMap, FrameAnnotation, ParseError, read_csv, read_vdm
 from .densitymap import BoxGrid, integrate
 from .metrics import EvalRecord, MetricsReport, compute_report
 
@@ -92,10 +93,13 @@ def _frame_map(preds: Predictions, frame: FrameAnnotation) -> DensityMap:
     """The frame's map, checked against its image size; a map on disk is
     read anew on every call."""
     dmap = preds.get(frame.frame_id)
+    if dmap is None:
+        raise EvalError(f"no density-map prediction for frame {frame.frame_id!r}")
     if isinstance(dmap, Path):
         dmap = read_vdm(dmap)
     elif not isinstance(dmap, DensityMap):
-        raise EvalError(f"no density-map prediction for frame {frame.frame_id!r}")
+        raise EvalError(f"frame {frame.frame_id!r}: the prediction is a total volume, not a density map; "
+                        "decoupling needs a directory of .vdm maps")
     if dmap.width != frame.image_w or dmap.height != frame.image_h:
         raise EvalError(
             f"frame {frame.frame_id!r}: map size {dmap.width}x{dmap.height} "
@@ -246,49 +250,3 @@ def apply_subset_preset(frames: list[FrameAnnotation], name: str) -> list[FrameA
         raise EvalError(f"unknown subset preset {name!r}; expected {', '.join(SUBSETS)}")
     include, exclude = SUBSETS[name]
     return [f for f in frames if include <= f.scene_tags and not exclude & f.scene_tags]
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-def full_report_to_csv(report: FullReport) -> str:
-    rows = [("subset", "metric", "value", "k")]
-    for name, rep in [("overall", report.overall)] + sorted(report.per_tag.items()):
-        rows.append((name, "mae", rep.mae, rep.k))
-        rows.append((name, "ppmae", rep.ppmae, rep.ppmae_k))
-        rows.append((name, "rmse", rep.rmse, rep.k))
-    return csv_text(rows)
-
-
-def decoupling_to_csv(report: DecouplingReport) -> str:
-    return csv_text([
-        ("metric", "value"),
-        ("ppmae", report.ppmae),
-        ("misses", report.misses),
-        ("kept", report.kept),
-        ("dropped_overlap", report.dropped_overlap),
-        ("total_persons", report.total_persons),
-    ])
-
-
-def bins_to_csv(bins: list[CrowdBin]) -> str:
-    rows = [("lo", "hi", "n_frames", "mae", "ppmae", "rmse")]
-    for b in bins:
-        if b.report is None:
-            rows.append((b.lo, b.hi, 0, "", "", ""))
-        else:
-            rows.append((b.lo, b.hi, b.n_frames, b.report.mae, b.report.ppmae, b.report.rmse))
-    return csv_text(rows)
-
-
-def stats_to_csv(stats: DatasetStats) -> str:
-    rows = [
-        ("key", "value"),
-        ("mean_person_volume_dm3", stats.mean_person_volume_dm3),
-        ("n_frames", stats.n_frames),
-        ("n_persons", stats.n_persons),
-    ]
-    rows += [(f"frames_with_{n}_persons", count) for n, count in stats.count_histogram.items()]
-    rows += [(f"frames_tagged_{tag}", count) for tag, count in stats.tag_counts.items()]
-    return csv_text(rows)

@@ -2,14 +2,13 @@
 scatter decomposition relating the first two.
 
 All reductions use exactly-rounded summation (math.fsum), so results are
-bit-stable across runs and invariant under record permutation.
+bit-stable across runs and invariant under record permutation. Reports are
+returned as values; `cli` lays out their CSV rows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .datamodel import csv_text
 
 
 @dataclass(frozen=True)
@@ -37,25 +36,29 @@ class MetricsReport:
     ppmae_k: int  # frames contributing to ppmae; the k - ppmae_k others have n_persons == 0
 
 
-def mae(records: list[EvalRecord]) -> float:
+def _mean(metric: str, records: list[EvalRecord], term) -> float:
+    """The mean of `term(r)` over the records, naming the metric if they are none or it overflows."""
     if not records:
-        raise ValueError("mae of an empty record set is undefined")
-    return math.fsum(abs(r.v_true - r.v_pred) for r in records) / len(records)
+        raise ValueError(f"{metric} of an empty record set is undefined")
+    try:
+        return math.fsum(term(r) for r in records) / len(records)
+    except OverflowError:
+        raise OverflowError(f"{metric} overflows the float range") from None
+
+
+def mae(records: list[EvalRecord]) -> float:
+    return _mean("mae", records, lambda r: abs(r.v_true - r.v_pred))
 
 
 def ppmae(records: list[EvalRecord]) -> float:
-    if not records:
-        raise ValueError("ppmae of an empty record set is undefined")
     for r in records:
         if r.n_persons == 0:
             raise ValueError(f"PP-MAE undefined for empty frames (frame {r.frame_id!r})")
-    return math.fsum(abs(r.v_true - r.v_pred) / r.n_persons for r in records) / len(records)
+    return _mean("ppmae", records, lambda r: abs(r.v_true - r.v_pred) / r.n_persons)
 
 
 def rmse(records: list[EvalRecord]) -> float:
-    if not records:
-        raise ValueError("rmse of an empty record set is undefined")
-    return math.sqrt(math.fsum((r.v_true - r.v_pred) ** 2 for r in records) / len(records))
+    return math.sqrt(_mean("rmse", records, lambda r: (r.v_true - r.v_pred) ** 2))
 
 
 def compute_report(records: list[EvalRecord]) -> MetricsReport:
@@ -95,8 +98,3 @@ def mae_ppmae_scatter(records: list[EvalRecord]) -> list[ScatterPoint]:
             ScatterPoint(frame_id=r.frame_id, ae=ae, ppae=ae / r.n_persons, n_persons=r.n_persons)
         )
     return points
-
-
-def scatter_to_csv(points: list[ScatterPoint]) -> str:
-    header = ("frame_id", "ae_dm3", "ppae_dm3", "n_persons")
-    return csv_text([header] + [(p.frame_id, p.ae, p.ppae, p.n_persons) for p in points])

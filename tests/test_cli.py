@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from crowdvol import anthro, evalharness, scenegen
-from crowdvol.cli import build_parser, main
+from crowdvol.cli import PROTOCOLS, build_parser, main
 from crowdvol.datamodel import (
     default_config,
     read_annotations,
@@ -964,6 +964,12 @@ def bad_inputs(tmp_path_factory):
                                part_volumes_dm3=parts or {part: volume for part in person["part_volumes_dm3"]})
                           for k, (volume, parts) in enumerate(volumes)]
         (root / f"{name}.jsonl").write_text(json.dumps(bad) + "\n")
+    # two frames of one 1e308 dm^3 person each: every frame passes the reader, their sum overflows
+    heavy = [json.loads(json.dumps(frame)) for _ in range(2)]
+    for k, bad in enumerate(heavy):
+        bad["frame_id"] = f"test_{k:05d}"
+        bad["persons"] = [dict(bad["persons"][0], volume_dm3=1e308, part_volumes_dm3={"0": 1e308})]
+    (root / "persons-sum-overflow.jsonl").write_text("".join(json.dumps(bad) + "\n" for bad in heavy))
     for name, record in KEYPOINT_RECORDS.items():
         bad = json.loads(json.dumps(frame))
         bad["persons"][0]["keypoints"][0] = record
@@ -1027,6 +1033,9 @@ def bad_inputs(tmp_path_factory):
     (root / "short_preds.csv").write_text(f"frame_id,V_pred_dm3\n{ids[0]},100.0\n{ids[1]}\n")
     (root / "extra_samples.csv").write_text("\n".join([rows[0], *(row + ",extra" for row in rows[1:])]) + "\n")
     (root / "overflow_preds.csv").write_text("frame_id,V_pred_dm3\n" + "".join(f"{i},1e308\n" for i in ids))
+    (root / "preds.csv").write_text("frame_id,V_pred_dm3\n" + "".join(f"{i},100.0\n" for i in ids))
+    (root / "one.jsonl").write_text((data / "test.jsonl").read_text().splitlines()[0] + "\n")
+    (root / "square_overflow_preds.csv").write_text(f"frame_id,V_pred_dm3\n{ids[0]},1e300\n")
     (root / "twice_preds.csv").write_text("frame_id,V_pred_dm3,V_pred_dm3\n" + "".join(f"{i},1.0,1000.0\n" for i in ids))
     (root / "twice_samples.csv").write_text(
         "\n".join([rows[0] + ",volume_dm3", *(row + ",1000.0" for row in rows[1:])]) + "\n")
@@ -1135,7 +1144,12 @@ OVERFLOW_CASES = {
                              "{root}/frame-total-overflow.jsonl: line 1: frame 'test_00000', person 'p1': "
                              "the frame's total volume_dm3 overflows here\n"),
     "preds-sum-overflow": ("eval --gt {gt} --preds {root}/overflow_preds.csv --out {root}/e", None, 2,
-                           "error: intermediate overflow in fsum\n"),
+                           "error: {root}/overflow_preds.csv: mae overflows the float range\n"),
+    "preds-square-overflow": ("eval --gt {root}/one.jsonl --preds {root}/square_overflow_preds.csv --out {root}/e",
+                              None, 2, "error: {root}/square_overflow_preds.csv: rmse overflows the float range\n"),
+    "persons-sum-overflow": ("stats {root}/persons-sum-overflow.jsonl", None, 2,
+                             "error: {root}/persons-sum-overflow.jsonl: "
+                             "mean_person_volume_dm3 overflows the float range\n"),
 }
 
 # First bboxes past the 640x480 image. The reader rejects each with its file
@@ -1215,6 +1229,9 @@ ERROR_CASES = {
                "{root}/bbox3.jsonl: malformed annotation on line 1: not enough values to unpack"),
     "empty-samples": ("stats {root}/empty_samples.csv", None, 2, "{root}/empty_samples.csv: empty sample file"),
     "empty-subset": (EVAL + " --subset S2", None, 2, "subset 'S2' selects no frames"),
+    "decoupling-on-totals": ("eval --gt {gt} --preds {root}/preds.csv --out {root}/e --protocol decoupling", None, 2,
+                             "error: frame 'test_00000': the prediction is a total volume, not a density map; "
+                             "decoupling needs a directory of .vdm maps\n"),
     "placement": (GEN, {"persons.min": "40", "persons.max": "40", "area.w": "0.5", "area.d": "0.5"}, 3,
                   "could not place"),
     "not-watertight": ("label {root}/open.obj {labels}", None, 4, "mesh is not watertight"),
@@ -1335,6 +1352,12 @@ def test_subset_choices_are_the_presets():
     commands = next(a for a in build_parser()._actions if a.dest == "command")
     subset = next(a for a in commands.choices["eval"]._actions if a.dest == "subset")
     assert list(subset.choices) == list(evalharness.SUBSETS)
+
+
+def test_protocol_choices_are_the_table():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    protocol = next(a for a in commands.choices["eval"]._actions if a.dest == "protocol")
+    assert list(protocol.choices) == list(PROTOCOLS)
 
 
 def test_s1_on_frames_without_heavy_occlusion_prints_nothing_on_stderr(bad_inputs, capsys):

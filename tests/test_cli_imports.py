@@ -73,7 +73,7 @@ def test_eval_full_loads_no_scene_or_mesh_module(inputs):
     mods = loaded("eval", "--gt", inputs / "data" / "test.jsonl", "--preds", inputs / "maps",
                   "--protocol", "full", "--out", inputs / "eval")
     assert library("datamodel", "evalharness") <= mods
-    assert not mods & library("scenegen", "anthro", "meshvol")
+    assert not mods & library("scenegen", "anthro", "meshvol", "plots")
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")], ids=["unset", "preset"])

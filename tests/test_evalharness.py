@@ -8,7 +8,8 @@ import pytest
 
 from crowdvol import evalharness as eh
 from crowdvol import scenegen
-from crowdvol.datamodel import read_vdm, write_vdm
+from crowdvol.cli import PROTOCOLS
+from crowdvol.datamodel import csv_text, read_vdm, write_vdm
 from crowdvol.densitymap import render_vdm
 from conftest import make_frame, make_person, oracular_count_estimator, smoothing
 
@@ -279,11 +280,11 @@ def test_load_prediction_maps(tmp_path):
     assert read_vdm(preds["f0"]).total() == 70.0  # float32-exact value survives the file
 
 
-def test_protocol_csv_determinism():
+def test_protocol_csv_determinism(tmp_path):
     frames = generated_frames(n_frames=10, seed=13)
     preds = {f.frame_id: f.total_volume_dm3 * 1.01 for f in frames}
-    a = eh.full_report_to_csv(eh.evaluate_full(frames, preds))
-    b = eh.full_report_to_csv(eh.evaluate_full(frames, preds))
+    a = csv_text(PROTOCOLS["full"](frames, preds, None, tmp_path)[1])
+    b = csv_text(PROTOCOLS["full"](frames, preds, None, tmp_path)[1])
     assert a == b
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from crowdvol.evalharness import FullReport, full_report_to_csv
+from crowdvol.cli import PROTOCOLS
+from crowdvol.datamodel import csv_text
 from crowdvol.metrics import (
     EvalRecord,
     compute_report,
@@ -12,7 +13,7 @@ from crowdvol.metrics import (
     ppmae,
     rmse,
 )
-from conftest import scatter_ratio
+from conftest import make_frame, make_person, scatter_ratio
 
 
 def rec(fid, v, vh, n=1):
@@ -130,10 +131,11 @@ def test_report_excludes_empty_frames_from_ppmae():
     assert report.mae == 10.0
 
 
-def test_report_csv_shape():
-    records = [rec("a", 10.0, 10.0)]
-    csv_text = full_report_to_csv(FullReport(overall=compute_report(records), per_tag={}))
-    lines = csv_text.strip().splitlines()
+def test_report_csv_shape(tmp_path):
+    frames = [make_frame([make_person(volume=10.0)], frame_id="a")]
+    name, rows = PROTOCOLS["full"](frames, {"a": 10.0}, None, tmp_path)
+    lines = csv_text(rows).strip().splitlines()
+    assert name == "report.csv"
     assert lines[0] == "subset,metric,value,k"
     assert lines[1].startswith("overall,mae,")
     assert len(lines) == 4
