@@ -16,14 +16,6 @@ from .datamodel import ParseError, ValidationError, config_getter, csv_text, def
 from .rng import SplitMix64, mix_seed
 
 
-class SamplingError(RuntimeError):
-    exit_code = 2  # of the crowdvol command line
-
-
-class InfeasibleModelError(SamplingError):
-    """BMI-range rejection discards more than 99% of draws."""
-
-
 @dataclass(frozen=True)
 class LogNormalParams:
     """Log-space mean and standard deviation of a log-normal variable."""
@@ -125,7 +117,8 @@ _MIN_ACCEPT_RATE = 0.01
 
 def sample_population(model: AnthropometricModel, n: int, seed: int) -> list[PersonSample]:
     """Draw n persons; heights and masses come from the gender's log-normals
-    and draws with BMI outside the model range are rejected and redrawn."""
+    and draws with BMI outside the model range are rejected and redrawn. A
+    model whose BMI window rejects over 99% of draws raises ValidationError."""
     if n < 0:
         raise ValueError("n must be >= 0")
     stream = SplitMix64(seed)
@@ -146,7 +139,7 @@ def sample_population(model: AnthropometricModel, n: int, seed: int) -> list[Per
                 break
             if window_draws >= _REJECTION_WINDOW:
                 if window_accepts < _MIN_ACCEPT_RATE * window_draws:
-                    raise InfeasibleModelError(
+                    raise ValidationError(
                         f"BMI rejection rate exceeded 99% over {window_draws} draws"
                     )
                 window_draws = 0
@@ -179,7 +172,7 @@ def sample_scaling(cfg: ScalingConfig, seed: int, max_attempts: int = 1_000_000)
                 out.append(value)
                 break
         else:
-            raise SamplingError(
+            raise ValidationError(
                 f"no draw landed in [{tn.lower}, {tn.upper}] after {max_attempts} attempts"
             )
     return out[0], out[1], out[2]

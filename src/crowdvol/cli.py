@@ -8,14 +8,17 @@ Exit codes:
   0  success
   2  a bad flag, config, input file or output path: a missing or unreadable
      file, a file that does not parse or breaks an invariant, a value out
-     of range, input values whose sum overflows, a scene whose bodies
-     cannot be built or sampled
+     of range, a reported mean or sum of input values that overflows, a
+     scene whose bodies cannot be built or sampled
   3  persons could not be placed in a frame
   4  a mesh is not watertight
   5  a map's mass does not match its frame's annotated volume (`maps`)
 
 Every error is one `error: ...` line on stderr and every warning one
 `warning: ...` line; an argparse flag error prints its usage line first.
+An OSError, ValueError or OverflowError exits 2 unless its `exit_code`
+says otherwise (3 and 4); any other exception, a RuntimeError included,
+is a bug and shows its traceback.
 `--workers` defaults to the CVE_WORKERS environment variable, checked the
 same way.
 """
@@ -190,7 +193,7 @@ def cmd_eval(args) -> int:
              else evalharness.load_predictions_csv(preds_path))
     frames = evalharness.apply_subset_preset(frames, args.subset)
     if not frames:
-        raise evalharness.EvalError(f"subset {args.subset!r} selects no frames")
+        raise datamodel.ValidationError(f"subset {args.subset!r} selects no frames")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -204,7 +207,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from . import datamodel
+    from . import datamodel, metrics
 
     path = Path(args.input)
     samples_input = path.suffix == ".csv"
@@ -215,29 +218,29 @@ def cmd_stats(args) -> int:
     ):
         if value and not used:
             raise ValueError(f"stats: {flag} is not used with {what}")
-    if samples_input:
-        from . import anthro
+    try:  # an overflow is a mean over valid values; the readers name their own file and line
+        if samples_input:
+            from . import anthro
 
-        samples = anthro.read_samples_csv(path)
-        if not samples:
-            raise datamodel.ParseError(f"{path}: empty sample file")
-        before = anthro.read_samples_csv(args.before) if args.before else samples
-        rows = [("key", "value"), ("n_samples", len(samples)),
-                ("mean_volume_dm3", math.fsum(s.volume_dm3 for s in samples) / len(samples))]
-        if args.target_config:
-            model = anthro.model_from_config(datamodel.read_keyvalues(args.target_config), args.target_config)
-            rows += _alignment_rows(samples, before, model) + _target_rows(samples, model)
-    else:
-        from . import evalharness
+            samples = anthro.read_samples_csv(path)
+            if not samples:
+                raise datamodel.ParseError(f"{path}: empty sample file")
+            before = anthro.read_samples_csv(args.before) if args.before else samples
+            rows = [("key", "value"), ("n_samples", len(samples)),
+                    ("mean_volume_dm3", metrics.mean("mean_volume_dm3", samples, lambda s: s.volume_dm3))]
+            if args.target_config:
+                model = anthro.model_from_config(datamodel.read_keyvalues(args.target_config), args.target_config)
+                rows += _alignment_rows(samples, before, model) + _target_rows(samples, model)
+        else:
+            from . import evalharness
 
-        try:
             stats = evalharness.dataset_stats(datamodel.read_annotations(path))
-        except OverflowError:  # the reader checks every frame's own sum; this is the sum over all persons
-            raise OverflowError(f"{path}: mean_person_volume_dm3 overflows the float range") from None
-        names = ("mean_person_volume_dm3", "n_frames", "n_persons")
-        rows = [("key", "value")] + [(name, getattr(stats, name)) for name in names]
-        rows += [(f"frames_with_{n}_persons", count) for n, count in stats.count_histogram.items()]
-        rows += [(f"frames_tagged_{tag}", count) for tag, count in stats.tag_counts.items()]
+            names = ("mean_person_volume_dm3", "n_frames", "n_persons")
+            rows = [("key", "value")] + [(name, getattr(stats, name)) for name in names]
+            rows += [(f"frames_with_{n}_persons", count) for n, count in stats.count_histogram.items()]
+            rows += [(f"frames_tagged_{tag}", count) for tag, count in stats.tag_counts.items()]
+    except OverflowError as exc:
+        raise OverflowError(f"{path}: {exc}") from None
     text = datamodel.csv_text(rows)
     if args.out:
         out = Path(args.out)
@@ -270,13 +273,16 @@ def _alignment_rows(samples, before, model) -> list[tuple]:
 def _target_rows(samples, model) -> list[tuple]:
     """The samples against the model keys that the KL rows leave out:
     gender_mix, bmi.lo and bmi.hi, and body_density."""
+    from . import metrics
+
     n = len(samples)
     lo, hi = model.bmi_range
     return [
         ("female_share", sum(s.gender == "female" for s in samples) / n),
         ("female_share_target", model.gender_mix),
         ("bmi_outside_target_range_share", sum(not lo <= s.bmi <= hi for s in samples) / n),
-        ("mean_body_density_kg_m3", math.fsum(1000.0 * s.mass_kg / s.volume_dm3 for s in samples) / n),
+        ("mean_body_density_kg_m3",
+         metrics.mean("mean_body_density_kg_m3", samples, lambda s: 1000.0 * s.mass_kg / s.volume_dm3)),
         ("body_density_target_kg_m3", model.body_density),
     ]
 
@@ -361,24 +367,20 @@ def _warn(message, category, filename, lineno, file=None, line=None) -> None:
 
 def main(argv=None) -> int:
     """Run one subcommand. This is the one place where an error becomes an
-    exit code: PlacementError, NonWatertightError and SamplingError carry
-    theirs as `exit_code`, any other OSError or ValueError (ParseError,
-    ValidationError, EvalError, MeshError, BodyBuildError) gives 2, and so
-    does an OverflowError, a sum of input values past the float range. Any
-    other RuntimeError is a bug and propagates. A maps conservation failure
-    is a result, returned as 5."""
+    exit code, by one rule: an OSError, a ValueError or an OverflowError (a
+    sum of valid values past the float range) exits 2 unless its
+    `exit_code` says otherwise, as PlacementError's 3 and
+    NonWatertightError's 4 do. Every other exception, any RuntimeError
+    included, is a bug and propagates. A maps conservation failure is a
+    result, returned as 5."""
     args = build_parser().parse_args(argv)
-    bad_input = (OSError, ValueError, OverflowError)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warn
             return args.func(args)
-    except (*bad_input, RuntimeError) as exc:
-        code = getattr(exc, "exit_code", EXIT_CONFIG if isinstance(exc, bad_input) else None)
-        if code is None:
-            raise
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return getattr(exc, "exit_code", EXIT_CONFIG)
 
 
 def run() -> int:

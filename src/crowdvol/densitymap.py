@@ -26,10 +26,6 @@ from .datamodel import (
 )
 
 
-class DensityMapError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SmoothingConfig:
     """Gaussian smoothing: std in pixels and kernel truncation radius in
@@ -71,7 +67,7 @@ def _stamp_all(frame: FrameAnnotation, stamps: list[tuple[float, float, float]],
     try:
         acc = np.zeros((h, w), dtype=np.float64)
     except MemoryError:
-        raise DensityMapError(f"frame {frame.frame_id!r}: no memory for a {w}x{h} density map") from None
+        raise ValidationError(f"frame {frame.frame_id!r}: no memory for a {w}x{h} density map") from None
     radius = int(math.ceil(min(cfg.truncation_radius * cfg.sigma_px, max(h, w))))  # a wider one clips alike
     inv = 1.0 / (2.0 * cfg.sigma_px * cfg.sigma_px) if cfg.sigma_px else 0.0
     factors = [math.exp(-d * d * inv) for d in range(-radius, radius + 1)]  # libm's exp, not numpy's dispatched one

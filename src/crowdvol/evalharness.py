@@ -14,13 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import DensityMap, FrameAnnotation, ParseError, read_csv, read_vdm
+from .datamodel import DensityMap, FrameAnnotation, ParseError, ValidationError, read_csv, read_vdm
 from .densitymap import BoxGrid, integrate
-from .metrics import EvalRecord, MetricsReport, compute_report
-
-
-class EvalError(ValueError):
-    pass
+from .metrics import EvalRecord, MetricsReport, compute_report, mean
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +63,9 @@ class DatasetStats:
 
 
 def dataset_stats(frames: list[FrameAnnotation]) -> DatasetStats:
-    volumes = [p.volume_dm3 for f in frames for p in f.persons]
-    if not volumes:
-        raise EvalError("dataset has no persons; mean volume undefined")
+    persons = [p for f in frames for p in f.persons]
+    if not persons:
+        raise ValidationError("dataset has no persons; mean volume undefined")
     hist: dict[int, int] = {}
     tags: dict[str, int] = {}
     for f in frames:
@@ -77,11 +73,11 @@ def dataset_stats(frames: list[FrameAnnotation]) -> DatasetStats:
         for tag in sorted(f.scene_tags):
             tags[tag] = tags.get(tag, 0) + 1
     return DatasetStats(
-        mean_person_volume_dm3=math.fsum(volumes) / len(volumes),
+        mean_person_volume_dm3=mean("mean_person_volume_dm3", persons, lambda p: p.volume_dm3),
         count_histogram=dict(sorted(hist.items())),
         tag_counts=dict(sorted(tags.items())),
         n_frames=len(frames),
-        n_persons=len(volumes),
+        n_persons=len(persons),
     )
 
 
@@ -94,14 +90,14 @@ def _frame_map(preds: Predictions, frame: FrameAnnotation) -> DensityMap:
     read anew on every call."""
     dmap = preds.get(frame.frame_id)
     if dmap is None:
-        raise EvalError(f"no density-map prediction for frame {frame.frame_id!r}")
+        raise ValidationError(f"no density-map prediction for frame {frame.frame_id!r}")
     if isinstance(dmap, Path):
         dmap = read_vdm(dmap)
     elif not isinstance(dmap, DensityMap):
-        raise EvalError(f"frame {frame.frame_id!r}: the prediction is a total volume, not a density map; "
-                        "decoupling needs a directory of .vdm maps")
+        raise ValidationError(f"frame {frame.frame_id!r}: the prediction is a total volume, not a density map; "
+                              "decoupling needs a directory of .vdm maps")
     if dmap.width != frame.image_w or dmap.height != frame.image_h:
-        raise EvalError(
+        raise ValidationError(
             f"frame {frame.frame_id!r}: map size {dmap.width}x{dmap.height} "
             f"does not match image {frame.image_w}x{frame.image_h}"
         )
@@ -114,7 +110,7 @@ def build_records(frames: list[FrameAnnotation], preds: Predictions) -> list[Eva
     missing = [f.frame_id for f in frames if f.frame_id not in preds]
     if missing:
         more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
-        raise EvalError(f"missing predictions for frames: {', '.join(missing[:8])}{more}")
+        raise ValidationError(f"missing predictions for frames: {', '.join(missing[:8])}{more}")
     records = []
     for f in frames:
         v_pred = preds[f.frame_id]
@@ -186,10 +182,10 @@ def decoupling_eval(
     misses and do not contribute to the volume-error average.
     """
     if not 0.0 <= iou_threshold <= 1.0:
-        raise EvalError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
+        raise ValidationError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
     if not 0.0 <= min_volume_dm3 < math.inf:
-        raise EvalError(f"min_volume_dm3 must be finite and >= 0, got {min_volume_dm3}")
-    errors: list[float] = []
+        raise ValidationError(f"min_volume_dm3 must be finite and >= 0, got {min_volume_dm3}")
+    hits: list[tuple[float, float]] = []  # (integrated, annotated) volume of each detected person
     misses = 0
     # One grid for all frames, each its own group: a frame of few boxes costs no numpy call.
     frame_of = np.repeat(np.arange(len(frames)), [f.n_persons for f in frames])
@@ -204,10 +200,10 @@ def decoupling_eval(
             if v_hat < min_volume_dm3:
                 misses += 1
             else:
-                errors.append(abs(v_hat - person.volume_dm3))
-    kept = len(errors) + misses
+                hits.append((v_hat, person.volume_dm3))
+    kept = len(hits) + misses
     return DecouplingReport(
-        ppmae=math.fsum(errors) / len(errors) if errors else math.nan,
+        ppmae=mean("ppmae", hits, lambda h: abs(h[0] - h[1])) if hits else math.nan,
         misses=misses,
         kept=kept,
         dropped_overlap=sum(flags),
@@ -228,7 +224,7 @@ def crowd_size_bins(
 ) -> list[CrowdBin]:
     """Partition frames by person count into [e_i, e_{i+1}) and report per bin."""
     if len(bin_edges) < 2 or not all(a < b for a, b in zip(bin_edges[:-1], bin_edges[1:])):
-        raise EvalError(f"bin edges must be strictly increasing, got {bin_edges}")
+        raise ValidationError(f"bin edges must be strictly increasing, got {bin_edges}")
     records = build_records(frames, preds)
     bins = []
     for lo, hi in zip(bin_edges[:-1], bin_edges[1:]):  # disjoint, since the edges increase
@@ -247,6 +243,6 @@ SUBSETS = {
 
 def apply_subset_preset(frames: list[FrameAnnotation], name: str) -> list[FrameAnnotation]:
     if name not in SUBSETS:
-        raise EvalError(f"unknown subset preset {name!r}; expected {', '.join(SUBSETS)}")
+        raise ValidationError(f"unknown subset preset {name!r}; expected {', '.join(SUBSETS)}")
     include, exclude = SUBSETS[name]
     return [f for f in frames if include <= f.scene_tags and not exclude & f.scene_tags]

@@ -36,29 +36,30 @@ class MetricsReport:
     ppmae_k: int  # frames contributing to ppmae; the k - ppmae_k others have n_persons == 0
 
 
-def _mean(metric: str, records: list[EvalRecord], term) -> float:
-    """The mean of `term(r)` over the records, naming the metric if they are none or it overflows."""
-    if not records:
-        raise ValueError(f"{metric} of an empty record set is undefined")
+def mean(name: str, items: list, term) -> float:
+    """The mean of `term(x)` over the items, naming `name` if they are none or
+    if a term or their sum overflows: every mean a report prints goes here."""
+    if not items:
+        raise ValueError(f"{name} of an empty record set is undefined")
     try:
-        return math.fsum(term(r) for r in records) / len(records)
+        return math.fsum(term(x) for x in items) / len(items)
     except OverflowError:
-        raise OverflowError(f"{metric} overflows the float range") from None
+        raise OverflowError(f"{name} overflows the float range") from None
 
 
 def mae(records: list[EvalRecord]) -> float:
-    return _mean("mae", records, lambda r: abs(r.v_true - r.v_pred))
+    return mean("mae", records, lambda r: abs(r.v_true - r.v_pred))
 
 
 def ppmae(records: list[EvalRecord]) -> float:
     for r in records:
         if r.n_persons == 0:
             raise ValueError(f"PP-MAE undefined for empty frames (frame {r.frame_id!r})")
-    return _mean("ppmae", records, lambda r: abs(r.v_true - r.v_pred) / r.n_persons)
+    return mean("ppmae", records, lambda r: abs(r.v_true - r.v_pred) / r.n_persons)
 
 
 def rmse(records: list[EvalRecord]) -> float:
-    return math.sqrt(_mean("rmse", records, lambda r: (r.v_true - r.v_pred) ** 2))
+    return math.sqrt(mean("rmse", records, lambda r: (r.v_true - r.v_pred) ** 2))
 
 
 def compute_report(records: list[EvalRecord]) -> MetricsReport:

@@ -38,12 +38,8 @@ from .rng import SplitMix64, mix_seed
 SPLIT_NAMES = ("train", "val", "test")
 
 
-class PlacementError(RuntimeError):
+class PlacementError(ValueError):
     exit_code = 3  # of the crowdvol command line
-
-
-class BodyBuildError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +195,7 @@ def build_humanoid(sample: PersonSample, seed: int) -> Humanoid:
 
     scale_sq = target_m3 / math.fsum(unit_m3.values())
     if not 0.16 <= scale_sq <= 6.25:
-        raise BodyBuildError(
+        raise ValidationError(
             f"target volume {sample.volume_dm3:.1f} dm3 unreachable for height {height:.2f} m"
         )
     scale = math.sqrt(scale_sq)

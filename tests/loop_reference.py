@@ -37,7 +37,7 @@ from crowdvol.datamodel import (
     ValidationError,
     open_text,
 )
-from crowdvol.densitymap import DensityMapError, SmoothingConfig, integrate, nearest_pixel
+from crowdvol.densitymap import SmoothingConfig, integrate, nearest_pixel
 from crowdvol.evalharness import DecouplingReport, _frame_map
 from crowdvol.rng import SplitMix64, mix_seed
 from crowdvol.scenegen import (
@@ -239,7 +239,7 @@ def render_ppvdm(frame: FrameAnnotation, taxonomy, cfg: SmoothingConfig) -> Dens
             elif head_ok:
                 stamp(acc, hx, hy, v_part, cfg)
             else:
-                raise DensityMapError(f"person {person.person_id!r}: part {part_id} has no anchor")
+                raise ValidationError(f"person {person.person_id!r}: part {part_id} has no anchor")
     return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
 
 

@@ -59,7 +59,7 @@ def test_infeasible_model_raises():
         height=anthro.LogNormalParams(math.log(1.76), 0.01),
     )
     model = replace(anthro.model_from_config({}), female=gender, male=gender, bmi_range=(49.0, 50.0))
-    with pytest.raises(anthro.InfeasibleModelError):
+    with pytest.raises(ValidationError, match="BMI rejection rate exceeded 99% over 1000 draws"):
         anthro.sample_population(model, 10, seed=0)
 
 

@@ -970,6 +970,11 @@ def bad_inputs(tmp_path_factory):
         bad["frame_id"] = f"test_{k:05d}"
         bad["persons"] = [dict(bad["persons"][0], volume_dm3=1e308, part_volumes_dm3={"0": 1e308})]
     (root / "persons-sum-overflow.jsonl").write_text("".join(json.dumps(bad) + "\n" for bad in heavy))
+    # the same from the first two frames, each keeping its own first person: both fall on their maps' mass
+    heavy = [json.loads(line) for line in (data / "test.jsonl").read_text().splitlines()[:2]]
+    for bad in heavy:
+        bad["persons"] = [dict(bad["persons"][0], volume_dm3=1e308, part_volumes_dm3={"0": 1e308})]
+    (root / "decoupling-sum-overflow.jsonl").write_text("".join(json.dumps(bad) + "\n" for bad in heavy))
     for name, record in KEYPOINT_RECORDS.items():
         bad = json.loads(json.dumps(frame))
         bad["persons"][0]["keypoints"][0] = record
@@ -1019,6 +1024,9 @@ def bad_inputs(tmp_path_factory):
     }.items():
         write_keyvalues(pairs, root / f"{name}.cfg")
     (root / "empty_samples.csv").write_text("gender,height_m,mass_kg,bmi,volume_dm3\n")
+    # three samples of 1e308 dm^3 each: every row passes the reader, their sum overflows
+    (root / "samples-sum-overflow.csv").write_text(
+        "\n".join([rows[0], *(row.rsplit(",", 1)[0] + ",1e308" for row in rows[1:4])]) + "\n")
     for name, source in [
         ("nonutf8.jsonl", data / "test.jsonl"),
         ("nonutf8.obj", cube),
@@ -1150,6 +1158,10 @@ OVERFLOW_CASES = {
     "persons-sum-overflow": ("stats {root}/persons-sum-overflow.jsonl", None, 2,
                              "error: {root}/persons-sum-overflow.jsonl: "
                              "mean_person_volume_dm3 overflows the float range\n"),
+    "decoupling-sum-overflow": (EVAL.replace("{gt}", "{root}/decoupling-sum-overflow.jsonl") + " --protocol decoupling",
+                                None, 2, "error: {maps}: ppmae overflows the float range\n"),
+    "samples-sum-overflow": ("stats {root}/samples-sum-overflow.csv", None, 2,
+                             "error: {root}/samples-sum-overflow.csv: mean_volume_dm3 overflows the float range\n"),
 }
 
 # First bboxes past the 640x480 image. The reader rejects each with its file

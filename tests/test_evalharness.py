@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from crowdvol import evalharness as eh
 from crowdvol import scenegen
 from crowdvol.cli import PROTOCOLS
-from crowdvol.datamodel import csv_text, read_vdm, write_vdm
+from crowdvol.datamodel import ValidationError, csv_text, read_vdm, write_vdm
 from crowdvol.densitymap import render_vdm
 from conftest import make_frame, make_person, oracular_count_estimator, smoothing
 
@@ -56,7 +57,7 @@ def test_dataset_stats_order_invariant():
 
 
 def test_dataset_stats_no_persons_error():
-    with pytest.raises(eh.EvalError):
+    with pytest.raises(ValidationError, match="dataset has no persons; mean volume undefined"):
         eh.dataset_stats([make_frame([])])
 
 
@@ -113,7 +114,7 @@ def test_full_eval_rendered_maps_conserve():
 def test_full_eval_missing_prediction_lists_frames():
     frames = generated_frames(n_frames=3)
     preds = {frames[0].frame_id: 100.0}
-    with pytest.raises(eh.EvalError, match=frames[1].frame_id):
+    with pytest.raises(ValidationError, match=f"missing predictions for frames: {frames[1].frame_id}, "):
         eh.evaluate_full(frames, preds)
 
 
@@ -178,9 +179,9 @@ def test_decoupling_iou_threshold_keeps_light_overlap():
 def test_decoupling_map_size_mismatch():
     frame = make_frame([make_person()])
     wrong = render_vdm(make_frame([make_person(head=(5.0, 5.0), bbox=(0.0, 0.0, 10.0, 10.0))], w=32, h=32), SIGMA0)
-    with pytest.raises(eh.EvalError, match="size"):
+    with pytest.raises(ValidationError, match="map size 32x32 does not match image"):
         eh.decoupling_eval([frame], {frame.frame_id: wrong})
-    with pytest.raises(eh.EvalError, match="size"):
+    with pytest.raises(ValidationError, match="map size 32x32 does not match image"):
         eh.evaluate_full([frame], {frame.frame_id: wrong})
 
 
@@ -219,7 +220,7 @@ def test_bins_recombine_to_global_mae():
 def test_bins_rejects_bad_edges():
     frames = generated_frames(n_frames=2)
     preds = {f.frame_id: 0.0 for f in frames}
-    with pytest.raises(eh.EvalError):
+    with pytest.raises(ValidationError, match=re.escape("bin edges must be strictly increasing, got [5, 5]")):
         eh.crowd_size_bins(frames, preds, [5, 5])
 
 
@@ -257,7 +258,7 @@ def test_absent_exclude_tag_keeps_every_frame_without_a_warning():
 
 
 def test_unknown_preset_rejected():
-    with pytest.raises(eh.EvalError):
+    with pytest.raises(ValidationError, match="unknown subset preset 'S3'; expected all, S1, S2"):
         eh.apply_subset_preset([], "S3")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from crowdvol import anthro, evalharness, meshvol, scenegen
 from crowdvol.cli import main
-from crowdvol.datamodel import default_taxonomy, frame_to_json_line
+from crowdvol.datamodel import ValidationError, default_taxonomy, frame_to_json_line
 from crowdvol.densitymap import integrate, render_ppvdm
 from crowdvol.rng import SplitMix64, mix_seed
 from crowdvol.special import ndtri
@@ -130,7 +130,7 @@ def test_humanoid_solids_are_the_closed_forms():
 
 def test_humanoid_unreachable_volume():
     sample = anthro.PersonSample(gender="male", height_m=1.75, mass_kg=70.0, bmi=22.9, volume_dm3=2000.0)
-    with pytest.raises(scenegen.BodyBuildError, match="unreachable"):
+    with pytest.raises(ValidationError, match="unreachable for height"):
         scenegen.build_humanoid(sample, seed=0)
 
 
