@@ -86,10 +86,14 @@ class CameraParams:
             raise ValidationError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
 
+_NOT_IN_FILE_NAMES = frozenset("/\\\0")  # `maps` writes <frame_id>.vdm inside its --out directory
+
+
 @dataclass(frozen=True)
 class FrameAnnotation:
     """A frame of persons, checked when built against its image and the
-    shipped taxonomy: a ValidationError names the frame and the person."""
+    shipped taxonomy: a ValidationError names the frame and the person.
+    Its frame_id is a plain file name."""
 
     frame_id: str
     image_w: int
@@ -99,6 +103,9 @@ class FrameAnnotation:
     camera: CameraParams
 
     def __post_init__(self):
+        if self.frame_id in ("", ".", "..") or not _NOT_IN_FILE_NAMES.isdisjoint(self.frame_id):
+            raise ValidationError(f"frame_id {self.frame_id!r} is not a plain file name: it must not be "
+                                  "empty, '.' or '..', nor hold '/', '\\' or NUL")
         w, h = self.image_w, self.image_h
         if w <= 0 or h <= 0:
             raise ValidationError(f"frame {self.frame_id!r}: image_w and image_h must be positive")
@@ -203,18 +210,15 @@ def default_taxonomy() -> PartTaxonomy:
 @dataclass(frozen=True)
 class DensityMap:
     """Single-channel raster in dm^3 per pixel, row-major from the top-left;
-    each value lies in [0, FLOAT32_MAX], so a VDM1 file can hold it."""
+    each value lies in [0, FLOAT32_MAX], so a VDM1 file can hold it. The
+    array's shape is the map's size."""
 
-    width: int
-    height: int
     values: np.ndarray  # shape (height, width), float64
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.height, self.width):
-            raise ValidationError(
-                f"density map shape {vals.shape} does not match {self.height}x{self.width}"
-            )
+        if vals.ndim != 2:
+            raise ValidationError(f"density map values must be a 2-D array, got shape {vals.shape}")
         if vals.size and not (vals.min() >= 0 and vals.max() <= FLOAT32_MAX):
             raise ValidationError(f"density map values must be finite and non-negative, "
                                   f"at most float32's largest {FLOAT32_MAX!r}")
@@ -446,7 +450,9 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=Fal
 
 
 def read_annotations(path) -> list[FrameAnnotation]:
+    """The frames of a JSONL file, one per line; no two lines share a frame_id."""
     frames: list[FrameAnnotation] = []
+    line_of: dict[str, int] = {}  # frame id -> the line that holds it
     with open_text(path) as fh:
         text = fh.read()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -457,9 +463,12 @@ def read_annotations(path) -> list[FrameAnnotation]:
         except (KeyError, TypeError, IndexError, AttributeError, OverflowError, ValueError) as exc:
             raise ParseError(f"{path}: malformed annotation on line {lineno}: {exc}") from exc
         try:
-            frames.append(FrameAnnotation(**fields))
+            frame = FrameAnnotation(**fields)
         except ValidationError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+        if (first := line_of.setdefault(frame.frame_id, lineno)) != lineno:
+            raise ValidationError(f"{path}: line {lineno}: frame_id {frame.frame_id!r} repeats line {first}")
+        frames.append(frame)
     return frames
 
 
@@ -603,8 +612,9 @@ def write_vertex_labels(labels: np.ndarray, path) -> None:
 # ---------------------------------------------------------------------------
 
 def write_vdm(dmap: DensityMap, path) -> None:
+    height, width = dmap.values.shape
     with open(path, "wb") as fh:
-        fh.write(VDM_MAGIC + struct.pack("<II", dmap.width, dmap.height))
+        fh.write(VDM_MAGIC + struct.pack("<II", width, height))
         fh.write(np.ascontiguousarray(dmap.values, dtype="<f4").data)
 
 
@@ -620,7 +630,7 @@ def read_vdm(path) -> DensityMap:
         raise ParseError(f"{path}: trailing data after payload")
     values = np.frombuffer(data, dtype="<f4", offset=12).astype(np.float64).reshape(height, width)
     try:
-        return DensityMap(width=width, height=height, values=values)
+        return DensityMap(values)
     except ValidationError as exc:  # a NaN, infinite or negative value
         raise ParseError(f"{path}: {exc}") from exc
 

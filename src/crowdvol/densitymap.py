@@ -82,7 +82,7 @@ def _stamp_all(frame: FrameAnnotation, stamps: list[tuple[float, float, float]],
             kernel = _kernel(factors, radius, left, right, up, down)
             acc[iy - up : iy + down + 1, ix - left : ix + right + 1] += mass * kernel
     try:
-        return DensityMap(width=w, height=h, values=acc)
+        return DensityMap(acc)
     except ValidationError as exc:  # a pixel past what float32 holds
         raise ValidationError(f"frame {frame.frame_id!r}: {exc}") from None
 
@@ -180,9 +180,10 @@ def integrate(dmap: DensityMap, bbox_px) -> float:
     x0, y0, x1, y1 = (float(v) for v in bbox_px)
     if not (x0 < x1 and y0 < y1):
         raise ValidationError(f"malformed bbox {bbox_px}")
-    if x0 < 0 or y0 < 0 or x1 > dmap.width or y1 > dmap.height:
+    height, width = dmap.values.shape
+    if x0 < 0 or y0 < 0 or x1 > width or y1 > height:
         raise ValidationError(
-            f"bbox {bbox_px} outside {dmap.width}x{dmap.height} image"
+            f"bbox {bbox_px} outside {width}x{height} image"
         )
     xs, xe = math.ceil(x0), math.ceil(x1)
     ys, ye = math.ceil(y0), math.ceil(y1)

@@ -85,20 +85,27 @@ def dataset_stats(frames: list[FrameAnnotation]) -> DatasetStats:
 # Protocols
 # ---------------------------------------------------------------------------
 
+def _check_predictions(frames: list[FrameAnnotation], preds: Predictions) -> None:
+    """Every protocol's first check: each frame has a prediction."""
+    missing = [f.frame_id for f in frames if f.frame_id not in preds]
+    if missing:
+        more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
+        raise ValidationError(f"missing predictions for frames: {', '.join(missing[:8])}{more}")
+
+
 def _frame_map(preds: Predictions, frame: FrameAnnotation) -> DensityMap:
     """The frame's map, checked against its image size; a map on disk is
     read anew on every call."""
-    dmap = preds.get(frame.frame_id)
-    if dmap is None:
-        raise ValidationError(f"no density-map prediction for frame {frame.frame_id!r}")
+    dmap = preds[frame.frame_id]
     if isinstance(dmap, Path):
         dmap = read_vdm(dmap)
     elif not isinstance(dmap, DensityMap):
         raise ValidationError(f"frame {frame.frame_id!r}: the prediction is a total volume, not a density map; "
                               "decoupling needs a directory of .vdm maps")
-    if dmap.width != frame.image_w or dmap.height != frame.image_h:
+    height, width = dmap.values.shape
+    if width != frame.image_w or height != frame.image_h:
         raise ValidationError(
-            f"frame {frame.frame_id!r}: map size {dmap.width}x{dmap.height} "
+            f"frame {frame.frame_id!r}: map size {width}x{height} "
             f"does not match image {frame.image_w}x{frame.image_h}"
         )
     return dmap
@@ -107,10 +114,7 @@ def _frame_map(preds: Predictions, frame: FrameAnnotation) -> DensityMap:
 def build_records(frames: list[FrameAnnotation], preds: Predictions) -> list[EvalRecord]:
     """One record per frame; each map prediction is fetched once, checked
     against the image size and reduced to its total before the next."""
-    missing = [f.frame_id for f in frames if f.frame_id not in preds]
-    if missing:
-        more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
-        raise ValidationError(f"missing predictions for frames: {', '.join(missing[:8])}{more}")
+    _check_predictions(frames, preds)
     records = []
     for f in frames:
         v_pred = preds[f.frame_id]
@@ -185,6 +189,7 @@ def decoupling_eval(
         raise ValidationError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
     if not 0.0 <= min_volume_dm3 < math.inf:
         raise ValidationError(f"min_volume_dm3 must be finite and >= 0, got {min_volume_dm3}")
+    _check_predictions(frames, pred_maps)
     hits: list[tuple[float, float]] = []  # (integrated, annotated) volume of each detected person
     misses = 0
     # One grid for all frames, each its own group: a frame of few boxes costs no numpy call.

@@ -38,13 +38,17 @@ class MetricsReport:
 
 def mean(name: str, items: list, term) -> float:
     """The mean of `term(x)` over the items, naming `name` if they are none or
-    if a term or their sum overflows: every mean a report prints goes here."""
+    if it is not finite: a term or their sum overflows, or a term is
+    infinite. Every mean a report prints goes here."""
     if not items:
         raise ValueError(f"{name} of an empty record set is undefined")
     try:
-        return math.fsum(term(x) for x in items) / len(items)
+        result = math.fsum(term(x) for x in items) / len(items)
     except OverflowError:
-        raise OverflowError(f"{name} overflows the float range") from None
+        result = math.inf
+    if not math.isfinite(result):
+        raise OverflowError(f"{name} overflows the float range")
+    return result
 
 
 def mae(records: list[EvalRecord]) -> float:

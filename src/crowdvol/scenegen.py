@@ -258,8 +258,8 @@ class SceneConfig:
     area_d: float  # ground rectangle depth, meters (y axis)
     area_y0: float  # near edge of the rectangle in front of the camera
     birds_eye_prob: float  # chance that a frame is tagged birds_eye and gets a top-down camera
-    frames_per_split: tuple[tuple[str, int], ...]
-    pool_sizes: tuple[tuple[str, int], ...]
+    frames_per_split: dict[str, int]  # by split name, as are the pool sizes
+    pool_sizes: dict[str, int]
     model: AnthropometricModel
 
     def __post_init__(self):
@@ -278,15 +278,9 @@ class SceneConfig:
         if not 0.0 <= self.birds_eye_prob <= 1.0:
             raise ValidationError(f"tag.birds_eye must be a probability in [0, 1], got {self.birds_eye_prob}")
         for prefix, counts in (("frames", self.frames_per_split), ("pool", self.pool_sizes)):
-            for split, count in counts:
+            for split, count in counts.items():
                 if count < 0:
                     raise ValidationError(f"{prefix}.{split} must be >= 0, got {count}")
-
-    def frames_for(self, split: str) -> int:
-        return dict(self.frames_per_split)[split]
-
-    def pool_for(self, split: str) -> int:
-        return dict(self.pool_sizes)[split]
 
 
 def scene_config_from_pairs(pairs: dict[str, str], source: str = "<config>",
@@ -307,8 +301,8 @@ def scene_config_from_pairs(pairs: dict[str, str], source: str = "<config>",
             area_d=get("area.d", float),
             area_y0=get("area.y0", float),
             birds_eye_prob=get("tag.birds_eye", float),
-            frames_per_split=tuple((split, get(f"frames.{split}", int)) for split in SPLIT_NAMES),
-            pool_sizes=tuple((split, get(f"pool.{split}", int)) for split in SPLIT_NAMES),
+            frames_per_split={split: get(f"frames.{split}", int) for split in SPLIT_NAMES},
+            pool_sizes={split: get(f"pool.{split}", int) for split in SPLIT_NAMES},
             model=build_model(get),
         )
     except ValidationError as exc:
@@ -329,7 +323,6 @@ class Character:
 @dataclass(frozen=True)
 class IdentityPool:
     split: str
-    split_index: int
     characters: tuple[Character, ...]
 
 
@@ -340,19 +333,18 @@ def build_identity_pools(cfg: SceneConfig, seed: int, all_bodies: bool = False) 
     built, unless `all_bodies` is set; the other pools do not change."""
     from .anthro import sample_population
 
-    sizes = [cfg.pool_for(s) for s in SPLIT_NAMES]
-    samples = sample_population(cfg.model, sum(sizes), mix_seed(seed, 0xA0))
+    samples = sample_population(cfg.model, sum(cfg.pool_sizes.values()), mix_seed(seed, 0xA0))
     pools: dict[str, IdentityPool] = {}
     offset = 0
-    for split_index, (split, size) in enumerate(zip(SPLIT_NAMES, sizes)):
+    for split in SPLIT_NAMES:
         characters = []
-        for i in range(size if all_bodies or cfg.frames_for(split) else 0):
+        for i in range(cfg.pool_sizes[split] if all_bodies or cfg.frames_per_split[split] else 0):
             idx = offset + i
             char_id = f"c{idx:04d}"
             body = build_humanoid(samples[idx], mix_seed(seed, 0xB0, idx))
             characters.append(Character(character_id=char_id, sample=samples[idx], body=body))
-        pools[split] = IdentityPool(split=split, split_index=split_index, characters=tuple(characters))
-        offset += size
+        pools[split] = IdentityPool(split=split, characters=tuple(characters))
+        offset += cfg.pool_sizes[split]
     return pools
 
 
@@ -425,7 +417,7 @@ def generate_frame(cfg: SceneConfig, pool: IdentityPool, seed: int, frame_idx: i
     """One annotated frame, a pure function of (cfg, pool, seed, frame_idx)."""
     if not pool.characters:
         raise ValueError(f"identity pool for split {pool.split!r} is empty")
-    rng = SplitMix64(mix_seed(seed, 0xF0 + pool.split_index, frame_idx))
+    rng = SplitMix64(mix_seed(seed, 0xF0 + SPLIT_NAMES.index(pool.split), frame_idx))
     frame_id = f"{pool.split}_{frame_idx:05d}"
     birds_eye = rng.uniform() < cfg.birds_eye_prob
     camera = _draw_camera(cfg, rng, birds_eye)
@@ -562,4 +554,4 @@ def _occluded(boxes: np.ndarray, depths: np.ndarray, kx, ky, kz, owner) -> np.nd
 
 
 def generate_split(cfg: SceneConfig, pool: IdentityPool, seed: int, workers: int = 1) -> list[FrameAnnotation]:
-    return parallel_map(generate_frame, (cfg, pool, seed), range(cfg.frames_for(pool.split)), workers)
+    return parallel_map(generate_frame, (cfg, pool, seed), range(cfg.frames_per_split[pool.split]), workers)

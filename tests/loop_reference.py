@@ -45,6 +45,7 @@ from crowdvol.scenegen import (
     _MAX_PLACE_ATTEMPTS,
     _RING_SIDES,
     HEAVY_OCCLUSION_SHARE,
+    SPLIT_NAMES,
     PlacementError,
     _draw_camera,
 )
@@ -92,7 +93,7 @@ def disc_conflict(x: float, y: float, r: float, placed: list[tuple[float, float,
 def generate_frame(cfg, pool, seed: int, frame_idx: int) -> FrameAnnotation:
     if not pool.characters:
         raise ValueError(f"identity pool for split {pool.split!r} is empty")
-    rng = SplitMix64(mix_seed(seed, 0xF0 + pool.split_index, frame_idx))
+    rng = SplitMix64(mix_seed(seed, 0xF0 + SPLIT_NAMES.index(pool.split), frame_idx))
     frame_id = f"{pool.split}_{frame_idx:05d}"
     birds_eye = rng.uniform() < cfg.birds_eye_prob
     camera = _draw_camera(cfg, rng, birds_eye)
@@ -212,7 +213,7 @@ def render_vdm(frame: FrameAnnotation, cfg: SmoothingConfig) -> DensityMap:
     for person in frame.persons:
         hx, hy = person.head_px
         stamp(acc, hx, hy, person.volume_dm3, cfg)
-    return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
+    return DensityMap(acc)
 
 
 def render_ppvdm(frame: FrameAnnotation, taxonomy, cfg: SmoothingConfig) -> DensityMap:
@@ -240,7 +241,7 @@ def render_ppvdm(frame: FrameAnnotation, taxonomy, cfg: SmoothingConfig) -> Dens
                 stamp(acc, hx, hy, v_part, cfg)
             else:
                 raise ValidationError(f"person {person.person_id!r}: part {part_id} has no anchor")
-    return DensityMap(width=frame.image_w, height=frame.image_h, values=acc)
+    return DensityMap(acc)
 
 
 def bbox_iou(a, b) -> float:

@@ -179,8 +179,8 @@ def test_criterion_4_metrics():
 def _generated(n_frames, seed, persons=(1, 6)):
     cfg = replace(
         scenegen.scene_config_from_pairs({}),
-        frames_per_split=(("train", n_frames), ("val", 1), ("test", 1)),
-        pool_sizes=(("train", 10), ("val", 2), ("test", 2)),
+        frames_per_split={"train": n_frames, "val": 1, "test": 1},
+        pool_sizes={"train": 10, "val": 2, "test": 2},
         persons_range=persons,
     )
     pools = scenegen.build_identity_pools(cfg, seed)
@@ -260,8 +260,8 @@ def test_criterion_8_population_statistics():
 
         cfg = replace(
             scenegen.scene_config_from_pairs({}),
-            frames_per_split=(("train", 6), ("val", 2), ("test", 2)),
-            pool_sizes=(("train", 6), ("val", 2), ("test", 2)),
+            frames_per_split={"train": 6, "val": 2, "test": 2},
+            pool_sizes={"train": 6, "val": 2, "test": 2},
         )
         from crowdvol.datamodel import frame_to_json_line
 

@@ -1005,6 +1005,13 @@ def bad_inputs(tmp_path_factory):
     write_vertex_labels(np.where(on_line, 0, 1), root / "collinear.labels")
     write_vertex_labels(np.where(on_line & (bar.vertices[:, 0] < 2), 0, 1), root / "two-points.labels")
     (root / "twice.cfg").write_text("image_w=640\nimage_w=800\n")
+    # frame 1 renamed as frame 0, and frame 0 with an id that leaves the --out directory
+    first, second = (json.loads(line) for line in (data / "test.jsonl").read_text().splitlines()[:2])
+    repeated = (first, dict(second, frame_id="test_00000"))
+    (root / "repeated-id.jsonl").write_text("".join(json.dumps(f) + "\n" for f in repeated))
+    (root / "escape-id.jsonl").write_text(json.dumps(dict(first, frame_id="../escaped")) + "\n")
+    (root / "one_map").mkdir()
+    (root / "one_map" / "test_00001.vdm").write_bytes((maps / "test_00001.vdm").read_bytes())
     (root / "all.jsonl").write_text("".join((data / f"{split}.jsonl").read_text() for split in ("train", "val", "test")))
     (root / "no_maps").mkdir()
     anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 40, seed=3), root / "samples.csv")
@@ -1027,6 +1034,9 @@ def bad_inputs(tmp_path_factory):
     # three samples of 1e308 dm^3 each: every row passes the reader, their sum overflows
     (root / "samples-sum-overflow.csv").write_text(
         "\n".join([rows[0], *(row.rsplit(",", 1)[0] + ",1e308" for row in rows[1:4])]) + "\n")
+    # a subnormal volume: the body density it divides into is inf, without an overflow
+    (root / "subnormal-volume.csv").write_text(
+        "\n".join([rows[0], rows[1].rsplit(",", 1)[0] + ",1e-310", *rows[2:4]]) + "\n")
     for name, source in [
         ("nonutf8.jsonl", data / "test.jsonl"),
         ("nonutf8.obj", cube),
@@ -1162,6 +1172,19 @@ OVERFLOW_CASES = {
                                 None, 2, "error: {maps}: ppmae overflows the float range\n"),
     "samples-sum-overflow": ("stats {root}/samples-sum-overflow.csv", None, 2,
                              "error: {root}/samples-sum-overflow.csv: mean_volume_dm3 overflows the float range\n"),
+    "samples-density-inf": ("stats {root}/subnormal-volume.csv --target-config {root}/model.cfg", None, 2,
+                            "error: {root}/subnormal-volume.csv: mean_body_density_kg_m3 overflows the float range\n"),
+}
+
+# Frame ids that cannot each name one map. Each used to exit 0: `maps` wrote
+# the repeated id's second map over its first, or a map outside --out, and
+# `eval` scored one frame against the other frame's map.
+REPEATED_ID = "error: {root}/repeated-id.jsonl: line 2: frame_id 'test_00000' repeats line 1\n"
+FRAME_ID_CASES = {
+    "maps-repeated-id": ("maps {root}/repeated-id.jsonl --out {root}/m --sigma 0", None, 2, REPEATED_ID),
+    "eval-repeated-id": ("eval --gt {root}/repeated-id.jsonl --preds {maps} --out {root}/e", None, 2, REPEATED_ID),
+    "maps-id-not-a-file-name": ("maps {root}/escape-id.jsonl --out {root}/trav/maps", None, 2,
+                                "error: {root}/escape-id.jsonl: line 1: frame_id '../escaped' is not a plain file name"),
 }
 
 # First bboxes past the 640x480 image. The reader rejects each with its file
@@ -1286,6 +1309,9 @@ ERROR_CASES = {
     "preds-missing": ("eval --gt {root}/all.jsonl --preds {root}/no_maps --out {root}/e", None, 2,
                       "missing predictions for frames: train_00000, train_00001, train_00002, train_00003, "
                       "val_00000, val_00001, test_00000, test_00001 (+1 more)"),
+    # decoupling lists them as full does; it used to name only the first
+    "decoupling-preds-missing": (EVAL.replace("{maps}", "{root}/one_map") + " --protocol decoupling", None, 2,
+                                 "error: missing predictions for frames: test_00000, test_00002\n"),
     "scene-lognormal-range": (GEN, {"female.mass.mu": "nan"}, 2,
                               "{cfg}: female.mass: need a finite mu and 0 < sigma < inf, got mu=nan"),
     "taxonomy-typo": (LABEL_TAXONOMY + "taxonomy-typo.cfg", None, 2,
@@ -1300,6 +1326,7 @@ ERROR_CASES = {
     **SAMPLE_CASES,
     **BBOX_CASES,
     **OVERFLOW_CASES,
+    **FRAME_ID_CASES,
 }
 
 
@@ -1324,6 +1351,16 @@ def test_error_is_one_line_with_its_exit_code(bad_inputs, tmp_path, capsys, monk
     assert len(error_lines) == 1 and fragment.format(**paths) in error_lines[0] + "\n"  # a final "\n" ends the line
     if not fragment.startswith("argument "):
         assert err == error_lines[0] + "\n"
+
+
+@pytest.mark.parametrize("frame_id", ["../escaped", "../../escaped"])
+def test_maps_writes_no_map_outside_out_for_an_id_that_is_not_a_file_name(bad_inputs, tmp_path, frame_id):
+    frame = json.loads(Path(bad_inputs["gt"]).read_text().splitlines()[0])
+    (tmp_path / "bad.jsonl").write_text(json.dumps(dict(frame, frame_id=frame_id)) + "\n")
+    out = tmp_path / "trav" / "maps"
+    (tmp_path / "trav").mkdir()
+    assert run("maps", str(tmp_path / "bad.jsonl"), "--out", str(out), "--sigma", "0") == 2
+    assert list(tmp_path.rglob("*.vdm")) == []
 
 
 def test_map_that_cannot_be_allocated_is_one_line(bad_inputs, tmp_path, capsys, monkeypatch):

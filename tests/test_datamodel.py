@@ -21,7 +21,7 @@ from conftest import generate_dataset, make_box, make_frame, make_person, part_i
 
 def test_generated_frames_equal_themselves_read_back(tmp_path):
     """Every field, the camera's float tuples among them, reads back equal."""
-    cfg = replace(scenegen.scene_config_from_pairs({}), frames_per_split=(("train", 0), ("val", 0), ("test", 4)))
+    cfg = replace(scenegen.scene_config_from_pairs({}), frames_per_split={"train": 0, "val": 0, "test": 4})
     frames = generate_dataset(cfg, seed=3)["test"]
     path = tmp_path / "test.jsonl"
     dm.write_annotations(frames, path)
@@ -166,6 +166,41 @@ def test_frame_checks_itself_when_built_and_the_reader_names_its_line(tmp_path, 
     assert str(read.value) == f"{path}: line 2: frame 'f0'{message}"
 
 
+# Ids that do not name a file inside a directory: `maps` writes <frame_id>.vdm.
+NOT_FILE_NAMES = ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b"]
+
+
+@pytest.mark.parametrize("frame_id", NOT_FILE_NAMES)
+def test_frame_id_is_a_plain_file_name_and_the_reader_names_its_line(tmp_path, frame_id):
+    message = (f"frame_id {frame_id!r} is not a plain file name: it must not be "
+               "empty, '.' or '..', nor hold '/', '\\' or NUL")
+    with pytest.raises(dm.ValidationError) as built:
+        make_frame([], frame_id=frame_id)
+    assert str(built.value) == message
+    line = {**dm.frame_to_dict(make_frame([])), "frame_id": frame_id}
+    path = tmp_path / "frames.jsonl"
+    path.write_text(dm.frame_to_json_line(make_frame([], frame_id="ok")) + "\n" + json.dumps(line) + "\n")
+    with pytest.raises(dm.ValidationError) as read:
+        dm.read_annotations(path)
+    assert str(read.value) == f"{path}: line 2: {message}"
+
+
+@pytest.mark.parametrize("frame_id", ["test_00000", "..a", "a.b", "a..b", " ", "\u00e9"])
+def test_frame_ids_that_name_a_file_are_kept(frame_id):
+    assert make_frame([], frame_id=frame_id).frame_id == frame_id
+
+
+def test_reader_rejects_a_frame_id_that_repeats_an_earlier_line(tmp_path):
+    lines = [dm.frame_to_json_line(make_frame([], frame_id=i)) for i in ("a", "b", "c", "b")]
+    path = tmp_path / "frames.jsonl"
+    path.write_text("\n".join(lines[:3]) + "\n\n" + lines[3] + "\n")  # the blank line 4 is skipped
+    with pytest.raises(dm.ValidationError) as read:
+        dm.read_annotations(path)
+    assert str(read.value) == f"{path}: line 5: frame_id 'b' repeats line 2"
+    path.write_text("\n".join(lines[:3]) + "\n")
+    assert [f.frame_id for f in dm.read_annotations(path)] == ["a", "b", "c"]
+
+
 # ---------------------------------------------------------------------------
 # OBJ
 # ---------------------------------------------------------------------------
@@ -226,7 +261,7 @@ def test_obj_float_text_shortest_roundtrip(tmp_path):
 
 def test_vdm_2x2_roundtrip_28_bytes(tmp_path):
     values = np.array([[0.0, 1.5], [2.25, 0.0]])
-    dmap = dm.DensityMap(width=2, height=2, values=values)
+    dmap = dm.DensityMap(values)
     path = tmp_path / "m.vdm"
     dm.write_vdm(dmap, path)
     raw = path.read_bytes()
@@ -260,7 +295,7 @@ def test_vdm_negative_value_rejected(tmp_path):
 
 def test_vdm_write_read_write_identical(tmp_path):
     rng = np.random.default_rng(7)
-    dmap = dm.DensityMap(width=5, height=3, values=rng.random((3, 5)))
+    dmap = dm.DensityMap(rng.random((3, 5)))
     p1, p2 = tmp_path / "a.vdm", tmp_path / "b.vdm"
     dm.write_vdm(dmap, p1)
     dm.write_vdm(dm.read_vdm(p1), p2)
@@ -269,7 +304,7 @@ def test_vdm_write_read_write_identical(tmp_path):
 
 def test_vdm_write_holds_one_float32_copy(tmp_path):
     rng = np.random.default_rng(8)
-    dmap = dm.DensityMap(width=640, height=480, values=rng.random((480, 640)))
+    dmap = dm.DensityMap(rng.random((480, 640)))
     path = tmp_path / "big.vdm"
     payload = 4 * 640 * 480
     tracemalloc.start()
@@ -393,7 +428,7 @@ def test_trimesh_rejects_bad_faces():
 
 def test_density_map_rejects_negative():
     with pytest.raises(dm.ValidationError):
-        dm.DensityMap(width=2, height=1, values=np.array([[1.0, -0.5]]))
+        dm.DensityMap(np.array([[1.0, -0.5]]))
 
 
 @pytest.mark.parametrize(
@@ -408,19 +443,34 @@ def test_density_map_check_matches_full_array_oracle(bad):
     rejected = bool(values.size) and (not np.isfinite(values).all() or (values < 0).any())
     if rejected:
         with pytest.raises(dm.ValidationError, match="must be finite and non-negative"):
-            dm.DensityMap(width=3, height=values.shape[0], values=values)
+            dm.DensityMap(values)
     else:
-        dmap = dm.DensityMap(width=3, height=values.shape[0], values=values)
+        dmap = dm.DensityMap(values)
         assert np.array_equal(dmap.values, values)
     assert rejected == (bad in (math.inf, -math.inf, -1e-300) or bad != bad)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4, 3), (1, 1), (480, 640)])
+def test_density_map_size_follows_its_array(tmp_path, shape):
+    """The (height, width) of a map is its array's shape: the VDM header
+    holds (width, height), and the map reads back at that shape."""
+    dm.write_vdm(dm.DensityMap(np.zeros(shape)), tmp_path / "m.vdm")
+    assert struct.unpack("<II", (tmp_path / "m.vdm").read_bytes()[4:12]) == shape[::-1]
+    assert dm.read_vdm(tmp_path / "m.vdm").values.shape == shape
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2), (1, 4, 1)])
+def test_density_map_values_that_are_not_2d_are_rejected(shape):
+    with pytest.raises(dm.ValidationError, match=re.escape(f"must be a 2-D array, got shape {shape}")):
+        dm.DensityMap(np.zeros(shape))
+
+
 def test_density_map_values_are_bounded_by_what_a_vdm_file_holds(tmp_path):
     top = float(np.finfo(np.float32).max)
-    dm.write_vdm(dm.DensityMap(width=1, height=1, values=np.array([[top]])), tmp_path / "top.vdm")
+    dm.write_vdm(dm.DensityMap(np.array([[top]])), tmp_path / "top.vdm")
     assert dm.read_vdm(tmp_path / "top.vdm").values[0, 0] == top
     with pytest.raises(dm.ValidationError, match="at most float32's largest"):
-        dm.DensityMap(width=1, height=1, values=np.array([[math.nextafter(top, math.inf)]]))
+        dm.DensityMap(np.array([[math.nextafter(top, math.inf)]]))
 
 
 def test_frame_total_volume_is_derived():

@@ -265,14 +265,14 @@ def test_integrate_partition_additivity():
 def test_integrate_pixel_membership_is_half_open():
     values = np.zeros((4, 4))
     values[2, 2] = 5.0
-    dmap = DensityMap(width=4, height=4, values=values)
+    dmap = DensityMap(values)
     assert integrate(dmap, (0.0, 0.0, 2.0, 2.0)) == 0.0  # pixel 2 excluded: 2 < 2 fails
     assert integrate(dmap, (0.0, 0.0, 2.5, 2.5)) == 5.0
     assert integrate(dmap, (2.0, 2.0, 3.0, 3.0)) == 5.0
 
 
 def test_integrate_bbox_outside_image_is_error():
-    dmap = DensityMap(width=4, height=4, values=np.zeros((4, 4)))
+    dmap = DensityMap(np.zeros((4, 4)))
     with pytest.raises(Exception, match="outside"):
         integrate(dmap, (-1.0, 0.0, 2.0, 2.0))
     with pytest.raises(Exception, match="outside"):

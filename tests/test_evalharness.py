@@ -20,8 +20,8 @@ SIGMA0 = smoothing(sigma_px=0.0)
 def generated_frames(n_frames=12, seed=21, persons=(1, 6)):
     cfg = replace(
         scenegen.scene_config_from_pairs({}),
-        frames_per_split=(("train", n_frames), ("val", 1), ("test", 1)),
-        pool_sizes=(("train", 8), ("val", 2), ("test", 2)),
+        frames_per_split={"train": n_frames, "val": 1, "test": 1},
+        pool_sizes={"train": 8, "val": 2, "test": 2},
         persons_range=persons,
     )
     pools = scenegen.build_identity_pools(cfg, seed)
@@ -116,6 +116,15 @@ def test_full_eval_missing_prediction_lists_frames():
     preds = {frames[0].frame_id: 100.0}
     with pytest.raises(ValidationError, match=f"missing predictions for frames: {frames[1].frame_id}, "):
         eh.evaluate_full(frames, preds)
+
+
+@pytest.mark.parametrize("protocol", [eh.evaluate_full, eh.decoupling_eval])
+def test_every_protocol_lists_the_frames_without_a_map(protocol):
+    frames = generated_frames(n_frames=5)
+    maps = {f.frame_id: render_vdm(f, SIGMA0) for f in frames[::2]}
+    message = f"missing predictions for frames: {frames[1].frame_id}, {frames[3].frame_id}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        protocol(frames, maps)
 
 
 def test_full_eval_per_tag_partition():

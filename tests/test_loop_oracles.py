@@ -36,7 +36,7 @@ def dense_frames():
     pairs = []
     for seed in range(3):
         pool = scenegen.build_identity_pools(cfg, seed)["test"]
-        for idx in range(cfg.frames_for("test")):
+        for idx in range(cfg.frames_per_split["test"]):
             pairs.append((
                 scenegen.generate_frame(cfg, pool, seed, idx),
                 ref.generate_frame(cfg, pool, seed, idx),
@@ -71,7 +71,7 @@ def test_default_scene_frames_match_loop_reference():
     for seed in range(10):
         pools = scenegen.build_identity_pools(cfg, seed)
         for split in scenegen.SPLIT_NAMES:
-            for idx in range(cfg.frames_for(split)):
+            for idx in range(cfg.frames_per_split[split]):
                 new = scenegen.generate_frame(cfg, pools[split], seed, idx)
                 old = ref.generate_frame(cfg, pools[split], seed, idx)
                 assert_same_json(new, old)

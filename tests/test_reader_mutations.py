@@ -26,7 +26,7 @@ def _samples(path):
 
 
 def _vdm(path):
-    dm.write_vdm(dm.DensityMap(3, 2, np.array([[0.0, 1.5, 2.0], [0.25, 0.0, 4.0]])), path)
+    dm.write_vdm(dm.DensityMap(np.array([[0.0, 1.5, 2.0], [0.25, 0.0, 4.0]])), path)
 
 
 # name: (write a valid file, read it)

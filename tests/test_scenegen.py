@@ -16,8 +16,8 @@ from conftest import DENSE_PAIRS, generate_dataset, identity_camera, part_id, sm
 
 def small_cfg(**overrides):
     defaults = dict(
-        frames_per_split=(("train", 4), ("val", 2), ("test", 3)),
-        pool_sizes=(("train", 6), ("val", 3), ("test", 4)),
+        frames_per_split={"train": 4, "val": 2, "test": 3},
+        pool_sizes={"train": 6, "val": 3, "test": 4},
         persons_range=(1, 5),
     )
     defaults.update(overrides)
@@ -156,7 +156,7 @@ def test_frame_byte_determinism():
 
 
 def test_generated_frames_validate_and_close():
-    cfg = small_cfg(frames_per_split=(("train", 40), ("val", 2), ("test", 2)))
+    cfg = small_cfg(frames_per_split={"train": 40, "val": 2, "test": 2})
     pools = scenegen.build_identity_pools(cfg, seed=9)
     for idx in range(40):
         frame = scenegen.generate_frame(cfg, pools["train"], seed=9, frame_idx=idx)  # checked when built
@@ -185,7 +185,7 @@ def test_ground_discs_do_not_overlap():
     # placement positions are not stored in annotations, so probe the rule
     # where it lives: duplicate characters in a frame must still end up at
     # distinct spots (distinct bboxes), across many frames
-    cfg = small_cfg(persons_range=(4, 6), pool_sizes=(("train", 2), ("val", 2), ("test", 2)))
+    cfg = small_cfg(persons_range=(4, 6), pool_sizes={"train": 2, "val": 2, "test": 2})
     pools = scenegen.build_identity_pools(cfg, seed=4)
     for idx in range(20):
         frame = scenegen.generate_frame(cfg, pools["train"], seed=4, frame_idx=idx)
