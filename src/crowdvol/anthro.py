@@ -1,4 +1,4 @@
-"""Population anthropometrics: log-normal mass/height models, BMI-constrained
+"""Population anthropometrics: log-normal mass/height models, BMI-truncated
 sampling, truncated-normal mesh scaling, and KL-divergence alignment reports.
 
 Masses are in kg, heights in meters, volumes in dm^3 unless noted. Mass and
@@ -14,6 +14,7 @@ import numpy as np
 
 from .datamodel import ParseError, ValidationError, config_getter, csv_text, default_config, read_csv
 from .rng import SplitMix64, mix_seed
+from .special import ndtri
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,22 @@ class LogNormalParams:
 
 @dataclass(frozen=True)
 class GenderParams:
+    """A gender's log-normal mass and height, with sigma_m > 2 sigma_h (see `bmi`)."""
+
     mass: LogNormalParams  # kg
     height: LogNormalParams  # m
+
+    def __post_init__(self):
+        if not self.mass.sigma > 2.0 * self.height.sigma:
+            raise ValidationError(f"mass.sigma={self.mass.sigma!r} must exceed 2 * height.sigma={self.height.sigma!r}, "
+                                  "so that log BMI = log mass - 2 log height has a positive variance")
+        self.bmi  # raises ValidationError if its mu or sigma leaves the float range
+
+    @property
+    def bmi(self) -> LogNormalParams:
+        """Log BMI (kg/m^2): mu_m - 2 mu_h, and sigma_m^2 - 4 sigma_h^2 for sigma^2."""
+        m, h = self.mass, self.height
+        return LogNormalParams(m.mu - 2.0 * h.mu, math.sqrt((m.sigma - 2.0 * h.sigma) * (m.sigma + 2.0 * h.sigma)))
 
 
 @dataclass(frozen=True)
@@ -52,8 +67,8 @@ class AnthropometricModel:
 
     def __post_init__(self):
         lo, hi = self.bmi_range
-        if not lo < hi:
-            raise ValidationError(f"bmi_range must satisfy lo < hi, got {self.bmi_range}")
+        if not 0 < lo < hi:
+            raise ValidationError(f"bmi_range must satisfy 0 < lo < hi, got {self.bmi_range}")
         if not self.body_density > 0:
             raise ValidationError("body_density must be positive")
         if not 0.0 <= self.gender_mix <= 1.0:
@@ -111,92 +126,65 @@ def volume_from_mass(mass_kg: float, density: float) -> float:
 # Sampling
 # ---------------------------------------------------------------------------
 
-_REJECTION_WINDOW = 1000
-_MIN_ACCEPT_RATE = 0.01
+def _truncated_normal(stream: SplitMix64, mean: float, std: float, lower: float, upper: float) -> float:
+    """One draw of N(mean, std^2) truncated to [lower, upper], bounds that may
+    be infinite: `special.ndtri` of one uniform draw strictly between the
+    bounds' CDFs, clamped to the bounds against rounding. A window above the
+    mean is drawn as the mirror image of one below it, where the CDF from
+    libm's `erfc` keeps its precision. A window whose probability rounds to
+    0 raises ValidationError."""
+    flip = lower > mean
+    lo, hi = (mean - upper, mean - lower) if flip else (lower - mean, upper - mean)
+    scale = std * math.sqrt(2.0)
+    a, b = 0.5 * math.erfc(-lo / scale), 0.5 * math.erfc(-hi / scale)
+    if not b > a:
+        raise ValidationError(f"N({mean!r}, {std!r}^2) has no probability in [{lower!r}, {upper!r}] "
+                              "at double precision")
+    z = std * ndtri(a + (b - a) * stream.uniform())
+    return min(max(mean - z if flip else mean + z, lower), upper)
 
 
 def sample_population(model: AnthropometricModel, n: int, seed: int) -> list[PersonSample]:
-    """Draw n persons; heights and masses come from the gender's log-normals
-    and draws with BMI outside the model range are rejected and redrawn. A
-    model whose BMI window rejects over 99% of draws raises ValidationError."""
+    """Draw n persons: log height from the gender's log-normal, and log BMI
+    independently of it, from its log-normal truncated to the model's BMI
+    range; mass is BMI * height^2. A gender whose BMI range holds no
+    probability at double precision raises ValidationError."""
     if n < 0:
         raise ValueError("n must be >= 0")
     stream = SplitMix64(seed)
     lo, hi = model.bmi_range
+    log_bmi_of = {"female": model.female.bmi, "male": model.male.bmi}
     samples: list[PersonSample] = []
-    window_draws = 0
-    window_accepts = 0
     for _ in range(n):
         gender = "female" if stream.uniform() < model.gender_mix else "male"
-        params = model.params_for(gender)
-        while True:
-            height = math.exp(params.height.mu + params.height.sigma * stream.normal())
-            mass = math.exp(params.mass.mu + params.mass.sigma * stream.normal())
-            window_draws += 1
-            bmi = mass / (height * height)
-            if lo <= bmi <= hi:
-                window_accepts += 1
-                break
-            if window_draws >= _REJECTION_WINDOW:
-                if window_accepts < _MIN_ACCEPT_RATE * window_draws:
-                    raise ValidationError(
-                        f"BMI rejection rate exceeded 99% over {window_draws} draws"
-                    )
-                window_draws = 0
-                window_accepts = 0
-        if window_draws >= _REJECTION_WINDOW:
-            window_draws = 0
-            window_accepts = 0
-        volume_m3 = volume_from_mass(mass, model.body_density)
-        samples.append(
-            PersonSample(
-                gender=gender,
-                height_m=height,
-                mass_kg=mass,
-                bmi=bmi,
-                volume_dm3=volume_m3 * 1000.0,
-            )
-        )
+        height_params, bmi_params = model.params_for(gender).height, log_bmi_of[gender]
+        height = math.exp(_truncated_normal(stream, height_params.mu, height_params.sigma, -math.inf, math.inf))
+        try:
+            log_bmi = _truncated_normal(stream, bmi_params.mu, bmi_params.sigma, math.log(lo), math.log(hi))
+        except ValidationError as exc:
+            raise ValidationError(f"{gender} BMI range [{lo!r}, {hi!r}]: log BMI ~ {exc}") from None
+        bmi = min(max(math.exp(log_bmi), lo), hi)  # exp(log lo) can round below lo
+        mass = bmi * height * height
+        samples.append(PersonSample(gender, height, mass, bmi, volume_from_mass(mass, model.body_density) * 1000.0))
     return samples
 
 
-def sample_scaling(cfg: ScalingConfig, seed: int, max_attempts: int = 1_000_000) -> tuple[float, float, float]:
-    """One (x, y, z) scaling triple, each factor drawn by rejection from its
-    truncated normal."""
+def sample_scaling(cfg: ScalingConfig, seed: int) -> tuple[float, float, float]:
+    """One (x, y, z) scaling triple, each factor drawn from its truncated normal."""
     stream = SplitMix64(seed)
-    out = []
-    for tn in (cfg.x, cfg.y, cfg.z):
-        for _ in range(max_attempts):
-            value = tn.mean + tn.std * stream.normal()
-            if tn.lower <= value <= tn.upper:
-                out.append(value)
-                break
-        else:
-            raise ValidationError(
-                f"no draw landed in [{tn.lower}, {tn.upper}] after {max_attempts} attempts"
-            )
-    return out[0], out[1], out[2]
+    return tuple(_truncated_normal(stream, tn.mean, tn.std, tn.lower, tn.upper) for tn in (cfg.x, cfg.y, cfg.z))
 
 
 def scale_samples(samples: list[PersonSample], cfg: ScalingConfig, seed: int) -> list[PersonSample]:
     """Population-level effect of per-person mesh scaling: the vertical factor
     stretches height, the product of all three scales volume and mass alike,
-    so each sample keeps its body density."""
+    so each sample keeps its body density, and BMI scales by sx * sy / sz."""
     out = []
     for i, s in enumerate(samples):
         sx, sy, sz = sample_scaling(cfg, mix_seed(seed, i))
-        height = s.height_m * sz
         factor = sx * sy * sz
-        mass = s.mass_kg * factor
-        out.append(
-            PersonSample(
-                gender=s.gender,
-                height_m=height,
-                mass_kg=mass,
-                bmi=mass / (height * height),
-                volume_dm3=s.volume_dm3 * factor,
-            )
-        )
+        out.append(PersonSample(s.gender, s.height_m * sz, s.mass_kg * factor, s.bmi * factor / (sz * sz),
+                                s.volume_dm3 * factor))
     return out
 
 
@@ -263,9 +251,16 @@ def build_model(get) -> AnthropometricModel:
         except ValidationError as exc:
             raise ValidationError(f"{prefix}: {exc}") from None
 
+    def gender(name: str) -> GenderParams:
+        mass, height = lognormal(f"{name}.mass"), lognormal(f"{name}.height")
+        try:
+            return GenderParams(mass=mass, height=height)
+        except ValidationError as exc:
+            raise ValidationError(f"{name}: {exc}") from None
+
     return AnthropometricModel(
-        female=GenderParams(mass=lognormal("female.mass"), height=lognormal("female.height")),
-        male=GenderParams(mass=lognormal("male.mass"), height=lognormal("male.height")),
+        female=gender("female"),
+        male=gender("male"),
         gender_mix=get("gender_mix", float),
         bmi_range=(get("bmi.lo", float), get("bmi.hi", float)),
         body_density=get("body_density", float),

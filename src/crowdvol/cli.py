@@ -152,9 +152,9 @@ def _full_rows(frames, preds, args, out) -> tuple[str, list[tuple]]:
 def _decoupling_rows(frames, preds, args, out) -> tuple[str, list[tuple]]:
     from . import evalharness
 
-    report = evalharness.decoupling_eval(frames, preds, args.min_volume, args.iou_threshold)
-    names = ("ppmae", "misses", "kept", "dropped_overlap", "total_persons")
-    return "report.csv", [("metric", "value")] + [(name, getattr(report, name)) for name in names]
+    r = evalharness.decoupling_eval(frames, preds, args.min_volume, args.iou_threshold)
+    return "report.csv", [("metric", "value"), ("ppmae", r.ppmae), ("misses", r.misses), ("kept", r.kept),
+                          ("dropped_overlap", r.dropped_overlap), ("total_persons", r.total_persons)]
 
 
 def _bins_rows(frames, preds, args, out) -> tuple[str, list[tuple]]:

@@ -106,6 +106,13 @@ class FrameAnnotation:
         if self.frame_id in ("", ".", "..") or not _NOT_IN_FILE_NAMES.isdisjoint(self.frame_id):
             raise ValidationError(f"frame_id {self.frame_id!r} is not a plain file name: it must not be "
                                   "empty, '.' or '..', nor hold '/', '\\' or NUL")
+        try:
+            size = len(self.frame_id.encode("utf-8")) + len(".vdm")
+        except UnicodeEncodeError:
+            raise ValidationError(f"frame_id {self.frame_id!r} is not a file name: it holds a lone surrogate") from None
+        if size > 255:  # bytes in a file name on common file systems (NAME_MAX on Linux)
+            raise ValidationError(f"frame_id {self.frame_id[:16]!r}... is too long: "
+                                  f"<frame_id>.vdm would be a {size}-byte file name, over 255")
         w, h = self.image_w, self.image_h
         if w <= 0 or h <= 0:
             raise ValidationError(f"frame {self.frame_id!r}: image_w and image_h must be positive")

@@ -167,9 +167,12 @@ class DecouplingReport:
 
     ppmae: float  # mean |V_hat_p - V_p| over kept-and-detected persons
     misses: int  # kept persons whose integrated volume fell below threshold
-    kept: int  # persons surviving the non-overlap filter
     dropped_overlap: int
     total_persons: int
+
+    @property
+    def kept(self) -> int:  # persons surviving the non-overlap filter
+        return self.total_persons - self.dropped_overlap
 
 
 def decoupling_eval(
@@ -206,11 +209,9 @@ def decoupling_eval(
                 misses += 1
             else:
                 hits.append((v_hat, person.volume_dm3))
-    kept = len(hits) + misses
     return DecouplingReport(
         ppmae=mean("ppmae", hits, lambda h: abs(h[0] - h[1])) if hits else math.nan,
         misses=misses,
-        kept=kept,
         dropped_overlap=sum(flags),
         total_persons=len(flags),
     )
@@ -220,8 +221,11 @@ def decoupling_eval(
 class CrowdBin:
     lo: float
     hi: float
-    n_frames: int
     report: MetricsReport | None  # None when the bin is empty
+
+    @property
+    def n_frames(self) -> int:
+        return 0 if self.report is None else self.report.k
 
 
 def crowd_size_bins(
@@ -234,7 +238,7 @@ def crowd_size_bins(
     bins = []
     for lo, hi in zip(bin_edges[:-1], bin_edges[1:]):  # disjoint, since the edges increase
         held = [r for r in records if lo <= r.n_persons < hi]
-        bins.append(CrowdBin(lo=lo, hi=hi, n_frames=len(held), report=compute_report(held) if held else None))
+        bins.append(CrowdBin(lo=lo, hi=hi, report=compute_report(held) if held else None))
     return bins
 
 

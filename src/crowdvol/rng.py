@@ -2,14 +2,11 @@
 
 Every stochastic component of the toolkit draws from these streams so that
 outputs are a pure function of the configured seed, independent of platform,
-worker count, or library version. Normals come from the Cephes `ndtri` port
-in `special`, so they depend only on the seed and on libm's `log` and `sqrt`.
+worker count, or library version.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from .special import ndtri
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -70,10 +67,6 @@ class SplitMix64:
         counters = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
         self._index += n
         return _outputs_for_counters(self.seed, counters)
-
-    def normal(self) -> float:
-        """Standard normal via the inverse CDF of one uniform draw."""
-        return ndtri(self.uniform())
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer uniform on [lo, hi] inclusive."""

@@ -377,9 +377,9 @@ def _draw_camera(cfg: SceneConfig, rng: SplitMix64, birds_eye: bool) -> CameraPa
 _MAX_PLACE_ATTEMPTS = 200
 
 # A frame is tagged heavy_occlusion when at least this share of its in-image
-# keypoints is hidden. On the default scene at seeds 1-10 it tags 60 of 500
-# frames (0.3 would tag 30); no bird's-eye frame there hides over 0.01. A
-# dense crowd hides more: perfbench's dense scene tags every frame.
+# keypoints is hidden. On the default scene at seeds 1-10 (data 0.6.0) it
+# tags 60 of 500 frames (0.3 would tag 31); no bird's-eye frame there hides
+# over 0.01. A dense crowd hides more: perfbench's dense scene tags every frame.
 HEAVY_OCCLUSION_SHARE = 0.25
 
 

@@ -5,7 +5,7 @@ Moshier, *Methods and Programs for Mathematical Functions*, 1989), with the
 coefficients and the Horner order of its `polevl`/`p1evl`. It uses only
 `math.log` and `math.sqrt`, so a result depends on the input and on the
 platform's libm, and equals the Cephes build that scipy ships bit for bit.
-Every normal draw of `rng` goes through it, so its bits decide every
+Every normal draw of `anthro` goes through it, so its bits decide every
 sampled body; the standard library's `NormalDist.inv_cdf` rounds
 differently.
 """

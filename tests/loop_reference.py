@@ -273,11 +273,9 @@ def decoupling_eval(frames, pred_maps, min_volume_dm3: float = 10.0, iou_thresho
                 misses += 1
             else:
                 errors.append(abs(v_hat - person.volume_dm3))
-    kept = len(errors) + misses
     return DecouplingReport(
         ppmae=math.fsum(errors) / len(errors) if errors else math.nan,
         misses=misses,
-        kept=kept,
         dropped_overlap=dropped,
         total_persons=total,
     )

@@ -39,6 +39,53 @@ def test_population_respects_bmi_range():
         assert s.volume_dm3 == pytest.approx(s.mass_kg / model.body_density * 1000.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("lo", [20.0, 20.01, 20.05])
+def test_population_bmi_stays_in_a_window_a_few_ulps_wide(lo):
+    # exp(log(lo)) rounds below lo for each lo here, and about 4% of the
+    # draws' exp() leave a window this narrow: the stored BMI is clamped after exp
+    assert math.exp(math.log(lo)) < lo
+    model = replace(anthro.model_from_config({}), bmi_range=(lo, lo * (1.0 + 1e-14)))
+    for s in anthro.sample_population(model, 2000, seed=11):
+        assert lo <= s.bmi <= lo * (1.0 + 1e-14)
+
+
+def _log_columns(samples, gender):
+    held = [s for s in samples if s.gender == gender]
+    return np.log([s.height_m for s in held]), np.log([s.mass_kg for s in held]), np.log([s.bmi for s in held])
+
+
+@pytest.mark.parametrize("gender", ["female", "male"])
+def test_population_marginals_and_correlation_match_the_model(gender):
+    """Log height and log mass keep the configured log-normals, since the
+    default BMI window cuts under 1e-5 of log BMI's mass, and log BMI is
+    drawn independently of log height, so corr(log h, log m) = 2 sigma_h / sigma_m.
+    Each tolerance is 4 standard errors at the gender's sample count n."""
+    model = anthro.model_from_config({})
+    params = model.params_for(gender)
+    log_h, log_m, _ = _log_columns(anthro.sample_population(model, 20_000, seed=7), gender)
+    n = len(log_h)
+    for values, target in ((log_h, params.height), (log_m, params.mass)):
+        assert abs(values.mean() - target.mu) <= 4.0 * target.sigma / math.sqrt(n)
+        assert abs(values.std() - target.sigma) <= 4.0 * target.sigma / math.sqrt(2.0 * n)
+    rho = 2.0 * params.height.sigma / params.mass.sigma
+    assert abs(np.corrcoef(log_h, log_m)[0, 1] - rho) <= 4.0 * (1.0 - rho**2) / math.sqrt(n - 3)
+
+
+@pytest.mark.parametrize("gender", ["female", "male"])
+def test_population_log_bmi_follows_its_truncated_normal(gender):
+    """In a window that cuts both tails, log BMI has the mean and sd of the
+    truncated normal, and stays uncorrelated with log height."""
+    model = replace(anthro.model_from_config({}), bmi_range=(21.0, 27.0))
+    log_h, _, log_bmi = _log_columns(anthro.sample_population(model, 20_000, seed=8), gender)
+    bmi = model.params_for(gender).bmi
+    a, b = (math.log(21.0) - bmi.mu) / bmi.sigma, (math.log(27.0) - bmi.mu) / bmi.sigma
+    sd = truncnorm.std(a, b, loc=bmi.mu, scale=bmi.sigma)
+    n = len(log_bmi)
+    assert abs(log_bmi.mean() - truncnorm.mean(a, b, loc=bmi.mu, scale=bmi.sigma)) <= 4.0 * sd / math.sqrt(n)
+    assert abs(log_bmi.std() - sd) <= 4.0 * sd / math.sqrt(2.0 * n)
+    assert abs(np.corrcoef(log_h, log_bmi)[0, 1]) <= 4.0 / math.sqrt(n - 3)
+
+
 def test_population_determinism():
     model = anthro.model_from_config({})
     assert anthro.sample_population(model, 500, seed=9) == anthro.sample_population(model, 500, seed=9)
@@ -53,14 +100,22 @@ def test_gender_mix():
 
 
 def test_infeasible_model_raises():
-    # BMI window that the height/mass marginals essentially never hit
-    gender = anthro.GenderParams(
-        mass=anthro.LogNormalParams(math.log(78.0), 0.01),
-        height=anthro.LogNormalParams(math.log(1.76), 0.01),
-    )
+    # log BMI = log mass - 2 log height needs sigma_m > 2 sigma_h: rejected when the model is built
+    narrow = anthro.LogNormalParams(math.log(78.0), 0.01)
+    with pytest.raises(ValidationError, match=re.escape("mass.sigma=0.01 must exceed 2 * height.sigma=0.01")):
+        anthro.GenderParams(mass=narrow, height=anthro.LogNormalParams(math.log(1.76), 0.01))
+    with pytest.raises(ValidationError, match=re.escape("male: mass.sigma=0.16 must exceed 2 * height.sigma=0.08")):
+        anthro.model_from_config({"male.height.sigma": "0.08"})
+    # a BMI window 111 sds of log BMI above its mean: its probability rounds to 0
+    height = anthro.LogNormalParams(math.log(1.76), 0.004)
+    gender = anthro.GenderParams(mass=narrow, height=height)
     model = replace(anthro.model_from_config({}), female=gender, male=gender, bmi_range=(49.0, 50.0))
-    with pytest.raises(ValidationError, match="BMI rejection rate exceeded 99% over 1000 draws"):
+    with pytest.raises(ValidationError, match=r"BMI range \[49.0, 50.0\]: log BMI ~ N\(.*\) has no probability in"):
         anthro.sample_population(model, 10, seed=0)
+    # 29 sds above it, the mirrored tail still holds probability: every draw lands in the window
+    gender = anthro.GenderParams(mass=anthro.LogNormalParams(math.log(78.0), 0.024), height=height)
+    model = replace(model, female=gender, male=gender)
+    assert all(49.0 <= s.bmi <= 50.0 for s in anthro.sample_population(model, 10, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +165,19 @@ def test_scaling_mean_matches_truncnorm_oracle():
     a, b = (tn.lower - tn.mean) / tn.std, (tn.upper - tn.mean) / tn.std
     expected = truncnorm.mean(a, b, loc=tn.mean, scale=tn.std)
     assert abs(np.mean(draws) - expected) <= 0.01 * abs(expected)
+
+
+@pytest.mark.parametrize("lower, upper", [(1.2, 1.3), (0.7, 0.8)])
+def test_scaling_window_20_to_30_sds_from_the_mean(lower, upper):
+    # Above the mean the window is drawn as its mirror image below it, where
+    # the normal CDF keeps its precision; at 1 - 1e-89 it would round to 1.
+    tn = anthro.TruncatedNormal(mean=1.0, std=0.01, lower=lower, upper=upper)
+    cfg = anthro.ScalingConfig(x=tn, y=tn, z=tn)
+    draws = np.array([anthro.sample_scaling(cfg, seed) for seed in range(3000)]).reshape(-1)
+    assert ((lower <= draws) & (draws <= upper)).all()
+    a, b = (lower - tn.mean) / tn.std, (upper - tn.mean) / tn.std
+    sd = truncnorm.std(a, b, loc=tn.mean, scale=tn.std)
+    assert abs(draws.mean() - truncnorm.mean(a, b, loc=tn.mean, scale=tn.std)) <= 4.0 * sd / math.sqrt(draws.size)
 
 
 def test_scaling_determinism():

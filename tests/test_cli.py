@@ -162,7 +162,8 @@ def test_gen_builds_only_the_bodies_its_frames_use(tmp_path, monkeypatch, capsys
 # 0.4.0: the version line moved, and config_hash no longer covers the
 # dropped tag.night, tag.rain and tag.heavy_occlusion keys. Recorded anew at
 # 0.5.0, when the keypoints moved onto the body axis: only the version line
-# moved. config_hash is
+# moved. Recorded anew at 0.6.0, when log BMI came to be drawn independently
+# of log height: again only the version line moved. config_hash is
 # taken over the values as the config reader parsed them. "noncanonical"
 # spells the shipped values otherwise, so its manifest is the default one.
 MANIFEST_CONFIGS = {
@@ -174,11 +175,11 @@ MANIFEST_CONFIGS = {
                             "frames.train=0\nframes.val=0\nframes.test=1\n",
 }
 MANIFEST_DIGESTS = {
-    "none": "dd933ac787050ebc320cbf87ad8773708c8e6619ce6f23eec67743c5bf8f3827",
-    "shipped": "dd933ac787050ebc320cbf87ad8773708c8e6619ce6f23eec67743c5bf8f3827",
-    "partial-model": "7d852457fc3033b96d59f589c7c8c398f4aae64efc5f39ad3f5fa162f9c41628",
-    "noncanonical": "dd933ac787050ebc320cbf87ad8773708c8e6619ce6f23eec67743c5bf8f3827",
-    "noncanonical-changed": "af59a756f419ae24b6e75bc21721b14064a6f3b3a191b083cf1b9625e114a623",
+    "none": "5ea060e19936fcd08a02c2fe54acb78643d22a9dd0d4f13079097ce42fa5f188",
+    "shipped": "5ea060e19936fcd08a02c2fe54acb78643d22a9dd0d4f13079097ce42fa5f188",
+    "partial-model": "49c4ee2460cc76993db75c6d6dd35df2eadbf686c8008d55a4a5f7ab9d8a9cae",
+    "noncanonical": "5ea060e19936fcd08a02c2fe54acb78643d22a9dd0d4f13079097ce42fa5f188",
+    "noncanonical-changed": "7a6e2eec2bd0cdf7a0a931cbceedf26892b0d42f3a4e5ac56befd9923b90c49f",
 }
 
 
@@ -284,12 +285,15 @@ def test_label_exit_2_when_a_boundary_plane_cuts_another_part(tmp_path, capsys):
 # sha256 of `label` stdout, recorded from the meshvol code that took a
 # binary search per edge, a Python loop per mixed-label edge and the RMS of
 # every candidate plane. A rewrite that promises the same bits keeps them; a
-# data-version bump records them anew and says so in CHANGES.md.
+# data-version bump records them anew and says so in CHANGES.md. The two
+# humanoids were recorded anew at 0.6.0: their sampled height and mass moved
+# when log BMI came to be drawn independently of log height, so their meshes
+# did; the frusta bodies kept their bits.
 LABEL_DIGESTS = {
     "frusta-12x3": "929753bfe5e988be15273e9940dbd4f44cb28dfc6ab2ee5c62aa00e21aec3f00",
     "frusta-48x5": "a7e0fac875966c512c8d6e336d7129cc47e128e1357dfdfdcd3b2f85929770b9",
-    "humanoid-0": "89b8aaf9fbbc3133f7a250080e413aaaaef9d6238198035660dbbb5a67eac750",
-    "humanoid-1": "00f0b2de17c8b928c8bd5b9fbdb6f1a6b20b7079a98c5c3373be9dd57ba7c83d",
+    "humanoid-0": "62e945f337c9ed35b3d1e908c8ee879bbf06d3443f1babb9043f13afd7728561",
+    "humanoid-1": "0b9ebd99c936655a225816582e70639baa14774c589c4840136768244cf57587",
 }
 
 
@@ -327,14 +331,16 @@ def test_label_stdout_digests(tmp_path, capsys):
 # STATS_DIGESTS covers the whole stdout. It was recorded anew when five rows
 # were appended after the KL rows, comparing the samples with the target's
 # gender_mix, bmi.lo/bmi.hi and body_density; the first 15 lines kept
-# their bytes.
+# their bytes. Both were recorded anew at 0.6.0: the samples' heights and
+# masses moved when log BMI came to be drawn independently of log height,
+# so every KL value and the mean volume moved.
 STATS_KL_DIGESTS = {
-    "shipped": "5863af953d8cd57fc967b213d78d57cec1b4ce4479fe6ca0aa919a274eafb76b",
-    "gender-mix-0.25": "05cdb72296ab1d1d2e8895157a56a28be7c2738b303d027c0775a01b54a124f9",
+    "shipped": "9303aa511cffc12674fb675faa27ce37e0ffb90f883fcbbe87e9151c436e6977",
+    "gender-mix-0.25": "73a25b699f94a50943918e2b816fa9db9b1cdb573943ff00a5b6bcfba9059e5c",
 }
 STATS_DIGESTS = {
-    "shipped": "8ef0f3135ef423e713bce9006e69250ab9f159680580f5e8b3b2ad412072b4a3",
-    "gender-mix-0.25": "e8f7a6136338976f1810bc3b885ff25de0279d2c41cfa8fe218a6c95a77bd6a2",
+    "shipped": "198cf8bf8a1d42ca6549f218ab8330749539ff7e08586b074dc5ee2dcba0f395",
+    "gender-mix-0.25": "e3d9f09522bcfe54f30496c1c632ac1a4c964245c9ce819d60ff1e3ee9d59587",
 }
 
 
@@ -383,13 +389,17 @@ def test_stats_stdout_digests(tmp_path, capsys):
 # part's height band, so the keypoints, the heavy_occlusion tags, the
 # per-part maps and what is printed from them moved, and the manifest's
 # version line changed (decoupling PP-MAE 5.8038 -> 2.6283 dm3 at sigma 4).
+# All six were recorded anew at 0.6.0: log BMI is drawn independently of log
+# height, so every body's mass, volume and mesh moved, and with them the
+# bboxes, keypoints, maps and the manifest's version line (decoupling PP-MAE
+# 2.8583 -> 2.8620 dm3 at sigma 4, 27 of 102 persons kept on both).
 CHAIN_DIGESTS = {
-    "test.jsonl": "8653050e22e9d703672b9a0c9f4867085361557c80dea7882a7444ebf668ca09",
-    "manifest.txt": "e29a4eda81ae81b0e8dd68da41e754bf6f20153d40b44e35ffe380d8fd65c180",
-    "maps/*.vdm": "f279e692e2dc073c688a9ebbce8ef5506b2086c2258e1fe7fc2961a11a3fc174",
-    "maps.stdout": "154cd7fa2fceb6acf2fe6e831c69be4e3d149d76d8b13b40c62767b95e2e0cf9",
-    "eval-full.stdout": "4937008bf2c7d7e540137925acc80752292e9a80ecb4655a57b5b083cc095665",
-    "eval-decoupling.stdout": "d39e8a70a47fb6b0e110c522782fd8b59a2f38928676527fcaf01c5c8eaaee97",
+    "test.jsonl": "9ca045b8018a6e2621fee20260da862180df068a01254873c66ec67fdb447958",
+    "manifest.txt": "537ff9538981b7ade811387b3ca4e59d1af398acf11cceedcfff9e0b09225d90",
+    "maps/*.vdm": "d5b601c89a5a0d7b1c5e5288043df3c337422fe0dc601064e0f1b7b5716c6a10",
+    "maps.stdout": "0360405532b2492bbb7885cde48509f20e73d4c8991e434a38a5fd4ddba837b9",
+    "eval-full.stdout": "e89aecac9d224e43da6de4a98226e54793aef3b50576c99e92118767f862fc0a",
+    "eval-decoupling.stdout": "f3a90c299d422e542608d0bbafd6ce86b32050c4490d47c9f28064e88357839c",
 }
 
 
@@ -425,12 +435,14 @@ def test_chain_output_digests(tmp_path, capsys):
 # sha256 of the chain's outputs that no keypoint reaches: its JSONL with each
 # person's keypoints and the heavy_occlusion tag dropped, plain maps at sigma
 # 0 and 4, and the dumped meshes. Recorded at data version 0.4.0; they held
-# at 0.5.0, when the keypoint anchors moved onto the body axis.
+# at 0.5.0, when the keypoint anchors moved onto the body axis. All four were
+# recorded anew at 0.6.0, when log BMI came to be drawn independently of log
+# height: every body's mass and mesh moved.
 BODY_DIGESTS = {
-    "test.jsonl without keypoints": "252909de23f12b23b707dfa02c9fc4fd6e6e0190f7edbb258ebeb48cdd19cf34",
-    "maps-sigma0/*.vdm": "6813861c172776d70fbf571629f16b3641247f32b9418653ed9b5978fc3ddfa6",
-    "maps-sigma4/*.vdm": "15f7729917caeae7ed8e9fe7ec9a63b7874acdff4bf8a6c08a65c00661538b29",
-    "g/meshes/*": "30364762006c2987dc378996ee943e2aee2398dabb0f020d0e84c367f5ae690b",
+    "test.jsonl without keypoints": "feaf577496f9a6d64f082e786aa2ebecee27ba31597a0e1a99df26d94996e285",
+    "maps-sigma0/*.vdm": "f5aa208a4fce0d2fe1ad55ad180ec2c9c98f2e9f08af3467fd6e3053263d3280",
+    "maps-sigma4/*.vdm": "4d7323bc23e0c8b5c04e7ce3a0176981f33cb71f9d90de2d0f4496a172fe0d1d",
+    "g/meshes/*": "b85bba1e8c7e83bb793f4e8e8cd0e6bc59dd3a51e470ed28f4329e6a253e7d0f",
 }
 
 
@@ -1010,6 +1022,8 @@ def bad_inputs(tmp_path_factory):
     repeated = (first, dict(second, frame_id="test_00000"))
     (root / "repeated-id.jsonl").write_text("".join(json.dumps(f) + "\n" for f in repeated))
     (root / "escape-id.jsonl").write_text(json.dumps(dict(first, frame_id="../escaped")) + "\n")
+    long_id = (first, dict(second, frame_id="x" * 300))
+    (root / "long-id.jsonl").write_text("".join(json.dumps(f) + "\n" for f in long_id))
     (root / "one_map").mkdir()
     (root / "one_map" / "test_00001.vdm").write_bytes((maps / "test_00001.vdm").read_bytes())
     (root / "all.jsonl").write_text("".join((data / f"{split}.jsonl").read_text() for split in ("train", "val", "test")))
@@ -1185,6 +1199,10 @@ FRAME_ID_CASES = {
     "eval-repeated-id": ("eval --gt {root}/repeated-id.jsonl --preds {maps} --out {root}/e", None, 2, REPEATED_ID),
     "maps-id-not-a-file-name": ("maps {root}/escape-id.jsonl --out {root}/trav/maps", None, 2,
                                 "error: {root}/escape-id.jsonl: line 1: frame_id '../escaped' is not a plain file name"),
+    # a file name holds 255 bytes, so the reader rejects the id before any map is written
+    "maps-id-too-long": ("maps {root}/long-id.jsonl --out {root}/m --sigma 0", None, 2,
+                         "error: {root}/long-id.jsonl: line 2: frame_id 'xxxxxxxxxxxxxxxx'... is too long: "
+                         "<frame_id>.vdm would be a 304-byte file name, over 255\n"),
 }
 
 # First bboxes past the 640x480 image. The reader rejects each with its file
@@ -1223,7 +1241,12 @@ ERROR_CASES = {
     "gen-out": ("gen --out /dev/null/x --config {cfg}", {}, 2, "Not a directory: '/dev/null/x'"),
     "maps-out": ("maps {gt} --out /dev/null/x", None, 2, "Not a directory: '/dev/null/x'"),
     "eval-out": ("eval --gt {gt} --preds {maps} --out /dev/null/x", None, 2, "Not a directory: '/dev/null/x'"),
-    "infeasible-bmi": (GEN, {"bmi.lo": "45", "bmi.hi": "50"}, 2, "BMI rejection rate exceeded 99%"),
+    # over 70 sds of log BMI above its mean: the window's probability rounds to 0
+    "infeasible-bmi": (GEN, {"bmi.lo": "1e6", "bmi.hi": "2e6"}, 2,
+                       "BMI range [1000000.0, 2000000.0]: log BMI ~ N("),
+    "scene-bmi-sigma": (GEN, {"female.mass.sigma": "0.05", "female.height.sigma": "0.04"}, 2,
+                        "{cfg}: female: mass.sigma=0.05 must exceed 2 * height.sigma=0.04, so that log BMI = "
+                        "log mass - 2 log height has a positive variance\n"),
     "scene-key-of-0.1.0": (GEN, {"sigma_px": "4.0"}, 2, "unknown scene config key 'sigma_px'"),
     "body-build": (GEN, BODY_BUILD, 2, "unreachable for height"),
     "body-build-2-workers": (GEN + " --workers 2", BODY_BUILD, 2, "unreachable for height"),
@@ -1353,10 +1376,11 @@ def test_error_is_one_line_with_its_exit_code(bad_inputs, tmp_path, capsys, monk
         assert err == error_lines[0] + "\n"
 
 
-@pytest.mark.parametrize("frame_id", ["../escaped", "../../escaped"])
+@pytest.mark.parametrize("frame_id", ["../escaped", "../../escaped", pytest.param("x" * 300, id="long_id")])
 def test_maps_writes_no_map_outside_out_for_an_id_that_is_not_a_file_name(bad_inputs, tmp_path, frame_id):
-    frame = json.loads(Path(bad_inputs["gt"]).read_text().splitlines()[0])
-    (tmp_path / "bad.jsonl").write_text(json.dumps(dict(frame, frame_id=frame_id)) + "\n")
+    # the bad id on the second line: not even the first frame's map is written
+    first, second = map(json.loads, Path(bad_inputs["gt"]).read_text().splitlines()[:2])
+    (tmp_path / "bad.jsonl").write_text(json.dumps(first) + "\n" + json.dumps(dict(second, frame_id=frame_id)) + "\n")
     out = tmp_path / "trav" / "maps"
     (tmp_path / "trav").mkdir()
     assert run("maps", str(tmp_path / "bad.jsonl"), "--out", str(out), "--sigma", "0") == 2

@@ -190,6 +190,31 @@ def test_frame_ids_that_name_a_file_are_kept(frame_id):
     assert make_frame([], frame_id=frame_id).frame_id == frame_id
 
 
+@pytest.mark.parametrize("frame_id", ["x" * 251, "\u00e9" * 125 + "x"])  # 251 UTF-8 bytes, 255 with '.vdm'
+def test_frame_id_that_fills_a_file_name_is_kept(frame_id):
+    assert make_frame([], frame_id=frame_id).frame_id == frame_id
+
+
+TOO_LONG = "... is too long: <frame_id>.vdm would be a 256-byte file name, over 255"
+
+
+@pytest.mark.parametrize("frame_id, message", [
+    pytest.param("x" * 252, "frame_id 'xxxxxxxxxxxxxxxx'" + TOO_LONG, id="252-ascii"),
+    pytest.param("\u00e9" * 126, "frame_id " + repr("\u00e9" * 16) + TOO_LONG, id="252-utf8"),
+    pytest.param("a\ud800b", "frame_id 'a\\ud800b' is not a file name: it holds a lone surrogate", id="lone-surrogate"),
+])
+def test_frame_id_that_no_file_name_can_hold_is_rejected_on_its_line(tmp_path, frame_id, message):
+    with pytest.raises(dm.ValidationError) as built:
+        make_frame([], frame_id=frame_id)
+    assert str(built.value) == message
+    line = {**dm.frame_to_dict(make_frame([])), "frame_id": frame_id}
+    path = tmp_path / "frames.jsonl"
+    path.write_text(dm.frame_to_json_line(make_frame([], frame_id="ok")) + "\n" + json.dumps(line) + "\n")
+    with pytest.raises(dm.ValidationError) as read:
+        dm.read_annotations(path)
+    assert str(read.value) == f"{path}: line 2: {message}"
+
+
 def test_reader_rejects_a_frame_id_that_repeats_an_earlier_line(tmp_path):
     lines = [dm.frame_to_json_line(make_frame([], frame_id=i)) for i in ("a", "b", "c", "b")]
     path = tmp_path / "frames.jsonl"

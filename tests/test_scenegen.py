@@ -350,13 +350,16 @@ def test_splitmix_scalar_matches_batch():
 
 
 def test_splitmix_normals_match():
-    """normal() inverts the CDF of exactly one uniform, so a population
-    sampler's stream stays aligned draw for draw."""
-    a = SplitMix64(7)
-    scalars = [a.normal() for _ in range(5_000)]
-    b = SplitMix64(7)
-    assert scalars == [ndtri(u) for u in uniforms(b, 5_000).tolist()]
-    assert a.normal() == b.normal()
+    """An untruncated normal draw inverts the CDF of exactly one uniform, with
+    the bits of mean + std * ndtri(u), so a population sampler's stream stays
+    aligned draw for draw."""
+    mu, sigma = 0.4885800148186709, 0.04  # the shipped female log height
+    for mean, std in ((0.0, 1.0), (mu, sigma)):
+        a = SplitMix64(7)
+        scalars = [anthro._truncated_normal(a, mean, std, -math.inf, math.inf) for _ in range(5_000)]
+        b = SplitMix64(7)
+        assert scalars == [mean + std * ndtri(u) for u in uniforms(b, 5_000).tolist()]
+        assert a.uniform() == b.uniform()
 
 
 def test_splitmix_uniform_stays_below_one():
@@ -372,7 +375,7 @@ def test_splitmix_uniform_stays_below_one():
     draws = [rng.uniform() for _ in range(1000)]
     assert draws[0] == below_one and draws[1:] == unclamped[1:].tolist()
     assert uniforms(SplitMix64(seed), 1000).tolist() == draws
-    assert math.isfinite(SplitMix64(seed).normal())
+    assert math.isfinite(anthro._truncated_normal(SplitMix64(seed), 0.0, 1.0, -math.inf, math.inf))
 
 
 def test_splitmix_randints_continue_the_scalar_stream():
