@@ -1,5 +1,6 @@
 """Population anthropometrics: log-normal mass/height models, BMI-truncated
-sampling, truncated-normal mesh scaling, and KL-divergence alignment reports.
+sampling, truncated-normal mesh scaling, and alignment statistics: the KL
+divergence of the fitted log-normal and the KS distance to the exact CDF.
 
 Masses are in kg, heights in meters, volumes in dm^3 unless noted. Mass and
 volume convert through the model's average body density (kg/m^3).
@@ -9,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .datamodel import ParseError, ValidationError, config_getter, csv_text, default_config, read_csv
 from .rng import SplitMix64, mix_seed
@@ -189,54 +188,50 @@ def scale_samples(samples: list[PersonSample], cfg: ScalingConfig, seed: int) ->
 
 
 # ---------------------------------------------------------------------------
-# KL divergence and alignment reporting
+# Alignment statistics against a log-normal target
 # ---------------------------------------------------------------------------
 
-def kl_divergence(samples, target: LogNormalParams, bins: int = 50) -> float:
-    """Histogram KL divergence D(empirical || target) in nats.
-
-    The samples are binned over [min, max] with equal-width bins; the target
-    is reduced to the probability mass it assigns to each bin (CDF
-    differences), renormalized over the histogram support.
-    """
-    arr = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if arr.size < 2:
+def kl_divergence(samples, target: LogNormalParams, name: str = "the sample set") -> float:
+    """KL(N(mu_hat, sigma_hat^2) || N(mu, sigma^2)) in nats (Kullback 1959), clamped at 0, for the maximum-
+    likelihood fit to the samples' logs. Products, not powers or sigma^2, so a tiny sigma gives inf, not an
+    error. Fewer than 2 samples, or logs all equal (`name` has no spread), raise ValueError."""
+    logs = [math.log(x) for x in samples]
+    if len(logs) < 2:
         raise ValueError("need at least 2 samples")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    if (arr <= 0).any():
-        raise ValueError("samples must be positive")
-    lo, hi = float(arr.min()), float(arr.max())
-    if not hi > lo:
-        raise ValueError("samples are all identical; histogram support is degenerate")
-    counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
-    p = counts / counts.sum()
-    cdf = np.array([target.cdf(edge) for edge in edges.tolist()])
-    support_mass = cdf[-1] - cdf[0]
-    if support_mass <= 0:
-        raise ValueError("target has no probability mass on the sample support")
-    q = np.diff(cdf) / support_mass
-    mask = p > 0
-    if (q[mask] <= 0).any():
-        return math.inf
-    return max(0.0, math.fsum(pi * math.log(pi / qi) for pi, qi in zip(p[mask].tolist(), q[mask].tolist())))
+    if min(logs) == max(logs):
+        raise ValueError(f"{name} has no spread")
+    mu_hat = math.fsum(logs) / len(logs)
+    sigma_hat = math.sqrt(math.fsum((v - mu_hat) * (v - mu_hat) for v in logs) / len(logs))
+    r, z = sigma_hat / target.sigma, (mu_hat - target.mu) / target.sigma
+    return max(0.0, -math.log(r) + (r * r + z * z) / 2.0 - 0.5)
+
+
+def ks_statistic(samples, target: LogNormalParams) -> float:
+    """Kolmogorov-Smirnov D against the target's exact CDF (Stephens 1974): the largest of
+    i/n - u_(i) and u_(i) - (i-1)/n over the sorted u = F(x). Compare it with 1.36/sqrt(n)."""
+    u = sorted(target.cdf(x) for x in samples)
+    return max(max(i / len(u) - ui, ui - (i - 1) / len(u)) for i, ui in enumerate(u, 1))
 
 
 @dataclass(frozen=True)
 class AlignmentReport:
     kl_before: float
     kl_after: float
-    pct_change: float  # (before - after) / before; positive means a decrease
+    ks_before: float
+    ks_after: float
+
+    @property
+    def pct_change(self) -> float:
+        """(kl_before - kl_after) / kl_before, positive for a decrease; from a KL of 0, IEEE's -inf or nan."""
+        if self.kl_before == 0.0:
+            return -math.inf if self.kl_after else math.nan
+        return (self.kl_before - self.kl_after) / self.kl_before
 
 
-def alignment_report(before, after, target: LogNormalParams, bins: int = 50) -> AlignmentReport:
-    kl_before = kl_divergence(before, target, bins)
-    kl_after = kl_divergence(after, target, bins)
-    return AlignmentReport(
-        kl_before=kl_before,
-        kl_after=kl_after,
-        pct_change=(kl_before - kl_after) / kl_before,
-    )
+def alignment_report(before, after, target: LogNormalParams, names=("the before set", "the after set")):
+    """Both sets' KL and KS D against the target; `names` name a set without spread."""
+    return AlignmentReport(kl_divergence(before, target, names[0]), kl_divergence(after, target, names[1]),
+                           ks_statistic(before, target), ks_statistic(after, target))
 
 
 # ---------------------------------------------------------------------------

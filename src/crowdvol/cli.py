@@ -230,7 +230,8 @@ def cmd_stats(args) -> int:
                     ("mean_volume_dm3", metrics.mean("mean_volume_dm3", samples, lambda s: s.volume_dm3))]
             if args.target_config:
                 model = anthro.model_from_config(datamodel.read_keyvalues(args.target_config), args.target_config)
-                rows += _alignment_rows(samples, before, model) + _target_rows(samples, model)
+                rows += _alignment_rows(samples, before, model, (args.before or path, path))
+                rows += _target_rows(samples, model)
         else:
             from . import evalharness
 
@@ -250,28 +251,31 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _alignment_rows(samples, before, model) -> list[tuple]:
-    """KL rows per feature; a gender-mixed population is compared against
-    the mixture's dominant component per gender, so features are reported
-    per gender."""
+def _alignment_rows(samples, before, model, paths) -> list[tuple]:
+    """KL rows, then KS rows, then sample counts, each per gender, against its height and mass
+    log-normals. `paths` are the files of `before` and `samples`, to name a set without spread."""
     from . import anthro
 
-    rows = []
+    kl, ks, counts = [], [], []
     for gender in ("female", "male"):
         params = model.params_for(gender)
         aft, bef = ([s for s in group if s.gender == gender] for group in (samples, before))
         if len(aft) < 2 or len(bef) < 2:
             continue
         for feature, attr, target in (("height", "height_m", params.height), ("mass", "mass_kg", params.mass)):
-            rep = anthro.alignment_report([getattr(s, attr) for s in bef], [getattr(s, attr) for s in aft], target)
-            name = f"kl_{feature}_{gender}"
-            rows += [(f"{name}_before", rep.kl_before), (f"{name}_after", rep.kl_after),
-                     (f"{name}_pct_change", rep.pct_change)]
-    return rows
+            names = [f"{path}: {attr} of the {gender} samples" for path in paths]
+            rep = anthro.alignment_report([getattr(s, attr) for s in bef], [getattr(s, attr) for s in aft],
+                                          target, names)
+            name = f"{feature}_{gender}"
+            kl += [(f"kl_{name}_before", rep.kl_before), (f"kl_{name}_after", rep.kl_after),
+                   (f"kl_{name}_pct_change", rep.pct_change)]
+            ks += [(f"ks_{name}_before", rep.ks_before), (f"ks_{name}_after", rep.ks_after)]
+        counts += [(f"n_{gender}_before", len(bef)), (f"n_{gender}_after", len(aft))]
+    return kl + ks + counts
 
 
 def _target_rows(samples, model) -> list[tuple]:
-    """The samples against the model keys that the KL rows leave out:
+    """The samples against the model keys that the alignment rows leave out:
     gender_mix, bmi.lo and bmi.hi, and body_density."""
     from . import metrics
 
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="dataset statistics or sample alignment")
     p_stats.add_argument("input", help="annotations .jsonl or samples .csv")
-    p_stats.add_argument("--target-config", help="anthropometric model config for KL reports")
+    p_stats.add_argument("--target-config", help="anthropometric model config for alignment reports")
     p_stats.add_argument("--before", help="samples .csv of the pre-alignment population")
     p_stats.add_argument("--out")
     p_stats.set_defaults(func=cmd_stats)

@@ -1,11 +1,11 @@
 import math
 import re
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
-from scipy.stats import lognorm, truncnorm
+from scipy.stats import truncnorm
 
 from crowdvol import anthro, meshvol
 from crowdvol.datamodel import TriMesh, ValidationError, default_config
@@ -243,32 +243,39 @@ def test_scale_samples_keeps_the_body_density():
 
 
 # ---------------------------------------------------------------------------
-# KL divergence
+# KL divergence of the fitted log-normal, and the KS distance
 # ---------------------------------------------------------------------------
 
-def test_kl_two_bin_hand_case():
-    # Construct samples and a target whose two-bin reduction is exactly
-    # p = (0.5, 0.5), q = (0.25, 0.75): D = 0.5 ln 2 + 0.5 ln(2/3).
-    lo, hi = 1.0, 3.0
-    mid = (lo + hi) / 2.0
-    mu = math.log(2.2)
+def test_kl_of_the_fitted_lognormal_hand_case():
+    # logs 0, l and 2l with l = log 2: the maximum-likelihood fit (divide by
+    # n, not n - 1) is mu_hat = l and sigma_hat = l sqrt(2/3). Against
+    # N(0, l^2), r = sqrt(2/3) and z = 1: KL = log(3/2)/2 + (2/3 + 1)/2 - 1/2.
+    l = math.log(2.0)
+    target = anthro.LogNormalParams(mu=0.0, sigma=l)
+    expected = 0.5 * math.log(1.5) + 1.0 / 3.0
+    assert anthro.kl_divergence([1.0, 2.0, 4.0], target) == pytest.approx(expected, rel=1e-15)
+    # the same fit against N(l, (2l)^2): r = sqrt(2/3)/2 and z = 0
+    wide = anthro.LogNormalParams(mu=l, sigma=2.0 * l)
+    expected = -math.log(math.sqrt(2.0 / 3.0) / 2.0) + (2.0 / 3.0 / 4.0) / 2.0 - 0.5
+    assert anthro.kl_divergence([4.0, 1.0, 2.0], wide) == pytest.approx(expected, rel=1e-15)
 
-    def q_first(sigma):
-        cdf = lambda x: lognorm.cdf(x, s=sigma, scale=math.exp(mu))
-        return (cdf(mid) - cdf(lo)) / (cdf(hi) - cdf(lo)) - 0.25
 
-    sigma = brentq(q_first, 1e-3, 5.0, xtol=1e-15)
-    target = anthro.LogNormalParams(mu=mu, sigma=sigma)
-    samples = [lo, lo + 0.3, mid + 0.3, hi]  # two per bin
-    d = anthro.kl_divergence(samples, target, bins=2)
-    expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-    assert d == pytest.approx(expected, abs=1e-9)
+def test_kl_tells_exact_draws_from_a_ten_percent_sigma_error():
+    # n = 2,000 exact log-normal draws score at most 0.0016 nats over seeds
+    # 0-19, and draws whose sigma is 10% too wide at least 0.0042
+    target = anthro.model_from_config({}).female.mass
+    exact, wide = [], []
+    for seed in range(20):
+        exact.append(anthro.kl_divergence(np.random.default_rng(seed).lognormal(target.mu, target.sigma, 2000), target))
+        wide.append(anthro.kl_divergence(
+            np.random.default_rng(seed).lognormal(target.mu, 1.1 * target.sigma, 2000), target))
+    assert max(exact) < min(wide)
 
 
 def test_kl_self_divergence_small():
     target = anthro.LogNormalParams(mu=math.log(1.7), sigma=0.05)
     samples = np.random.default_rng(11).lognormal(target.mu, target.sigma, 1_000_000)
-    assert anthro.kl_divergence(samples, target, bins=50) <= 0.01
+    assert anthro.kl_divergence(samples, target) <= 1e-5
 
 
 def test_kl_nonnegative():
@@ -276,22 +283,36 @@ def test_kl_nonnegative():
     for _ in range(50):
         target = anthro.LogNormalParams(mu=rng.uniform(-1, 1), sigma=rng.uniform(0.05, 0.5))
         samples = rng.uniform(0.5, 3.0, size=200)
-        assert anthro.kl_divergence(samples, target, bins=10) >= 0.0
+        assert anthro.kl_divergence(samples, target) >= 0.0
 
 
 def test_kl_needs_two_samples():
     target = anthro.LogNormalParams(mu=0.0, sigma=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 2 samples"):
         anthro.kl_divergence([1.0], target)
-    with pytest.raises(ValueError):
-        anthro.kl_divergence([1.0, 1.0], target)  # degenerate support
+    with pytest.raises(ValueError, match="^the height column has no spread$"):
+        anthro.kl_divergence([1.0, 1.0], target, "the height column")
 
 
-def test_kl_no_target_mass_error():
-    # target so far away that the CDF difference over the support underflows
-    target = anthro.LogNormalParams(mu=math.log(1e-30), sigma=1e-3)
-    with pytest.raises(ValueError, match="no probability mass"):
-        anthro.kl_divergence([1.0, 2.0, 3.0], target, bins=2)
+def test_ks_hand_cases():
+    # u = (0.1, 0.2, 0.9): D = max(1/3 - 0.1, 2/3 - 0.2, 1 - 0.9, 0.1, 0.9 - 2/3) = 2/3 - 0.2
+    target = anthro.LogNormalParams(mu=0.0, sigma=1.0)
+    at = lambda u: math.exp(NormalDist().inv_cdf(u))
+    assert anthro.ks_statistic([at(0.9), at(0.1), at(0.2)], target) == pytest.approx(2.0 / 3.0 - 0.2, rel=1e-12)
+    # samples at u = (i - 1/2)/n give the smallest D there is, 1/(2n)
+    assert anthro.ks_statistic([at((i - 0.5) / 8) for i in range(1, 9)], target) == pytest.approx(1 / 16, rel=1e-12)
+
+
+@pytest.mark.parametrize("gender", ["female", "male"])
+def test_population_marginals_pass_the_ks_check(gender):
+    # the sampler's height and mass marginals are the model's log-normals:
+    # D stays below 1.63/sqrt(n), the alpha = 0.01 critical value
+    model = anthro.model_from_config({})
+    samples = [s for s in anthro.sample_population(model, 20_000, seed=7) if s.gender == gender]
+    params = model.params_for(gender)
+    bound = 1.63 / math.sqrt(len(samples))
+    assert anthro.ks_statistic([s.height_m for s in samples], params.height) < bound
+    assert anthro.ks_statistic([s.mass_kg for s in samples], params.mass) < bound
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +333,16 @@ def test_alignment_fields_consistent():
     after = np.random.default_rng(3).lognormal(target.mu, target.sigma, 5000)
     rep = anthro.alignment_report(before, after, target)
     assert rep.kl_after == pytest.approx(rep.kl_before * (1.0 - rep.pct_change), rel=1e-12)
+
+
+def test_alignment_change_from_a_zero_kl():
+    # logs mu - sigma and mu + sigma fit the target exactly, so KL is 0 and
+    # the change from it is IEEE's (0 - after) / 0 instead of a raise
+    target = anthro.LogNormalParams(mu=0.5, sigma=0.25)
+    exact = [math.exp(0.25), math.exp(0.75)]
+    assert anthro.kl_divergence(exact, target) == 0.0
+    assert math.isnan(anthro.alignment_report(exact, exact, target).pct_change)
+    assert anthro.alignment_report(exact, [1.0, 2.0], target).pct_change == -math.inf
 
 
 def test_narrow_population_scaling_decreases_kl():

@@ -325,22 +325,22 @@ def test_label_stdout_digests(tmp_path, capsys):
 # sha256 of `stats` stdout on 400 samples (seed 4) with the shipped model.cfg
 # as target: samples of the shipped model, and samples of a gender_mix=0.25
 # model with the first file as --before. STATS_KL_DIGESTS covers the first
-# 15 lines, up to the last KL row. It was recorded where every KL term comes
-# from libm's `log` and `erfc` and is summed by `math.fsum`; each KL value
-# was within 1e-14 relative of the numpy and Cephes sums before it.
-# STATS_DIGESTS covers the whole stdout. It was recorded anew when five rows
-# were appended after the KL rows, comparing the samples with the target's
-# gender_mix, bmi.lo/bmi.hi and body_density; the first 15 lines kept
-# their bytes. Both were recorded anew at 0.6.0: the samples' heights and
-# masses moved when log BMI came to be drawn independently of log height,
-# so every KL value and the mean volume moved.
+# 15 lines, up to the last KL row. STATS_DIGESTS covers the whole stdout:
+# the KL rows, then eight KS rows and four sample counts, then five rows
+# comparing the samples with the target's gender_mix, bmi.lo/bmi.hi and
+# body_density. Both were recorded anew when the 50-bin histogram KL gave
+# way to the closed-form KL of the log-normal fitted by maximum likelihood
+# (female height KL of the shipped samples 0.143 -> 0.0071), and the KS and
+# count rows came in. Every value comes from libm's `log`, `erfc` and
+# `sqrt` and from `math.fsum`, with no numpy, so neither BLAS nor SIMD can
+# move a byte.
 STATS_KL_DIGESTS = {
-    "shipped": "9303aa511cffc12674fb675faa27ce37e0ffb90f883fcbbe87e9151c436e6977",
-    "gender-mix-0.25": "73a25b699f94a50943918e2b816fa9db9b1cdb573943ff00a5b6bcfba9059e5c",
+    "shipped": "e64978dd17fea231c648ed523f296e2fae4550e249aa0e0aa5df8debad4b8674",
+    "gender-mix-0.25": "4434398a0b1b752472b64b6681a15f41583c2efc978c5398b167fa07513882d2",
 }
 STATS_DIGESTS = {
-    "shipped": "198cf8bf8a1d42ca6549f218ab8330749539ff7e08586b074dc5ee2dcba0f395",
-    "gender-mix-0.25": "e3d9f09522bcfe54f30496c1c632ac1a4c964245c9ce819d60ff1e3ee9d59587",
+    "shipped": "35ea5fb9520707a00c421a78928be514b5f8b2b88ea76b37a23d33ba8a6b6a81",
+    "gender-mix-0.25": "0582f52908f99691513d506417a5a82412d50e4168fc5aa7dc82d299b012e7cc",
 }
 
 
@@ -828,7 +828,7 @@ def test_stats_partial_model_overrides_the_shipped_one(tmp_path, capsys):
         assert run("stats", str(samples), "--target-config", str(cfg)) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 20
+    assert len(outputs[0].splitlines()) == 32
 
 
 def test_stats_reads_the_target_gender_mix(tmp_path, capsys):
@@ -878,11 +878,28 @@ def test_stats_alignment_direction(tmp_path, capsys):
 
     assert run("stats", str(after_csv), "--target-config", str(target_cfg), "--before", str(before_csv)) == 0
     out = capsys.readouterr().out
-    befores = {l.split(",")[0]: float(l.split(",")[1]) for l in out.splitlines() if "_before" in l}
+    befores = {l.split(",")[0]: float(l.split(",")[1]) for l in out.splitlines()
+               if "_before" in l and not l.startswith("n_")}  # KL and KS; the counts do not change
     afters = {l.split(",")[0]: float(l.split(",")[1]) for l in out.splitlines() if "_after" in l}
     for key, kl_b in befores.items():
         kl_a = afters[key.replace("_before", "_after")]
         assert kl_a < kl_b
+
+
+def test_stats_with_a_tiny_target_sigma_prints_inf(tmp_path, capsys):
+    # r = sigma_hat / 1e-300 squares past the float range: KL is inf and its
+    # change inf / inf is nan, printed with exit 0 and no traceback (a power
+    # or a division by sigma^2, which underflows to 0, would raise instead)
+    samples, target = tmp_path / "samples.csv", tmp_path / "tiny.cfg"
+    anthro.write_samples_csv(anthro.sample_population(anthro.model_from_config({}), 40, seed=4), samples)
+    target.write_text("female.height.sigma=1e-300\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("stats", str(samples), "--target-config", str(target)) == 0
+    out, err = capsys.readouterr()
+    rows = dict(line.split(",") for line in out.splitlines())
+    assert (rows["kl_height_female_before"], rows["kl_height_female_pct_change"]) == ("inf", "nan")
+    assert 0.0 <= float(rows["ks_height_female_before"]) <= 1.0
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -1048,6 +1065,12 @@ def bad_inputs(tmp_path_factory):
     # three samples of 1e308 dm^3 each: every row passes the reader, their sum overflows
     (root / "samples-sum-overflow.csv").write_text(
         "\n".join([rows[0], *(row.rsplit(",", 1)[0] + ",1e308" for row in rows[1:4])]) + "\n")
+    # one column holding one value: the log-normal fitted to it has no spread
+    for name, column, value in (("same-height", "height_m", "1.7"), ("same-mass", "mass_kg", "70.0")):
+        fields = [row.split(",") for row in rows[1:]]
+        for f in fields:
+            f[rows[0].split(",").index(column)] = value
+        (root / f"{name}.csv").write_text("\n".join([rows[0], *map(",".join, fields)]) + "\n")
     # a subnormal volume: the body density it divides into is inf, without an overflow
     (root / "subnormal-volume.csv").write_text(
         "\n".join([rows[0], rows[1].rsplit(",", 1)[0] + ",1e-310", *rows[2:4]]) + "\n")
@@ -1319,6 +1342,11 @@ ERROR_CASES = {
                                         None, 2, "stats: --target-config is not used with annotations"),
     "stats-annotations-before": ("stats {gt} --before {root}/samples.csv", None, 2,
                                  "stats: --before is not used with annotations"),
+    # a column without spread names its file, gender and column; --before's file is read first
+    "samples-no-spread": (STATS.replace("samples.csv", "same-height.csv") + "model.cfg", None, 2,
+                          "error: {root}/same-height.csv: height_m of the female samples has no spread\n"),
+    "before-no-spread": (STATS + "model.cfg --before {root}/same-mass.csv", None, 2,
+                         "error: {root}/same-mass.csv: mass_kg of the female samples has no spread\n"),
     "stats-samples-before": ("stats {root}/samples.csv --before {root}/samples.csv", None, 2,
                              "stats: --before is not used with a samples .csv without --target-config"),
     "scene-tag-range": (GEN, {"tag.birds_eye": "1.5"}, 2, "{cfg}: tag.birds_eye must be a probability in [0, 1]"),
